@@ -29,13 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .equations import E1_LABELS, E2_LABELS, E3_LABELS, residual_entries
+from .equations import (
+    E1_LABELS, E2_LABELS, E3_LABELS, ContractViolation, on_Z, residual_entries,
+)
 from .gitcore import GroupElement, PointHV, act
 from .linalg import Mat2, Vec2
 from .poly import Poly
 from .quiver import QuiverRep, form_contraction
 from .scalars import QI, Scalar
-from .stability import semistable_theta
+from .stability import adapting_element
 
 
 class ChartError(Exception):
@@ -49,6 +51,8 @@ def _cyclic(i):
 
 @dataclass(frozen=True)
 class ChartPoint:
+    """Chart coordinates of a normalized point; validated on construction."""
+
     index: int                      # 1, 2 or 3
     alpha_j: Scalar
     alpha_k: Scalar
@@ -61,6 +65,9 @@ class ChartPoint:
     r_j: Scalar
     r_k: Scalar
     normalizer: Optional[GroupElement] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def omega(self):
@@ -85,20 +92,6 @@ class ChartPoint:
                 raise ChartError("chart invariant failed: %s" % name)
         return True
 
-    def to_point(self) -> PointHV:
-        """The normalized PointHV this chart point describes."""
-        i = self.index - 1
-        j, k = _cyclic(i)
-        alpha = [None, None, None]
-        B = [None, None, None]
-        alpha[i] = QI.one()
-        alpha[j] = self.alpha_j
-        alpha[k] = self.alpha_k
-        B[i] = (QI.one(), QI.zero(), self.r)
-        B[j] = (self.p_j, self.q_j, self.r_j)
-        B[k] = (self.p_k, self.q_k, self.r_k)
-        return PointHV.make(alpha, self.beta, B, (1, 0))
-
     def torus_invariants(self):
         """Functions invariant under the residual GL(L_j) x GL(L_k) torus."""
         return (self.alpha_j * self.p_j ** 2,
@@ -112,23 +105,19 @@ def normalize(p: PointHV, index: int) -> ChartPoint:
     Preconditions: p lies on Z and is stable with witnessing index `index`
     (a_i B_i(x,x) != 0).  The normalizing element is unique given the gauge
     x = (1,0), a_i = 1, B_i = (1,0,r); all steps are rational, so no field
-    extension is ever needed here.
+    extension is ever needed here.  A nonzero witness forces x != 0 and
+    B_i(x, -) != 0; stability then asks only that B_j(x, -) and B_k(x, -)
+    be nonzero, which ChartPoint.validate checks as (p, q) != 0.
     """
+    if not on_Z(p):
+        raise ContractViolation("normalize called off Z")
     i = index - 1
-    verdict = semistable_theta(p)
-    if not verdict.is_stable:
-        raise ChartError("point is not stable; cannot normalize")
     spanning = p.alpha[i] * form_contraction(p.B[i], p.x)(p.x)
     if spanning.is_zero():
         raise ChartError("index %d is not a witnessing index for this point"
                          % index)
     # step 1: move x to e1
-    x = p.x
-    if not x.a.is_zero():
-        g0 = Mat2(x.a, QI.zero(), x.b, QI.one()).inverse()
-    else:
-        g0 = Mat2(QI.zero(), QI.one(), x.b, QI.zero()).inverse()
-    h0 = GroupElement.make((1, 1, 1), g0)
+    h0 = adapting_element(p.x)
     q0 = act(h0, p)
     # step 2: shear and scale, fixing e1
     pi, qi, ri = q0.B[i]
@@ -139,18 +128,15 @@ def normalize(p: PointHV, index: int) -> ChartPoint:
     t = [QI.one(), QI.one(), QI.one()]
     t[i] = pi.inverse()
     h1 = GroupElement.make(tuple(t), g1)
-    h = h1.compose(h0)
-    q = act(h, p)
+    q = act(h1, q0)
     j, k = _cyclic(i)
-    chart = ChartPoint(
+    return ChartPoint(
         index=index,
         alpha_j=q.alpha[j], alpha_k=q.alpha[k], beta=q.beta,
         p_j=q.B[j][0], q_j=q.B[j][1], p_k=q.B[k][0], q_k=q.B[k][1],
         r=q.B[i][2], r_j=q.B[j][2], r_k=q.B[k][2],
-        normalizer=h,
+        normalizer=h1.compose(h0),
     )
-    chart.validate()
-    return chart
 
 
 def chart_equivalent(c1: ChartPoint, c2: ChartPoint):
@@ -187,7 +173,7 @@ def chart_equivalent(c1: ChartPoint, c2: ChartPoint):
 
 @dataclass(frozen=True)
 class HatChart:
-    """Normalized quiver-side chart data."""
+    """Normalized quiver-side chart data; validated on construction."""
 
     index: int
     alpha_j: Scalar
@@ -197,6 +183,9 @@ class HatChart:
     q_j: Scalar
     p_k: Scalar
     q_k: Scalar
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def omega(self):
@@ -224,22 +213,18 @@ class HatChart:
 
 
 def to_quiver_chart(c: ChartPoint) -> HatChart:
-    c.validate()
-    hat = HatChart(
+    return HatChart(
         index=c.index,
         alpha_j=c.alpha_j, alpha_k=c.alpha_k,
         beta=c.beta / 2,
         p_j=c.p_j, q_j=c.q_j / 2,
         p_k=c.p_k, q_k=c.q_k / 2,
     )
-    hat.validate()
-    return hat
 
 
 def from_quiver_chart(hat: HatChart) -> ChartPoint:
-    hat.validate()
     r = hat.omega                     # r = omega/4 and omega = 4*omega_hat
-    c = ChartPoint(
+    return ChartPoint(
         index=hat.index,
         alpha_j=hat.alpha_j, alpha_k=hat.alpha_k,
         beta=hat.beta * 2,
@@ -247,8 +232,6 @@ def from_quiver_chart(hat: HatChart) -> ChartPoint:
         p_k=hat.p_k, q_k=hat.q_k * 2,
         r=r, r_j=-r * hat.p_j, r_k=-r * hat.p_k,
     )
-    c.validate()
-    return c
 
 
 def normalize_rep(rep: QuiverRep, index: int):
@@ -301,7 +284,6 @@ def normalize_rep(rep: QuiverRep, index: int):
         p_j=hats[j][1], q_j=hats[j][2],
         p_k=hats[k][1], q_k=hats[k][2],
     )
-    hat.validate()
     if d0[1] != hat.omega:
         raise ChartError("framing map disagrees with the collapsed relation")
     return hat

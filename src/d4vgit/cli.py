@@ -7,20 +7,22 @@ stability verdict, 3 for a precondition violation, 64 for usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 
 from . import charts, cyclic_s3, equations, mckay, quiver, stability, suites
 from .equations import ContractViolation
 from .gitcore import point_from_json, point_to_json
-from .scalars import scalar_to_json
+from .scalars import FieldError, scalar_to_json
 
 USAGE_ERROR = 64
 
 
-def _load_point(path):
-    with open(path) as fh:
-        return point_from_json(json.load(fh))
+def _usage(message):
+    print(message, file=sys.stderr)
+    return USAGE_ERROR
 
 
 def _emit(data, as_json):
@@ -65,14 +67,14 @@ def _pretty(data, indent=0):
 
 
 def cmd_verify_point(args):
-    p = _load_point(args.point)
+    p = args.point
     res = equations.residuals(p)
     report = {
         "on_Z": res.is_zero(),
         "nonzero_components": res.nonzero_components(),
     }
     if res.is_zero():
-        report["in_Zo"] = equations.in_Zo(p)
+        report["in_Zo"] = equations.in_open_locus(p)
         report["det_B"] = scalar_to_json(equations.det_b(p))
         report["omega"] = scalar_to_json(equations.omega(p))
     _emit(report, args.json)
@@ -80,7 +82,7 @@ def cmd_verify_point(args):
 
 
 def cmd_stability(args):
-    p = _load_point(args.point)
+    p = args.point
     oracle = (stability.semistable_theta if args.character == "theta"
               else stability.semistable_minus_theta)
     try:
@@ -109,7 +111,7 @@ def cmd_stability(args):
 
 
 def cmd_quiver(args):
-    p = _load_point(args.point)
+    p = args.point
     r = quiver.build_rep(p)
     legs, central = quiver.preprojective_residual(r)
     report = {
@@ -137,11 +139,9 @@ def cmd_chart(args):
         _emit(report, args.json)
         return 0 if rep.ok else 1
     if not args.point:
-        print("chart: need --point or --closure-check", file=sys.stderr)
-        return USAGE_ERROR
-    p = _load_point(args.point)
+        return _usage("d4vgit chart: need --point or --closure-check")
     try:
-        c = charts.normalize(p, args.index)
+        c = charts.normalize(args.point, args.index)
     except (charts.ChartError, ContractViolation) as err:
         _emit({"error": str(err)}, args.json)
         return 3
@@ -159,9 +159,8 @@ def cmd_chart(args):
 
 
 def cmd_orbit(args):
-    p = _load_point(args.point)
     try:
-        stab = mckay.stabilizer(p, fix_beta=not args.relax_beta)
+        stab = mckay.stabilizer(args.point, fix_beta=not args.relax_beta)
     except (ContractViolation, mckay.DegeneratePointError) as err:
         _emit({"error": str(err)}, args.json)
         return 3
@@ -177,11 +176,13 @@ def cmd_orbit(args):
 
 def cmd_examples(args):
     if args.which == "an":
-        chi = tuple(int(c) for c in args.chi.split(",")) if args.chi else 1
-        if isinstance(chi, tuple) and len(chi) == 1:
-            chi = chi[0]
         try:
+            chi = tuple(int(c) for c in args.chi.split(",")) if args.chi else 1
+            if isinstance(chi, tuple) and len(chi) == 1:
+                chi = chi[0]
             fan = cyclic_s3.an_quotient_fan(args.n, chi)
+        except ValueError as err:
+            return _usage("d4vgit examples an: %s" % err)
         except cyclic_s3.WallError as err:
             _emit({"error": str(err)}, args.json)
             return 1
@@ -210,8 +211,7 @@ def cmd_suite(args):
     try:
         report = suites.run_suite(args.name, args.seed)
     except KeyError as err:
-        print("unknown suite: %s" % (err,), file=sys.stderr)
-        return USAGE_ERROR
+        return _usage("d4vgit suite: unknown suite %s" % (err,))
     if args.json:
         print(report.to_json())
     else:
@@ -290,11 +290,28 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command; usage errors, argparse's included, exit 64 with one
+    line on stderr."""
     ap = build_parser()
-    args = ap.parse_args(argv)
+    argparse_err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(argparse_err):
+            args = ap.parse_args(argv)
+    except SystemExit as stop:
+        if stop.code == 0:                       # --help
+            return 0
+        return _usage(argparse_err.getvalue().strip().splitlines()[-1])
     if not getattr(args, "func", None):
-        ap.print_usage(sys.stderr)
-        return USAGE_ERROR
+        return _usage("d4vgit: missing command (see d4vgit --help)")
+    if getattr(args, "point", None):
+        # every command reads its point here, once, replacing the path
+        path = args.point
+        try:
+            with open(path) as fh:
+                args.point = point_from_json(json.load(fh))
+        except (OSError, ValueError, ArithmeticError, LookupError, TypeError,
+                AttributeError, FieldError) as err:
+            return _usage("d4vgit: cannot read point %s: %s" % (path, err))
     return args.func(args)
 
 

@@ -29,10 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .gitcore import split_form
 from .linalg import Mat2, Mat3, sym_square
+from .mckay import FiniteSubgroup
 from .scalars import (
     DEFAULT_TOWER_DEPTH, ExtensionLimitError, QI, Scalar, adjoin_sqrt,
-    as_scalar, lower,
+    as_scalar, deepest_field, lower,
 )
 
 
@@ -473,43 +475,6 @@ def s3_act(g: Mat2, p: S3Point) -> S3Point:
     return S3Point((new0, new1), bc)
 
 
-@dataclass
-class S3Subgroup:
-    elements: list
-
-    def order(self):
-        return len(self.elements)
-
-    def _index(self, g):
-        for i, e in enumerate(self.elements):
-            if e == g:
-                return i
-        return None
-
-    def verify(self):
-        if self._index(Mat2.identity()) is None:
-            raise AssertionError("identity missing")
-        for a in self.elements:
-            for b in self.elements:
-                if self._index(a * b) is None:
-                    raise AssertionError("not closed")
-        return True
-
-    def order_profile(self):
-        prof = {}
-        ident = Mat2.identity()
-        for a in self.elements:
-            n, cur = 1, a
-            while cur != ident:
-                cur = cur * a
-                n += 1
-            prof[n] = prof.get(n, 0) + 1
-        return prof
-
-    def is_abelian(self):
-        return all((a * b) == (b * a) for a in self.elements for b in self.elements)
-
-
 def _rational_cbrt(x: Scalar):
     """Exact cube root of a base-level rational Scalar, or None."""
     if not x.field.is_base:
@@ -522,13 +487,15 @@ def _rational_cbrt(x: Scalar):
     n, d = abs(f.numerator), f.denominator
 
     def icbrt(m):
+        # integer Newton from 2^ceil(bits/3) >= cbrt(m), down to the floor
         if m == 0:
             return 0
-        r = round(m ** (1.0 / 3.0))
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c ** 3 == m:
-                return c
-        return None
+        r = 1 << -(-m.bit_length() // 3)
+        while True:
+            s = (2 * r + m // (r * r)) // 3
+            if s >= r:
+                return r if r ** 3 == m else None
+            r = s
 
     rn, rd = icbrt(n), icbrt(d)
     if rn is None or rd is None:
@@ -536,7 +503,7 @@ def _rational_cbrt(x: Scalar):
     return QI.scalar(Fraction(sign * rn, rd))
 
 
-def s3_stabilizer(p: S3Point, max_depth: int = DEFAULT_TOWER_DEPTH) -> S3Subgroup:
+def s3_stabilizer(p: S3Point, max_depth: int = DEFAULT_TOWER_DEPTH) -> FiniteSubgroup:
     """The stabilizer of a nondegenerate S3 point inside GL(U).
 
     Splits the inner product into its two isotropic directions (one square
@@ -549,28 +516,13 @@ def s3_stabilizer(p: S3Point, max_depth: int = DEFAULT_TOWER_DEPTH) -> S3Subgrou
         raise DegenerateS3Point("point does not satisfy the defining relation")
     if p.det().is_zero():
         raise DegenerateS3Point("det B = 0")
-    mb = p.b_matrix()
-    if mb.det().is_zero():
+    # split Q_b, with form coefficients (bC0, 2 bC1, bC2); its discriminant
+    # is -4 det b
+    roots = split_form((p.bC[0], p.bC[1] * 2, p.bC[2]),
+                       deepest_field(p.bC + p.BU[0] + p.BU[1]), max_depth)
+    if roots is None:
         raise DegenerateS3Point("inner product degenerate")
-    # split Q_b: poly coefficients (bC0, 2 bC1, bC2)
-    pq = p.bC[0]
-    qq = p.bC[1] * 2
-    rq = p.bC[2]
-    field = QI
-    for c in list(p.bC) + list(p.BU[0]) + list(p.BU[1]):
-        if c.field.depth > field.depth:
-            field = c.field
-    if pq.is_zero():
-        cols = ((QI.one(), QI.zero()), (-rq / qq, QI.one()))
-    else:
-        disc = qq * qq - pq * rq * 4
-        root = field.sqrt(disc)
-        if root is None:
-            field, root = adjoin_sqrt(field, disc, max_depth=max_depth)
-        s1 = (-field.lift(qq) + root) / (field.lift(pq) * 2)
-        s2 = (-field.lift(qq) - root) / (field.lift(pq) * 2)
-        cols = ((s1, field.one()), (s2, field.one()))
-    T = Mat2(cols[0][0], cols[1][0], cols[0][1], cols[1][1])
+    field, T = roots
     split = s3_act(T.inverse(), p)
     # shape: rows proportional to (0,0,*) and (*,0,0) in one order or the other
     if split.BU[0][0].is_zero() and split.BU[1][2].is_zero():
@@ -596,11 +548,10 @@ def s3_stabilizer(p: S3Point, max_depth: int = DEFAULT_TOWER_DEPTH) -> S3Subgrou
         for z in (zeta, zeta * zeta):
             candidates.append(Mat2.diagonal(z * z, z))
     ratio = lower(x3 / y1)
-    w0 = _rational_cbrt(ratio) if ratio.field.is_base else None
+    w0 = _rational_cbrt(ratio)
     if w0 is not None and not w0.is_zero():
         ws = [w0]
         if root3 is not None:
-            zeta = (field2.scalar(-1) + root3) / 2
             ws += [field2.lift(w0) * zeta, field2.lift(w0) * zeta * zeta]
         for w in ws:
             candidates.append(Mat2(w.field.zero(), w, w.inverse(), w.field.zero()))
@@ -610,6 +561,4 @@ def s3_stabilizer(p: S3Point, max_depth: int = DEFAULT_TOWER_DEPTH) -> S3Subgrou
         moved = s3_act(g, p)
         if moved.BU == p.BU and moved.bC == p.bC:
             elements.append(g)
-    group = S3Subgroup(elements)
-    group.verify()
-    return group
+    return FiniteSubgroup(elements, Mat2.identity())

@@ -152,13 +152,18 @@ def det_b(p: PointHV) -> Scalar:
 
 
 def in_Zo(p: PointHV) -> bool:
-    """Membership in the open locus where B is invertible.
-
-    Precondition: p lies on Z.  On Z the condition a1 a2 a3 beta != 0 is
-    equivalent to det B != 0, and 2 det B = beta^3 a1 a2 a3 holds exactly.
-    """
+    """Membership in the open locus where B is invertible; raises off Z."""
     if not on_Z(p):
         raise ContractViolation("in_Zo called off Z")
+    return in_open_locus(p)
+
+
+def in_open_locus(p: PointHV) -> bool:
+    """Membership in the open locus for a point already known to lie on Z.
+
+    On Z the condition a1 a2 a3 beta != 0 is equivalent to det B != 0, and
+    2 det B = beta^3 a1 a2 a3 holds exactly.
+    """
     a1, a2, a3 = p.alpha
     open_locus = not (a1 * a2 * a3 * p.beta).is_zero()
     if open_locus:

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .linalg import Mat2, Vec2
-from .scalars import QI, Scalar, as_scalar, scalar_from_json, scalar_to_json
-
-
-Triple = tuple  # (p, q, r) of Scalar
+from .scalars import (
+    DEFAULT_TOWER_DEPTH, QI, Scalar, adjoin_sqrt, as_scalar, scalar_from_json,
+    scalar_to_json,
+)
 
 
 def _triple(t):
@@ -62,6 +63,11 @@ class PointHV:
             flat.extend(b)
         return tuple(flat)
 
+    def same_h_part(self, other: "PointHV") -> bool:
+        """Equal (alpha, beta, B); x is ignored."""
+        return (self.alpha == other.alpha and self.beta == other.beta
+                and self.B == other.B)
+
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -88,6 +94,8 @@ class GroupElement:
             tuple(a * b for a, b in zip(self.t, other.t)), self.g * other.g
         )
 
+    __mul__ = compose
+
     def inverse(self) -> "GroupElement":
         return GroupElement.make(tuple(s.inverse() for s in self.t), self.g.inverse())
 
@@ -105,6 +113,25 @@ def transform_form(triple, g: Mat2):
         (p * a * b) * 2 + q * (a * d + b * c) + (r * c * d) * 2,
         p * b * b + q * b * d + r * d * d,
     )
+
+
+def split_form(triple, field, max_depth: int = DEFAULT_TOWER_DEPTH):
+    """(field', T) with the columns of T the two root directions of the
+    binary form, so that transform_form(triple, T) is a multiple of v1 v2.
+
+    field' is field, extended by the square root of the discriminant when it
+    has none.  Returns None for a square form (zero discriminant), before any
+    root is taken.
+    """
+    p, q, r = triple
+    disc = q * q - p * r * 4
+    if disc.is_zero():
+        return None
+    if p.is_zero():
+        return field, Mat2(QI.one(), -r / q, QI.zero(), QI.one())
+    field, root = adjoin_sqrt(field, disc, max_depth=max_depth)
+    return field, Mat2((-q + root) / (p * 2), (-q - root) / (p * 2),
+                       field.one(), field.one())
 
 
 def act(h: GroupElement, p: PointHV) -> PointHV:
@@ -202,20 +229,15 @@ def _log2_rational(x: Scalar) -> int:
     return e
 
 
-_GENERIC_POINT = None
-
-
+@cache
 def _generic_point():
     # all 13 coordinates distinct powers of 3, so weights separate cleanly
-    global _GENERIC_POINT
-    if _GENERIC_POINT is None:
-        vals = [QI.scalar(3) ** k for k in range(1, 14)]
-        _GENERIC_POINT = PointHV.make(
-            vals[0:3], vals[3],
-            (vals[4:7], vals[7:10], vals[10:13]),
-            (1, 1),
-        )
-    return _GENERIC_POINT
+    vals = [QI.scalar(3) ** k for k in range(1, 14)]
+    return PointHV.make(
+        vals[0:3], vals[3],
+        (vals[4:7], vals[7:10], vals[10:13]),
+        (1, 1),
+    )
 
 
 def coordinate_weights(lam: Cocharacter):
@@ -266,6 +288,9 @@ def point_to_json(p: PointHV) -> dict:
 
 
 def point_from_json(data: dict) -> PointHV:
+    if (len(data["alpha"]) != 3 or len(data["B"]) != 3
+            or any(len(b) != 3 for b in data["B"]) or len(data["x"]) != 2):
+        raise ValueError("a point has 3 alpha, 3 B triples and 2 x coordinates")
     alpha = tuple(scalar_from_json(a) for a in data["alpha"])
     beta = scalar_from_json(data["beta"])
     B = tuple(tuple(scalar_from_json(c) for c in b) for b in data["B"])

@@ -58,9 +58,6 @@ class Mat2:
     def diagonal(u, v):
         return Mat2(u, 0, 0, v)
 
-    def rows(self):
-        return (self.a, self.b), (self.c, self.d)
-
     def __eq__(self, other):
         return (isinstance(other, Mat2) and self.a == other.a and self.b == other.b
                 and self.c == other.c and self.d == other.d)
@@ -142,10 +139,6 @@ class Mat3:
             return Mat3([[sum((self[i, k] * other[k, j] for k in range(3)), QI.zero())
                           for j in range(3)] for i in range(3)])
         return Mat3([[self[i, j] * other for j in range(3)] for i in range(3)])
-
-    def apply(self, triple):
-        return tuple(sum((self[i, k] * triple[k] for k in range(3)), QI.zero())
-                     for i in range(3))
 
     def det(self):
         r = self.rows

@@ -11,13 +11,15 @@ constraint that fixes the signs of (alpha, beta) jointly doubles it to 16.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .equations import ContractViolation, in_Zo, omega, residuals, wedge
-from .gitcore import GroupElement, PointHV, act, transform_form
+from .gitcore import GroupElement, PointHV, act, split_form, transform_form
 from .linalg import Mat2, Mat3
 from .scalars import (
     DEFAULT_TOWER_DEPTH, ExtensionLimitError, Field, QI, adjoin_sqrt,
+    deepest_field,
 )
 
 
@@ -95,9 +97,14 @@ def quaternion_rep():
 
 @dataclass
 class FiniteSubgroup:
-    """A finite list of group elements closed under product and inverse."""
+    """A finite list of group elements closed under product and inverse.
+
+    The elements need only `*`, `inverse()` and `==`: GroupElements here,
+    Mat2s for the S3 example.
+    """
 
     elements: list
+    identity: object
 
     def __post_init__(self):
         self.verify()
@@ -105,36 +112,34 @@ class FiniteSubgroup:
     def order(self):
         return len(self.elements)
 
-    def index_of(self, h: GroupElement):
+    def index_of(self, h):
         for idx, e in enumerate(self.elements):
-            if e.t == h.t and e.g == h.g:
+            if e == h:
                 return idx
         return None
 
     def verify(self):
-        ident = self.index_of(GroupElement.identity())
-        if ident is None:
+        if self.index_of(self.identity) is None:
             raise AssertionError("identity missing")
         for a in self.elements:
             if self.index_of(a.inverse()) is None:
                 raise AssertionError("inverse missing")
             for b in self.elements:
-                if self.index_of(a.compose(b)) is None:
+                if self.index_of(a * b) is None:
                     raise AssertionError("not closed under product")
         return True
 
     def multiplication_table(self):
-        return [[self.index_of(a.compose(b)) for b in self.elements]
+        return [[self.index_of(a * b) for b in self.elements]
                 for a in self.elements]
 
     def element_orders(self):
         orders = []
-        ident = GroupElement.identity()
         for a in self.elements:
             n = 1
             cur = a
-            while not (cur.t == ident.t and cur.g == ident.g):
-                cur = cur.compose(a)
+            while cur != self.identity:
+                cur = cur * a
                 n += 1
                 if n > len(self.elements) + 1:
                     raise AssertionError("element order exceeds group order")
@@ -142,15 +147,10 @@ class FiniteSubgroup:
         return orders
 
     def order_profile(self):
-        prof = {}
-        for n in self.element_orders():
-            prof[n] = prof.get(n, 0) + 1
-        return prof
+        return dict(Counter(self.element_orders()))
 
     def is_abelian(self):
-        return all(a.compose(b).t == b.compose(a).t and
-                   a.compose(b).g == b.compose(a).g
-                   for a in self.elements for b in self.elements)
+        return all(a * b == b * a for a in self.elements for b in self.elements)
 
     def is_quaternion(self):
         """Order 8, non-abelian, with exactly one element of order 2."""
@@ -162,11 +162,7 @@ class FiniteSubgroup:
 
 
 def point_field(p: PointHV) -> Field:
-    field = QI
-    for c in list(p.coords()) + [p.x.a, p.x.b]:
-        if c.field.depth > field.depth:
-            field = c.field
-    return field
+    return deepest_field(p.coords() + (p.x.a, p.x.b))
 
 
 def _form_matrix_on_lines(B, pattern, field):
@@ -191,14 +187,14 @@ def _recover_from_form_action(M: Mat3, field: Field):
     a2, c2 = m[0][0], m[0][2]
     b2, d2 = m[2][0], m[2][2]
     if not a2.is_zero():
-        a = field.sqrt(field.lift(a2) if a2.field != field else a2)
+        a = field.sqrt(a2)
         if a is None:
             return None
         b = m[1][0] / (a * 2)
         c = m[0][1] / a
         d = (m[1][1] - b * c) / a
     elif not b2.is_zero():
-        b = field.sqrt(field.lift(b2) if b2.field != field else b2)
+        b = field.sqrt(b2)
         if b is None:
             return None
         a = field.zero()
@@ -250,14 +246,10 @@ def stabilizer(p: PointHV, fix_beta: bool = True) -> FiniteSubgroup:
             t = tuple(QI.scalar(c) for c in pattern)
             h = GroupElement.make(t, gi.inverse())
             moved = act(h, p)
-            same_h = (moved.alpha == p.alpha and moved.beta == p.beta
-                      and moved.B == p.B)
-            flip_h = (moved.alpha == flipped.alpha and moved.beta == flipped.beta
-                      and moved.B == flipped.B)
-            if same_h or (not fix_beta and flip_h):
+            if moved.same_h_part(p) or (not fix_beta
+                                        and moved.same_h_part(flipped)):
                 elements.append(h)
-    group = FiniteSubgroup(elements)
-    return group
+    return FiniteSubgroup(elements, GroupElement.identity())
 
 
 # -- orbit connection ------------------------------------------------------------
@@ -269,46 +261,18 @@ class Canonicalization:
     field: Field
 
 
-def _sqrt_or_adjoin(field, value, max_depth):
-    root = field.sqrt(field.lift(value) if value.field != field else value)
-    if root is not None:
-        return field, root
-    return adjoin_sqrt(field, value, max_depth=max_depth)
-
-
-def _split_first_form(p: PointHV, field, max_depth):
-    """Group element g (as the GL2 part) moving the first form to the line of
-    e1 e2: the two root directions of the form go to the basis directions."""
-    p1, q1, r1 = p.B[0]
-    if p1.is_zero():
-        if q1.is_zero():
-            raise DegeneratePointError("first form is degenerate")
-        col1 = (QI.one(), QI.zero())
-        col2 = (-r1 / q1, QI.one())
-    else:
-        disc = q1 * q1 - p1 * r1 * 4
-        field, root = _sqrt_or_adjoin(field, disc, max_depth)
-        p1l = field.lift(p1) if p1.field != field else p1
-        q1l = field.lift(q1) if q1.field != field else q1
-        s1 = (-q1l + root) / (p1l * 2)
-        s2 = (-q1l - root) / (p1l * 2)
-        if s1 == s2:
-            raise DegeneratePointError("first form is degenerate")
-        col1 = (s1, field.one())
-        col2 = (s2, field.one())
-    g = Mat2(col1[0], col2[0], col1[1], col2[1])
-    return field, GroupElement.make((1, 1, 1), g.inverse())
-
-
 def canonicalize(p: PointHV, max_depth: int = DEFAULT_TOWER_DEPTH) -> Canonicalization:
     """Transport of the H-part of a point of the open locus to the base
     point, over at most two square-root extensions."""
     if not in_Zo(p):
         raise ContractViolation("canonicalize requires a point of the open locus")
-    field = point_field(p)
     target = base_point()
     # 1. split the first form into the product of the basis directions
-    field, h1 = _split_first_form(p, field, max_depth)
+    split = split_form(p.B[0], point_field(p), max_depth)
+    if split is None:
+        raise DegeneratePointError("first form is degenerate")
+    field, T = split
+    h1 = GroupElement.make((1, 1, 1), T.inverse())
     q1 = act(h1, p)
     # 2. balance the second form (q-coefficient already zero by orthogonality)
     p2, q2, r2 = q1.B[1]
@@ -316,7 +280,7 @@ def canonicalize(p: PointHV, max_depth: int = DEFAULT_TOWER_DEPTH) -> Canonicali
         raise AssertionError("second form not orthogonal to the first")
     if p2.is_zero() or r2.is_zero():
         raise DegeneratePointError("second form degenerate after splitting")
-    field, u = _sqrt_or_adjoin(field, p2 / r2, max_depth)
+    field, u = adjoin_sqrt(field, p2 / r2, max_depth=max_depth)
     h2 = GroupElement.make((1, 1, 1), Mat2.diagonal(u, field.one()))
     q2pt = act(h2, q1)
     # 3. torus-scale the three forms to the exact base values
@@ -337,13 +301,12 @@ def canonicalize(p: PointHV, max_depth: int = DEFAULT_TOWER_DEPTH) -> Canonicali
     om = omega(q3)
     if q3.beta * om != QI.scalar(8):
         raise AssertionError("determinant identity failed in canonical form")
-    field, sigma = _sqrt_or_adjoin(field, om / 8, max_depth)
+    field, sigma = adjoin_sqrt(field, om / 8, max_depth=max_depth)
     h4 = GroupElement.make((sigma ** 2, sigma ** 2, sigma ** 2),
                            Mat2.diagonal(sigma, sigma))
     q4 = act(h4, q3)
     transport = h4.compose(h3.compose(h2.compose(h1)))
-    if not (q4.alpha == target.alpha and q4.beta == target.beta
-            and q4.B == target.B):
+    if not q4.same_h_part(target):
         raise AssertionError("canonical form mismatch")
     return Canonicalization(transport=transport, field=field)
 
@@ -361,7 +324,6 @@ def connect(p: PointHV, q: PointHV, max_depth: int = DEFAULT_TOWER_DEPTH):
     except ExtensionLimitError:
         return None
     h = cq.transport.inverse().compose(cp.transport)
-    moved = act(h, p)
-    if not (moved.alpha == q.alpha and moved.beta == q.beta and moved.B == q.B):
+    if not act(h, p).same_h_part(q):
         raise AssertionError("connect verification failed")
     return h

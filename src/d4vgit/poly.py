@@ -144,9 +144,6 @@ class Poly:
 
     # -- structure -----------------------------------------------------------
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
     def leading(self):
         """(exponent, coefficient) of the graded-lex leading monomial."""
         if self.is_zero():

@@ -137,7 +137,7 @@ class Field:
         Square testing descends the tower through the norm map, so it is
         decidable at every level.
         """
-        x = self.lift(x) if x.field != self else x
+        x = self.lift(x)
         if self.is_base:
             return _sqrt_qi(self, x)
         a, b = x.payload
@@ -164,9 +164,6 @@ class Field:
                 if root * root == x:
                     return root
         return None
-
-    def is_square(self, x):
-        return self.sqrt(x) is not None
 
 
 def _sqrt_qi(field, x):
@@ -432,7 +429,7 @@ def scalar_to_json(x: Scalar):
 
 def scalar_from_json(data, field: Field = QI) -> Scalar:
     if isinstance(data, str):
-        return parse_scalar(data, QI) if field.is_base else field.lift(parse_scalar(data))
+        return field.lift(parse_scalar(data))
     gens = data["gens"]
     f = QI
     for g in gens:
@@ -440,7 +437,7 @@ def scalar_from_json(data, field: Field = QI) -> Scalar:
 
     def fold(coeffs, fld):
         if isinstance(coeffs, str):
-            return fld.lift(parse_scalar(coeffs)) if not fld.is_base else parse_scalar(coeffs)
+            return fld.lift(parse_scalar(coeffs))
         a = fold(coeffs[0], fld.base)
         b = fold(coeffs[1], fld.base)
         return Scalar(fld, (a, b))
@@ -456,6 +453,15 @@ def lower(x: Scalar) -> Scalar:
             return x
         x = a
     return x
+
+
+def deepest_field(values) -> Field:
+    """The deepest tower level among the fields of the values (Q(i) for none)."""
+    field = QI
+    for x in values:
+        if x.field.depth > field.depth:
+            field = x.field
+    return field
 
 
 def as_scalar(x, field: Field = QI) -> Scalar:

@@ -13,9 +13,13 @@ with the character.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
-from .equations import ContractViolation, in_Zo, on_Z, semi_invariant_minus_theta
+from .equations import (
+    ContractViolation, in_open_locus, j_pairing, on_Z,
+    semi_invariant_minus_theta, witness_semi_invariant,
+)
 from .gitcore import (
     LAMBDA, MU, THETA, MINUS_THETA,
     Character, Cocharacter, GroupElement, PointHV,
@@ -47,15 +51,7 @@ class StabilityVerdict:
         return self.status == STABLE
 
 
-def _spanning_values(p: PointHV):
-    """a_i * B_i(x, x) for i = 1, 2, 3 (the spanning determinants)."""
-    out = []
-    for a, b in zip(p.alpha, p.B):
-        out.append(a * form_contraction(b, p.x)(p.x))
-    return out
-
-
-def _adapting_element(x: Vec2) -> GroupElement:
+def adapting_element(x: Vec2) -> GroupElement:
     """h with act(h, p).x == (1, 0); requires x nonzero."""
     if not x.a.is_zero():
         g = Mat2(x.a, QI.zero(), x.b, QI.one())
@@ -83,19 +79,36 @@ def verify_certificate(p: PointHV, cert: Cocharacter, chi: Character,
     return True
 
 
+def _unstable(p: PointHV, chi: Character, cert: Cocharacter, subset: str,
+              adapting: Optional[GroupElement] = None) -> StabilityVerdict:
+    """The unstable verdict, once its certificate re-verifies (an explicit
+    check, so it also runs under python -O)."""
+    if not verify_certificate(p, cert, chi, adapting):
+        raise AssertionError("certificate %s for %s failed re-verification"
+                             % (cert.name, subset))
+    return StabilityVerdict(
+        UNSTABLE, chi, certificate=cert, subset=subset,
+        adapting=GroupElement.identity() if adapting is None else adapting)
+
+
 # -- the unstable subset families (plus-theta side) ---------------------------
 
 
+_COORD_NAMES = ("a1", "a2", "a3", "beta",
+                "p1", "q1", "r1", "p2", "q2", "r2", "p3", "q3", "r3")
+_COORD_INDEX = {n: i for i, n in enumerate(_COORD_NAMES)}
+
+
+@cache
 def unstable_subset_certificates():
     """The destabilized subsets of the reference weight rows, with a
     certificate cocharacter per subset (coordinates in the adapted basis).
 
     Each certificate is re-verified mechanically against the weight table:
     its positive-weight coordinates lie in the subset's vanishing list.
+    Computed once; the result is a tuple.
     """
     out = []
-    names = ("a1", "a2", "a3", "beta",
-             "p1", "q1", "r1", "p2", "q2", "r2", "p3", "q3", "r3")
     for i in range(3):
         lam = LAMBDA[i]
         subset = ("beta", "p%d" % (i + 1), "q%d" % (i + 1), "r%d" % (i + 1))
@@ -118,30 +131,16 @@ def unstable_subset_certificates():
     # mechanical re-verification against the weight rows
     for desc, subset, lam in out:
         weights = coordinate_weights(lam)
-        positive = {names[m] for m, w in enumerate(weights) if w > 0}
+        positive = {_COORD_NAMES[m] for m, w in enumerate(weights) if w > 0}
         if not positive <= set(subset):
             raise AssertionError("certificate %s has stray positive weights %s"
                                  % (desc, positive - set(subset)))
-    return out
-
-
-_COORD_INDEX = {n: i for i, n in enumerate(
-    ("a1", "a2", "a3", "beta",
-     "p1", "q1", "r1", "p2", "q2", "r2", "p3", "q3", "r3"))}
-
-_SUBSET_CERTIFICATES = None
-
-
-def _subset_certificates_cached():
-    global _SUBSET_CERTIFICATES
-    if _SUBSET_CERTIFICATES is None:
-        _SUBSET_CERTIFICATES = unstable_subset_certificates()
-    return _SUBSET_CERTIFICATES
+    return tuple(out)
 
 
 def _find_subset_certificate(adapted: PointHV):
     coords = adapted.coords()
-    for desc, subset, lam in _subset_certificates_cached():
+    for desc, subset, lam in unstable_subset_certificates():
         if all(coords[_COORD_INDEX[n]].is_zero() for n in subset):
             return desc, lam
     return None
@@ -159,29 +158,22 @@ def semistable_theta(p: PointHV) -> StabilityVerdict:
     if not on_Z(p):
         raise ContractViolation("semistable_theta called off Z")
     if p.x.is_zero():
-        cert = Cocharacter((1, 1, 1), (1, 1), "diagonal")
-        v = StabilityVerdict(UNSTABLE, THETA, certificate=cert,
-                             adapting=GroupElement.identity(), subset="{x=0}")
-        assert verify_certificate(p, cert, THETA)
-        return v
+        return _unstable(p, THETA, Cocharacter((1, 1, 1), (1, 1), "diagonal"),
+                         "{x=0}")
     contractions = [form_contraction(b, p.x) for b in p.B]
-    spanning = _spanning_values(p)
-    all_contr = all(not c.is_zero() for c in contractions)
-    if all_contr:
-        for i, s in enumerate(spanning):
+    if all(not c.is_zero() for c in contractions):
+        for i, (a, c) in enumerate(zip(p.alpha, contractions)):
+            s = a * c(p.x)                   # the spanning determinant a_i B_i(x, x)
             if not s.is_zero():
                 return StabilityVerdict(STABLE, THETA, witness_index=i,
                                         witness_value=s)
-    h = _adapting_element(p.x)
+    h = adapting_element(p.x)
     adapted = act(h, p)
     found = _find_subset_certificate(adapted)
     if found is None:
         raise AssertionError("unstable point matched no destabilized subset")
     desc, cert = found
-    verdict = StabilityVerdict(UNSTABLE, THETA, certificate=cert, adapting=h,
-                               subset=desc)
-    assert verify_certificate(p, cert, THETA, adapting=h)
-    return verdict
+    return _unstable(p, THETA, cert, desc, h)
 
 
 # -- minus-theta oracle --------------------------------------------------------
@@ -216,36 +208,22 @@ def semistable_minus_theta(p: PointHV) -> StabilityVerdict:
     semi-invariant a^2 beta^2 det B; no strictly semistable points."""
     if not on_Z(p):
         raise ContractViolation("semistable_minus_theta called off Z")
-    if in_Zo(p):
+    if in_open_locus(p):
         return StabilityVerdict(STABLE, MINUS_THETA,
                                 witness_value=semi_invariant_minus_theta(p))
     for i, a in enumerate(p.alpha):
         if a.is_zero():
             cert = Cocharacter(tuple(-1 if m == i else 0 for m in range(3)),
                                (0, 0), "-lambda%d" % (i + 1))
-            v = StabilityVerdict(UNSTABLE, MINUS_THETA, certificate=cert,
-                                 adapting=GroupElement.identity(),
-                                 subset="{a%d=0}" % (i + 1))
-            assert verify_certificate(p, cert, MINUS_THETA)
-            return v
+            return _unstable(p, MINUS_THETA, cert, "{a%d=0}" % (i + 1))
     # all a_i nonzero, beta = 0: B has rank <= 1 with isotropic image
     cert = Cocharacter((0, 0, 0), (0, -1), "-mu")
     if all(c.is_zero() for b in p.B for c in b):
-        h = GroupElement.identity()
-    else:
-        h = _isotropic_adapting(p)
-    verdict = StabilityVerdict(UNSTABLE, MINUS_THETA, certificate=cert,
-                               adapting=h, subset="{beta=0}")
-    assert verify_certificate(p, cert, MINUS_THETA, adapting=h)
-    return verdict
+        return _unstable(p, MINUS_THETA, cert, "{beta=0}")
+    return _unstable(p, MINUS_THETA, cert, "{beta=0}", _isotropic_adapting(p))
 
 
 # -- off-Z reporting -------------------------------------------------------------
-
-
-def _fixes_h_part(h: GroupElement, p: PointHV) -> bool:
-    q = act(h, p)
-    return q.alpha == p.alpha and q.beta == p.beta and q.B == p.B
 
 
 def infinite_stabilizer_detected(p: PointHV) -> bool:
@@ -257,7 +235,6 @@ def infinite_stabilizer_detected(p: PointHV) -> bool:
     if not nonzero:
         return True                      # the full torus of GL(V) fixes it
     pm, qm, rm = nonzero[0]
-    from .equations import j_pairing
     families = []
     if j_pairing(nonzero[0], nonzero[0]).is_zero():
         # rank-one form (l1 v1 + l2 v2)^2: unipotent family along its kernel
@@ -274,7 +251,7 @@ def infinite_stabilizer_detected(p: PointHV) -> bool:
     for fam in families:
         h2 = GroupElement.make((1, 1, 1), fam(QI.scalar(2)))
         h3 = GroupElement.make((1, 1, 1), fam(QI.scalar(3)))
-        if _fixes_h_part(h2, p) and _fixes_h_part(h3, p):
+        if act(h2, p).same_h_part(p) and act(h3, p).same_h_part(p):
             return True
     return False
 
@@ -283,11 +260,11 @@ def off_z_minus_theta_flags(p: PointHV) -> dict:
     """Report flags for points off Z: whether a nonvanishing semi-invariant
     of negative-character weight certifies semistability, and whether an
     infinite stabilizer is detected (the strictly-semistable signature)."""
-    from .equations import semi_invariant_minus_theta, witness_semi_invariant
     semi = (not semi_invariant_minus_theta(p).is_zero()
             or not witness_semi_invariant(p).is_zero())
+    infinite = infinite_stabilizer_detected(p)
     return {
         "semi_invariant_nonvanishing": semi,
-        "infinite_stabilizer_detected": infinite_stabilizer_detected(p),
-        "strictly_semistable_behavior": semi and infinite_stabilizer_detected(p),
+        "infinite_stabilizer_detected": infinite,
+        "strictly_semistable_behavior": semi and infinite,
     }

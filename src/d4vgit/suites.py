@@ -328,10 +328,7 @@ def suite_orbit(seed: int) -> Report:
         if found is None:
             ok_roundtrip = False
             continue
-        moved = act(found, bstar)
-        ok_roundtrip = ok_roundtrip and (moved.alpha == q.alpha
-                                         and moved.beta == q.beta
-                                         and moved.B == q.B)
+        ok_roundtrip = ok_roundtrip and act(found, bstar).same_h_part(q)
     rep.add("orb.connect_roundtrip", ok_roundtrip)
 
     self_h = mckay.connect(bstar, bstar)

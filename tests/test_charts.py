@@ -213,3 +213,28 @@ class TestClosure:
         r2 = chart_closure_check()
         assert [(c.label, c.quotient, c.remainder_zero) for c in r1.components] \
             == [(c.label, c.quotient, c.remainder_zero) for c in r2.components]
+
+
+def test_normalize_does_not_rerun_theta_oracle(monkeypatch):
+    """normalize checks on_Z and the witness only; an unstable point with a
+    valid witness index is still refused, by the chart invariants."""
+    import d4vgit.charts as charts
+    import d4vgit.stability as stability
+    from d4vgit.equations import residuals
+    from d4vgit.gitcore import PointHV
+
+    def refuse(p):
+        raise AssertionError("normalize re-ran the theta oracle")
+
+    # beta = 0 and B1 = 0: a2 B2(x, x) = 1 witnesses index 2, but B1(x, -) = 0
+    unstable = PointHV.make((1, 1, -1), 0, ((0, 0, 0), (1, 0, 0), (1, 0, 0)),
+                            (1, 0))
+    assert residuals(unstable).is_zero()
+    assert not semistable_theta(unstable).is_stable
+    monkeypatch.setattr(stability, "semistable_theta", refuse)
+    monkeypatch.setattr(charts, "semistable_theta", refuse, raising=False)
+    assert normalize(base_point(x=(1, 2)), 1).validate()
+    for h in (GroupElement.identity(),
+              GroupElement.make((2, 3, 5), Mat2(1, 2, 3, 4))):
+        with pytest.raises(ChartError):
+            normalize(act(h, unstable), 2)

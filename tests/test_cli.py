@@ -114,3 +114,48 @@ def test_orbit_sample_file_roundtrip(tmp_path, capsys):
     assert main(["verify-point", "--point", str(path), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["on_Z"] is True
+
+
+def _point_file(tmp_path, edit):
+    data = point_to_json(base_point(x=(1, 2)))
+    edit(data)
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _set_alpha(value):
+    def edit(data):
+        data["alpha"][0] = value
+    return edit
+
+
+USAGE_CASES = {
+    "scalar_abc": lambda tmp: ["verify-point", "--point",
+                               _point_file(tmp, _set_alpha("abc"))],
+    "scalar_1_over_0": lambda tmp: ["stability", "--point",
+                                    _point_file(tmp, _set_alpha("1/0"))],
+    "scalar_tower_too_shallow": lambda tmp: [
+        "verify-point", "--point",
+        _point_file(tmp, _set_alpha({"gens": [], "coeffs": ["1", "2"]}))],
+    "scalar_tower_sqrt_0": lambda tmp: [
+        "verify-point", "--point",
+        _point_file(tmp, _set_alpha({"gens": ["0"], "coeffs": ["1", "2"]}))],
+    "point_arity": lambda tmp: ["orbit", "--point",
+                                _point_file(tmp, lambda d: d["alpha"].pop())],
+    "missing_point_file": lambda tmp: ["quiver", "--point", str(tmp / "absent.json")],
+    "an_n_1": lambda tmp: ["examples", "an", "--n", "1"],
+    "an_chi_rank": lambda tmp: ["examples", "an", "--n", "4", "--chi", "1,1"],
+    "argparse_missing_point": lambda tmp: ["verify-point"],
+    "argparse_bad_index": lambda tmp: ["chart", "--point", "p.json", "--index", "5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_CASES))
+def test_usage_error_exit_code(case, tmp_path, capsys):
+    """Malformed input exits 64 with one line on stderr and no traceback;
+    2 stays reserved for an unstable verdict."""
+    assert main(USAGE_CASES[case](tmp_path)) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1

@@ -187,13 +187,23 @@ class TestS3:
         base_stab = s3_stabilizer(s3_base_point())
         for s in base_stab.elements:
             conj = g * s * g.inverse()
-            assert stab._index(conj) is not None
+            assert stab.index_of(conj) is not None
 
     def test_shear_conjugate_stabilizer(self):
         g = Mat2(QI.one(), QI.one(), QI.zero(), QI.one())
         p = s3_act(g, s3_base_point())
         stab = s3_stabilizer(p)
         assert stab.order() == 6
+
+    def test_rational_cbrt_is_exact_at_any_height(self):
+        from fractions import Fraction
+        from d4vgit.cyclic_s3 import _rational_cbrt
+        for root in (10 ** 20 + 39, 10 ** 110 + 7):      # 61 and 331 digits cubed
+            assert _rational_cbrt(QI.scalar(root ** 3)) == QI.scalar(root)
+            assert _rational_cbrt(QI.scalar(-root ** 3)) == QI.scalar(-root)
+            assert _rational_cbrt(QI.scalar(root ** 3 + 1)) is None
+            assert (_rational_cbrt(QI.scalar(Fraction(8, root ** 3)))
+                    == QI.scalar(Fraction(2, root)))
 
     def test_degenerate_rejected(self):
         p = S3Point.make(((0, 0, 0), (0, 0, 0)), (0, 0, 0))

@@ -169,3 +169,58 @@ class TestZBranchIdentities:
             assert (a1 * p2).is_zero() and (a1 * p3).is_zero()
             assert (a2 * p2).is_zero() and (a3 * p3).is_zero()
         del x
+
+
+class TestCheckOnce:
+    def test_minus_theta_evaluates_residuals_once(self, monkeypatch):
+        import d4vgit.equations as equations
+        calls = []
+        real = equations.residuals
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(equations, "residuals", counting)
+        zero = PointHV.make((0, 0, 0), 0, ((0, 0, 0),) * 3, (1, 0))
+        for p in (base_point(x=(1, 2)), zero):
+            calls.clear()
+            semistable_minus_theta(p)
+            assert len(calls) == 1
+
+    def test_certificate_recheck_survives_optimize(self):
+        """Under python -O a certificate that fails re-verification still
+        makes each unstable branch of both oracles raise."""
+        import os
+        import subprocess
+        import sys
+        import textwrap
+
+        import d4vgit
+        code = textwrap.dedent("""
+            from d4vgit import stability
+            from d4vgit.gitcore import PointHV
+            from d4vgit.mckay import base_point
+
+            stability.verify_certificate = lambda *args, **kwargs: False
+            zero_b = ((0, 0, 0),) * 3
+            zero = PointHV.make((0, 0, 0), 0, zero_b, (1, 0))
+            beta_zero = PointHV.make((1, 1, 1), 0, zero_b, (1, 0))
+            cases = (
+                (stability.semistable_theta, base_point(x=(0, 0))),     # x = 0
+                (stability.semistable_theta, zero),                     # subset
+                (stability.semistable_minus_theta, zero),               # a1 = 0
+                (stability.semistable_minus_theta, beta_zero),          # beta = 0
+            )
+            for oracle, point in cases:
+                try:
+                    oracle(point)
+                except AssertionError:
+                    continue
+                raise SystemExit("%s accepted a rejected certificate" % oracle.__name__)
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(d4vgit.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
