@@ -479,12 +479,11 @@ def _rational_cbrt(x: Scalar):
     """Exact cube root of a base-level rational Scalar, or None."""
     if not x.field.is_base:
         return None
-    re, im = x.payload
+    re, im, d = x.triple
     if im != 0:
         return None
-    f = Fraction(re)
-    sign = 1 if f >= 0 else -1
-    n, d = abs(f.numerator), f.denominator
+    sign = 1 if re >= 0 else -1
+    n = abs(re)
 
     def icbrt(m):
         # integer Newton from 2^ceil(bits/3) >= cbrt(m), down to the floor
@@ -500,7 +499,7 @@ def _rational_cbrt(x: Scalar):
     rn, rd = icbrt(n), icbrt(d)
     if rn is None or rd is None:
         return None
-    return QI.scalar(Fraction(sign * rn, rd))
+    return QI.scalar(sign * rn) / rd
 
 
 def s3_stabilizer(p: S3Point, max_depth: int = DEFAULT_TOWER_DEPTH) -> FiniteSubgroup:

@@ -23,6 +23,7 @@ the omega/4 coefficient in the quiver map.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .gitcore import PointHV
 from .linalg import Mat3
@@ -159,27 +160,35 @@ def in_Zo(p: PointHV) -> bool:
 
 
 def in_open_locus(p: PointHV) -> bool:
-    """Membership in the open locus for a point already known to lie on Z.
+    """Membership in the open locus for a point already known to lie on Z."""
+    return open_locus_det(p) is not None
+
+
+def open_locus_det(p: PointHV) -> Optional[Scalar]:
+    """det B at a point already known to lie on Z, or None off the open locus.
 
     On Z the condition a1 a2 a3 beta != 0 is equivalent to det B != 0, and
-    2 det B = beta^3 a1 a2 a3 holds exactly.
+    2 det B = beta^3 a1 a2 a3 holds exactly; both are re-checked here.
     """
     a1, a2, a3 = p.alpha
-    open_locus = not (a1 * a2 * a3 * p.beta).is_zero()
-    if open_locus:
-        d = det_b(p)
-        if d.is_zero():
-            raise AssertionError("det B vanished on the open locus")
-        if d + d != p.beta ** 3 * a1 * a2 * a3:
-            raise AssertionError("determinant identity 2 det B = beta^3 a1 a2 a3 failed")
-    return open_locus
+    if (a1 * a2 * a3 * p.beta).is_zero():
+        return None
+    d = det_b(p)
+    if d.is_zero():
+        raise AssertionError("det B vanished on the open locus")
+    if d + d != p.beta ** 3 * a1 * a2 * a3:
+        raise AssertionError("determinant identity 2 det B = beta^3 a1 a2 a3 failed")
+    return d
 
 
-def semi_invariant_minus_theta(p: PointHV) -> Scalar:
+def semi_invariant_minus_theta(p: PointHV, det: Optional[Scalar] = None) -> Scalar:
     """a1^2 a2^2 a3^2 beta^2 det B: semi-invariant of weight -theta,
-    nonvanishing exactly on the open locus (within Z)."""
+    nonvanishing exactly on the open locus (within Z).  Pass det = det B
+    when it is already known."""
     a1, a2, a3 = p.alpha
-    return (a1 * a2 * a3) ** 2 * p.beta ** 2 * det_b(p)
+    if det is None:
+        det = det_b(p)
+    return (a1 * a2 * a3) ** 2 * p.beta ** 2 * det
 
 
 def f_pairing(p: PointHV, i: int, j: int) -> Scalar:

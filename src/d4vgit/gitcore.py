@@ -18,7 +18,6 @@ weight_table), which is the convention anchor for the whole package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .linalg import Mat2, Vec2
@@ -208,11 +207,9 @@ def pair(chi: Character, lam: Cocharacter) -> int:
 
 def _log2_rational(x: Scalar) -> int:
     """x must be an exact power of 2 in Q; returns the exponent."""
-    re, im = x.payload
+    n, im, d = x.triple
     if im != 0:
         raise ValueError("not a rational power of 2")
-    f = Fraction(re)
-    n, d = f.numerator, f.denominator
     if n < 0:
         raise ValueError("not a positive power of 2")
     e = 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 from .equations import ContractViolation, in_Zo, omega, residuals, wedge
 from .gitcore import GroupElement, PointHV, act, split_form, transform_form
@@ -39,8 +40,14 @@ def base_point(x=(0, 0)) -> PointHV:
     The forms are fixed as the three character projections of Sym^2 V for
     the quaternion 2-dimensional irrep; (a1, a2, a3) are then solved exactly
     and linearly from the third equation at beta = 1, and the full residual
-    evaluation re-checks the solution.
+    evaluation re-checks the solution.  The equations do not involve x, so
+    the H-part is solved and checked once per process.
     """
+    return _base_h_part().with_x(x)
+
+
+@cache
+def _base_h_part() -> PointHV:
     one = QI.one()
     B = tuple(tuple(QI.scalar(c) for c in b) for b in _CHARACTER_FORMS)
     beta = one
@@ -60,7 +67,7 @@ def base_point(x=(0, 0)) -> PointHV:
         if ai is None:
             raise AssertionError("degenerate character form")
         alpha.append(ai)
-    p = PointHV.make(alpha, beta, B, x)
+    p = PointHV.make(alpha, beta, B)
     if not residuals(p).is_zero():
         raise AssertionError("base point failed residual check")
     return p

@@ -1,14 +1,22 @@
 """Exact scalar arithmetic: Gaussian rationals and quadratic extension towers.
 
 Every number in this package is a Scalar: an element of Q(i) or of a tower
-Q(i)(sqrt(d1))(sqrt(d2))... built with adjoin_sqrt.  All operations are exact
-(fractions.Fraction underneath) and zero-testing is decidable at every level.
+Q(i)(sqrt(d1))(sqrt(d2))... built with adjoin_sqrt.  A base-level Scalar is
+one normalized integer triple (re, im, den) meaning (re + im*i)/den, with
+den > 0 and gcd(re, im, den) = 1; the form is canonical, so equal values have
+equal triples.  A tower Scalar is a pair (a, b) meaning a + b*s over the level
+below, where s is the adjoined root.  Towers are interned: adjoin_sqrt gives
+the same Field object for the same (base, d) while that Field is in use, so
+fields compare by identity.  All operations are exact and zero-testing is
+decidable at every level.
 """
 
 from __future__ import annotations
 
+import sys
+import weakref
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 class FieldError(Exception):
@@ -25,23 +33,31 @@ class ExtensionLimitError(FieldError):
 
 DEFAULT_TOWER_DEPTH = 4
 
-
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError("expected int or Fraction, got %r" % (x,))
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 
-def _rational_sqrt(f: Fraction):
-    """Exact square root of a nonnegative rational, or None."""
-    if f < 0:
+def _rational_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for d > 0, by Python's numeric hash rule."""
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    try:
+        h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+    except ValueError:                   # d is a multiple of the modulus
+        h = _HASH_INF
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
+def _rational_sqrt(n: int, d: int):
+    """Exact square root (rn, rd) of n/d for d > 0, in lowest terms, or None."""
+    if n < 0:
         return None
-    n, d = f.numerator, f.denominator
+    g = gcd(n, d)
+    n, d = n // g, d // g
     rn, rd = isqrt(n), isqrt(d)
     if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
+        return rn, rd
     return None
 
 
@@ -49,39 +65,26 @@ class Field:
     """A level of the extension tower.
 
     The base level is Q(i).  Each further level adjoins a square root of a
-    non-square element d of the level below.
+    non-square element d of the level below.  Build levels with adjoin_sqrt,
+    which interns them; Field equality is identity.
     """
 
     _BASE = None
 
     def __init__(self, base, d):
         self.base = base            # Field or None for Q(i)
-        self.d = d                  # Scalar in base, or None
-        self.depth = 0 if base is None else base.depth + 1
+        self.d = d                  # Scalar of base or below, as given; or None
+        self.is_base = base is None
+        self.depth = 0 if self.is_base else base.depth + 1
+        # d in base, for the multiplication rule.  A Field keeps no Scalar of
+        # itself, so an unused tower is freed at once by reference counting.
+        self._d = None if self.is_base else base.lift(d)
 
     @classmethod
     def gaussian_rationals(cls):
         if cls._BASE is None:
             cls._BASE = cls(None, None)
         return cls._BASE
-
-    @property
-    def is_base(self):
-        return self.base is None
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Field):
-            return NotImplemented
-        if self.is_base or other.is_base:
-            return self.is_base and other.is_base
-        return self.base == other.base and self.d == other.d
-
-    def __hash__(self):
-        if self.is_base:
-            return hash(("QI",))
-        return hash((self.base, self.d))
 
     def __repr__(self):
         if self.is_base:
@@ -91,40 +94,51 @@ class Field:
     # -- constructors ------------------------------------------------------
 
     def zero(self):
-        return self.scalar(0)
+        if self.is_base:
+            return Scalar(self, 0, 0, 1)
+        z = self.base.zero()
+        return Scalar(self, z, z, None)
 
     def one(self):
-        return self.scalar(1)
+        if self.is_base:
+            return Scalar(self, 1, 0, 1)
+        return Scalar(self, self.base.one(), self.base.zero(), None)
 
     def i(self):
         if self.is_base:
-            return Scalar(self, (Fraction(0), Fraction(1)))
+            return Scalar(self, 0, 1, 1)
         return self.lift(self.base.i())
 
     def generator(self):
         """The adjoined square root s at this level (s*s == d)."""
         if self.is_base:
             raise FieldError("Q(i) has no adjoined generator")
-        return Scalar(self, (self.base.zero(), self.base.one()))
+        return Scalar(self, self.base.zero(), self.base.one(), None)
 
     def scalar(self, re, im=0):
-        """Build a Scalar from rational data (lifted up the tower)."""
-        if self.is_base:
-            return Scalar(self, (_frac(re), _frac(im)))
-        return self.lift(self.base.scalar(re, im))
+        """Build a Scalar from rational data (int or Fraction), lifted up the tower."""
+        if not self.is_base:
+            return self.lift(QI.scalar(re, im))
+        if re.__class__ is int and im.__class__ is int:
+            return Scalar(self, re, im, 1)
+        for v in (re, im):
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError("expected int or Fraction, got %r" % (v,))
+        d1, d2 = re.denominator, im.denominator
+        return _qi(re.numerator * d2, im.numerator * d1, d1 * d2)
 
     def lift(self, x):
         """Embed a Scalar from an ancestor level into this field."""
-        if x.field == self:
+        if x._field is self:
             return x
         if self.is_base:
             raise FieldError("cannot lift %r into Q(i)" % (x,))
-        return Scalar(self, (self.base.lift(x), self.base.zero()))
+        return Scalar(self, self.base.lift(x), self.base.zero(), None)
 
     def ancestor_of(self, other):
         f = other
         while f is not None:
-            if f == self:
+            if f is self:
                 return True
             f = f.base
         return False
@@ -139,20 +153,20 @@ class Field:
         """
         x = self.lift(x)
         if self.is_base:
-            return _sqrt_qi(self, x)
-        a, b = x.payload
+            return _sqrt_qi(x)
+        a, b = x._x, x._y
         base = self.base
         if b.is_zero():
             r = base.sqrt(a)
             if r is not None:
                 return self.lift(r)
             # x = a may also be d * (square): sqrt = r * s
-            r = base.sqrt(a / self.d)
+            r = base.sqrt(a / self._d)
             if r is not None:
-                return Scalar(self, (base.zero(), r))
+                return Scalar(self, base.zero(), r, None)
             return None
         # y = u + v s with 2uv = b, u^2 + d v^2 = a; norm descent:
-        norm = a * a - self.d * b * b
+        norm = a * a - self._d * b * b
         m = base.sqrt(norm)
         if m is None:
             return None
@@ -160,187 +174,269 @@ class Field:
             u = base.sqrt(cand)
             if u is not None and not u.is_zero():
                 v = b / (u * 2)
-                root = Scalar(self, (u, v))
+                root = Scalar(self, u, v, None)
                 if root * root == x:
                     return root
         return None
 
 
-def _sqrt_qi(field, x):
-    re, im = x.payload
+def _sqrt_qi(x):
+    re, im, den = x._x, x._y, x._den
     if im == 0:
-        r = _rational_sqrt(re)
+        r = _rational_sqrt(re, den)
         if r is not None:
-            return Scalar(field, (r, Fraction(0)))
-        r = _rational_sqrt(-re)
+            return Scalar(QI, r[0], 0, r[1])
+        r = _rational_sqrt(-re, den)
         if r is not None:
-            return Scalar(field, (Fraction(0), r))   # (r*i)^2 = -r^2
+            return Scalar(QI, 0, r[0], r[1])   # (r*i)^2 = -r^2
         return None
-    m = _rational_sqrt(re * re + im * im)
-    if m is None:
+    # |x| = m/den with m^2 = re^2 + im^2; u^2 = (re + m)/(2 den), v = im/(2 den u)
+    m = isqrt(re * re + im * im)
+    if m * m != re * re + im * im:
         return None
-    u2 = (re + m) / 2
-    u = _rational_sqrt(u2)
-    if u is None or u == 0:
+    u = _rational_sqrt(re + m, 2 * den)    # re + m > 0 since im != 0
+    if u is None:
         return None
-    v = im / (2 * u)
-    return Scalar(field, (u, v))
+    un, ud = u
+    # u + v i = (un 2 den un + im ud ud i) / (ud 2 den un)
+    return _qi(2 * den * un * un, im * ud * ud, 2 * den * un * ud)
 
 
-QI = Field.gaussian_rationals()
+# (base, d) -> the Field adjoining sqrt(d) to base.  Weak values: a tower
+# that no Scalar or caller references any more is freed and leaves the table.
+_TOWERS = weakref.WeakValueDictionary()
 
 
 def adjoin_sqrt(base: Field, d, max_depth: int = DEFAULT_TOWER_DEPTH):
     """Adjoin a square root of d to base.
 
     Returns (field, root) with root*root == d inside field.  If d is already
-    a square the base field itself is returned with the existing root.
+    a square the base field itself is returned with the existing root.  The
+    same (base, d) gives the same Field object while it is in use.
     """
     d = as_scalar(d, base)
     if d.is_zero():
         raise DegenerateExtensionError("cannot adjoin sqrt(0)")
-    existing = base.sqrt(d)
-    if existing is not None:
-        return base, existing
+    key = (base, d)
+    ext = _TOWERS.get(key)
+    if ext is None:                     # interned fields have non-square d
+        existing = base.sqrt(d)
+        if existing is not None:
+            return base, existing
     if base.depth + 1 > max_depth:
         raise ExtensionLimitError(
             "tower depth %d would exceed cap %d" % (base.depth + 1, max_depth)
         )
-    ext = Field(base, d)
+    if ext is None:
+        ext = Field(base, d)
+        _TOWERS[key] = ext
     return ext, ext.generator()
 
 
+def _qi(re: int, im: int, den: int):
+    """The base-level Scalar (re + im*i)/den for den > 0, normalized."""
+    if den != 1:
+        g = gcd(re, im, den)
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+    return Scalar(QI, re, im, den)
+
+
 class Scalar:
-    """An element of a Field.  Immutable; all arithmetic exact."""
+    """An element of a Field.  Immutable: the public attributes are read-only
+    properties and no method writes a slot after __init__.  All arithmetic
+    is exact.
 
-    __slots__ = ("field", "payload")
+    Build Scalars through Field (scalar, zero, one, i, generator, lift),
+    parse_scalar and arithmetic.  The slots hold (re, im, den) ints at the
+    base level and (a, b, None) with a, b in field.base above it.
+    """
 
-    def __init__(self, field, payload):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "payload", payload)
+    __slots__ = ("_field", "_x", "_y", "_den")
 
-    def __setattr__(self, *a):
-        raise AttributeError("Scalar is immutable")
+    def __init__(self, field, x, y, den):
+        self._field = field
+        self._x = x
+        self._y = y
+        self._den = den
+
+    @property
+    def field(self):
+        return self._field
+
+    @property
+    def payload(self):
+        """Read-only view: (re, im) as reduced Fractions at the base level,
+        (a, b) Scalars of field.base with x = a + b*s above it."""
+        if self._den is None:
+            return self._x, self._y
+        return Fraction(self._x, self._den), Fraction(self._y, self._den)
+
+    @property
+    def triple(self):
+        """(re, im, den) of a base-level Scalar: x = (re + im*i)/den,
+        den > 0 and gcd(re, im, den) = 1."""
+        if self._den is None:
+            raise FieldError("%r is not in Q(i)" % (self,))
+        return self._x, self._y, self._den
 
     # -- coercion ----------------------------------------------------------
 
     def _pair(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.scalar(other)
-        if not isinstance(other, Scalar):
+        if other.__class__ is not Scalar:
+            if isinstance(other, (int, Fraction)):
+                return self, self._field.scalar(other)
             return None, None
-        if self.field == other.field:
+        f, g = self._field, other._field
+        if f is g:
             return self, other
-        if self.field.ancestor_of(other.field):
-            return other.field.lift(self), other
-        if other.field.ancestor_of(self.field):
-            return self, self.field.lift(other)
+        if f.ancestor_of(g):
+            return g.lift(self), other
+        if g.ancestor_of(f):
+            return self, f.lift(other)
         raise FieldError("scalars live in incompatible towers")
+
+    def _scale(self, n: int, d: int):
+        """self * n/d for ints n and d > 0."""
+        if self._den is None:
+            return Scalar(self._field, self._x._scale(n, d), self._y._scale(n, d), None)
+        return _qi(self._x * n, self._y * n, self._den * d)
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self):
-        if self.field.is_base:
-            re, im = self.payload
-            return re == 0 and im == 0
-        a, b = self.payload
-        return a.is_zero() and b.is_zero()
+        if self._den is None:
+            return self._x.is_zero() and self._y.is_zero()
+        return not self._x and not self._y
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
-        try:
-            a, b = self._pair(other)
-        except FieldError:
-            return False
-        if a is None:
-            return NotImplemented
-        return (a - b).is_zero()
+        if other.__class__ is Scalar and other._field is self._field:
+            a, b = self, other
+        elif other.__class__ is int and self._den is not None:
+            return self._den == 1 and self._y == 0 and self._x == other
+        else:
+            try:
+                a, b = self._pair(other)
+            except FieldError:
+                return False
+            if a is None:
+                return NotImplemented
+        # both representations are canonical within one field
+        return a._x == b._x and a._y == b._y and a._den == b._den
 
     def __hash__(self):
-        if self.field.is_base:
-            re, im = self.payload
-            if im == 0:
-                return hash(re)
-            return hash((re, im))
-        a, b = self.payload
-        if b.is_zero():
-            return hash(a)
-        return hash((a, b))
+        if self._den is None:
+            if self._y.is_zero():
+                return hash(self._x)
+            return hash((self._x, self._y))
+        h = _rational_hash(self._x, self._den)
+        if not self._y:
+            return h
+        return hash((h, _rational_hash(self._y, self._den)))
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return Scalar(a.field, (a.payload[0] + b.payload[0],
-                                a.payload[1] + b.payload[1]))
+        if other.__class__ is Scalar and other._field is self._field:
+            a, b = self, other
+        elif other.__class__ is int and self._den is not None:
+            # (re + k den)/den keeps gcd(re, im, den) = 1
+            return Scalar(QI, self._x + other * self._den, self._y, self._den)
+        else:
+            a, b = self._pair(other)
+            if a is None:
+                return NotImplemented
+        ad, bd = a._den, b._den
+        if ad is None:
+            return Scalar(a._field, a._x + b._x, a._y + b._y, None)
+        if ad == bd:
+            return _qi(a._x + b._x, a._y + b._y, ad)
+        return _qi(a._x * bd + b._x * ad, a._y * bd + b._y * ad, ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.field, (-self.payload[0], -self.payload[1]))
+        return Scalar(self._field, -self._x, -self._y, self._den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return a + (-b)
+        if other.__class__ is Scalar and other._field is self._field:
+            a, b = self, other
+        else:
+            a, b = self._pair(other)
+            if a is None:
+                return NotImplemented
+        ad, bd = a._den, b._den
+        if ad is None:
+            return Scalar(a._field, a._x - b._x, a._y - b._y, None)
+        if ad == bd:
+            return _qi(a._x - b._x, a._y - b._y, ad)
+        return _qi(a._x * bd - b._x * ad, a._y * bd - b._y * ad, ad * bd)
 
     def __rsub__(self, other):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return b + (-a)
+        return b - a
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        if a.field.is_base:
-            x, y = a.payload
-            u, v = b.payload
-            return Scalar(a.field, (x * u - y * v, x * v + y * u))
-        x, y = a.payload
-        u, v = b.payload
-        d = a.field.d
-        return Scalar(a.field, (x * u + d * y * v, x * v + y * u))
+        if other.__class__ is Scalar and other._field is self._field:
+            a, b = self, other
+        elif other.__class__ is int:
+            return self._scale(other, 1)
+        else:
+            a, b = self._pair(other)
+            if a is None:
+                return NotImplemented
+        x, y, u, v = a._x, a._y, b._x, b._y
+        if a._den is None:
+            return Scalar(a._field, x * u + a._field._d * y * v, x * v + y * u, None)
+        return _qi(x * u - y * v, x * v + y * u, a._den * b._den)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("scalar division by zero")
-        if self.field.is_base:
-            re, im = self.payload
-            n = re * re + im * im
-            return Scalar(self.field, (re / n, -im / n))
-        a, b = self.payload
-        d = self.field.d
-        n = a * a - d * b * b   # nonzero since d is not a square below
-        ninv = n.inverse()
-        return Scalar(self.field, (a * ninv, -b * ninv))
+        x, y = self._x, self._y
+        if self._den is None:
+            n = x * x - self._field._d * y * y   # nonzero since d is not a square below
+            ninv = n.inverse()
+            return Scalar(self._field, x * ninv, -y * ninv, None)
+        return _qi(x * self._den, -y * self._den, x * x + y * y)
 
     def __truediv__(self, other):
+        if other.__class__ is int:
+            if not other:
+                raise ZeroDivisionError("scalar division by zero")
+            return self._scale(1, other) if other > 0 else self._scale(-1, -other)
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return a * b.inverse()
+        if a._den is None:
+            return a * b.inverse()
+        # (x + y i)/ad / ((u + v i)/bd) = (x + y i)(u - v i) bd / (ad (u^2 + v^2))
+        x, y, u, v = a._x, a._y, b._x, b._y
+        n = u * u + v * v
+        if not n:
+            raise ZeroDivisionError("scalar division by zero")
+        bd = b._den
+        return _qi((x * u + y * v) * bd, (y * u - x * v) * bd, a._den * n)
 
     def __rtruediv__(self, other):
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return b * a.inverse()
+        return b / a
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
+        result = self._field.one()
         base = self
         while n:
             if n & 1:
@@ -355,19 +451,29 @@ class Scalar:
         return format_scalar(self)
 
 
+QI = Field.gaussian_rationals()
+
+
 # -- serialization -----------------------------------------------------------
+
+def _format_rational(n: int, d: int) -> str:
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else "%d/%d" % (n, d)
+
 
 def format_scalar(x: Scalar) -> str:
     """Base level: "a/b+c/d*i".  Tower levels: "(a)+(b)*s{k}"."""
     if x.field.is_base:
-        re, im = x.payload
+        re, im, den = x.triple
         if im == 0:
-            return str(re)
+            return _format_rational(re, den)
         if re == 0:
-            return "%s*i" % (im,)
+            return "%s*i" % _format_rational(im, den)
         sign = "+" if im > 0 else "-"
-        return "%s%s%s*i" % (re, sign, abs(im))
-    a, b = x.payload
+        return "%s%s%s*i" % (_format_rational(re, den), sign,
+                             _format_rational(abs(im), den))
+    a, b = x._x, x._y
     if b.is_zero():
         return format_scalar(a)
     return "(%s)+(%s)*s%d" % (format_scalar(a), format_scalar(b), x.field.depth)
@@ -421,26 +527,32 @@ def scalar_to_json(x: Scalar):
     def unfold(s):
         if s.field.is_base:
             return format_scalar(s)
-        a, b = s.payload
-        return [unfold(a), unfold(b)]
+        return [unfold(s._x), unfold(s._y)]
 
     return {"gens": gens, "coeffs": unfold(x)}
 
 
 def scalar_from_json(data, field: Field = QI) -> Scalar:
+    """Inverse of scalar_to_json; raises ValueError for a malformed tower."""
     if isinstance(data, str):
         return field.lift(parse_scalar(data))
     gens = data["gens"]
     f = QI
     for g in gens:
-        f, _ = adjoin_sqrt(f, scalar_from_json(g, f))
+        d = scalar_from_json(g, f)
+        if d.is_zero():
+            raise ValueError("tower generator sqrt(0) is degenerate")
+        f, _ = adjoin_sqrt(f, d)
 
     def fold(coeffs, fld):
         if isinstance(coeffs, str):
             return fld.lift(parse_scalar(coeffs))
-        a = fold(coeffs[0], fld.base)
-        b = fold(coeffs[1], fld.base)
-        return Scalar(fld, (a, b))
+        if fld.is_base:
+            raise ValueError("tower coeffs nest deeper than its %d generators"
+                             % len(gens))
+        if len(coeffs) != 2:
+            raise ValueError("tower coeffs must be pairs, got %r" % (coeffs,))
+        return Scalar(fld, fold(coeffs[0], fld.base), fold(coeffs[1], fld.base), None)
 
     return fold(data["coeffs"], f)
 
@@ -448,10 +560,9 @@ def scalar_from_json(data, field: Field = QI) -> Scalar:
 def lower(x: Scalar) -> Scalar:
     """The same value in the shallowest tower level that contains it."""
     while not x.field.is_base:
-        a, b = x.payload
-        if not b.is_zero():
+        if not x._y.is_zero():
             return x
-        x = a
+        x = x._x
     return x
 
 

@@ -17,7 +17,7 @@ from functools import cache
 from typing import Optional
 
 from .equations import (
-    ContractViolation, in_open_locus, j_pairing, on_Z,
+    ContractViolation, j_pairing, on_Z, open_locus_det,
     semi_invariant_minus_theta, witness_semi_invariant,
 )
 from .gitcore import (
@@ -208,9 +208,10 @@ def semistable_minus_theta(p: PointHV) -> StabilityVerdict:
     semi-invariant a^2 beta^2 det B; no strictly semistable points."""
     if not on_Z(p):
         raise ContractViolation("semistable_minus_theta called off Z")
-    if in_open_locus(p):
+    det = open_locus_det(p)
+    if det is not None:
         return StabilityVerdict(STABLE, MINUS_THETA,
-                                witness_value=semi_invariant_minus_theta(p))
+                                witness_value=semi_invariant_minus_theta(p, det))
     for i, a in enumerate(p.alpha):
         if a.is_zero():
             cert = Cocharacter(tuple(-1 if m == i else 0 for m in range(3)),

@@ -224,3 +224,21 @@ class TestDerivedQuantities:
             for j in range(3):
                 if i != j and not p.alpha[j].is_zero():
                     assert f_pairing(p, i, j).is_zero()
+
+
+def test_suite_equations_evaluates_residuals_once_per_point(monkeypatch):
+    """suite_equations checks each point's membership in Z once: the
+    open-locus check after it does not re-run the residuals."""
+    import d4vgit.equations as equations
+    from d4vgit.suites import suite_equations
+    calls = []
+    real = equations.residuals
+
+    def counting(p):
+        calls.append(p)              # keeps every point alive, so ids stay unique
+        return real(p)
+
+    monkeypatch.setattr(equations, "residuals", counting)
+    assert suite_equations(3).passed
+    ids = [id(p) for p in calls]
+    assert len(calls) >= 60 and len(ids) == len(set(ids))

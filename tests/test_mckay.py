@@ -32,6 +32,13 @@ class TestBasePoint:
                        (QI.one(), QI.zero(), QI.one()),
                        (QI.one(), QI.zero(), QI.scalar(-1)))
 
+    def test_h_part_is_solved_once(self):
+        """base_point(x) reuses one solved and checked H-part for every x."""
+        b1, b2 = base_point(x=(1, 2)), base_point(x=(3, -1))
+        assert b1.alpha is b2.alpha and b1.B is b2.B
+        assert tuple(b1.x) == (QI.scalar(1), QI.scalar(2))
+        assert tuple(b2.x) == (QI.scalar(3), QI.scalar(-1))
+
     def test_quaternion_rep_fixes_form_lines(self):
         """Each group element of the quaternion representation scales each
         form line: Sym^2 of its GL2 part is diagonal in the B-adapted basis."""

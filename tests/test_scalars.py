@@ -1,7 +1,9 @@
 """Field axioms, tower arithmetic, square roots, serialization."""
 
 import random
+import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,3 +148,188 @@ class TestSerialization:
     def test_as_scalar(self):
         assert as_scalar(3) == QI.scalar(3)
         assert as_scalar(Fraction(1, 2)) == QI.scalar(Fraction(1, 2))
+
+    @pytest.mark.parametrize("data", [
+        {"gens": [], "coeffs": ["1", "2"]},
+        {"gens": ["2"], "coeffs": [["1", "2"], "3"]},
+        {"gens": ["0"], "coeffs": ["1", "2"]},
+        {"gens": ["2"], "coeffs": ["1", "2", "3"]},
+    ], ids=["coeffs_deeper_than_gens", "nested_too_deep", "sqrt_0", "not_a_pair"])
+    def test_malformed_tower_raises_value_error(self, data):
+        with pytest.raises(ValueError):
+            scalar_from_json(data)
+
+
+# -- differential tests against a Fraction-pair reference --------------------
+#
+# The reference does base-level arithmetic on (re, im) pairs of Fractions,
+# the representation the Scalar code is compared with.
+
+
+def ref_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def ref_mul(a, b):
+    (x, y), (u, v) = a, b
+    return (x * u - y * v, x * v + y * u)
+
+
+def ref_inverse(a):
+    x, y = a
+    n = x * x + y * y
+    return (x / n, -y / n)
+
+
+def ref_hash(a):
+    return hash(a[0]) if a[1] == 0 else hash(a)
+
+
+def ref_format(a):
+    re, im = a
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return "%s*i" % (im,)
+    return "%s%s%s*i" % (re, "+" if im > 0 else "-", abs(im))
+
+
+def normalized(x):
+    """x is a base-level Scalar in canonical form; returns it."""
+    re, im, den = x.triple
+    assert den > 0 and gcd(re, im, den) == 1
+    return x
+
+
+HEIGHT = 2 ** 256
+rationals = st.one_of(
+    small_fraction,
+    st.builds(Fraction, st.integers(-HEIGHT, HEIGHT), st.integers(1, HEIGHT)),
+    st.builds(Fraction, st.integers(-HEIGHT, HEIGHT)),
+)
+pairs = st.tuples(rationals, rationals)
+
+
+class TestDifferential:
+    @given(a=pairs, b=pairs)
+    def test_ring_ops_match_reference(self, a, b):
+        x, y = QI.scalar(*a), QI.scalar(*b)
+        assert normalized(x).payload == a
+        assert normalized(x + y).payload == ref_add(a, b)
+        assert normalized(x - y).payload == ref_add(a, (-b[0], -b[1]))
+        assert normalized(x * y).payload == ref_mul(a, b)
+        assert normalized(-x).payload == (-a[0], -a[1])
+        if b != (0, 0):
+            assert normalized(y.inverse()).payload == ref_inverse(b)
+            assert normalized(x / y).payload == ref_mul(a, ref_inverse(b))
+
+    @given(a=pairs, k=st.integers(-HEIGHT, HEIGHT))
+    def test_int_operands_match_reference(self, a, k):
+        x = QI.scalar(*a)
+        assert normalized(x * k).payload == (a[0] * k, a[1] * k)
+        assert normalized(k * x).payload == (a[0] * k, a[1] * k)
+        assert normalized(x + k).payload == (a[0] + k, a[1])
+        assert normalized(k - x).payload == (k - a[0], -a[1])
+        if k:
+            assert normalized(x / k).payload == (a[0] / k, a[1] / k)
+        assert (x == k) == (a == (k, 0))
+
+    @given(a=pairs, b=pairs)
+    def test_equality_and_hash_match_reference(self, a, b):
+        x, y = QI.scalar(*a), QI.scalar(*b)
+        assert (x == y) == (a == b)
+        assert hash(x) == ref_hash(a)
+        assert x == QI.scalar(*a) and hash(x) == hash(QI.scalar(*a))
+        if a[1] == 0:                    # equal to, and hashed as, the Fraction
+            assert x == a[0] and hash(x) == hash(a[0])
+
+    @given(a=pairs)
+    def test_format_and_json_match_reference(self, a):
+        x = QI.scalar(*a)
+        assert format_scalar(x) == ref_format(a)
+        assert parse_scalar(format_scalar(x)) == x
+        assert scalar_to_json(x) == ref_format(a)
+        assert scalar_from_json(scalar_to_json(x)) == x
+
+    def test_payload_is_a_read_only_view(self):
+        x = QI.scalar(Fraction(6, 4), Fraction(-1, 3))
+        assert x.payload == (Fraction(3, 2), Fraction(-1, 3))
+        with pytest.raises(AttributeError):
+            x.payload = (Fraction(0), Fraction(0))
+        with pytest.raises(AttributeError):
+            x.field = QI
+
+
+TOWER_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def tower_fields(draw, min_depth=1, max_depth=3):
+    """A tower of the given depth, adjoining roots of distinct primes."""
+    k = draw(st.integers(min_depth, max_depth))
+    primes = draw(st.permutations(TOWER_PRIMES))[:k]
+    field = QI
+    for p in primes:
+        field, _ = adjoin_sqrt(field, p)
+    assert field.depth == k
+    return field
+
+
+def tower_element(draw, field):
+    if field.is_base:
+        return QI.scalar(draw(rationals), draw(rationals))
+    a = field.lift(tower_element(draw, field.base))
+    b = field.lift(tower_element(draw, field.base))
+    return a + field.generator() * b
+
+
+@st.composite
+def tower_triples(draw):
+    field = draw(tower_fields())
+    return field, [tower_element(draw, field) for _ in range(3)]
+
+
+class TestTowers:
+    @given(data=tower_triples())
+    @settings(max_examples=40, deadline=None)
+    def test_field_axioms(self, data):
+        field, (a, b, c) = data
+        assert (a + b) + c == a + (b + c)
+        assert a * (b + c) == a * b + a * c
+        assert (a * b) * c == a * (b * c)
+        assert a * b == b * a
+        assert (a - a).is_zero() and a + field.zero() == a and a * field.one() == a
+        if not a.is_zero():
+            assert a * a.inverse() == field.one()
+            assert (b / a) * a == b
+
+    @given(data=tower_triples())
+    @settings(max_examples=40, deadline=None)
+    def test_sqrt_sound_and_finds_squares(self, data):
+        field, (a, b, _) = data
+        root = field.sqrt(a * a)
+        assert root is not None and root * root == a * a
+        r = field.sqrt(b)
+        assert r is None or r * r == b
+
+    @given(data=tower_triples())
+    @settings(max_examples=40, deadline=None)
+    def test_json_roundtrip_and_hash(self, data):
+        field, (a, b, _) = data
+        assert scalar_from_json(scalar_to_json(a)) == a
+        assert hash(field.lift(lower(b))) == hash(lower(b))
+
+    @given(field=tower_fields(0, 2), p=st.sampled_from((17, 19, 23)))
+    def test_adjoin_sqrt_is_interned(self, field, p):
+        f1, s1 = adjoin_sqrt(field, p)
+        f2, s2 = adjoin_sqrt(field, field.scalar(p))
+        assert f1 is f2 and s1 == s2
+        assert f1 != adjoin_sqrt(field, p + 12)[0]
+
+    def test_unused_towers_are_freed(self):
+        """The intern table holds towers weakly and a Field keeps no Scalar
+        of itself, so dropping the last reference frees the tower at once."""
+        field, s = adjoin_sqrt(QI, 1009)
+        ref = weakref.ref(field)
+        del field, s
+        assert ref() is None

@@ -188,6 +188,25 @@ class TestCheckOnce:
             semistable_minus_theta(p)
             assert len(calls) == 1
 
+    def test_minus_theta_computes_det_b_once(self, monkeypatch):
+        """The stable branch reuses the det B that the open-locus check
+        computed for the semi-invariant witness."""
+        import d4vgit.equations as equations
+        calls = []
+        real = equations.det_b
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(equations, "det_b", counting)
+        rng = random.Random(4)
+        for p in (base_point(x=(1, 2)), act(rand_group_element(rng), base_point())):
+            calls.clear()
+            v = semistable_minus_theta(p)
+            assert v.is_stable and not v.witness_value.is_zero()
+            assert len(calls) == 1
+
     def test_certificate_recheck_survives_optimize(self):
         """Under python -O a certificate that fails re-verification still
         makes each unstable branch of both oracles raise."""
