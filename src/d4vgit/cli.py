@@ -310,7 +310,7 @@ def main(argv=None):
             with open(path) as fh:
                 args.point = point_from_json(json.load(fh))
         except (OSError, ValueError, ArithmeticError, LookupError, TypeError,
-                AttributeError, FieldError) as err:
+                AttributeError, FieldError, RecursionError) as err:
             return _usage("d4vgit: cannot read point %s: %s" % (path, err))
     return args.func(args)
 

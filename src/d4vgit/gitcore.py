@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .linalg import Mat2, Vec2
+from .linalg import Mat2, Mat3, Vec2, sym_square
 from .scalars import (
     DEFAULT_TOWER_DEPTH, QI, Scalar, adjoin_sqrt, as_scalar, scalar_from_json,
     scalar_to_json,
@@ -103,15 +103,24 @@ class GroupElement:
                 and self.g == Mat2.identity())
 
 
+def form_matrix(g: Mat2) -> Mat3:
+    """The 3x3 matrix of Q -> Q o g on coefficient triples (p, q, r).
+
+    It is sym_square of the transpose of g, so form_matrix(g h) ==
+    form_matrix(h) * form_matrix(g).
+    """
+    return sym_square(Mat2(g.a, g.c, g.b, g.d))
+
+
+def _apply_form_matrix(M: Mat3, triple):
+    """The triple M (p, q, r)."""
+    p, q, r = triple
+    return tuple(m0 * p + m1 * q + m2 * r for m0, m1, m2 in M.rows)
+
+
 def transform_form(triple, g: Mat2):
     """Coefficients of Q o g for Q the quadratic form with the given triple."""
-    p, q, r = triple
-    a, b, c, d = g.a, g.b, g.c, g.d
-    return (
-        p * a * a + q * a * c + r * c * c,
-        (p * a * b) * 2 + q * (a * d + b * c) + (r * c * d) * 2,
-        p * b * b + q * b * d + r * d * d,
-    )
+    return _apply_form_matrix(form_matrix(g), triple)
 
 
 def split_form(triple, field, max_depth: int = DEFAULT_TOWER_DEPTH):
@@ -134,17 +143,22 @@ def split_form(triple, field, max_depth: int = DEFAULT_TOWER_DEPTH):
 
 
 def act(h: GroupElement, p: PointHV) -> PointHV:
-    """The group action on H x V; act(h1, act(h2, p)) == act(h1*h2, p)."""
-    det = h.g.det()
+    """The group action on H x V; act(h1, act(h2, p)) == act(h1*h2, p).
+
+    det g is inverted once, and the form matrix of g^-1 is built once and
+    applied to the three triples before their torus scaling.
+    """
+    g = h.g
+    det = g.det()
     det_inv = det.inverse()
-    ginv = h.g.inverse()
+    M = form_matrix(g.adjugate().scale(det_inv))
     alpha = tuple(det * ti.inverse() ** 2 * a for ti, a in zip(h.t, p.alpha))
     beta = h.t[0] * h.t[1] * h.t[2] * det_inv * det_inv * p.beta
     B = tuple(
-        tuple(ti * c for c in transform_form(b, ginv))
+        tuple(ti * c for c in _apply_form_matrix(M, b))
         for ti, b in zip(h.t, p.B)
     )
-    x = h.g * p.x
+    x = g * p.x
     return PointHV(alpha, beta, B, x)
 
 
@@ -284,9 +298,14 @@ def point_to_json(p: PointHV) -> dict:
     }
 
 
-def point_from_json(data: dict) -> PointHV:
-    if (len(data["alpha"]) != 3 or len(data["B"]) != 3
-            or any(len(b) != 3 for b in data["B"]) or len(data["x"]) != 2):
+def point_from_json(data) -> PointHV:
+    """Inverse of point_to_json; raises ValueError for anything else."""
+    def seq(value, n):
+        return isinstance(value, list) and len(value) == n
+
+    if (not isinstance(data, dict) or not seq(data.get("alpha"), 3)
+            or "beta" not in data or not seq(data.get("B"), 3)
+            or not all(seq(b, 3) for b in data["B"]) or not seq(data.get("x"), 2)):
         raise ValueError("a point has 3 alpha, 3 B triples and 2 x coordinates")
     alpha = tuple(scalar_from_json(a) for a in data["alpha"])
     beta = scalar_from_json(data["beta"])

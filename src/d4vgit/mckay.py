@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .equations import ContractViolation, in_Zo, omega, residuals, wedge
-from .gitcore import GroupElement, PointHV, act, split_form, transform_form
+from .gitcore import GroupElement, PointHV, act, form_matrix, split_form
 from .linalg import Mat2, Mat3
 from .scalars import (
     DEFAULT_TOWER_DEPTH, ExtensionLimitError, Field, QI, adjoin_sqrt,
@@ -102,19 +102,25 @@ def quaternion_rep():
 # -- finite subgroups ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FiniteSubgroup:
-    """A finite list of group elements closed under product and inverse.
+    """A finite tuple of group elements closed under product and inverse.
 
     The elements need only `*`, `inverse()` and `==`: GroupElements here,
-    Mat2s for the S3 example.
+    Mat2s for the S3 example.  Building the group proves that the identity,
+    every inverse and every product are present, and keeps the |G|^2
+    products of that proof as a Cayley table of indices; the table queries
+    (multiplication_table, is_abelian, element_orders, order_profile,
+    is_quaternion) read it and multiply nothing.  The group is frozen, so
+    the table cannot go stale.
     """
 
-    elements: list
+    elements: tuple
     identity: object
 
     def __post_init__(self):
-        self.verify()
+        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "_table", self.verify())
 
     def order(self):
         return len(self.elements)
@@ -126,29 +132,38 @@ class FiniteSubgroup:
         return None
 
     def verify(self):
+        """Prove that the identity, every inverse and every product are
+        present; returns the products as a Cayley table of indices."""
         if self.index_of(self.identity) is None:
             raise AssertionError("identity missing")
+        table = []
         for a in self.elements:
             if self.index_of(a.inverse()) is None:
                 raise AssertionError("inverse missing")
+            row = []
             for b in self.elements:
-                if self.index_of(a * b) is None:
+                k = self.index_of(a * b)
+                if k is None:
                     raise AssertionError("not closed under product")
-        return True
+                row.append(k)
+            table.append(tuple(row))
+        return tuple(table)
 
     def multiplication_table(self):
-        return [[self.index_of(a * b) for b in self.elements]
-                for a in self.elements]
+        """Row i, column j: the index of elements[i] * elements[j]."""
+        return [list(row) for row in self._table]
 
     def element_orders(self):
+        # indices name equal elements by their first occurrence, so index
+        # equality is element equality
+        table, one = self._table, self.index_of(self.identity)
         orders = []
-        for a in self.elements:
-            n = 1
-            cur = a
-            while cur != self.identity:
-                cur = cur * a
+        for i in range(len(table)):
+            n, cur = 1, self.index_of(self.elements[i])
+            while cur != one:
+                cur = table[cur][i]
                 n += 1
-                if n > len(self.elements) + 1:
+                if n > len(table) + 1:
                     raise AssertionError("element order exceeds group order")
             orders.append(n)
         return orders
@@ -157,7 +172,9 @@ class FiniteSubgroup:
         return dict(Counter(self.element_orders()))
 
     def is_abelian(self):
-        return all(a * b == b * a for a in self.elements for b in self.elements)
+        table = self._table
+        return all(table[i][j] == table[j][i]
+                   for i in range(len(table)) for j in range(i))
 
     def is_quaternion(self):
         """Order 8, non-abelian, with exactly one element of order 2."""
@@ -172,19 +189,25 @@ def point_field(p: PointHV) -> Field:
     return deepest_field(p.coords() + (p.x.a, p.x.b))
 
 
-def _form_matrix_on_lines(B, pattern, field):
-    """The 3x3 matrix acting on coefficient triples with the B-triples as
-    eigenvectors and the given eigenvalues."""
-    C = Mat3([[B[j][i] for j in range(3)] for i in range(3)])   # columns = triples
-    if C.det().is_zero():
+def _line_basis(B):
+    """(C, C^-1) for C the matrix with the B-triples as columns."""
+    C = Mat3([[B[j][i] for j in range(3)] for i in range(3)])
+    det = C.det()
+    if det.is_zero():
         raise DegeneratePointError("B-lines are not independent")
-    D = Mat3([[pattern[0], 0, 0], [0, pattern[1], 0], [0, 0, pattern[2]]])
-    Cinv = C.adjugate() * C.det().inverse()
-    return C * D * Cinv
+    return C, C.adjugate() * det.inverse()
+
+
+def _form_matrix_on_lines(C, Cinv, pattern):
+    """The 3x3 matrix acting on coefficient triples with the columns of C
+    as eigenvectors and the given +-1 eigenvalues."""
+    CD = Mat3([[c if e == 1 else -c for c, e in zip(row, pattern)]
+               for row in C.rows])
+    return CD * Cinv
 
 
 def _recover_from_form_action(M: Mat3, field: Field):
-    """g with transform_form(., g) given by the matrix M, or None.
+    """g with form_matrix(g) == M, or None.
 
     The columns of M are the images of the basis triples, so the entries of
     g are pinned by square roots and ratios of M-entries.
@@ -212,13 +235,9 @@ def _recover_from_form_action(M: Mat3, field: Field):
     else:
         return None
     g = Mat2(a, b, c, d)
-    # exact verification on the basis triples
-    for idx, basis in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1))):
-        image = transform_form(tuple(QI.scalar(v) for v in basis), g)
-        for row in range(3):
-            if image[row] != M[row, idx]:
-                return None
-    return g
+    # exact verification: column j of form_matrix(g) is the image of the
+    # j-th basis triple
+    return g if form_matrix(g) == M else None
 
 
 _EVEN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
@@ -242,9 +261,10 @@ def stabilizer(p: PointHV, fix_beta: bool = True) -> FiniteSubgroup:
     flipped = PointHV(tuple(-a for a in p.alpha), -p.beta, p.B, p.x)
     elements = []
     patterns = list(_EVEN_PATTERNS) + (list(_ODD_PATTERNS) if not fix_beta else [])
+    C, Cinv = _line_basis(p.B)
     for pattern in patterns:
         # eigenvalues of the inverse-side form action; t_i = 1/c_i = c_i
-        M = _form_matrix_on_lines(p.B, pattern, field)
+        M = _form_matrix_on_lines(C, Cinv, pattern)
         ginv = _recover_from_form_action(M, field)
         if ginv is None:
             continue

@@ -5,14 +5,21 @@ Q(i)(sqrt(d1))(sqrt(d2))... built with adjoin_sqrt.  A base-level Scalar is
 one normalized integer triple (re, im, den) meaning (re + im*i)/den, with
 den > 0 and gcd(re, im, den) = 1; the form is canonical, so equal values have
 equal triples.  A tower Scalar is a pair (a, b) meaning a + b*s over the level
-below, where s is the adjoined root.  Towers are interned: adjoin_sqrt gives
-the same Field object for the same (base, d) while that Field is in use, so
-fields compare by identity.  All operations are exact and zero-testing is
-decidable at every level.
+below, where s is the adjoined root.  Products use
+    (x + y s)(u + v s) = (x u + d y v) + (x v + y u) s,
+four products one level down, or two when an operand is lifted from the
+level below (its upper half is zero).  One level above Q(i) each half is
+summed from unnormalized Gaussian products and normalized once; higher up,
+d y v is taken leaf by leaf when d lies in Q(i).  A Gaussian rational
+multiplies a tower element leaf by leaf, unlifted.
+Towers are interned: adjoin_sqrt gives the same Field object for the same
+(base, d) while that Field is in use, so fields compare by identity.  All
+operations are exact and zero-testing is decidable at every level.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 import weakref
 from fractions import Fraction
@@ -76,9 +83,12 @@ class Field:
         self.d = d                  # Scalar of base or below, as given; or None
         self.is_base = base is None
         self.depth = 0 if self.is_base else base.depth + 1
-        # d in base, for the multiplication rule.  A Field keeps no Scalar of
+        # d in base, for the multiplication rule, and d in Q(i) when it lies
+        # there (then d*z is taken leaf by leaf).  A Field keeps no Scalar of
         # itself, so an unused tower is freed at once by reference counting.
         self._d = None if self.is_base else base.lift(d)
+        low = None if self.is_base else lower(d)
+        self._d_leaf = low if low is not None and low.field.is_base else None
 
     @classmethod
     def gaussian_rationals(cls):
@@ -134,6 +144,11 @@ class Field:
         if self.is_base:
             raise FieldError("cannot lift %r into Q(i)" % (x,))
         return Scalar(self, self.base.lift(x), self.base.zero(), None)
+
+    def _times_d(self, z):
+        """d * z for z in self.base."""
+        leaf = self._d_leaf
+        return self._d * z if leaf is None else z._times_qi(leaf)
 
     def ancestor_of(self, other):
         f = other
@@ -242,6 +257,29 @@ def _qi(re: int, im: int, den: int):
     return Scalar(QI, re, im, den)
 
 
+def _gauss(a, b):
+    """The product of two Gaussian rationals given as (re, im, den) triples,
+    not normalized."""
+    ar, ai, ad = a
+    br, bi, bd = b
+    return ar * br - ai * bi, ar * bi + ai * br, ad * bd
+
+
+def _qi_sum(a, b):
+    """The base-level Scalar a + b of two (re, im, den) triples, normalized."""
+    if a[2] == b[2]:
+        return _qi(a[0] + b[0], a[1] + b[1], a[2])
+    return _qi(a[0] * b[2] + b[0] * a[2], a[1] * b[2] + b[1] * a[2], a[2] * b[2])
+
+
+def _zero(s):
+    """s == 0.  A function, not a method, so the multiplication rule tests
+    halves without a method call."""
+    if s._den is not None:
+        return not s._x and not s._y
+    return _zero(s._x) and _zero(s._y)
+
+
 class Scalar:
     """An element of a Field.  Immutable: the public attributes are read-only
     properties and no method writes a slot after __init__.  All arithmetic
@@ -300,14 +338,26 @@ class Scalar:
         """self * n/d for ints n and d > 0."""
         if self._den is None:
             return Scalar(self._field, self._x._scale(n, d), self._y._scale(n, d), None)
+        if d == 1:
+            # gcd(re, im, den) = 1, so only n and den can share a factor
+            g = gcd(n, self._den)
+            n //= g
+            return Scalar(QI, self._x * n, self._y * n, self._den // g)
         return _qi(self._x * n, self._y * n, self._den * d)
+
+    def _times_qi(self, q):
+        """self * q for q in Q(i), leaf by leaf (no lifting of q)."""
+        if self._den is None:
+            return Scalar(self._field, self._x._times_qi(q), self._y._times_qi(q), None)
+        if q._den == 1 and not q._y:
+            return self._scale(q._x, 1)
+        x, y, u, v = self._x, self._y, q._x, q._y
+        return _qi(x * u - y * v, x * v + y * u, self._den * q._den)
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self):
-        if self._den is None:
-            return self._x.is_zero() and self._y.is_zero()
-        return not self._x and not self._y
+        return _zero(self)
 
     def __bool__(self):
         return not self.is_zero()
@@ -386,14 +436,31 @@ class Scalar:
             a, b = self, other
         elif other.__class__ is int:
             return self._scale(other, 1)
+        elif other.__class__ is Scalar and (self._den is None) != (other._den is None):
+            # a tower element times a Gaussian rational
+            return (self._times_qi(other) if other._den is not None
+                    else other._times_qi(self))
         else:
             a, b = self._pair(other)
             if a is None:
                 return NotImplemented
         x, y, u, v = a._x, a._y, b._x, b._y
-        if a._den is None:
-            return Scalar(a._field, x * u + a._field._d * y * v, x * v + y * u, None)
-        return _qi(x * u - y * v, x * v + y * u, a._den * b._den)
+        if a._den is not None:
+            return _qi(x * u - y * v, x * v + y * u, a._den * b._den)
+        # (x + y s)(u + v s) = (x u + d y v) + (x v + y u) s: four products
+        # below, or two for a lifted operand (zero upper half)
+        f = a._field
+        if _zero(y):
+            return a if _zero(x) else Scalar(f, x * u, x * v, None)
+        if _zero(v):
+            return b if _zero(u) else Scalar(f, x * u, y * u, None)
+        if x._den is None:
+            return Scalar(f, x * u + f._times_d(y * v), x * v + y * u, None)
+        # one level above Q(i): each half is a sum of two Gaussian products,
+        # normalized once
+        x, y, u, v, d = ((t._x, t._y, t._den) for t in (x, y, u, v, f._d))
+        return Scalar(f, _qi_sum(_gauss(x, u), _gauss(d, _gauss(y, v))),
+                      _qi_sum(_gauss(x, v), _gauss(y, u)), None)
 
     __rmul__ = __mul__
 
@@ -402,7 +469,7 @@ class Scalar:
             raise ZeroDivisionError("scalar division by zero")
         x, y = self._x, self._y
         if self._den is None:
-            n = x * x - self._field._d * y * y   # nonzero since d is not a square below
+            n = x * x - self._field._times_d(y * y)   # nonzero: d is not a square below
             ninv = n.inverse()
             return Scalar(self._field, x * ninv, -y * ninv, None)
         return _qi(x * self._den, -y * self._den, x * x + y * y)
@@ -436,14 +503,19 @@ class Scalar:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = self._field.one()
+        if n == 0:
+            return self._field.one()
+        # square and multiply from the low bit; no product by one and no
+        # square past the top bit
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- formatting ----------------------------------------------------------
 
@@ -479,37 +551,42 @@ def format_scalar(x: Scalar) -> str:
     return "(%s)+(%s)*s%d" % (format_scalar(a), format_scalar(b), x.field.depth)
 
 
+# one signed term: [+-]digits[/digits], optionally followed by "*i" or "i",
+# or a bare "i"
+_TERM = re.compile(r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?(\*?i)?|(i))")
+
+
 def parse_scalar(text: str, field: Field = QI) -> Scalar:
-    """Parse the base-level string format "a/b+c/d*i"."""
+    """Parse the base-level string format "a/b+c/d*i".
+
+    The text (spaces ignored) is a sum of terms, each [+-]digits[/digits]
+    optionally followed by "*i" or "i", or a bare "i"; every term after the
+    first starts with its sign.  Anything else, and a zero denominator,
+    raises ValueError; parse time is polynomial in the length of the text.
+    """
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty scalar string")
-    re = Fraction(0)
-    im = Fraction(0)
-    # split into signed terms
-    terms = []
-    cur = ""
-    for k, ch in enumerate(s):
-        if ch in "+-" and k > 0 and s[k - 1] not in "+-/*":
-            terms.append(cur)
-            cur = ch
+    re_, im, den = 0, 0, 1
+    pos = 0
+    while pos < len(s):
+        m = _TERM.match(s, pos)
+        if m is None or (pos and not m.group(1)):
+            raise ValueError("malformed scalar %.60r" % (text,))
+        sign, num, dnm, unit, bare = m.groups()
+        n = 1 if bare else int(num)
+        d = int(dnm) if dnm else 1
+        if not d:
+            raise ValueError("zero denominator in scalar %.60r" % (text,))
+        if sign == "-":
+            n = -n
+        if unit or bare:
+            re_, im = re_ * d, im * d + n * den
         else:
-            cur += ch
-    terms.append(cur)
-    for t in terms:
-        if not t:
-            continue
-        if t in ("i", "+i"):
-            im += 1
-        elif t == "-i":
-            im -= 1
-        elif t.endswith("*i"):
-            im += Fraction(t[:-2])
-        elif t.endswith("i"):
-            im += Fraction(t[:-1])
-        else:
-            re += Fraction(t)
-    return field.scalar(re, im)
+            re_, im = re_ * d + n * den, im * d
+        den *= d
+        pos = m.end()
+    return field.lift(_qi(re_, im, den))
 
 
 def scalar_to_json(x: Scalar):
@@ -533,16 +610,33 @@ def scalar_to_json(x: Scalar):
 
 
 def scalar_from_json(data, field: Field = QI) -> Scalar:
-    """Inverse of scalar_to_json; raises ValueError for a malformed tower."""
+    """Inverse of scalar_to_json.  A string is lifted into field; a tower
+    dict lives in the tower its generators name.  Anything that is not the
+    JSON form of a scalar raises ValueError."""
     if isinstance(data, str):
         return field.lift(parse_scalar(data))
+    if (not isinstance(data, dict) or not isinstance(data.get("gens"), list)
+            or "coeffs" not in data):
+        raise ValueError("a scalar is a string or {\"gens\": [...], \"coeffs\": ...}")
     gens = data["gens"]
     f = QI
     for g in gens:
+        inner = g.get("gens") if isinstance(g, dict) else None
+        if isinstance(inner, list) and len(inner) > f.depth:
+            # checked before recursing, so nesting depth stays within the tower
+            raise ValueError("tower generator names more generators than precede it")
         d = scalar_from_json(g, f)
+        if not d.field.ancestor_of(f):
+            raise ValueError("tower generator %.60r is not in the tower below it" % (g,))
         if d.is_zero():
             raise ValueError("tower generator sqrt(0) is degenerate")
-        f, _ = adjoin_sqrt(f, d)
+        try:
+            ext, _ = adjoin_sqrt(f, d)
+        except ExtensionLimitError as err:
+            raise ValueError(str(err)) from None
+        if ext is f:
+            raise ValueError("tower generator %.60r is a square" % (g,))
+        f = ext
 
     def fold(coeffs, fld):
         if isinstance(coeffs, str):
@@ -550,8 +644,8 @@ def scalar_from_json(data, field: Field = QI) -> Scalar:
         if fld.is_base:
             raise ValueError("tower coeffs nest deeper than its %d generators"
                              % len(gens))
-        if len(coeffs) != 2:
-            raise ValueError("tower coeffs must be pairs, got %r" % (coeffs,))
+        if not isinstance(coeffs, list) or len(coeffs) != 2:
+            raise ValueError("tower coeffs must be pairs, got %.60r" % (coeffs,))
         return Scalar(fld, fold(coeffs[0], fld.base), fold(coeffs[1], fld.base), None)
 
     return fold(data["coeffs"], f)

@@ -124,6 +124,12 @@ def _point_file(tmp_path, edit):
     return str(path)
 
 
+def _text_file(tmp_path, text):
+    path = tmp_path / "point.json"
+    path.write_text(text)
+    return str(path)
+
+
 def _set_alpha(value):
     def edit(data):
         data["alpha"][0] = value
@@ -135,12 +141,16 @@ USAGE_CASES = {
                                _point_file(tmp, _set_alpha("abc"))],
     "scalar_1_over_0": lambda tmp: ["stability", "--point",
                                     _point_file(tmp, _set_alpha("1/0"))],
+    "scalar_exponent": lambda tmp: ["verify-point", "--point",
+                                    _point_file(tmp, _set_alpha("1e10000000"))],
     "scalar_tower_too_shallow": lambda tmp: [
         "verify-point", "--point",
         _point_file(tmp, _set_alpha({"gens": [], "coeffs": ["1", "2"]}))],
     "scalar_tower_sqrt_0": lambda tmp: [
         "verify-point", "--point",
         _point_file(tmp, _set_alpha({"gens": ["0"], "coeffs": ["1", "2"]}))],
+    "deeply_nested_json": lambda tmp: ["verify-point", "--point",
+                                       _text_file(tmp, "[" * 100000 + "]" * 100000)],
     "point_arity": lambda tmp: ["orbit", "--point",
                                 _point_file(tmp, lambda d: d["alpha"].pop())],
     "missing_point_file": lambda tmp: ["quiver", "--point", str(tmp / "absent.json")],

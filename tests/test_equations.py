@@ -242,3 +242,22 @@ def test_suite_equations_evaluates_residuals_once_per_point(monkeypatch):
     assert suite_equations(3).passed
     ids = [id(p) for p in calls]
     assert len(calls) >= 60 and len(ids) == len(set(ids))
+
+
+def test_suite_equations_computes_det_b_once_per_point(monkeypatch):
+    """suite_equations takes det B of each point in the open locus from the
+    open-locus check (which also checks 2 det B = beta^3 a1 a2 a3) and
+    reuses it for the identity and the semi-invariant."""
+    import d4vgit.equations as equations
+    from d4vgit.suites import suite_equations
+    calls = []
+    real = equations.det_b
+
+    def counting(p):
+        calls.append(p)              # keeps every point alive, so ids stay unique
+        return real(p)
+
+    monkeypatch.setattr(equations, "det_b", counting)
+    assert suite_equations(3).passed
+    ids = [id(p) for p in calls]
+    assert len(calls) >= 61 and len(ids) == len(set(ids))

@@ -4,13 +4,13 @@ import json
 import random
 
 from d4vgit.gitcore import (
-    LAMBDA, MU, THETA, MINUS_THETA, Cocharacter, GroupElement,
-    act, coordinate_weights, group_from_json, group_to_json, pair,
-    point_from_json, point_to_json, weight_table,
+    LAMBDA, MU, THETA, MINUS_THETA, Cocharacter, GroupElement, PointHV,
+    act, coordinate_weights, form_matrix, group_from_json, group_to_json,
+    pair, point_from_json, point_to_json, transform_form, weight_table,
 )
-from d4vgit.linalg import Mat2
-from d4vgit.sampling import rand_group_element, rand_point_hv
-from d4vgit.scalars import QI
+from d4vgit.linalg import Mat2, Vec2, sym_square
+from d4vgit.sampling import rand_group_element, rand_point_hv, rand_rational
+from d4vgit.scalars import QI, adjoin_sqrt
 from d4vgit.suites import REFERENCE_WEIGHT_TABLE
 
 
@@ -114,3 +114,91 @@ def test_group_json_roundtrip():
     blob = group_to_json(h)
     h2 = group_from_json(blob)
     assert h2.t == h.t and h2.g == h.g
+
+
+# -- act over a depth-2 tower against the formulas written out ---------------
+
+
+def ref_transform_form(triple, g):
+    """Q o g, monomial by monomial."""
+    p, q, r = triple
+    a, b, c, d = g.a, g.b, g.c, g.d
+    return (
+        p * a * a + q * a * c + r * c * c,
+        p * a * b * 2 + q * (a * d + b * c) + r * c * d * 2,
+        p * b * b + q * b * d + r * d * d,
+    )
+
+
+def ref_act(h, p):
+    """The action formulas of the module docstring, one coordinate at a time."""
+    g = h.g
+    det = g.a * g.d - g.b * g.c
+    ginv = Mat2(g.d / det, -g.b / det, -g.c / det, g.a / det)
+    t1, t2, t3 = h.t
+    return PointHV(
+        tuple(det / (t * t) * a for t, a in zip(h.t, p.alpha)),
+        t1 * t2 * t3 / (det * det) * p.beta,
+        tuple(tuple(t * c for c in ref_transform_form(b, ginv))
+              for t, b in zip(h.t, p.B)),
+        Vec2(g.a * p.x.a + g.b * p.x.b, g.c * p.x.a + g.d * p.x.b),
+    )
+
+
+def _depth2(rng):
+    field, s1 = adjoin_sqrt(QI, 2)
+    field, s2 = adjoin_sqrt(field, 3)
+
+    def elem():
+        r = [QI.scalar(rand_rational(rng, 5), rand_rational(rng, 5)) for _ in range(4)]
+        # some entries keep a zero half, as lifted operands do
+        if rng.random() < 0.3:
+            r[1] = r[3] = QI.zero()
+        return field.lift(r[0]) + s1 * r[1] + s2 * (r[2] + s1 * r[3])
+    return field, elem
+
+
+def _depth2_point(rng):
+    _, elem = _depth2(rng)
+    return PointHV.make([elem() for _ in range(3)], elem(),
+                        [[elem() for _ in range(3)] for _ in range(3)],
+                        (elem(), elem()))
+
+
+def _depth2_group_element(rng):
+    _, elem = _depth2(rng)
+    while True:
+        t = tuple(elem() for _ in range(3))
+        g = Mat2(elem(), elem(), elem(), elem())
+        if not g.det().is_zero() and not any(x.is_zero() for x in t):
+            return GroupElement.make(t, g)
+
+
+def test_form_matrix_is_sym_square_of_transpose():
+    rng = random.Random(11)
+    for _ in range(5):
+        g = _depth2_group_element(rng).g
+        h = _depth2_group_element(rng).g
+        assert form_matrix(g) == sym_square(Mat2(g.a, g.c, g.b, g.d))
+        assert form_matrix(g * h) == form_matrix(h) * form_matrix(g)
+        triple = tuple(_depth2_point(rng).B[0])
+        assert transform_form(triple, g) == ref_transform_form(triple, g)
+
+
+def test_act_matches_reference_on_depth2_points():
+    rng = random.Random(12)
+    for _ in range(4):
+        h, p = _depth2_group_element(rng), _depth2_point(rng)
+        q, want = act(h, p), ref_act(h, p)
+        assert q.alpha == want.alpha and q.beta == want.beta
+        assert q.B == want.B and q.x == want.x
+        assert all(c.field.depth == 2 for c in q.coords())
+
+
+def test_group_law_on_depth2_points():
+    rng = random.Random(13)
+    for _ in range(3):
+        h1, h2 = _depth2_group_element(rng), _depth2_group_element(rng)
+        p = _depth2_point(rng)
+        lhs, rhs = act(h1, act(h2, p)), act(h1 * h2, p)
+        assert lhs.same_h_part(rhs) and lhs.x == rhs.x

@@ -5,10 +5,12 @@ import random
 import pytest
 
 from d4vgit.equations import ContractViolation, det_b, residuals, in_Zo
-from d4vgit.gitcore import PointHV, act
+from d4vgit.cyclic_s3 import s3_base_point, s3_stabilizer
+from d4vgit.gitcore import GroupElement, PointHV, act
 from d4vgit.linalg import Mat2
 from d4vgit.mckay import (
-    base_point, canonicalize, connect, point_field, quaternion_rep, stabilizer,
+    FiniteSubgroup, base_point, canonicalize, connect, point_field,
+    quaternion_rep, stabilizer,
 )
 from d4vgit.sampling import rand_group_element
 from d4vgit.scalars import QI, ExtensionLimitError, adjoin_sqrt
@@ -162,3 +164,56 @@ def test_point_field_tracks_towers():
     lifted = PointHV.make([field.lift(a) * s * s for a in b.alpha],
                           b.beta, b.B, (0, 0))
     assert point_field(lifted).depth == 1
+
+
+GROUPS = {
+    "quaternion_8": (lambda: stabilizer(base_point()), GroupElement),
+    "relaxed_16": (lambda: stabilizer(base_point(), fix_beta=False), GroupElement),
+    "s3_6": (lambda: s3_stabilizer(s3_base_point()), Mat2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_group_queries_multiply_only_to_prove_closure(name, monkeypatch):
+    """Building the group makes the |G|^2 products of the closure proof;
+    the table queries read their indices and multiply nothing more."""
+    build, cls = GROUPS[name]
+    group = build()
+    count = [0]
+    real = cls.__mul__
+
+    def counting(a, b):
+        count[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    again = FiniteSubgroup(group.elements, group.identity)
+    table = again.multiplication_table()
+    again.is_abelian()
+    profile = again.order_profile()
+    again.is_quaternion()
+    n = again.order()
+    assert count[0] == n * n
+    monkeypatch.undo()
+    assert table == [[again.index_of(a * b) for b in again.elements]
+                     for a in again.elements]
+    assert not again.is_abelian()
+    assert profile == {8: {1: 1, 2: 1, 4: 6}, 16: {1: 1, 2: 7, 4: 8},
+                       6: {1: 1, 2: 3, 3: 2}}[n]
+
+
+def test_group_is_immutable():
+    group = stabilizer(base_point())
+    assert isinstance(group.elements, tuple)
+    with pytest.raises(AttributeError):
+        group.elements = group.elements[:1]
+    with pytest.raises(AttributeError):
+        group.identity = None
+
+
+def test_group_proof_still_refuses_a_non_group():
+    quats = [h for _, h in quaternion_rep()]
+    with pytest.raises(AssertionError, match="not closed"):
+        FiniteSubgroup(quats[:5], GroupElement.identity())
+    with pytest.raises(AssertionError, match="identity missing"):
+        FiniteSubgroup(quats[1:2], GroupElement.identity())

@@ -1,6 +1,7 @@
 """Field axioms, tower arithmetic, square roots, serialization."""
 
 import random
+import time
 import weakref
 from fractions import Fraction
 from math import gcd
@@ -144,6 +145,18 @@ class TestSerialization:
     def test_json_roundtrip_base(self):
         x = QI.scalar(Fraction(-7, 3), Fraction(2, 5))
         assert scalar_from_json(scalar_to_json(x)) == x
+
+    @pytest.mark.parametrize("text", [
+        "1e10000000", "1.5", "1_000", "abc", "1/0", "*i", "2*i*i", "1/2/3",
+        "--1", "+", "1+", "i2", "\u0663", "",
+    ])
+    def test_malformed_text_raises_value_error_fast(self, text):
+        """Only [+-]digits[/digits] terms with an optional (*)i are read;
+        an exponent is rejected before any number is built."""
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            parse_scalar(text)
+        assert time.perf_counter() - start < 0.1
 
     def test_as_scalar(self):
         assert as_scalar(3) == QI.scalar(3)
@@ -333,3 +346,130 @@ class TestTowers:
         ref = weakref.ref(field)
         del field, s
         assert ref() is None
+
+
+# -- tower multiplication against the five-product rule ----------------------
+#
+# An element of a tower level is compared as its coefficient tree: nested
+# (a, b) pairs down to (re, im) Fraction pairs.  The reference multiplies
+# trees by (x + y s)(u + v s) = (x u + (d y) v) + (x v + y u) s, five
+# products per level, with no shortcut for zero halves.
+
+
+def tree(x):
+    if x.field.is_base:
+        re, im, den = x.triple
+        assert den > 0 and gcd(re, im, den) == 1
+        return x.payload
+    a, b = x.payload
+    return (tree(a), tree(b))
+
+
+def tree_add(a, b, field):
+    if field.is_base:
+        return ref_add(a, b)
+    return (tree_add(a[0], b[0], field.base), tree_add(a[1], b[1], field.base))
+
+
+def tree_mul(a, b, field):
+    if field.is_base:
+        return ref_mul(a, b)
+    (x, y), (u, v), lower_field = a, b, field.base
+    d = tree(lower_field.lift(field.d))
+    dy = tree_mul(d, y, lower_field)
+    return (tree_add(tree_mul(x, u, lower_field), tree_mul(dy, v, lower_field),
+                     lower_field),
+            tree_add(tree_mul(x, v, lower_field), tree_mul(y, u, lower_field),
+                     lower_field))
+
+
+def _base_level_d_tower(depth):
+    field = QI
+    for p in (2, 3, 5)[:depth]:
+        field, _ = adjoin_sqrt(field, p)
+    return field
+
+
+def _deep_d_tower(depth):
+    """Every level past the first adjoins a root of 3 + (previous root)."""
+    field, s = adjoin_sqrt(QI, 2)
+    while field.depth < depth:
+        field, s = adjoin_sqrt(field, s + 3)
+    return field
+
+
+TOWERS = {
+    "d_base_1": _base_level_d_tower(1), "d_base_2": _base_level_d_tower(2),
+    "d_base_3": _base_level_d_tower(3), "d_deep_2": _deep_d_tower(2),
+    "d_deep_3": _deep_d_tower(3),
+}
+SHAPES = ("full", "lifted", "generator", "zero")
+
+
+def coeff_tree(draw, depth, shape="full"):
+    """JSON coeffs of a depth-`depth` element of the given shape: "lifted"
+    has a zero upper half, "generator" a zero lower half."""
+    if depth == 0:
+        if shape == "zero":
+            return "0"
+        return format_scalar(QI.scalar(draw(small_fraction), draw(small_fraction)))
+    half = lambda: coeff_tree(draw, depth - 1, draw(st.sampled_from(SHAPES)))
+    zero = coeff_tree(draw, depth - 1, "zero")
+    return {"full": lambda: [half(), half()], "lifted": lambda: [half(), zero],
+            "generator": lambda: [zero, half()], "zero": lambda: [zero, zero]}[shape]()
+
+
+def tower_json(field):
+    return scalar_to_json(field.one())["gens"]
+
+
+@st.composite
+def tower_operands(draw):
+    name = draw(st.sampled_from(sorted(TOWERS)))
+    field = TOWERS[name]
+    gens = tower_json(field)
+    a, b = (scalar_from_json({"gens": gens, "coeffs": coeff_tree(
+        draw, field.depth, draw(st.sampled_from(SHAPES)))}) for _ in range(2))
+    return field, a, b
+
+
+class TestTowerMultiply:
+    def test_towers_cover_both_kinds_of_d(self):
+        for name, field in TOWERS.items():
+            assert lower(field.d).field.is_base == name.startswith("d_base")
+
+    @given(data=tower_operands())
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_five_product_rule(self, data):
+        field, a, b = data
+        want = tree_mul(tree(a), tree(b), field)
+        assert tree(a * b) == want and tree(b * a) == want
+        assert tree(a * a) == tree_mul(tree(a), tree(a), field)
+
+    @given(data=tower_operands(), level=st.integers(0, 2), draw=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_level_product_matches_lifted_rule(self, data, level, draw):
+        """A factor from a lower level (Q(i) included) multiplies as if
+        lifted, and the product lives in the deeper field."""
+        field, a, _ = data
+        low = field
+        while low.depth > min(level, field.depth - 1):
+            low = low.base
+        coeffs = coeff_tree(draw.draw, low.depth, draw.draw(st.sampled_from(SHAPES)))
+        c = scalar_from_json(coeffs if low.is_base
+                             else {"gens": tower_json(low), "coeffs": coeffs})
+        assert c.field is low
+        want = tree_mul(tree(field.lift(c)), tree(a), field)
+        assert (c * a).field is field and (a * c).field is field
+        assert tree(c * a) == want and tree(a * c) == want
+
+    @given(data=tower_operands(), n=st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_power_is_repeated_product(self, data, n):
+        field, a, _ = data
+        want = field.one()
+        for _ in range(n):
+            want = want * a
+        assert a ** n == want and (a ** n).field is field
+        if not a.is_zero():
+            assert a ** -n == want.inverse()
