@@ -118,14 +118,9 @@ def _apply_form_matrix(M: Mat3, triple):
     return tuple(m0 * p + m1 * q + m2 * r for m0, m1, m2 in M.rows)
 
 
-def transform_form(triple, g: Mat2):
-    """Coefficients of Q o g for Q the quadratic form with the given triple."""
-    return _apply_form_matrix(form_matrix(g), triple)
-
-
 def split_form(triple, field, max_depth: int = DEFAULT_TOWER_DEPTH):
     """(field', T) with the columns of T the two root directions of the
-    binary form, so that transform_form(triple, T) is a multiple of v1 v2.
+    binary form Q with the given triple, so that Q o T is a multiple of v1 v2.
 
     field' is field, extended by the square root of the discriminant when it
     has none.  Returns None for a square form (zero discriminant), before any

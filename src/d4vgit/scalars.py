@@ -10,8 +10,7 @@ below, where s is the adjoined root.  Products use
 four products one level down, or two when an operand is lifted from the
 level below (its upper half is zero).  One level above Q(i) each half is
 summed from unnormalized Gaussian products and normalized once; higher up,
-d y v is taken leaf by leaf when d lies in Q(i).  A Gaussian rational
-multiplies a tower element leaf by leaf, unlifted.
+d y v is taken leaf by leaf when d lies in Q(i).
 Towers are interned: adjoin_sqrt gives the same Field object for the same
 (base, d) while that Field is in use, so fields compare by identity.  All
 operations are exact and zero-testing is decidable at every level.
@@ -338,19 +337,13 @@ class Scalar:
         """self * n/d for ints n and d > 0."""
         if self._den is None:
             return Scalar(self._field, self._x._scale(n, d), self._y._scale(n, d), None)
-        if d == 1:
-            # gcd(re, im, den) = 1, so only n and den can share a factor
-            g = gcd(n, self._den)
-            n //= g
-            return Scalar(QI, self._x * n, self._y * n, self._den // g)
         return _qi(self._x * n, self._y * n, self._den * d)
 
     def _times_qi(self, q):
-        """self * q for q in Q(i), leaf by leaf (no lifting of q)."""
+        """self * q for q in Q(i), leaf by leaf (no lifting of q); the
+        product by an adjoined d that lies in Q(i)."""
         if self._den is None:
             return Scalar(self._field, self._x._times_qi(q), self._y._times_qi(q), None)
-        if q._den == 1 and not q._y:
-            return self._scale(q._x, 1)
         x, y, u, v = self._x, self._y, q._x, q._y
         return _qi(x * u - y * v, x * v + y * u, self._den * q._den)
 
@@ -436,10 +429,6 @@ class Scalar:
             a, b = self, other
         elif other.__class__ is int:
             return self._scale(other, 1)
-        elif other.__class__ is Scalar and (self._den is None) != (other._den is None):
-            # a tower element times a Gaussian rational
-            return (self._times_qi(other) if other._den is not None
-                    else other._times_qi(self))
         else:
             a, b = self._pair(other)
             if a is None:

@@ -152,11 +152,13 @@ class TestSerialization:
     ])
     def test_malformed_text_raises_value_error_fast(self, text):
         """Only [+-]digits[/digits] terms with an optional (*)i are read;
-        an exponent is rejected before any number is built."""
+        an exponent is rejected before any number is built (reading
+        "1e10000000" as a number takes seconds, so a 1 s bound catches it
+        with room for a slow host)."""
         start = time.perf_counter()
         with pytest.raises(ValueError):
             parse_scalar(text)
-        assert time.perf_counter() - start < 0.1
+        assert time.perf_counter() - start < 1.0
 
     def test_as_scalar(self):
         assert as_scalar(3) == QI.scalar(3)
