@@ -106,12 +106,22 @@ def quaternion_rep():
 class FiniteSubgroup:
     """A finite tuple of group elements closed under product and inverse.
 
-    The elements need only `*`, `inverse()` and `==`: GroupElements here,
-    Mat2s for the S3 example.  Building the group proves that the identity,
-    every inverse and every product are present, and keeps the |G|^2
-    products of that proof as a Cayley table of indices; the table queries
-    (multiplication_table, is_abelian, element_orders, order_profile,
-    is_quaternion) read it and multiply nothing.  The group is frozen, so
+    The elements need only `*` and `==`: GroupElements here, Mat2s for the
+    S3 example.  Building the group proves closure from a generating set
+    (Holt-Eick-O'Brien, Handbook of Computational Group Theory, 4.1): the
+    generators are taken greedily, each the first element that a
+    breadth-first search from the identity along the earlier ones has not
+    reached, and every reached element is multiplied on the right by every
+    generator.  All products lie in the set and every element is a word in
+    the generators, so the set is closed under product.  Each generator at
+    least doubles the subgroup reached, so the proof makes at most
+    |G| floor(log2 |G|) products (24, 64 and 12 for the orders 8, 16 and 6,
+    against |G|^2).  The Cayley table of indices is then filled by walking
+    each element's word along those edges, with no further product; every
+    row must hold the identity (every inverse is present).  The table
+    queries (multiplication_table, is_abelian, element_orders,
+    order_profile, is_quaternion) read it and multiply nothing.  Indices
+    name equal elements by their first occurrence.  The group is frozen, so
     the table cannot go stale.
     """
 
@@ -132,22 +142,42 @@ class FiniteSubgroup:
         return None
 
     def verify(self):
-        """Prove that the identity, every inverse and every product are
+        """Prove that the identity, every product and every inverse are
         present; returns the products as a Cayley table of indices."""
-        if self.index_of(self.identity) is None:
+        elements = self.elements
+        one = self.index_of(self.identity)
+        if one is None:
             raise AssertionError("identity missing")
-        table = []
-        for a in self.elements:
-            if self.index_of(a.inverse()) is None:
+        first = [self.index_of(e) for e in elements]
+        gens = []
+        # reached: breadth-first order from the identity; word[j] = (i, k)
+        # with elements[j] == elements[i] * elements[gens[k]]
+        reached, word, edges = [one], {one: None}, {}
+        for g in range(len(elements)):
+            if first[g] != g or g in word:
+                continue
+            gens.append(g)
+            for i in reached:        # grows while it is walked
+                row = edges.setdefault(i, [])
+                for k in range(len(row), len(gens)):
+                    j = self.index_of(elements[i] * elements[gens[k]])
+                    if j is None:
+                        raise AssertionError("not closed under product")
+                    row.append(j)
+                    if j not in word:
+                        word[j] = (i, k)
+                        reached.append(j)
+        rows = {}
+        for i in reached:
+            # prod[j]: the index of elements[i] * elements[j], j reached
+            prod = {one: i}
+            for j in reached[1:]:
+                parent, k = word[j]
+                prod[j] = edges[prod[parent]][k]
+            if one not in prod.values():
                 raise AssertionError("inverse missing")
-            row = []
-            for b in self.elements:
-                k = self.index_of(a * b)
-                if k is None:
-                    raise AssertionError("not closed under product")
-                row.append(k)
-            table.append(tuple(row))
-        return tuple(table)
+            rows[i] = tuple(prod[f] for f in first)
+        return tuple(rows[f] for f in first)
 
     def multiplication_table(self):
         """Row i, column j: the index of elements[i] * elements[j]."""
@@ -159,7 +189,7 @@ class FiniteSubgroup:
         table, one = self._table, self.index_of(self.identity)
         orders = []
         for i in range(len(table)):
-            n, cur = 1, self.index_of(self.elements[i])
+            n, cur = 1, table[one][i]
             while cur != one:
                 cur = table[cur][i]
                 n += 1
@@ -189,21 +219,27 @@ def point_field(p: PointHV) -> Field:
     return deepest_field(p.coords() + (p.x.a, p.x.b))
 
 
-def _line_basis(B):
-    """(C, C^-1) for C the matrix with the B-triples as columns."""
+def _line_projectors(B):
+    """The rank-one projectors P_j = C[:, j] C^-1[j, :], for C the matrix
+    with the B-triples as columns, stored entry-wise: entry (r, c) is the
+    triple (P_0, P_1, P_2)[r, c]."""
     C = Mat3([[B[j][i] for j in range(3)] for i in range(3)])
     det = C.det()
     if det.is_zero():
         raise DegeneratePointError("B-lines are not independent")
-    return C, C.adjugate() * det.inverse()
+    Cinv = C.adjugate() * det.inverse()
+    return [[tuple(C[r, j] * Cinv[j, c] for j in range(3)) for c in range(3)]
+            for r in range(3)]
 
 
-def _form_matrix_on_lines(C, Cinv, pattern):
-    """The 3x3 matrix acting on coefficient triples with the columns of C
-    as eigenvectors and the given +-1 eigenvalues."""
-    CD = Mat3([[c if e == 1 else -c for c, e in zip(row, pattern)]
-               for row in C.rows])
-    return CD * Cinv
+def _form_matrix_on_lines(P, pattern):
+    """The 3x3 matrix acting on coefficient triples with the B-lines as
+    eigenvectors and the given +-1 eigenvalues: sum_j e_j P_j, additions
+    only."""
+    def entry(parts):
+        a, b, c = (x if e == 1 else -x for x, e in zip(parts, pattern))
+        return a + b + c
+    return Mat3([[entry(parts) for parts in row] for row in P])
 
 
 def _recover_from_form_action(M: Mat3, field: Field):
@@ -261,17 +297,18 @@ def stabilizer(p: PointHV, fix_beta: bool = True) -> FiniteSubgroup:
     flipped = PointHV(tuple(-a for a in p.alpha), -p.beta, p.B, p.x)
     elements = []
     patterns = list(_EVEN_PATTERNS) + (list(_ODD_PATTERNS) if not fix_beta else [])
-    C, Cinv = _line_basis(p.B)
+    P = _line_projectors(p.B)
+    minus_one = QI.scalar(-1)
     for pattern in patterns:
         # eigenvalues of the inverse-side form action; t_i = 1/c_i = c_i
-        M = _form_matrix_on_lines(C, Cinv, pattern)
-        ginv = _recover_from_form_action(M, field)
+        ginv = _recover_from_form_action(_form_matrix_on_lines(P, pattern), field)
         if ginv is None:
             continue
-        for sign in (1, -1):
-            gi = ginv if sign == 1 else ginv.scale(QI.scalar(-1))
-            t = tuple(QI.scalar(c) for c in pattern)
-            h = GroupElement.make(t, gi.inverse())
+        g = ginv.inverse()
+        t = tuple(QI.scalar(c) for c in pattern)
+        # the sign -1 candidate inverts -ginv, which is -g
+        for gl2 in (g, g.scale(minus_one)):
+            h = GroupElement.make(t, gl2)
             moved = act(h, p)
             if moved.same_h_part(p) or (not fix_beta
                                         and moved.same_h_part(flipped)):

@@ -543,16 +543,21 @@ def format_scalar(x: Scalar) -> str:
 # one signed term: [+-]digits[/digits], optionally followed by "*i" or "i",
 # or a bare "i"
 _TERM = re.compile(r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?(\*?i)?|(i))")
+_SPLIT_DIGITS = re.compile(r"[0-9] +[0-9]")
 
 
 def parse_scalar(text: str, field: Field = QI) -> Scalar:
     """Parse the base-level string format "a/b+c/d*i".
 
-    The text (spaces ignored) is a sum of terms, each [+-]digits[/digits]
-    optionally followed by "*i" or "i", or a bare "i"; every term after the
-    first starts with its sign.  Anything else, and a zero denominator,
-    raises ValueError; parse time is polynomial in the length of the text.
+    The text is a sum of terms, each [+-]digits[/digits] optionally followed
+    by "*i" or "i", or a bare "i"; every term after the first starts with
+    its sign.  Spaces are ignored, except that a space between two digits
+    ("1 2") is an error rather than one number.  Anything else, and a zero
+    denominator, raises ValueError; parse time is polynomial in the length
+    of the text.
     """
+    if " " in text and _SPLIT_DIGITS.search(text):
+        raise ValueError("space inside a number in scalar %.60r" % (text,))
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty scalar string")

@@ -143,6 +143,8 @@ USAGE_CASES = {
                                     _point_file(tmp, _set_alpha("1/0"))],
     "scalar_exponent": lambda tmp: ["verify-point", "--point",
                                     _point_file(tmp, _set_alpha("1e10000000"))],
+    "scalar_space_in_number": lambda tmp: ["verify-point", "--point",
+                                           _point_file(tmp, _set_alpha("1 2"))],
     "scalar_tower_too_shallow": lambda tmp: [
         "verify-point", "--point",
         _point_file(tmp, _set_alpha({"gens": [], "coeffs": ["1", "2"]}))],

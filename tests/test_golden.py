@@ -1,0 +1,40 @@
+"""CLI stdout against fixtures recorded before the closure proof moved from
+|G|^2 products to a generating set: the stabilizer tables and the S3 report
+must stay byte-identical.
+
+Each fixture under tests/data is the stdout of one command, for example
+    PYTHONPATH=src python -m d4vgit orbit --point tests/data/base_point.json --json
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).parent.parent / "src"
+
+CASES = {
+    "orbit_base": ["orbit", "--point", "base_point.json", "--json"],
+    "orbit_base_relaxed": ["orbit", "--point", "base_point.json", "--json",
+                           "--relax-beta"],
+    "orbit_translate_depth1": ["orbit", "--point",
+                               "translate_depth1_point.json", "--json"],
+    "orbit_translate_depth1_relaxed": ["orbit", "--point",
+                                       "translate_depth1_point.json", "--json",
+                                       "--relax-beta"],
+    "examples_s3": ["examples", "s3", "--json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_stdout_matches_fixture(case):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    run = subprocess.run([sys.executable, "-m", "d4vgit", *CASES[case]],
+                         cwd=DATA, env=env, capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (DATA / (case + ".stdout")).read_bytes()

@@ -12,7 +12,7 @@ from d4vgit.mckay import (
     FiniteSubgroup, base_point, canonicalize, connect, point_field,
     quaternion_rep, stabilizer,
 )
-from d4vgit.sampling import rand_group_element
+from d4vgit.sampling import rand_group_element, rand_nonzero_scalar
 from d4vgit.scalars import QI, ExtensionLimitError, adjoin_sqrt
 
 
@@ -166,17 +166,60 @@ def test_point_field_tracks_towers():
     assert point_field(lifted).depth == 1
 
 
+def _tower_stabilizer(depth, seed):
+    """The stabilizer of the base point moved by a group element over a
+    depth-`depth` tower of random square-root generators."""
+    rng = random.Random(seed)
+    field = QI
+    while field.depth < depth:
+        field, _ = adjoin_sqrt(field, rng.randint(2, 40))
+
+    def element(f):
+        if f.is_base:
+            return rand_nonzero_scalar(rng)
+        return f.lift(element(f.base)) + f.generator() * f.lift(element(f.base))
+
+    g = Mat2(*(element(field) for _ in range(4)))
+    while g.det().is_zero():
+        g = Mat2(*(element(field) for _ in range(4)))
+    p = act(GroupElement.make(tuple(element(field) for _ in range(3)), g),
+            base_point())
+    assert point_field(p).depth == depth
+    return stabilizer(p)
+
+
 GROUPS = {
     "quaternion_8": (lambda: stabilizer(base_point()), GroupElement),
     "relaxed_16": (lambda: stabilizer(base_point(), fix_beta=False), GroupElement),
     "s3_6": (lambda: s3_stabilizer(s3_base_point()), Mat2),
 }
 
+TOWER_GROUPS = {
+    "depth1_translate_8": lambda: _tower_stabilizer(1, 5),
+    "depth2_translate_8": lambda: _tower_stabilizer(2, 6),
+}
+
+
+def _brute_force_table(elements):
+    """All |G|^2 products, each named by the first equal element."""
+    def first(h):
+        return next(k for k, e in enumerate(elements) if e == h)
+    return [[first(a * b) for b in elements] for a in elements]
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS) + sorted(TOWER_GROUPS))
+def test_cayley_table_matches_brute_force(name):
+    build = GROUPS[name][0] if name in GROUPS else TOWER_GROUPS[name]
+    group = build()
+    assert group.order() == int(name.rsplit("_", 1)[1])
+    assert group.multiplication_table() == _brute_force_table(group.elements)
+
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_group_queries_multiply_only_to_prove_closure(name, monkeypatch):
-    """Building the group makes the |G|^2 products of the closure proof;
-    the table queries read their indices and multiply nothing more."""
+    """Building the group proves closure with at most |G| floor(log2 |G|)
+    products; the table queries read their indices and multiply nothing
+    more."""
     build, cls = GROUPS[name]
     group = build()
     count = [0]
@@ -193,7 +236,7 @@ def test_group_queries_multiply_only_to_prove_closure(name, monkeypatch):
     profile = again.order_profile()
     again.is_quaternion()
     n = again.order()
-    assert count[0] == n * n
+    assert count[0] <= n * (n.bit_length() - 1)     # n floor(log2 n)
     monkeypatch.undo()
     assert table == [[again.index_of(a * b) for b in again.elements]
                      for a in again.elements]
@@ -217,3 +260,34 @@ def test_group_proof_still_refuses_a_non_group():
         FiniteSubgroup(quats[:5], GroupElement.identity())
     with pytest.raises(AssertionError, match="identity missing"):
         FiniteSubgroup(quats[1:2], GroupElement.identity())
+
+
+@pytest.mark.parametrize("dropped", range(8))
+def test_group_with_one_element_dropped_is_refused(dropped):
+    quats = [h for _, h in quaternion_rep()]
+    rest = quats[:dropped] + quats[dropped + 1:]
+    message = "identity missing" if dropped == 0 else "not closed"
+    with pytest.raises(AssertionError, match=message):
+        FiniteSubgroup(rest, GroupElement.identity())
+
+
+def test_singular_idempotent_is_refused_as_missing_inverse():
+    """{1, E} with E^2 = E singular is closed under product but no group."""
+    E = Mat2.diagonal(QI.one(), QI.zero())
+    with pytest.raises(AssertionError, match="inverse missing"):
+        FiniteSubgroup([Mat2.identity(), E], Mat2.identity())
+
+
+def test_duplicate_elements_take_first_occurrence_indices():
+    """Equal elements listed twice are named by their first index, and the
+    proof still terminates."""
+    quats = [h for _, h in quaternion_rep()]
+    copies = [GroupElement(h.t, h.g) for h in quats]
+    # indices 3, 9, 10, 11 repeat -1, 1, k, -k
+    listed = quats[:3] + copies[1:2] + quats[3:] + copies[0:1] + copies[6:]
+    group = FiniteSubgroup(listed, GroupElement.identity())
+    assert group.order() == len(listed) == 12
+    table = group.multiplication_table()
+    assert table == _brute_force_table(listed)
+    assert {entry for row in table for entry in row} == {0, 1, 2, 4, 5, 6, 7, 8}
+    assert group.order_profile() == {1: 2, 2: 2, 4: 8}

@@ -136,6 +136,11 @@ class TestSerialization:
         assert parse_scalar("i") == QI.i()
         assert parse_scalar("-2") == QI.scalar(-2)
 
+    def test_spaces_outside_numbers_are_ignored(self):
+        assert parse_scalar("1 /2") == QI.scalar(Fraction(1, 2))
+        assert parse_scalar(" - 3 / 4 + 2 * i ") == QI.scalar(Fraction(-3, 4), 2)
+        assert parse_scalar("5 i") == QI.scalar(0, 5)
+
     def test_json_roundtrip_tower(self):
         field, s = adjoin_sqrt(QI, 2)
         x = field.lift(QI.scalar(1, 1)) + s * field.scalar(3)
@@ -148,7 +153,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("text", [
         "1e10000000", "1.5", "1_000", "abc", "1/0", "*i", "2*i*i", "1/2/3",
-        "--1", "+", "1+", "i2", "\u0663", "",
+        "--1", "+", "1+", "i2", "\u0663", "", "1 2", "1/2 3", "1+3 4*i",
     ])
     def test_malformed_text_raises_value_error_fast(self, text):
         """Only [+-]digits[/digits] terms with an optional (*)i are read;
