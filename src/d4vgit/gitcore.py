@@ -22,8 +22,8 @@ from functools import cache
 
 from .linalg import Mat2, Mat3, Vec2, sym_square
 from .scalars import (
-    DEFAULT_TOWER_DEPTH, QI, Scalar, adjoin_sqrt, as_scalar, scalar_from_json,
-    scalar_to_json,
+    DEFAULT_TOWER_DEPTH, QI, Scalar, adjoin_sqrt, as_scalar, deepest_field,
+    scalar_from_json, scalar_to_json,
 )
 
 
@@ -70,7 +70,12 @@ class PointHV:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """(t1, t2, t3, g) with all t_i nonzero and g invertible."""
+    """(t1, t2, t3, g) with all t_i nonzero and g invertible.
+
+    make is the one validating constructor, for data from outside; compose
+    and inverse build their results directly, since a product or inverse of
+    invertible elements is invertible.
+    """
 
     t: tuple              # (t1, t2, t3)
     g: Mat2
@@ -89,14 +94,14 @@ class GroupElement:
         return GroupElement.make((1, 1, 1), Mat2.identity())
 
     def compose(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement.make(
+        return GroupElement(
             tuple(a * b for a, b in zip(self.t, other.t)), self.g * other.g
         )
 
     __mul__ = compose
 
     def inverse(self) -> "GroupElement":
-        return GroupElement.make(tuple(s.inverse() for s in self.t), self.g.inverse())
+        return GroupElement(tuple(s.inverse() for s in self.t), self.g.inverse())
 
     def is_identity(self):
         return (all(s == QI.one() for s in self.t)
@@ -257,11 +262,6 @@ def coordinate_weights(lam: Cocharacter):
     return tuple(_log2_rational(m / b) for m, b in zip(moved, base))
 
 
-def x_weights(lam: Cocharacter):
-    """Weights of the two V-coordinates under lam (diagonal basis)."""
-    return lam.w
-
-
 WEIGHT_TABLE_ROWS = (
     ("lambda1", LAMBDA[0]),
     ("lambda2", LAMBDA[1]),
@@ -306,7 +306,12 @@ def point_from_json(data) -> PointHV:
     beta = scalar_from_json(data["beta"])
     B = tuple(tuple(scalar_from_json(c) for c in b) for b in data["B"])
     x = Vec2(scalar_from_json(data["x"][0]), scalar_from_json(data["x"][1]))
-    return PointHV(alpha, beta, B, x)
+    p = PointHV(alpha, beta, B, x)
+    values = p.coords() + (x.a, x.b)
+    deepest = deepest_field(values)
+    if not all(v.field.ancestor_of(deepest) for v in values):
+        raise ValueError("the scalars of a point must lie in one tower")
+    return p
 
 
 def group_to_json(h: GroupElement) -> dict:

@@ -285,34 +285,37 @@ def stabilizer(p: PointHV, fix_beta: bool = True) -> FiniteSubgroup:
     locus.
 
     The three B-lines span, so the form action of any stabilizing g is
-    diagonal in the B-adapted basis with eigenvalues +-1 of even sign
-    pattern; each pattern determines g up to sign by exact square-root
-    recovery.  With fix_beta=False the constraint pinning the joint sign of
-    (alpha, beta) is dropped, which admits the odd patterns as well and
-    doubles the group (the double cover of (Z/2)^3 rather than of (Z/2)^2).
+    diagonal in the B-adapted basis with eigenvalues +-1.  For each sign
+    pattern e, exact square-root recovery proves form_matrix(g^-1) == M_e
+    and fixes g up to sign; that proof is the membership certificate.  With
+    t = e the forms come back, B'_j = e_j e_j B_j = B_j, while
+    alpha' = det(g) alpha and beta' = e1 e2 e3 det(g)^-2 beta.  Alpha and
+    beta are nonzero on the open locus, so g fixes the H-part iff
+    det(g^-1) = 1 with e even, and sends it to (-alpha, -beta, B) iff
+    det(g^-1) = -1 with e odd: both read det(g^-1) == e1 e2 e3, the
+    comparison act would make, in closed form.  (A verified recovery always
+    passes it: det(M_e) = e1 e2 e3 = det(g^-1)^3, and the eigenvalues of
+    g^-1 multiply to +-1.)  -g has the same form matrix and determinant, so
+    g and -g join together.  With fix_beta=False the constraint pinning the
+    joint sign of (alpha, beta) is dropped, which admits the odd patterns as
+    well and doubles the group (the double cover of (Z/2)^3 rather than of
+    (Z/2)^2).
     """
     if not in_Zo(p):
         raise ContractViolation("stabilizer requires a point of the open locus")
     field = point_field(p)
-    flipped = PointHV(tuple(-a for a in p.alpha), -p.beta, p.B, p.x)
     elements = []
     patterns = list(_EVEN_PATTERNS) + (list(_ODD_PATTERNS) if not fix_beta else [])
     P = _line_projectors(p.B)
-    minus_one = QI.scalar(-1)
     for pattern in patterns:
         # eigenvalues of the inverse-side form action; t_i = 1/c_i = c_i
         ginv = _recover_from_form_action(_form_matrix_on_lines(P, pattern), field)
-        if ginv is None:
+        if ginv is None or ginv.det() != pattern[0] * pattern[1] * pattern[2]:
             continue
         g = ginv.inverse()
         t = tuple(QI.scalar(c) for c in pattern)
-        # the sign -1 candidate inverts -ginv, which is -g
-        for gl2 in (g, g.scale(minus_one)):
-            h = GroupElement.make(t, gl2)
-            moved = act(h, p)
-            if moved.same_h_part(p) or (not fix_beta
-                                        and moved.same_h_part(flipped)):
-                elements.append(h)
+        elements.append(GroupElement(t, g))
+        elements.append(GroupElement(t, g.scale(-1)))
     return FiniteSubgroup(elements, GroupElement.identity())
 
 

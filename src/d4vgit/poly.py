@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import QI, Field, Scalar, as_scalar
+from .scalars import QI, Scalar, as_scalar
 
 
 class PolyError(Exception):
@@ -23,17 +23,16 @@ class Poly:
     divide_by is graded lexicographic in that order.
     """
 
-    __slots__ = ("variables", "terms", "field")
+    __slots__ = ("variables", "terms")
 
-    def __init__(self, variables, terms=None, field: Field = QI):
+    def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
-        self.field = field
         clean = {}
         for expo, coeff in (terms or {}).items():
             expo = tuple(expo)
             if len(expo) != len(self.variables):
                 raise PolyError("exponent arity mismatch")
-            coeff = as_scalar(coeff, field)
+            coeff = as_scalar(coeff)
             if not coeff.is_zero():
                 clean[expo] = coeff
         self.terms = clean
@@ -41,23 +40,22 @@ class Poly:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def constant(value, variables, field: Field = QI):
-        value = as_scalar(value, field)
+    def constant(value, variables):
         zero = (0,) * len(variables)
-        return Poly(variables, {zero: value}, field)
+        return Poly(variables, {zero: as_scalar(value)})
 
     @staticmethod
-    def variable(name, variables, field: Field = QI):
+    def variable(name, variables):
         variables = tuple(variables)
         if name not in variables:
             raise PolyError("unknown variable %r" % (name,))
         expo = tuple(1 if v == name else 0 for v in variables)
-        return Poly(variables, {expo: field.one()}, field)
+        return Poly(variables, {expo: QI.one()})
 
     @staticmethod
-    def ring(variables, field: Field = QI):
+    def ring(variables):
         """Convenience: the generators of a polynomial ring, as a dict."""
-        return {v: Poly.variable(v, variables, field) for v in variables}
+        return {v: Poly.variable(v, variables) for v in variables}
 
     # -- basics --------------------------------------------------------------
 
@@ -69,7 +67,7 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
-            other = Poly.constant(other, self.variables, self.field)
+            other = Poly.constant(other, self.variables)
         if not isinstance(other, Poly):
             return NotImplemented
         return self.variables == other.variables and (self - other).is_zero()
@@ -80,7 +78,7 @@ class Poly:
                 raise PolyError("polynomials over different variable lists")
             return other
         if isinstance(other, (int, Fraction, Scalar)):
-            return Poly.constant(other, self.variables, self.field)
+            return Poly.constant(other, self.variables)
         return None
 
     # -- ring operations -----------------------------------------------------
@@ -91,13 +89,13 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for expo, c in other.terms.items():
-            terms[expo] = terms.get(expo, self.field.zero()) + c
-        return Poly(self.variables, terms, self.field)
+            terms[expo] = terms.get(expo, QI.zero()) + c
+        return Poly(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.variables, {e: -c for e, c in self.terms.items()}, self.field)
+        return Poly(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -121,19 +119,19 @@ class Poly:
                     terms[e] = terms[e] + c
                 else:
                     terms[e] = c
-        return Poly(self.variables, terms, self.field)
+        return Poly(self.variables, terms)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        scalar = as_scalar(scalar, self.field)
+        scalar = as_scalar(scalar)
         inv = scalar.inverse()
-        return Poly(self.variables, {e: c * inv for e, c in self.terms.items()}, self.field)
+        return Poly(self.variables, {e: c * inv for e, c in self.terms.items()})
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise PolyError("polynomial powers must be nonnegative integers")
-        result = Poly.constant(1, self.variables, self.field)
+        result = Poly.constant(1, self.variables)
         base = self
         while n:
             if n & 1:
@@ -151,18 +149,6 @@ class Poly:
         expo = max(self.terms, key=lambda e: (sum(e), e))
         return expo, self.terms[expo]
 
-    def coefficient(self, expo):
-        return self.terms.get(tuple(expo), self.field.zero())
-
-    def as_scalar(self):
-        if self.is_zero():
-            return self.field.zero()
-        if len(self.terms) == 1:
-            expo, c = next(iter(self.terms.items()))
-            if all(k == 0 for k in expo):
-                return c
-        raise PolyError("polynomial %s is not constant" % (self,))
-
     # -- substitution ----------------------------------------------------------
 
     def substitute(self, bindings):
@@ -177,18 +163,18 @@ class Poly:
         images = {}
         for name, value in bindings.items():
             if not isinstance(value, Poly):
-                value = Poly.constant(value, self.variables, self.field)
+                value = Poly.constant(value, self.variables)
             elif value.variables != self.variables:
                 raise PolyError("substitution image over a different ring")
             images[name] = value
         gens = [images[name] if name in images
-                else Poly.variable(name, self.variables, self.field)
+                else Poly.variable(name, self.variables)
                 for name in self.variables]
         # power cache per variable
-        result = Poly(self.variables, {}, self.field)
+        result = Poly(self.variables, {})
         pcache = [dict() for _ in self.variables]
         for expo, coeff in self.terms.items():
-            term = Poly.constant(coeff, self.variables, self.field)
+            term = Poly.constant(coeff, self.variables)
             for idx, k in enumerate(expo):
                 if k == 0:
                     continue
@@ -213,18 +199,18 @@ class Poly:
             raise ZeroDivisionError("polynomial division by zero")
         lead_e, lead_c = divisor.leading()
         lead_c_inv = lead_c.inverse()
-        quotient = Poly(self.variables, {}, self.field)
-        remainder = Poly(self.variables, {}, self.field)
+        quotient = Poly(self.variables, {})
+        remainder = Poly(self.variables, {})
         work = self
         while not work.is_zero():
             expo, coeff = work.leading()
             if all(a >= b for a, b in zip(expo, lead_e)):
                 shift = tuple(a - b for a, b in zip(expo, lead_e))
-                factor = Poly(self.variables, {shift: coeff * lead_c_inv}, self.field)
+                factor = Poly(self.variables, {shift: coeff * lead_c_inv})
                 quotient = quotient + factor
                 work = work - factor * divisor
             else:
-                mono = Poly(self.variables, {expo: coeff}, self.field)
+                mono = Poly(self.variables, {expo: coeff})
                 remainder = remainder + mono
                 work = work - mono
         return quotient, remainder

@@ -23,7 +23,7 @@ from .equations import (
 from .gitcore import (
     LAMBDA, MU, THETA, MINUS_THETA,
     Character, Cocharacter, GroupElement, PointHV,
-    act, coordinate_weights, pair, x_weights,
+    act, coordinate_weights, pair,
 )
 from .linalg import Mat2, Vec2
 from .quiver import form_contraction
@@ -72,8 +72,7 @@ def verify_certificate(p: PointHV, cert: Cocharacter, chi: Character,
     for w, c in zip(weights, coords):
         if w > 0 and not c.is_zero():
             return False
-    wx = x_weights(cert)
-    for w, c in zip(wx, (q.x.a, q.x.b)):
+    for w, c in zip(cert.w, (q.x.a, q.x.b)):
         if w > 0 and not c.is_zero():
             return False
     return True

@@ -136,6 +136,15 @@ def _set_alpha(value):
     return edit
 
 
+def _mixed_towers(tmp, *command):
+    """A point whose scalars each parse, over sqrt 2 and over sqrt 3, but
+    share no tower."""
+    def edit(data):
+        data["alpha"][:2] = [{"gens": ["2"], "coeffs": ["1", "1"]},
+                             {"gens": ["3"], "coeffs": ["1", "1"]}]
+    return [*command, "--point", _point_file(tmp, edit)]
+
+
 USAGE_CASES = {
     "scalar_abc": lambda tmp: ["verify-point", "--point",
                                _point_file(tmp, _set_alpha("abc"))],
@@ -155,6 +164,14 @@ USAGE_CASES = {
                                        _text_file(tmp, "[" * 100000 + "]" * 100000)],
     "point_arity": lambda tmp: ["orbit", "--point",
                                 _point_file(tmp, lambda d: d["alpha"].pop())],
+    "point_incompatible_towers": lambda tmp: _mixed_towers(tmp, "orbit"),
+    "point_incompatible_towers_verify": lambda tmp: _mixed_towers(
+        tmp, "verify-point"),
+    "point_incompatible_towers_stability": lambda tmp: _mixed_towers(
+        tmp, "stability", "--character", "theta"),
+    "point_incompatible_towers_quiver": lambda tmp: _mixed_towers(tmp, "quiver"),
+    "point_incompatible_towers_chart": lambda tmp: _mixed_towers(
+        tmp, "chart", "--index", "1"),
     "missing_point_file": lambda tmp: ["quiver", "--point", str(tmp / "absent.json")],
     "an_n_1": lambda tmp: ["examples", "an", "--n", "1"],
     "an_chi_rank": lambda tmp: ["examples", "an", "--n", "4", "--chi", "1,1"],
@@ -171,3 +188,4 @@ def test_usage_error_exit_code(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+

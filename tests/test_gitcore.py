@@ -3,6 +3,8 @@
 import json
 import random
 
+import pytest
+
 from d4vgit.gitcore import (
     LAMBDA, MU, THETA, MINUS_THETA, Cocharacter, GroupElement, PointHV,
     _apply_form_matrix, act, coordinate_weights, form_matrix, group_from_json,
@@ -106,6 +108,18 @@ def test_point_json_roundtrip_bit_exact():
         assert q.alpha == p.alpha and q.beta == p.beta
         assert q.B == p.B and q.x == p.x
         assert json.dumps(point_to_json(q), sort_keys=True) == blob
+
+
+def test_point_json_accepts_scalars_from_one_tower():
+    """Scalars over sqrt 2 and over sqrt 2, sqrt 3 share a tower; over
+    sqrt 2 and over sqrt 3 they do not."""
+    data = point_to_json(PointHV.make((1, 2, 3), 1, ((1, 0, 1),) * 3, (1, 2)))
+    data["alpha"][0] = {"gens": ["2"], "coeffs": ["1", "1"]}
+    data["alpha"][1] = {"gens": ["2", "3"], "coeffs": [["1", "1"], ["0", "1"]]}
+    assert point_from_json(data).alpha[1].field.depth == 2
+    data["alpha"][1] = {"gens": ["3"], "coeffs": ["1", "1"]}
+    with pytest.raises(ValueError, match="one tower"):
+        point_from_json(data)
 
 
 def test_group_json_roundtrip():

@@ -6,13 +6,15 @@ import pytest
 
 from d4vgit.equations import ContractViolation, det_b, residuals, in_Zo
 from d4vgit.cyclic_s3 import s3_base_point, s3_stabilizer
-from d4vgit.gitcore import GroupElement, PointHV, act
+from d4vgit import gitcore, mckay
+from d4vgit.gitcore import GroupElement, PointHV, act, group_to_json
 from d4vgit.linalg import Mat2
 from d4vgit.mckay import (
-    FiniteSubgroup, base_point, canonicalize, connect, point_field,
+    _EVEN_PATTERNS, _ODD_PATTERNS, FiniteSubgroup, _form_matrix_on_lines,
+    _line_projectors, base_point, canonicalize, connect, point_field,
     quaternion_rep, stabilizer,
 )
-from d4vgit.sampling import rand_group_element, rand_nonzero_scalar
+from d4vgit.sampling import rand_group_element, rand_nonzero_scalar, rand_z_point
 from d4vgit.scalars import QI, ExtensionLimitError, adjoin_sqrt
 
 
@@ -166,9 +168,9 @@ def test_point_field_tracks_towers():
     assert point_field(lifted).depth == 1
 
 
-def _tower_stabilizer(depth, seed):
-    """The stabilizer of the base point moved by a group element over a
-    depth-`depth` tower of random square-root generators."""
+def _tower_translate(depth, seed):
+    """The base point moved by a group element over a depth-`depth` tower
+    of random square-root generators."""
     rng = random.Random(seed)
     field = QI
     while field.depth < depth:
@@ -185,7 +187,11 @@ def _tower_stabilizer(depth, seed):
     p = act(GroupElement.make(tuple(element(field) for _ in range(3)), g),
             base_point())
     assert point_field(p).depth == depth
-    return stabilizer(p)
+    return p
+
+
+def _tower_stabilizer(depth, seed):
+    return stabilizer(_tower_translate(depth, seed))
 
 
 GROUPS = {
@@ -291,3 +297,116 @@ def test_duplicate_elements_take_first_occurrence_indices():
     assert table == _brute_force_table(listed)
     assert {entry for row in table for entry in row} == {0, 1, 2, 4, 5, 6, 7, 8}
     assert group.order_profile() == {1: 2, 2: 2, 4: 8}
+
+
+# -- membership from the recovery certificate ----------------------------------
+
+
+def _reference_stabilizer_elements(p, fix_beta=True):
+    """The per-candidate loop that decided membership before the recovery
+    certificate did: each recovered candidate, and its negative, is moved by
+    act and compared with the point (or, relaxed, with the point with
+    (alpha, beta) negated).  Returns the admitted elements in order."""
+    if not in_Zo(p):
+        raise ContractViolation("stabilizer requires a point of the open locus")
+    field = point_field(p)
+    flipped = PointHV(tuple(-a for a in p.alpha), -p.beta, p.B, p.x)
+    elements = []
+    patterns = list(_EVEN_PATTERNS) + (list(_ODD_PATTERNS) if not fix_beta else [])
+    P = _line_projectors(p.B)
+    minus_one = QI.scalar(-1)
+    for pattern in patterns:
+        # eigenvalues of the inverse-side form action; t_i = 1/c_i = c_i
+        ginv = mckay._recover_from_form_action(
+            _form_matrix_on_lines(P, pattern), field)
+        if ginv is None:
+            continue
+        g = ginv.inverse()
+        t = tuple(QI.scalar(c) for c in pattern)
+        # the sign -1 candidate inverts -ginv, which is -g
+        for gl2 in (g, g.scale(minus_one)):
+            h = GroupElement.make(t, gl2)
+            moved = act(h, p)
+            if moved.same_h_part(p) or (not fix_beta
+                                        and moved.same_h_part(flipped)):
+                elements.append(h)
+    return elements
+
+
+STABILIZER_POINTS = {
+    "base": base_point,
+    "translate_depth1": lambda: _tower_translate(1, 5),
+    "translate_depth2": lambda: _tower_translate(2, 6),
+}
+STABILIZER_POINTS.update(
+    {"z_point_%d" % seed: (lambda seed=seed: rand_z_point(random.Random(seed)))
+     for seed in range(20)})
+
+
+@pytest.mark.parametrize("fix_beta", [True, False])
+@pytest.mark.parametrize("name", sorted(STABILIZER_POINTS))
+def test_stabilizer_matches_per_candidate_reference(name, fix_beta):
+    """The same elements, in the same order and with the same coordinates,
+    as the loop that moved every candidate by act."""
+    p = STABILIZER_POINTS[name]()
+    got = stabilizer(p, fix_beta=fix_beta).elements
+    want = _reference_stabilizer_elements(p, fix_beta=fix_beta)
+    assert list(got) == want
+    assert [group_to_json(h) for h in got] == [group_to_json(h) for h in want]
+
+
+def test_reference_points_reach_stabilizer_orders_two_four_and_eight():
+    orders = {stabilizer(STABILIZER_POINTS[name]()).order()
+              for name in STABILIZER_POINTS}
+    assert orders == {2, 4, 8}
+
+
+@pytest.mark.parametrize("fix_beta", [True, False])
+def test_stabilizer_makes_no_group_action(fix_beta, monkeypatch):
+    calls = [0]
+    real = gitcore.act
+
+    def counting(h, p):
+        calls[0] += 1
+        return real(h, p)
+
+    monkeypatch.setattr(mckay, "act", counting)
+    monkeypatch.setattr(gitcore, "act", counting)
+    for p in (base_point(), _tower_translate(1, 5)):
+        assert stabilizer(p, fix_beta=fix_beta).order() == (8 if fix_beta else 16)
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("fix_beta", [True, False])
+def test_candidate_with_wrong_determinant_is_never_admitted(fix_beta,
+                                                            monkeypatch):
+    """i g^-1 has determinant -det(g^-1), never e1 e2 e3: no candidate is
+    admitted, as act, which sends each B_j to -B_j, agrees."""
+    real = mckay._recover_from_form_action
+
+    def scaled(M, field):
+        ginv = real(M, field)
+        return None if ginv is None else ginv.scale(QI.i())
+
+    monkeypatch.setattr(mckay, "_recover_from_form_action", scaled)
+    monkeypatch.setattr(mckay, "FiniteSubgroup",
+                        lambda elements, identity: elements)
+    for p in (base_point(), _tower_translate(1, 5)):
+        assert stabilizer(p, fix_beta=fix_beta) == []
+        assert _reference_stabilizer_elements(p, fix_beta=fix_beta) == []
+
+
+def test_compose_and_inverse_build_without_make(monkeypatch):
+    """A product or inverse of invertible elements is invertible, so neither
+    goes back through the validating constructor."""
+    elements = list(stabilizer(_tower_translate(1, 5), fix_beta=False).elements)
+    want = [(GroupElement.make(tuple(x * y for x, y in zip(a.t, b.t)), a.g * b.g),
+             GroupElement.make(tuple(x.inverse() for x in a.t), a.g.inverse()))
+            for a in elements for b in elements]
+
+    def refuse(t, g):
+        raise AssertionError("GroupElement.make called")
+
+    monkeypatch.setattr(GroupElement, "make", staticmethod(refuse))
+    got = [(a.compose(b), a.inverse()) for a in elements for b in elements]
+    assert got == want
