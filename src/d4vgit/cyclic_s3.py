@@ -33,8 +33,8 @@ from .gitcore import split_form
 from .linalg import Mat2, Mat3, sym_square
 from .mckay import FiniteSubgroup
 from .scalars import (
-    DEFAULT_TOWER_DEPTH, ExtensionLimitError, QI, Scalar, adjoin_sqrt,
-    as_scalar, deepest_field, lower,
+    ExtensionLimitError, QI, Scalar, adjoin_sqrt, as_scalar, deepest_field,
+    lower,
 )
 
 
@@ -502,7 +502,7 @@ def _rational_cbrt(x: Scalar):
     return QI.scalar(sign * rn) / rd
 
 
-def s3_stabilizer(p: S3Point, max_depth: int = DEFAULT_TOWER_DEPTH) -> FiniteSubgroup:
+def s3_stabilizer(p: S3Point) -> FiniteSubgroup:
     """The stabilizer of a nondegenerate S3 point inside GL(U).
 
     Splits the inner product into its two isotropic directions (one square
@@ -518,7 +518,7 @@ def s3_stabilizer(p: S3Point, max_depth: int = DEFAULT_TOWER_DEPTH) -> FiniteSub
     # split Q_b, with form coefficients (bC0, 2 bC1, bC2); its discriminant
     # is -4 det b
     roots = split_form((p.bC[0], p.bC[1] * 2, p.bC[2]),
-                       deepest_field(p.bC + p.BU[0] + p.BU[1]), max_depth)
+                       deepest_field(p.bC + p.BU[0] + p.BU[1]))
     if roots is None:
         raise DegenerateS3Point("inner product degenerate")
     field, T = roots
@@ -538,7 +538,7 @@ def s3_stabilizer(p: S3Point, max_depth: int = DEFAULT_TOWER_DEPTH) -> FiniteSub
         raise DegenerateS3Point("split form degenerate")
     # cube roots of unity (adjoined on demand)
     try:
-        field2, root3 = adjoin_sqrt(field, field.scalar(-3), max_depth=max_depth)
+        field2, root3 = adjoin_sqrt(field, field.scalar(-3))
     except ExtensionLimitError:
         field2, root3 = None, None
     candidates = [Mat2.identity()]

@@ -22,7 +22,7 @@ from functools import cache
 
 from .linalg import Mat2, Mat3, Vec2, sym_square
 from .scalars import (
-    DEFAULT_TOWER_DEPTH, QI, Scalar, adjoin_sqrt, as_scalar, deepest_field,
+    QI, Scalar, adjoin_sqrt, as_scalar, deepest_field,
     scalar_from_json, scalar_to_json,
 )
 
@@ -117,13 +117,13 @@ def form_matrix(g: Mat2) -> Mat3:
     return sym_square(Mat2(g.a, g.c, g.b, g.d))
 
 
-def _apply_form_matrix(M: Mat3, triple):
+def apply_form_matrix(M: Mat3, triple):
     """The triple M (p, q, r)."""
     p, q, r = triple
     return tuple(m0 * p + m1 * q + m2 * r for m0, m1, m2 in M.rows)
 
 
-def split_form(triple, field, max_depth: int = DEFAULT_TOWER_DEPTH):
+def split_form(triple, field):
     """(field', T) with the columns of T the two root directions of the
     binary form Q with the given triple, so that Q o T is a multiple of v1 v2.
 
@@ -137,7 +137,7 @@ def split_form(triple, field, max_depth: int = DEFAULT_TOWER_DEPTH):
         return None
     if p.is_zero():
         return field, Mat2(QI.one(), -r / q, QI.zero(), QI.one())
-    field, root = adjoin_sqrt(field, disc, max_depth=max_depth)
+    field, root = adjoin_sqrt(field, disc)
     return field, Mat2((-q + root) / (p * 2), (-q - root) / (p * 2),
                        field.one(), field.one())
 
@@ -155,7 +155,7 @@ def act(h: GroupElement, p: PointHV) -> PointHV:
     alpha = tuple(det * ti.inverse() ** 2 * a for ti, a in zip(h.t, p.alpha))
     beta = h.t[0] * h.t[1] * h.t[2] * det_inv * det_inv * p.beta
     B = tuple(
-        tuple(ti * c for c in _apply_form_matrix(M, b))
+        tuple(ti * c for c in apply_form_matrix(M, b))
         for ti, b in zip(h.t, p.B)
     )
     x = g * p.x
@@ -321,12 +321,3 @@ def group_to_json(h: GroupElement) -> dict:
               [scalar_to_json(h.g.c), scalar_to_json(h.g.d)]],
     }
 
-
-def group_from_json(data: dict) -> GroupElement:
-    t = tuple(scalar_from_json(s) for s in data["t"])
-    g = data["g"]
-    return GroupElement.make(
-        t,
-        Mat2(scalar_from_json(g[0][0]), scalar_from_json(g[0][1]),
-             scalar_from_json(g[1][0]), scalar_from_json(g[1][1])),
-    )

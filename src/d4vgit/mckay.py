@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from functools import cache
 
 from .equations import ContractViolation, in_Zo, omega, residuals, wedge
-from .gitcore import GroupElement, PointHV, act, form_matrix, split_form
-from .linalg import Mat2, Mat3
-from .scalars import (
-    DEFAULT_TOWER_DEPTH, ExtensionLimitError, Field, QI, adjoin_sqrt,
-    deepest_field,
+from .gitcore import (
+    GroupElement, PointHV, act, apply_form_matrix, form_matrix, split_form,
 )
+from .linalg import Mat2, Mat3
+from .scalars import ExtensionLimitError, Field, QI, adjoin_sqrt, deepest_field
 
 
 class DegeneratePointError(Exception):
@@ -322,75 +321,62 @@ def stabilizer(p: PointHV, fix_beta: bool = True) -> FiniteSubgroup:
 # -- orbit connection ------------------------------------------------------------
 
 
-@dataclass
-class Canonicalization:
-    transport: GroupElement      # act(transport, p) has the base-point H-part
-    field: Field
+def canonicalize(p: PointHV) -> GroupElement:
+    """The transport of the H-part of a point of the open locus to the base
+    point, read off the forms over at most three square-root extensions
+    (splitting the first form, balancing the second, and sigma).
 
-
-def canonicalize(p: PointHV, max_depth: int = DEFAULT_TOWER_DEPTH) -> Canonicalization:
-    """Transport of the H-part of a point of the open locus to the base
-    point, over at most two square-root extensions."""
+    With g the GL2 part of the transport, the forms move by the form matrix
+    M of g^-1.  T splits the first form into a multiple of v1 v2, which
+    makes the second one p2 v1^2 + r2 v2^2, and g^-1 = T diag(1/u, 1) with
+    u^2 = p2/r2 balances it; the torus part t then scales each M B_i to the
+    base form.  Once B = B*, omega = a1 a2 a3 beta^2 = 8, and omega has
+    weight det(g)^-1 and no torus weight, so the scalar element
+    (sigma^2, sigma) with sigma^2 = omega(p) det(g^-1) / 8 finishes the
+    transport.  The transport is not verified here: connect checks the
+    element it builds from two of them with one act.
+    """
     if not in_Zo(p):
         raise ContractViolation("canonicalize requires a point of the open locus")
     target = base_point()
-    # 1. split the first form into the product of the basis directions
-    split = split_form(p.B[0], point_field(p), max_depth)
+    split = split_form(p.B[0], point_field(p))
     if split is None:
         raise DegeneratePointError("first form is degenerate")
     field, T = split
-    h1 = GroupElement.make((1, 1, 1), T.inverse())
-    q1 = act(h1, p)
-    # 2. balance the second form (q-coefficient already zero by orthogonality)
-    p2, q2, r2 = q1.B[1]
+    p2, q2, r2 = apply_form_matrix(form_matrix(T), p.B[1])
     if not q2.is_zero():
         raise AssertionError("second form not orthogonal to the first")
     if p2.is_zero() or r2.is_zero():
         raise DegeneratePointError("second form degenerate after splitting")
-    field, u = adjoin_sqrt(field, p2 / r2, max_depth=max_depth)
-    h2 = GroupElement.make((1, 1, 1), Mat2.diagonal(u, field.one()))
-    q2pt = act(h2, q1)
-    # 3. torus-scale the three forms to the exact base values
+    field, u = adjoin_sqrt(field, p2 / r2)
+    ginv = T * Mat2.diagonal(u.inverse(), field.one())
+    # the last square root before the form work, so that a tower at the
+    # depth cap gives up at once
+    field, sigma = adjoin_sqrt(field, omega(p) * ginv.det() / 8)
+    M = form_matrix(ginv)
     t = []
-    for b, bstar in zip(q2pt.B, target.B):
-        scale = None
-        for c, cstar in zip(b, bstar):
-            if not cstar.is_zero():
-                scale = cstar / c
-                break
-        t.append(scale)
-    h3 = GroupElement.make(tuple(t), Mat2.identity())
-    q3 = act(h3, q2pt)
-    if q3.B != target.B:
-        raise AssertionError("form scaling failed to reach the base forms")
-    # 4. the residual scalar family fixes B; solve it for (alpha, beta).
-    # beta*omega = beta^3 a1 a2 a3 = 2 det B = 8 exactly once B = B*.
-    om = omega(q3)
-    if q3.beta * om != QI.scalar(8):
-        raise AssertionError("determinant identity failed in canonical form")
-    field, sigma = adjoin_sqrt(field, om / 8, max_depth=max_depth)
-    h4 = GroupElement.make((sigma ** 2, sigma ** 2, sigma ** 2),
-                           Mat2.diagonal(sigma, sigma))
-    q4 = act(h4, q3)
-    transport = h4.compose(h3.compose(h2.compose(h1)))
-    if not q4.same_h_part(target):
-        raise AssertionError("canonical form mismatch")
-    return Canonicalization(transport=transport, field=field)
+    for b, bstar in zip(p.B, target.B):
+        # the first nonzero coefficient of the base form fixes the scale
+        k = next(k for k, c in enumerate(bstar) if not c.is_zero())
+        t.append(bstar[k] / apply_form_matrix(M, b)[k])
+    sigma2 = sigma ** 2
+    return GroupElement(tuple(sigma2 * ti for ti in t),
+                        ginv.inverse().scale(sigma))
 
 
-def connect(p: PointHV, q: PointHV, max_depth: int = DEFAULT_TOWER_DEPTH):
+def connect(p: PointHV, q: PointHV):
     """A group element carrying the H-part of p exactly to the H-part of q.
 
-    Works through the canonical form of each point; reports None only when a
-    square-root extension would exceed the tower depth cap, never as a claim
-    of non-existence.
+    Composes the transports of both points to the base point and proves the
+    result with one act.  Reports None only when a square-root extension
+    would exceed the tower depth cap, never as a claim of non-existence.
     """
     try:
-        cp = canonicalize(p, max_depth=max_depth)
-        cq = canonicalize(q, max_depth=max_depth)
+        tp = canonicalize(p)
+        tq = canonicalize(q)
     except ExtensionLimitError:
         return None
-    h = cq.transport.inverse().compose(cp.transport)
+    h = tq.inverse().compose(tp)
     if not act(h, p).same_h_part(q):
         raise AssertionError("connect verification failed")
     return h

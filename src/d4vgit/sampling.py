@@ -10,7 +10,6 @@ realize each destabilized subset family on Z.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .gitcore import GroupElement, PointHV, act
 from .linalg import Mat2, Vec2
@@ -18,12 +17,11 @@ from .mckay import base_point
 from .scalars import QI, Scalar
 
 
-def rand_rational(rng: random.Random, height: int = 3) -> Fraction:
-    return Fraction(rng.randint(-height, height), rng.randint(1, height))
-
-
 def rand_scalar(rng: random.Random, height: int = 3) -> Scalar:
-    return QI.scalar(rand_rational(rng, height), rand_rational(rng, height))
+    """n1/d1 + (n2/d2) i with |n| <= height and 1 <= d <= height."""
+    n1, d1 = rng.randint(-height, height), rng.randint(1, height)
+    n2, d2 = rng.randint(-height, height), rng.randint(1, height)
+    return QI.scalar(n1 * d2, n2 * d1) / (d1 * d2)
 
 
 def rand_nonzero_scalar(rng: random.Random, height: int = 3) -> Scalar:

@@ -221,12 +221,13 @@ def _sqrt_qi(x):
 _TOWERS = weakref.WeakValueDictionary()
 
 
-def adjoin_sqrt(base: Field, d, max_depth: int = DEFAULT_TOWER_DEPTH):
+def adjoin_sqrt(base: Field, d):
     """Adjoin a square root of d to base.
 
     Returns (field, root) with root*root == d inside field.  If d is already
     a square the base field itself is returned with the existing root.  The
-    same (base, d) gives the same Field object while it is in use.
+    same (base, d) gives the same Field object while it is in use.  A new
+    level past depth DEFAULT_TOWER_DEPTH raises ExtensionLimitError.
     """
     d = as_scalar(d, base)
     if d.is_zero():
@@ -237,10 +238,9 @@ def adjoin_sqrt(base: Field, d, max_depth: int = DEFAULT_TOWER_DEPTH):
         existing = base.sqrt(d)
         if existing is not None:
             return base, existing
-    if base.depth + 1 > max_depth:
-        raise ExtensionLimitError(
-            "tower depth %d would exceed cap %d" % (base.depth + 1, max_depth)
-        )
+    if base.depth + 1 > DEFAULT_TOWER_DEPTH:
+        raise ExtensionLimitError("tower depth %d would exceed cap %d"
+                                  % (base.depth + 1, DEFAULT_TOWER_DEPTH))
     if ext is None:
         ext = Field(base, d)
         _TOWERS[key] = ext

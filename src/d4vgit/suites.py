@@ -81,12 +81,10 @@ REFERENCE_WEIGHT_TABLE = {
 
 
 def _det_b_and_open_locus(p: PointHV, on_z: bool):
-    """(det B, whether p is in the open locus), with det B computed once;
-    off Z, in_Zo raises ContractViolation.  In the open locus the identity
+    """(det B, whether p is in the open locus), with det B computed once; a
+    point off Z is not in it.  In the open locus the identity
     2 det B = beta^3 a1 a2 a3 is checked on the way."""
-    if not on_z:
-        equations.in_Zo(p)
-    d = equations.open_locus_det(p)
+    d = equations.open_locus_det(p) if on_z else None
     return (d, True) if d is not None else (equations.det_b(p), False)
 
 

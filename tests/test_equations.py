@@ -261,3 +261,27 @@ def test_suite_equations_computes_det_b_once_per_point(monkeypatch):
     assert suite_equations(3).passed
     ids = [id(p) for p in calls]
     assert len(calls) >= 61 and len(ids) == len(set(ids))
+
+
+def test_suite_equations_reports_an_off_z_sample_as_a_failed_check(monkeypatch):
+    """An orbit sample off Z fails eq.G_invariance_of_Z and is outside the
+    open locus; the suite reports both rather than raising
+    ContractViolation from the open-locus check."""
+    import d4vgit.sampling as sampling
+    from d4vgit.suites import run_suite
+    real = sampling.rand_z_point
+    draws = [0]
+
+    def third_off_z(rng, height=2):
+        p = real(rng, height)
+        draws[0] += 1
+        if draws[0] == 3:
+            p = PointHV(p.alpha, -p.beta, p.B, p.x)    # breaks E3 only
+        return p
+
+    monkeypatch.setattr(sampling, "rand_z_point", third_off_z)
+    report = run_suite("equations", 7)
+    status = {c.check_id: c.passed for c in report.checks}
+    assert not status["eq.G_invariance_of_Z"]
+    assert not status["eq.open_locus_G_invariant"]
+    assert status["eq.omega_weight"] and status["eq.semi_invariant_weight"]

@@ -7,11 +7,11 @@ import pytest
 
 from d4vgit.gitcore import (
     LAMBDA, MU, THETA, MINUS_THETA, Cocharacter, GroupElement, PointHV,
-    _apply_form_matrix, act, coordinate_weights, form_matrix, group_from_json,
-    group_to_json, pair, point_from_json, point_to_json, weight_table,
+    act, apply_form_matrix, coordinate_weights, form_matrix, pair,
+    point_from_json, point_to_json, weight_table,
 )
 from d4vgit.linalg import Mat2, Vec2, sym_square
-from d4vgit.sampling import rand_group_element, rand_point_hv, rand_rational
+from d4vgit.sampling import rand_group_element, rand_point_hv, rand_scalar
 from d4vgit.scalars import QI, adjoin_sqrt
 from d4vgit.suites import REFERENCE_WEIGHT_TABLE
 
@@ -122,14 +122,6 @@ def test_point_json_accepts_scalars_from_one_tower():
         point_from_json(data)
 
 
-def test_group_json_roundtrip():
-    rng = random.Random(6)
-    h = rand_group_element(rng)
-    blob = group_to_json(h)
-    h2 = group_from_json(blob)
-    assert h2.t == h.t and h2.g == h.g
-
-
 # -- act over a depth-2 tower against the formulas written out ---------------
 
 
@@ -164,7 +156,7 @@ def _depth2(rng):
     field, s2 = adjoin_sqrt(field, 3)
 
     def elem():
-        r = [QI.scalar(rand_rational(rng, 5), rand_rational(rng, 5)) for _ in range(4)]
+        r = [rand_scalar(rng, 5) for _ in range(4)]
         # some entries keep a zero half, as lifted operands do
         if rng.random() < 0.3:
             r[1] = r[3] = QI.zero()
@@ -196,7 +188,7 @@ def test_form_matrix_is_sym_square_of_transpose():
         assert form_matrix(g) == sym_square(Mat2(g.a, g.c, g.b, g.d))
         assert form_matrix(g * h) == form_matrix(h) * form_matrix(g)
         triple = tuple(_depth2_point(rng).B[0])
-        assert _apply_form_matrix(form_matrix(g), triple) == ref_transform_form(triple, g)
+        assert apply_form_matrix(form_matrix(g), triple) == ref_transform_form(triple, g)
 
 
 def test_act_matches_reference_on_depth2_points():

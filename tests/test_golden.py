@@ -1,6 +1,8 @@
-"""CLI stdout against fixtures recorded before the closure proof moved from
-|G|^2 products to a generating set: the stabilizer tables and the S3 report
-must stay byte-identical.
+"""CLI stdout against recorded fixtures: the stabilizer tables and the S3
+report, recorded before the closure proof moved from |G|^2 products to a
+generating set, and the full suite report for seeds 0, 7 and 42, recorded
+before connect read its transport off the forms.  Each must stay
+byte-identical.
 
 Each fixture under tests/data is the stdout of one command, for example
     PYTHONPATH=src python -m d4vgit orbit --point tests/data/base_point.json --json
@@ -26,6 +28,9 @@ CASES = {
                                        "translate_depth1_point.json", "--json",
                                        "--relax-beta"],
     "examples_s3": ["examples", "s3", "--json"],
+    "suite_all_seed0": ["suite", "all", "--seed", "0", "--json"],
+    "suite_all_seed7": ["suite", "all", "--seed", "7", "--json"],
+    "suite_all_seed42": ["suite", "all", "--seed", "42", "--json"],
 }
 
 

@@ -1,20 +1,24 @@
 """The base point, its quaternion stabilizer, and orbit connection."""
 
+import importlib.util
+import pathlib
 import random
 
 import pytest
 
-from d4vgit.equations import ContractViolation, det_b, residuals, in_Zo
+from d4vgit.equations import ContractViolation, det_b, in_Zo, omega, residuals
 from d4vgit.cyclic_s3 import s3_base_point, s3_stabilizer
 from d4vgit import gitcore, mckay
-from d4vgit.gitcore import GroupElement, PointHV, act, group_to_json
+from d4vgit.gitcore import GroupElement, PointHV, act, group_to_json, split_form
 from d4vgit.linalg import Mat2
 from d4vgit.mckay import (
-    _EVEN_PATTERNS, _ODD_PATTERNS, FiniteSubgroup, _form_matrix_on_lines,
-    _line_projectors, base_point, canonicalize, connect, point_field,
-    quaternion_rep, stabilizer,
+    _EVEN_PATTERNS, _ODD_PATTERNS, DegeneratePointError, FiniteSubgroup,
+    _form_matrix_on_lines, _line_projectors, base_point, canonicalize, connect,
+    point_field, quaternion_rep, stabilizer,
 )
-from d4vgit.sampling import rand_group_element, rand_nonzero_scalar, rand_z_point
+from d4vgit.sampling import (
+    rand_chart_point, rand_group_element, rand_nonzero_scalar, rand_z_point,
+)
 from d4vgit.scalars import QI, ExtensionLimitError, adjoin_sqrt
 
 
@@ -140,23 +144,20 @@ class TestConnect:
         rng = random.Random(3)
         b = base_point()
         p = act(rand_group_element(rng), b)
-        canon = canonicalize(p)
-        moved = act(canon.transport, p)
+        moved = act(canonicalize(p), p)
         assert moved.alpha == b.alpha and moved.beta == b.beta and moved.B == b.B
 
     def test_depth_exhaustion_reports_none(self):
-        rng = random.Random(4)
+        """The three square roots connect adjoins take a depth-2 tower past
+        the depth cap of 4, so connect gives up rather than claim
+        non-existence; over a depth-1 tower they fit and the element found
+        is verified."""
         b = base_point()
-        p = act(rand_group_element(rng), b)
-        # depth cap zero: the square-root adjunctions are forbidden, so the
-        # canonicalization must give up rather than claim non-existence
-        try:
-            result = connect(b, p, max_depth=0)
-        except ExtensionLimitError:
-            result = None
-        if result is not None:
-            moved = act(result, b)
-            assert moved.B == p.B
+        for seed in range(6):
+            assert connect(b, _tower_chart_translate(2, seed)) is None
+            q = _tower_chart_translate(1, seed)
+            h = connect(b, q)
+            assert h is not None and act(h, b).same_h_part(q)
 
 
 def test_point_field_tracks_towers():
@@ -168,10 +169,9 @@ def test_point_field_tracks_towers():
     assert point_field(lifted).depth == 1
 
 
-def _tower_translate(depth, seed):
-    """The base point moved by a group element over a depth-`depth` tower
-    of random square-root generators."""
-    rng = random.Random(seed)
+def _tower_group_element(depth, rng):
+    """A group element over a depth-`depth` tower of random square-root
+    generators."""
     field = QI
     while field.depth < depth:
         field, _ = adjoin_sqrt(field, rng.randint(2, 40))
@@ -184,10 +184,22 @@ def _tower_translate(depth, seed):
     g = Mat2(*(element(field) for _ in range(4)))
     while g.det().is_zero():
         g = Mat2(*(element(field) for _ in range(4)))
-    p = act(GroupElement.make(tuple(element(field) for _ in range(3)), g),
-            base_point())
+    return GroupElement.make(tuple(element(field) for _ in range(3)), g)
+
+
+def _tower_translate(depth, seed):
+    """The base point moved by a group element over a depth-`depth` tower."""
+    p = act(_tower_group_element(depth, random.Random(seed)), base_point())
     assert point_field(p).depth == depth
     return p
+
+
+def _tower_chart_translate(depth, seed):
+    """A height-16 rational chart point moved by a group element over a
+    depth-`depth` tower; connecting it adjoins three more square roots."""
+    rng = random.Random(seed)
+    c = rand_chart_point(rng, 16)
+    return act(_tower_group_element(depth, rng), c)
 
 
 def _tower_stabilizer(depth, seed):
@@ -410,3 +422,139 @@ def test_compose_and_inverse_build_without_make(monkeypatch):
     monkeypatch.setattr(GroupElement, "make", staticmethod(refuse))
     got = [(a.compose(b), a.inverse()) for a in elements for b in elements]
     assert got == want
+
+
+# -- connect against the four-act canonicalization -----------------------------
+
+
+def _reference_canonicalize(p):
+    """The canonicalization connect used before the transport was read off
+    the forms: four elements, each moving the point by act, composed into
+    the transport and checked against the base point on the way."""
+    if not in_Zo(p):
+        raise ContractViolation("canonicalize requires a point of the open locus")
+    target = base_point()
+    # 1. split the first form into the product of the basis directions
+    split = split_form(p.B[0], point_field(p))
+    if split is None:
+        raise DegeneratePointError("first form is degenerate")
+    field, T = split
+    h1 = GroupElement.make((1, 1, 1), T.inverse())
+    q1 = act(h1, p)
+    # 2. balance the second form (q-coefficient already zero by orthogonality)
+    p2, q2, r2 = q1.B[1]
+    if not q2.is_zero():
+        raise AssertionError("second form not orthogonal to the first")
+    if p2.is_zero() or r2.is_zero():
+        raise DegeneratePointError("second form degenerate after splitting")
+    field, u = adjoin_sqrt(field, p2 / r2)
+    h2 = GroupElement.make((1, 1, 1), Mat2.diagonal(u, field.one()))
+    q2pt = act(h2, q1)
+    # 3. torus-scale the three forms to the exact base values
+    t = []
+    for b, bstar in zip(q2pt.B, target.B):
+        scale = None
+        for c, cstar in zip(b, bstar):
+            if not cstar.is_zero():
+                scale = cstar / c
+                break
+        t.append(scale)
+    h3 = GroupElement.make(tuple(t), Mat2.identity())
+    q3 = act(h3, q2pt)
+    if q3.B != target.B:
+        raise AssertionError("form scaling failed to reach the base forms")
+    # 4. the residual scalar family fixes B; solve it for (alpha, beta).
+    # beta*omega = beta^3 a1 a2 a3 = 2 det B = 8 exactly once B = B*.
+    om = omega(q3)
+    if q3.beta * om != QI.scalar(8):
+        raise AssertionError("determinant identity failed in canonical form")
+    field, sigma = adjoin_sqrt(field, om / 8)
+    h4 = GroupElement.make((sigma ** 2, sigma ** 2, sigma ** 2),
+                           Mat2.diagonal(sigma, sigma))
+    q4 = act(h4, q3)
+    transport = h4.compose(h3.compose(h2.compose(h1)))
+    if not q4.same_h_part(target):
+        raise AssertionError("canonical form mismatch")
+    return transport
+
+
+def _reference_connect(p, q):
+    try:
+        tp = _reference_canonicalize(p)
+        tq = _reference_canonicalize(q)
+    except ExtensionLimitError:
+        return None
+    h = tq.inverse().compose(tp)
+    if not act(h, p).same_h_part(q):
+        raise AssertionError("connect verification failed")
+    return h
+
+
+def _orbit_towers_targets(seed):
+    """The connect targets of the orbit_towers benchmark workload."""
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [q for targets, _ in workloads.OrbitTowers(seed).input_sets
+            for q in targets]
+
+
+def _from_base_point(points):
+    return [(base_point(), q) for q in points]
+
+
+def _rational_translate_pairs():
+    """Six rational translates of the base point: each from b*, and each
+    from the one before it."""
+    rng = random.Random(12)
+    translates = [act(rand_group_element(rng), base_point()) for _ in range(6)]
+    return (_from_base_point(translates)
+            + list(zip(translates, translates[1:])))
+
+
+CONNECT_PAIRS = {
+    "orbit_towers_611": lambda: _from_base_point(_orbit_towers_targets(611)),
+    "rational_translates": _rational_translate_pairs,
+    "chart_depth1_translates": lambda: _from_base_point(
+        [_tower_chart_translate(1, seed) for seed in range(3)]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CONNECT_PAIRS))
+def test_connect_matches_four_act_reference(family):
+    """The same group element, coordinate for coordinate, as the four-act
+    canonicalization, in both directions."""
+    for p, q in CONNECT_PAIRS[family]():
+        for source, target in ((p, q), (q, p)):
+            got = connect(source, target)
+            assert got is not None
+            assert (group_to_json(got)
+                    == group_to_json(_reference_connect(source, target)))
+
+
+def test_connect_proves_with_one_act(monkeypatch):
+    """canonicalize makes no act, compose or validating make; connect's one
+    act is its final check."""
+    b, q = base_point(), _tower_chart_translate(1, 0)
+    calls = [0]
+    real = gitcore.act
+
+    def counting(h, p):
+        calls[0] += 1
+        return real(h, p)
+
+    def refuse(*args):
+        raise AssertionError("canonicalize built a group element by a product")
+
+    monkeypatch.setattr(mckay, "act", counting)
+    monkeypatch.setattr(gitcore, "act", counting)
+    with monkeypatch.context() as m:
+        m.setattr(GroupElement, "make", staticmethod(refuse))
+        m.setattr(GroupElement, "compose", refuse)
+        canonicalize(b)
+        canonicalize(q)
+    assert calls[0] == 0
+    h = connect(b, q)
+    assert calls[0] == 1
+    assert act(h, b).same_h_part(q)
