@@ -208,10 +208,9 @@ def cmd_examples(args):
 
 
 def cmd_suite(args):
-    try:
-        report = suites.run_suite(args.name, args.seed)
-    except KeyError as err:
-        return _usage("d4vgit suite: unknown suite %s" % (err,))
+    if args.name != "all" and args.name not in suites.SUITES:
+        return _usage("d4vgit suite: unknown suite %r" % (args.name,))
+    report = suites.run_suite(args.name, args.seed)
     if args.json:
         print(report.to_json())
     else:

@@ -138,9 +138,18 @@ class EquationResidual:
 
 
 def residuals(p: PointHV) -> EquationResidual:
-    """Exact residuals of the three equations at p; all zero iff p in Z x V."""
-    e1, e2, e3 = residual_entries(p.alpha, p.beta, p.B)
-    return EquationResidual(tuple(e1), tuple(e2), tuple(e3))
+    """Exact residuals of the three equations at p; all zero iff p in Z x V.
+
+    They are computed once per point and kept on it, so every later
+    precondition check on p (on_Z, in_Zo, the oracles, normalize) reads the
+    kept value.
+    """
+    res = p._residuals
+    if res is None:
+        e1, e2, e3 = residual_entries(p.alpha, p.beta, p.B)
+        res = EquationResidual(tuple(e1), tuple(e2), tuple(e3))
+        object.__setattr__(p, "_residuals", res)
+    return res
 
 
 def on_Z(p: PointHV) -> bool:

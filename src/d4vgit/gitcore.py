@@ -34,12 +34,17 @@ def _triple(t):
 
 @dataclass(frozen=True)
 class PointHV:
-    """A point (a1, a2, a3, beta, B, x) of H x V."""
+    """A point (a1, a2, a3, beta, B, x) of H x V.
+
+    _residuals is not a field: equations.residuals fills it on first use,
+    so it takes no part in ==, hash, repr or point_to_json.
+    """
 
     alpha: tuple          # (a1, a2, a3)
     beta: Scalar
     B: tuple              # (B1, B2, B3), each a (p, q, r) triple
     x: Vec2
+    _residuals = None
 
     @staticmethod
     def make(alpha, beta, B, x=(0, 0)):
@@ -53,7 +58,10 @@ class PointHV:
     def with_x(self, x):
         if not isinstance(x, Vec2):
             x = Vec2(*x)
-        return PointHV(self.alpha, self.beta, self.B, x)
+        q = PointHV(self.alpha, self.beta, self.B, x)
+        # the equations do not involve x, so the residuals carry over
+        object.__setattr__(q, "_residuals", self._residuals)
+        return q
 
     def coords(self):
         """The 13 H-coordinates in table order: a1 a2 a3 beta B1 B2 B3."""

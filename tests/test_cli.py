@@ -107,6 +107,32 @@ def test_usage_errors(capsys):
     assert main([]) == 64
 
 
+def test_unknown_suite_is_one_clean_line_and_runs_nothing(monkeypatch, capsys):
+    from d4vgit import suites
+    ran = []
+    monkeypatch.setattr(suites, "run_suite", lambda *args: ran.append(args))
+    assert main(["suite", "nope"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "d4vgit suite: unknown suite 'nope'\n"
+    assert ran == []
+
+
+def test_key_error_inside_a_suite_is_not_a_usage_error(monkeypatch, capsys):
+    """A KeyError raised while a known suite runs is a fault of the program,
+    not of the command line: it propagates instead of exiting 64."""
+    from d4vgit import suites
+
+    def broken(seed):
+        raise KeyError("inner")
+
+    monkeypatch.setitem(suites.SUITES, "examples", broken)
+    for name in ("examples", "all"):
+        with pytest.raises(KeyError, match="inner"):
+            main(["suite", name])
+    assert capsys.readouterr().err == ""
+
+
 def test_orbit_sample_file_roundtrip(tmp_path, capsys):
     p = rand_orbit_point(random.Random(9))
     path = tmp_path / "sample.json"

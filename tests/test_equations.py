@@ -4,18 +4,20 @@ Includes an independent sympy oracle: the residual formulas are re-expanded
 from scratch on random points and compared entry by entry.
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from d4vgit.equations import (
     ContractViolation, det_b, f_pairing, in_Zo, j_pairing, omega, residuals,
     semi_invariant_minus_theta, wedge, witness_E1_not_E2, witness_E2_not_E1,
     witness_semi_invariant,
 )
-from d4vgit.gitcore import PointHV, act
+from d4vgit.gitcore import PointHV, act, point_from_json, point_to_json
 from d4vgit.mckay import base_point
 from d4vgit.sampling import rand_group_element, rand_z_point
 from d4vgit.scalars import QI
@@ -226,22 +228,28 @@ class TestDerivedQuantities:
                     assert f_pairing(p, i, j).is_zero()
 
 
-def test_suite_equations_evaluates_residuals_once_per_point(monkeypatch):
-    """suite_equations checks each point's membership in Z once: the
-    open-locus check after it does not re-run the residuals."""
+@pytest.fixture
+def count_residual_entries(monkeypatch):
+    """Records the H-part of every full residual evaluation."""
     import d4vgit.equations as equations
-    from d4vgit.suites import suite_equations
     calls = []
-    real = equations.residuals
+    real = equations.residual_entries
 
-    def counting(p):
-        calls.append(p)              # keeps every point alive, so ids stay unique
-        return real(p)
+    def counting(alpha, beta, B):
+        calls.append((alpha, beta, B))   # keeps the H-parts alive, so ids stay unique
+        return real(alpha, beta, B)
 
-    monkeypatch.setattr(equations, "residuals", counting)
+    monkeypatch.setattr(equations, "residual_entries", counting)
+    return calls
+
+
+def test_suite_equations_evaluates_residuals_once_per_point(count_residual_entries):
+    """suite_equations checks each point's membership in Z once: the
+    open-locus check after it reads the residuals kept on the point."""
+    from d4vgit.suites import suite_equations
     assert suite_equations(3).passed
-    ids = [id(p) for p in calls]
-    assert len(calls) >= 60 and len(ids) == len(set(ids))
+    ids = [tuple(map(id, args)) for args in count_residual_entries]
+    assert len(ids) >= 60 and len(ids) == len(set(ids))
 
 
 def test_suite_equations_computes_det_b_once_per_point(monkeypatch):
@@ -285,3 +293,139 @@ def test_suite_equations_reports_an_off_z_sample_as_a_failed_check(monkeypatch):
     assert not status["eq.G_invariance_of_Z"]
     assert not status["eq.open_locus_G_invariant"]
     assert status["eq.omega_weight"] and status["eq.semi_invariant_weight"]
+    # the failing check names sample 2 and the exact point that left Z
+    details = {c.check_id: c.details for c in report.checks}
+    index, text = details["eq.G_invariance_of_Z"].split(": ", 1)
+    assert index == "sample 2"
+    bad = point_from_json(json.loads(text))
+    assert not residuals(bad).is_zero() and residuals(bad).e1_zero()
+    monkeypatch.undo()
+    passing = {c.check_id: c for c in run_suite("equations", 7).checks}
+    assert passing["eq.G_invariance_of_Z"].passed
+    assert passing["eq.G_invariance_of_Z"].details == ""
+
+
+# -- residuals kept on the point ---------------------------------------------------
+
+
+def _stream_point(rng, engineered):
+    """A point as the point_stream benchmark makes it: a height-2^8
+    translate of a Z point or of an engineered unstable point, read back
+    from its JSON."""
+    from d4vgit.sampling import engineered_unstable_points
+    height = 1 << 8
+    if engineered:
+        families = [p for _, p in engineered_unstable_points(rng) if not p.x.is_zero()]
+        p = families[rng.randrange(len(families))]
+    else:
+        p = rand_z_point(rng, height)
+    q = act(rand_group_element(rng, height), p)
+    return point_from_json(json.loads(json.dumps(point_to_json(q))))
+
+
+@pytest.mark.parametrize("engineered", (False, True))
+def test_point_stream_op_evaluates_residuals_once(engineered, count_residual_entries):
+    from d4vgit.charts import normalize
+    from d4vgit.stability import semistable_minus_theta, semistable_theta
+    rng = random.Random(41)
+    normalized = 0
+    for _ in range(6):
+        p = _stream_point(rng, engineered)
+        count_residual_entries.clear()
+        assert residuals(p).is_zero()
+        theta = semistable_theta(p)
+        minus = semistable_minus_theta(p)
+        assert minus.is_stable != engineered
+        if theta.is_stable:
+            normalize(p, theta.witness_index + 1)
+            normalized += 1
+        assert len(count_residual_entries) == 1
+        assert count_residual_entries[0][2] is p.B
+    assert engineered or normalized > 0
+
+
+def test_base_point_and_connect_never_re_evaluate_the_base_point(
+        count_residual_entries):
+    from d4vgit.mckay import connect
+    from d4vgit.sampling import rand_chart_point
+    base_point()                         # the H-part is solved and checked once
+    rng = random.Random(5)
+    q = act(rand_group_element(rng), rand_chart_point(rng))
+    count_residual_entries.clear()
+    b = base_point(x=(7, -3))
+    assert in_Zo(b)
+    h = connect(b, q)
+    assert h is not None and act(h, b).same_h_part(q)
+    assert len(count_residual_entries) == 1       # q's, in canonicalize(q)
+    assert count_residual_entries[0][2] is q.B
+
+
+def test_beta_flipped_base_point_gets_its_own_residuals():
+    b = base_point(x=(1, 2))
+    assert residuals(b).is_zero()
+    flipped = PointHV(b.alpha, -b.beta, b.B, b.x)
+    rf = residuals(flipped)
+    assert rf.e1_zero() and rf.e2_zero() and not rf.e3_zero()
+    assert not residuals(flipped.with_x((0, 1))).e3_zero()
+
+
+def _hash_or_error(p):
+    """hash(p), or the message of the TypeError it raises: x is a Vec2,
+    which defines __eq__ and no __hash__."""
+    try:
+        return hash(p)
+    except TypeError as err:
+        return str(err)
+
+
+def test_kept_residuals_are_invisible():
+    rng = random.Random(12)
+    for _ in range(4):
+        p = rand_z_point(rng)
+        checked = point_from_json(point_to_json(p))
+        unchecked = PointHV(checked.alpha, checked.beta, checked.B, checked.x)
+        assert residuals(checked).is_zero()
+        for q in (unchecked, checked.with_x(checked.x)):
+            assert q == checked and _hash_or_error(q) == _hash_or_error(checked)
+            assert repr(q) == repr(checked)
+            assert point_to_json(q) == point_to_json(checked)
+        assert "residual" not in repr(checked)
+        assert "residual" not in json.dumps(point_to_json(checked))
+
+
+def _tower_translate(depth, height, seed):
+    """A height-`height` chart point moved by a group element over a
+    depth-`depth` tower with small rational leaves, as the orbit_towers
+    benchmark builds its connect targets and translates."""
+    from d4vgit.gitcore import GroupElement
+    from d4vgit.linalg import Mat2
+    from d4vgit.sampling import rand_chart_point, rand_nonzero_scalar
+    from d4vgit.scalars import adjoin_sqrt
+    rng = random.Random(seed)
+    field = QI
+    while field.depth < depth:
+        field, _ = adjoin_sqrt(field, rng.randint(2, 40))
+
+    def element(f):
+        if f.is_base:
+            return rand_nonzero_scalar(rng)
+        return f.lift(element(f.base)) + f.generator() * f.lift(element(f.base))
+
+    while True:
+        g = Mat2(*(element(field) for _ in range(4)))
+        if not g.det().is_zero():
+            break
+    h = GroupElement.make(tuple(element(field) for _ in range(3)), g)
+    return act(h, rand_chart_point(rng, height))
+
+
+@given(depth=st.integers(0, 2), bits=st.integers(1, 256), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=15, deadline=None)
+def test_kept_residuals_equal_a_fresh_evaluation_on_tower_translates(depth, bits, seed):
+    from d4vgit.equations import residual_entries
+    p = _tower_translate(depth, 1 << bits, seed)
+    kept = residuals(p)
+    assert residuals(p) is kept and kept.is_zero()
+    fresh = tuple(map(tuple, residual_entries(p.alpha, p.beta, p.B)))
+    for q in (p, p.with_x((1, 1))):
+        assert (residuals(q).e1, residuals(q).e2, residuals(q).e3) == fresh
