@@ -23,11 +23,12 @@ the omega/4 coefficient in the quiver map.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .gitcore import PointHV
 from .linalg import Mat3
-from .scalars import QI, Scalar
+from .scalars import QI, Scalar, dot
 
 
 class ContractViolation(Exception):
@@ -48,7 +49,7 @@ def j_pairing(u, v):
     """
     pu, qu, ru = u
     pv, qv, rv = v
-    return pu * rv + ru * pv - (qu * qv) / 2
+    return dot((pu, ru, qu), (rv, pv, -qv / 2))
 
 
 def wedge(u, v):
@@ -56,52 +57,54 @@ def wedge(u, v):
     (m_qr, -m_pr, m_pq) of the two coefficient triples."""
     pu, qu, ru = u
     pv, qv, rv = v
-    return (qu * rv - ru * qv, -(pu * rv - ru * pv), pu * qv - qu * pv)
+    return (dot((qu, ru), (rv, -qv)), dot((ru, pu), (pv, -rv)),
+            dot((pu, qu), (qv, -pv)))
 
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+_MINUS_HALF = QI.scalar(Fraction(-1, 2))
+# the omega coefficients the invariant pairing on Sym^2 V adds to e1[m, n]
+# (entry (1,1) carries 1/2)
+_E1_OMEGA = {(0, 2): _MINUS_HALF, (1, 1): QI.scalar(Fraction(1, 4))}
 
 
 def residual_entries(alpha, beta, B):
     """(e1, e2, e3) entry lists over any commutative ring with halving.
 
     e1 is the 6 upper-triangle entries (m <= n) of the symmetric form on
-    Sym^2 V; e2 and e3 are row-major 3x3.
+    Sym^2 V; e2 and e3 are row-major 3x3.  Each sum is one dot, its omega
+    or beta a_i term included.
     """
     om = alpha[0] * alpha[1] * alpha[2] * beta * beta
-    # functional vectors (p, q/2, r) and the invariant pairing on Sym^2 V
+    # functional vectors (p, q/2, r)
     btil = [(b[0], b[1] / 2, b[2]) for b in B]
-    j_gram = ((0, 0, 1), (0, -1, 0), (1, 0, 0))   # entry (1,1) carries 1/2
+    scaled = [tuple(a * t for t in bt) for a, bt in zip(alpha, btil)]
 
     e1 = []
     for m in range(3):
         for n in range(m, 3):
-            s = alpha[0] * btil[0][m] * btil[0][n]
-            s = s + alpha[1] * btil[1][m] * btil[1][n]
-            s = s + alpha[2] * btil[2][m] * btil[2][n]
-            gram = j_gram[m][n]
-            if gram == 1:
-                s = s - om / 2
-            elif gram == -1:
-                s = s + om / 4
-            e1.append(s)
+            xs = tuple(row[m] for row in scaled)
+            ys = tuple(bt[n] for bt in btil)
+            if (m, n) in _E1_OMEGA:
+                xs, ys = xs + (om,), ys + (_E1_OMEGA[m, n],)
+            e1.append(dot(xs, ys))
 
-    e2 = []
+    pairing = {}
     for i in range(3):
-        for j in range(3):
-            s = alpha[j] * j_pairing(B[i], B[j])
-            if i == j:
-                s = s - om / 2
-            e2.append(s)
+        for j in range(i, 3):
+            pairing[i, j] = pairing[j, i] = j_pairing(B[i], B[j])
+    e2 = [dot((alpha[j], om), (pairing[i, j], _MINUS_HALF)) if i == j
+          else alpha[j] * pairing[i, j] for i in range(3) for j in range(3)]
 
     e3 = []
     for i, j, k in _CYCLIC:
-        w = wedge(B[j], B[k])
-        pi, qi, ri = B[i]
-        rhs = (beta * alpha[i] * ri,
-               -(beta * alpha[i] * qi) / 2,
-               beta * alpha[i] * pi)
-        e3.extend(w[c] - rhs[c] for c in range(3))
+        # wedge(B_j, B_k) - beta a_i (r_i, -q_i/2, p_i)
+        (pu, qu, ru), (pv, qv, rv) = B[j], B[k]
+        pi, hi, ri = btil[i]
+        ba = beta * alpha[i]
+        e3.extend((dot((qu, ru, ba), (rv, -qv, -ri)),
+                   dot((ru, pu, ba), (pv, -rv, hi)),
+                   dot((pu, qu, ba), (qv, -pv, -pi))))
 
     return e1, e2, e3
 

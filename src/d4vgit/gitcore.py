@@ -22,7 +22,7 @@ from functools import cache
 
 from .linalg import Mat2, Mat3, Vec2, sym_square
 from .scalars import (
-    QI, Scalar, adjoin_sqrt, as_scalar, deepest_field,
+    QI, Scalar, adjoin_sqrt, as_scalar, deepest_field, dot,
     scalar_from_json, scalar_to_json,
 )
 
@@ -127,8 +127,7 @@ def form_matrix(g: Mat2) -> Mat3:
 
 def apply_form_matrix(M: Mat3, triple):
     """The triple M (p, q, r)."""
-    p, q, r = triple
-    return tuple(m0 * p + m1 * q + m2 * r for m0, m1, m2 in M.rows)
+    return tuple(dot(row, triple) for row in M.rows)
 
 
 def split_form(triple, field):

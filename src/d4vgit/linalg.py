@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .scalars import QI, as_scalar
+from .scalars import as_scalar, dot
 
 
 class Vec2:
@@ -19,6 +19,9 @@ class Vec2:
     def __eq__(self, other):
         return isinstance(other, Vec2) and self.a == other.a and self.b == other.b
 
+    def __hash__(self):
+        return hash((self.a, self.b))
+
     def __add__(self, other):
         return Vec2(self.a + other.a, self.b + other.b)
 
@@ -33,7 +36,7 @@ class Vec2:
 
     def wedge(self, other):
         """Signed area a1*b2 - a2*b1."""
-        return self.a * other.b - self.b * other.a
+        return dot((self.a, self.b), (other.b, -other.a))
 
     def __repr__(self):
         return "Vec2(%r, %r)" % (self.a, self.b)
@@ -62,6 +65,9 @@ class Mat2:
         return (isinstance(other, Mat2) and self.a == other.a and self.b == other.b
                 and self.c == other.c and self.d == other.d)
 
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
     def __add__(self, other):
         return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
 
@@ -70,22 +76,20 @@ class Mat2:
 
     def __mul__(self, other):
         if isinstance(other, Mat2):
-            return Mat2(
-                self.a * other.a + self.b * other.c,
-                self.a * other.b + self.b * other.d,
-                self.c * other.a + self.d * other.c,
-                self.c * other.b + self.d * other.d,
-            )
+            top, bottom = (self.a, self.b), (self.c, self.d)
+            left, right = (other.a, other.c), (other.b, other.d)
+            return Mat2(dot(top, left), dot(top, right),
+                        dot(bottom, left), dot(bottom, right))
         if isinstance(other, Vec2):
-            return Vec2(self.a * other.a + self.b * other.b,
-                        self.c * other.a + self.d * other.b)
+            v = (other.a, other.b)
+            return Vec2(dot((self.a, self.b), v), dot((self.c, self.d), v))
         return Mat2(self.a * other, self.b * other, self.c * other, self.d * other)
 
     def scale(self, c):
         return Mat2(self.a * c, self.b * c, self.c * c, self.d * c)
 
     def det(self):
-        return self.a * self.d - self.b * self.c
+        return dot((self.a, self.b), (self.d, -self.c))
 
     def adjugate(self):
         return Mat2(self.d, -self.b, -self.c, self.a)
@@ -128,6 +132,9 @@ class Mat3:
     def __eq__(self, other):
         return isinstance(other, Mat3) and self.rows == other.rows
 
+    def __hash__(self):
+        return hash(self.rows)
+
     def __add__(self, other):
         return Mat3([[self[i, j] + other[i, j] for j in range(3)] for i in range(3)])
 
@@ -136,15 +143,15 @@ class Mat3:
 
     def __mul__(self, other):
         if isinstance(other, Mat3):
-            return Mat3([[sum((self[i, k] * other[k, j] for k in range(3)), QI.zero())
-                          for j in range(3)] for i in range(3)])
+            cols = tuple(zip(*other.rows))
+            return Mat3([[dot(row, col) for col in cols] for row in self.rows])
         return Mat3([[self[i, j] * other for j in range(3)] for i in range(3)])
 
     def det(self):
-        r = self.rows
-        return (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-                - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-                + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+        """Expansion along the first row, each minor one dot."""
+        (a, b, c), (d, e, f), (g, h, k) = self.rows
+        return dot((a, b, c), (dot((e, f), (k, -h)), dot((f, d), (g, -k)),
+                               dot((d, e), (h, -g))))
 
     def adjugate(self):
         r = self.rows
@@ -153,7 +160,7 @@ class Mat3:
             for j in range(3):
                 a, b = [k for k in range(3) if k != i]
                 c, d = [k for k in range(3) if k != j]
-                minor = r[a][c] * r[b][d] - r[a][d] * r[b][c]
+                minor = dot((r[a][c], r[a][d]), (r[b][d], -r[b][c]))
                 cof[i][j] = minor if (i + j) % 2 == 0 else -minor
         return Mat3([[cof[j][i] for j in range(3)] for i in range(3)])
 
@@ -173,6 +180,6 @@ def sym_square(g: Mat2) -> Mat3:
     a, b, c, d = g.a, g.b, g.c, g.d
     return Mat3([
         [a * a, a * b, b * b],
-        [a * c * 2, a * d + b * c, b * d * 2],
+        [a * c * 2, dot((a, b), (d, c)), b * d * 2],
         [c * c, c * d, d * d],
     ])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .equations import omega
 from .gitcore import PointHV
 from .linalg import Mat2, Vec2
-from .scalars import QI, Scalar
+from .scalars import Scalar, dot
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class Covector:
     b: Scalar
 
     def __call__(self, v: Vec2) -> Scalar:
-        return self.a * v.a + self.b * v.b
+        return dot((self.a, self.b), (v.a, v.b))
 
     def is_zero(self):
         return self.a.is_zero() and self.b.is_zero()
@@ -54,7 +54,9 @@ class QuiverRep:
 def form_contraction(triple, x: Vec2) -> Covector:
     """B(x, -) for the quadratic form triple (p, q, r)."""
     p, q, r = triple
-    return Covector(p * x.a + (q * x.b) / 2, (q * x.a) / 2 + r * x.b)
+    h = q / 2
+    v = (x.a, x.b)
+    return Covector(dot((p, h), v), dot((h, r), v))
 
 
 def build_rep(p: PointHV) -> QuiverRep:
@@ -74,14 +76,12 @@ def preprojective_residual(rep: QuiverRep):
     representation built from a point of H x V, and vanishes exactly on Z x V.
     """
     legs = tuple(Dc(Ev) for Dc, Ev in zip(rep.D, rep.E))
-    central = Mat2(QI.zero(), QI.zero(), QI.zero(), QI.zero())
-    for Dc, Ev in zip(rep.D, rep.E):
-        central = central + Mat2(Ev.a * Dc.a, Ev.a * Dc.b, Ev.b * Dc.a, Ev.b * Dc.b)
-    central = central - Mat2(
-        rep.E0.a * rep.D0.a, rep.E0.a * rep.D0.b,
-        rep.E0.b * rep.D0.a, rep.E0.b * rep.D0.b,
-    )
-    return legs, central
+    # entry (r, c) is sum_i E_i[r] D_i[c] - E0[r] D0[c], one dot
+    E = rep.E + (rep.E0,)
+    D = rep.D + (Covector(-rep.D0.a, -rep.D0.b),)
+    rows = [tuple(Ev.a for Ev in E), tuple(Ev.b for Ev in E)]
+    cols = [tuple(Dc.a for Dc in D), tuple(Dc.b for Dc in D)]
+    return legs, Mat2(*(dot(row, col) for row in rows for col in cols))
 
 
 def preprojective_holds(rep: QuiverRep) -> bool:

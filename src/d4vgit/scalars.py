@@ -11,6 +11,12 @@ four products one level down, or two when an operand is lifted from the
 level below (its upper half is zero).  One level above Q(i) each half is
 summed from unnormalized Gaussian products and normalized once; higher up,
 d y v is taken leaf by leaf when d lies in Q(i).
+A sum of products is normalized once: dot(xs, ys) sums the raw Gaussian
+products over one denominator and reduces the total with one gcd, where
+x*y + u*v reduces each product and the sum.  Over a tower each half of the
+sum is a dot one level down.  The other layers take every hot sum of
+products (matrix products, determinants, the equations' residuals, the
+quiver maps) through dot.
 Towers are interned: adjoin_sqrt gives the same Field object for the same
 (base, d) while that Field is in use, so fields compare by identity.  All
 operations are exact and zero-testing is decidable at every level.
@@ -22,6 +28,7 @@ import re
 import sys
 import weakref
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
 
 
@@ -513,6 +520,85 @@ class Scalar:
 
 
 QI = Field.gaussian_rationals()
+
+
+# -- sums of products --------------------------------------------------------
+
+def dot(xs, ys):
+    """The exact sum of x_k * y_k over two equal-length sequences (zero
+    when they are empty).
+
+    Base-level operands: the Gaussian-integer products are summed over one
+    denominator, multiplied out only where a term's denominator differs,
+    and the sum is normalized once.  Tower operands are lifted to their
+    deepest field and each half of the sum is a dot one level down:
+        sum (x + y s)(u + v s) = (sum x u + d sum y v) + (sum x v + y u) s,
+    skipping the terms a zero half removes.  Any other operand (an int, a
+    Poly) is multiplied and summed term by term.
+    """
+    try:
+        total = _dot_qi(xs, ys)
+    except AttributeError:              # an operand is not a Scalar
+        total = None
+    if total is not None:
+        return total
+    operands = (*xs, *ys)
+    if all(v.__class__ is Scalar for v in operands):
+        return _dot_in(deepest_field(operands), xs, ys)
+    total = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        total = total + x * y
+    return total
+
+
+def _dot_qi(xs, ys):
+    """dot for base-level Scalars, or None at the first tower operand."""
+    re = im = 0
+    den = 1
+    for x, y in zip(xs, ys):
+        xd, yd = x._den, y._den
+        if xd is None or yd is None:
+            return None
+        d = xd * yd
+        xr, xi, yr, yi = x._x, x._y, y._x, y._y
+        if d == den:
+            re += xr * yr - xi * yi
+            im += xr * yi + xi * yr
+        else:
+            re = re * d + (xr * yr - xi * yi) * den
+            im = im * d + (xr * yi + xi * yr) * den
+            den *= d
+    return _qi(re, im, den)
+
+
+def _dot_in(field, xs, ys):
+    """dot for Scalars of the tower level field and its ancestors."""
+    low_x, low_y, high_x, high_y, yv_x, yv_y = [], [], [], [], [], []
+    for a, b in zip(xs, ys):
+        if a._field is not field:
+            a = field.lift(a)
+        if b._field is not field:
+            b = field.lift(b)
+        x, y, u, v = a._x, a._y, b._x, b._y
+        low_x.append(x)
+        low_y.append(u)
+        v_zero = _zero(v)
+        if not v_zero:
+            high_x.append(x)
+            high_y.append(v)
+        if not _zero(y):
+            high_x.append(y)
+            high_y.append(u)
+            if not v_zero:
+                yv_x.append(y)
+                yv_y.append(v)
+    base = field.base
+    half = _dot_qi if base.is_base else partial(_dot_in, base)
+    if yv_x:
+        low_x.append(field._d)
+        low_y.append(half(yv_x, yv_y))
+    high = half(high_x, high_y) if high_x else base.zero()
+    return Scalar(field, half(low_x, low_y), high, None)
 
 
 # -- serialization -----------------------------------------------------------

@@ -80,6 +80,11 @@ REFERENCE_WEIGHT_TABLE = {
 }
 
 
+def _sample_details(k: int, p: PointHV) -> str:
+    """The details of a sampled check that failed first at sample k, point p."""
+    return "sample %d: %s" % (k, json.dumps(gitcore.point_to_json(p), sort_keys=True))
+
+
 def _det_b_and_open_locus(p: PointHV):
     """(det B, whether p is in the open locus), with det B computed once; a
     point off Z is not in it.  In the open locus the identity
@@ -118,8 +123,7 @@ def suite_equations(seed: int) -> Report:
         p = sampling.rand_z_point(rng)
         q = act(h, p)
         if not equations.on_Z(q) and not first_off_z:
-            first_off_z = "sample %d: %s" % (k, json.dumps(gitcore.point_to_json(q),
-                                                          sort_keys=True))
+            first_off_z = _sample_details(k, q)
         dq, is_open = _det_b_and_open_locus(q)
         ok_open = ok_open and is_open
         b1, b2, b3 = q.alpha
@@ -165,17 +169,19 @@ def suite_stability(seed: int) -> Report:
     except AssertionError as err:
         rep.add("st.subset_certificates", False, str(err))
 
-    ok_match = True
-    ok_stable = True
-    for _ in range(40):
+    first_mismatch = ""
+    first_unstable = ""
+    for k in range(40):
         p = sampling.rand_z_point(rng)
         v = stability.semistable_theta(p)
-        k = quiver.king_stable(quiver.build_rep(p))
-        ok_match = ok_match and (v.is_stable == k)
+        king = quiver.king_stable(quiver.build_rep(p))
+        if v.is_stable != king and not first_mismatch:
+            first_mismatch = _sample_details(k, p)
         vm = stability.semistable_minus_theta(p)
-        ok_stable = ok_stable and vm.is_stable
-    rep.add("st.theta_matches_king", ok_match)
-    rep.add("st.minus_theta_stable_on_open_locus", ok_stable)
+        if not vm.is_stable and not first_unstable:
+            first_unstable = _sample_details(k, p)
+    rep.add("st.theta_matches_king", not first_mismatch, first_mismatch)
+    rep.add("st.minus_theta_stable_on_open_locus", not first_unstable, first_unstable)
 
     ok_eng = True
     details = []

@@ -10,8 +10,9 @@ from d4vgit.gitcore import (
     act, apply_form_matrix, coordinate_weights, form_matrix, pair,
     point_from_json, point_to_json, weight_table,
 )
-from d4vgit.linalg import Mat2, Vec2, sym_square
-from d4vgit.sampling import rand_group_element, rand_point_hv, rand_scalar
+from d4vgit.equations import residuals
+from d4vgit.linalg import Mat2, Mat3, Vec2, sym_square
+from d4vgit.sampling import rand_group_element, rand_point_hv, rand_scalar, rand_z_point
 from d4vgit.scalars import QI, adjoin_sqrt
 from d4vgit.suites import REFERENCE_WEIGHT_TABLE
 
@@ -208,3 +209,37 @@ def test_group_law_on_depth2_points():
         p = _depth2_point(rng)
         lhs, rhs = act(h1, act(h2, p)), act(h1 * h2, p)
         assert lhs.same_h_part(rhs) and lhs.x == rhs.x
+
+
+def _lifted_point(p, field):
+    lift = field.lift
+    return PointHV(tuple(map(lift, p.alpha)), lift(p.beta),
+                   tuple(tuple(map(lift, b)) for b in p.B),
+                   Vec2(lift(p.x.a), lift(p.x.b)))
+
+
+def test_points_and_group_elements_hash_by_value():
+    """Vec2, Mat2 and Mat3 hash by their entries, so equal points and group
+    elements hash equal: with or without kept residuals, and across a lift
+    into a tower."""
+    rng = random.Random(21)
+    field, _ = adjoin_sqrt(adjoin_sqrt(QI, 2)[0], 3)
+    for _ in range(4):
+        p = rand_z_point(rng)
+        kept = point_from_json(point_to_json(p))
+        assert residuals(kept).is_zero() and kept._residuals is not None
+        fresh = PointHV(kept.alpha, kept.beta, kept.B, kept.x)
+        assert fresh._residuals is None
+        lifted = _lifted_point(p, field)
+        assert lifted.beta.field is field
+        for q in (kept, fresh, lifted, kept.with_x(kept.x)):
+            assert q == p and hash(q) == hash(p)
+        assert len({p, kept, fresh, lifted}) == 1
+        assert hash(p.with_x((1, 0))) != hash(p.with_x((0, 1)))
+    h = rand_group_element(rng)
+    g = h.g
+    h_lifted = GroupElement(tuple(map(field.lift, h.t)),
+                            Mat2(*map(field.lift, (g.a, g.b, g.c, g.d))))
+    assert h_lifted == h and hash(h_lifted) == hash(h)
+    assert hash(form_matrix(h_lifted.g)) == hash(form_matrix(g))
+    assert {Mat3.identity(), Mat3.identity(), form_matrix(Mat2.identity())} == {Mat3.identity()}

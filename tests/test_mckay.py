@@ -73,6 +73,11 @@ class TestStabilizer:
         profile = stab.order_profile()
         assert profile == {1: 1, 2: 1, 4: 6}
 
+    def test_elements_are_hashable(self):
+        """The eight elements are distinct and hash by value, so a set holds
+        all eight."""
+        assert len(set(stabilizer(base_point()).elements)) == 8
+
     def test_multiplication_table_closure(self):
         stab = stabilizer(base_point())
         table = stab.multiplication_table()

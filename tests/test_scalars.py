@@ -9,9 +9,10 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from d4vgit.poly import Poly
 from d4vgit.scalars import (
     QI, DegenerateExtensionError, ExtensionLimitError, adjoin_sqrt,
-    as_scalar, format_scalar, lower, parse_scalar, scalar_from_json,
+    as_scalar, dot, format_scalar, lower, parse_scalar, scalar_from_json,
     scalar_to_json,
 )
 
@@ -480,3 +481,83 @@ class TestTowerMultiply:
         assert a ** n == want and (a ** n).field is field
         if not a.is_zero():
             assert a ** -n == want.inverse()
+
+
+# -- dot: one normalization per sum of products -------------------------------
+
+
+def ref_dot(xs, ys):
+    total = (Fraction(0), Fraction(0))
+    for x, y in zip(xs, ys):
+        total = ref_add(total, ref_mul(x, y))
+    return total
+
+
+class TestDot:
+    @given(terms=st.lists(st.tuples(pairs, pairs), min_size=1, max_size=4))
+    @settings(max_examples=200)
+    def test_matches_the_naive_sum_of_products(self, terms):
+        xs = [QI.scalar(*a) for a, _ in terms]
+        ys = [QI.scalar(*b) for _, b in terms]
+        got = normalized(dot(xs, ys))
+        assert got.payload == ref_dot(*zip(*terms))
+        naive = xs[0] * ys[0]
+        for x, y in zip(xs[1:], ys[1:]):
+            naive = naive + x * y
+        assert got.triple == naive.triple
+
+    @given(a=pairs, b=pairs, c=pairs)
+    def test_zero_terms_and_cancellation_give_canonical_zero(self, a, b, c):
+        x, y, z = QI.scalar(*a), QI.scalar(*b), QI.scalar(*c)
+        zero = QI.zero()
+        assert dot((x, x), (y, -y)).triple == (0, 0, 1)
+        assert dot((x, y, -x), (z, zero, z)).triple == (0, 0, 1)
+        assert dot((zero, zero), (x, y)).triple == (0, 0, 1)
+        assert dot((), ()).triple == (0, 0, 1)
+        assert normalized(dot((zero, x, zero), (y, z, x))).triple == (x * z).triple
+        assert normalized(dot((x, y), (z, zero))).triple == (x * z).triple
+
+    @given(field=st.one_of(tower_fields(), st.sampled_from(list(TOWERS.values()))),
+           n=st.integers(1, 4), draw=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tower_operands_match_the_five_product_rule(self, field, n, draw):
+        """Operands of a depth 1-3 tower (d in Q(i) or not), some from lower
+        levels, lifted explicitly or not, give the tree sum of tree
+        products."""
+        levels = [field]
+        while not levels[-1].is_base:
+            levels.append(levels[-1].base)
+        xs, ys = [], []
+        for _ in range(n):
+            low = draw.draw(st.sampled_from(levels))
+            y = tower_element(draw.draw, low)
+            if draw.draw(st.booleans()):
+                y = field.lift(y)
+            xs.append(tower_element(draw.draw, field))
+            ys.append(y)
+        got = dot(xs, ys)
+        assert got.field is field
+        want = tree(field.zero())
+        for x, y in zip(xs, ys):
+            want = tree_add(want, tree_mul(tree(x), tree(field.lift(y)), field), field)
+        assert tree(got) == want
+        assert dot(ys, xs) == got
+
+    def test_tower_cancellation_and_lifted_only_operands(self):
+        field, s = adjoin_sqrt(adjoin_sqrt(QI, 2)[0], 3)
+        x = field.scalar(Fraction(2, 3), 5) + s
+        assert dot((x, x), (s, -s)) == field.zero()
+        assert dot((x, x), (s, -s)).field is field
+        low = adjoin_sqrt(QI, 2)[1]
+        got = dot((field.lift(low), QI.i()), (field.lift(low), QI.scalar(3)))
+        assert got.field is field and lower(got) == QI.scalar(2, 3)
+
+    def test_polynomials_take_the_term_by_term_loop(self):
+        V = ("a", "b")
+        a, b = Poly.variable("a", V), Poly.variable("b", V)
+        half = QI.scalar(Fraction(-1, 2))
+        got = dot((a, b, a * b), (b, a, half))
+        assert isinstance(got, Poly)
+        assert got == a * b * 2 + a * b * half
+        assert str(got) == str(a * b * Fraction(3, 2))
+        assert dot((3, QI.i()), (QI.i(), 2)) == QI.scalar(0, 5)

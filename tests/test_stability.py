@@ -243,3 +243,43 @@ class TestCheckOnce:
         proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("oracle, check_id, bad_call", [
+    ("semistable_theta", "st.theta_matches_king", 5),
+    ("semistable_minus_theta", "st.minus_theta_stable_on_open_locus", 2),
+])
+def test_suite_stability_names_the_first_failing_sample(monkeypatch, oracle,
+                                                        check_id, bad_call):
+    """A sampled oracle check that fails reports its first failing sample:
+    index and point JSON, as eq.G_invariance_of_Z does; passing checks keep
+    empty details."""
+    import dataclasses
+    import json
+
+    import d4vgit.stability as stability
+    from d4vgit.gitcore import point_from_json, point_to_json
+    from d4vgit.suites import run_suite
+    real = getattr(stability, oracle)
+    seen = []
+
+    def flipped(p):
+        v = real(p)
+        seen.append(p)
+        if len(seen) - 1 in (bad_call, bad_call + 3):     # two samples fail
+            return dataclasses.replace(v, status="unstable" if v.is_stable else "stable")
+        return v
+
+    monkeypatch.setattr(stability, oracle, flipped)
+    checks = {c.check_id: c for c in run_suite("stability", 7).checks}
+    assert not checks[check_id].passed
+    index, text = checks[check_id].details.split(": ", 1)
+    assert index == "sample %d" % bad_call
+    assert point_from_json(json.loads(text)) == seen[bad_call]
+    assert text == json.dumps(point_to_json(seen[bad_call]), sort_keys=True)
+    other = ({"st.theta_matches_king", "st.minus_theta_stable_on_open_locus"}
+             - {check_id}).pop()
+    assert checks[other].passed and checks[other].details == ""
+    monkeypatch.undo()
+    passing = {c.check_id: c for c in run_suite("stability", 7).checks}
+    assert passing[check_id].passed and passing[check_id].details == ""
