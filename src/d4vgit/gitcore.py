@@ -258,9 +258,10 @@ def _generic_point():
     )
 
 
+@cache
 def coordinate_weights(lam: Cocharacter):
     """Weights of the 13 H-coordinates under the 1-parameter subgroup lam,
-    computed directly from the action formulas (evaluated at parameter 2)."""
+    computed once from the action formulas (evaluated at parameter 2)."""
     p = _generic_point()
     h = lam.group_element(QI.scalar(2))
     q = act(h, p)

@@ -308,10 +308,11 @@ def stabilizer(p: PointHV, fix_beta: bool = True) -> FiniteSubgroup:
     P = _line_projectors(p.B)
     for pattern in patterns:
         # eigenvalues of the inverse-side form action; t_i = 1/c_i = c_i
+        sign = pattern[0] * pattern[1] * pattern[2]
         ginv = _recover_from_form_action(_form_matrix_on_lines(P, pattern), field)
-        if ginv is None or ginv.det() != pattern[0] * pattern[1] * pattern[2]:
+        if ginv is None or ginv.det() != sign:
             continue
-        g = ginv.inverse()
+        g = ginv.adjugate().scale(sign)     # det(g^-1) = sign = +-1: no inverse
         t = tuple(QI.scalar(c) for c in pattern)
         elements.append(GroupElement(t, g))
         elements.append(GroupElement(t, g.scale(-1)))

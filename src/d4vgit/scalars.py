@@ -4,19 +4,19 @@ Every number in this package is a Scalar: an element of Q(i) or of a tower
 Q(i)(sqrt(d1))(sqrt(d2))... built with adjoin_sqrt.  A base-level Scalar is
 one normalized integer triple (re, im, den) meaning (re + im*i)/den, with
 den > 0 and gcd(re, im, den) = 1; the form is canonical, so equal values have
-equal triples.  A tower Scalar is a pair (a, b) meaning a + b*s over the level
-below, where s is the adjoined root.  Products use
-    (x + y s)(u + v s) = (x u + d y v) + (x v + y u) s,
-four products one level down, or two when an operand is lifted from the
-level below (its upper half is zero).  One level above Q(i) each half is
-summed from unnormalized Gaussian products and normalized once; higher up,
-d y v is taken leaf by leaf when d lies in Q(i).
-A sum of products is normalized once: dot(xs, ys) sums the raw Gaussian
-products over one denominator and reduces the total with one gcd, where
-x*y + u*v reduces each product and the sum.  Over a tower each half of the
-sum is a dot one level down.  The other layers take every hot sum of
-products (matrix products, determinants, the equations' residuals, the
-quiver maps) through dot.
+equal triples.  A level-k tower Scalar is a flat tuple of 2^k Gaussian-
+integer coefficients over one positive denominator, canonical by one gcd (the
+common-denominator form, Cohen, GTM 138, 4.2): the low half is the level
+below, the high half the coefficient of the adjoined root s.  Products take
+    (x + y s)(u + v s) = (x u + d y v) + (x v + y u) s
+on the integer tuples level by level, the numerators and denominator of d
+folded in, and reduce once; a lower-level factor multiplies each block of
+the other, with no lift.
+A sum of products is normalized once: dot(xs, ys) sums the raw products over
+one denominator and reduces the total with one gcd, where x*y + u*v reduces
+each product and the sum.  The other layers take every hot sum of products
+(matrix products, determinants, the equations' residuals, the quiver maps)
+through dot.
 Towers are interned: adjoin_sqrt gives the same Field object for the same
 (base, d) while that Field is in use, so fields compare by identity.  All
 operations are exact and zero-testing is decidable at every level.
@@ -28,7 +28,6 @@ import re
 import sys
 import weakref
 from fractions import Fraction
-from functools import partial
 from math import gcd, isqrt
 
 
@@ -89,12 +88,17 @@ class Field:
         self.d = d                  # Scalar of base or below, as given; or None
         self.is_base = base is None
         self.depth = 0 if self.is_base else base.depth + 1
-        # d in base, for the multiplication rule, and d in Q(i) when it lies
-        # there (then d*z is taken leaf by leaf).  A Field keeps no Scalar of
-        # itself, so an unused tower is freed at once by reference counting.
-        self._d = None if self.is_base else base.lift(d)
-        low = None if self.is_base else lower(d)
-        self._d_leaf = low if low is not None and low.field.is_base else None
+        self._size = 2 << self.depth    # ints in a numerator tuple
+        # Numerator tuples X, Y multiply to _mul(self, X, Y) / _c; with d =
+        # D / delta at _d's level (the shallowest), e = delta * (its _c) makes
+        # the low half (e x u + D y v) / _c.  A Field keeps no Scalar of
+        # itself, so an unused tower is freed at once.
+        self._c = 1
+        if not self.is_base:
+            self._d = lower(d)
+            self._dv, delta = _num(self._d)
+            self._e = delta * self._d._field._c
+            self._c = self._e * base._c
 
     @classmethod
     def gaussian_rationals(cls):
@@ -112,13 +116,12 @@ class Field:
     def zero(self):
         if self.is_base:
             return Scalar(self, 0, 0, 1)
-        z = self.base.zero()
-        return Scalar(self, z, z, None)
+        return Scalar(self, (0,) * self._size, 1, None)
 
     def one(self):
         if self.is_base:
             return Scalar(self, 1, 0, 1)
-        return Scalar(self, self.base.one(), self.base.zero(), None)
+        return Scalar(self, (1,) + (0,) * (self._size - 1), 1, None)
 
     def i(self):
         if self.is_base:
@@ -129,7 +132,7 @@ class Field:
         """The adjoined square root s at this level (s*s == d)."""
         if self.is_base:
             raise FieldError("Q(i) has no adjoined generator")
-        return Scalar(self, self.base.zero(), self.base.one(), None)
+        return _join(self, self.base.zero(), self.base.one())
 
     def scalar(self, re, im=0):
         """Build a Scalar from rational data (int or Fraction), lifted up the tower."""
@@ -147,14 +150,10 @@ class Field:
         """Embed a Scalar from an ancestor level into this field."""
         if x._field is self:
             return x
-        if self.is_base:
-            raise FieldError("cannot lift %r into Q(i)" % (x,))
-        return Scalar(self, self.base.lift(x), self.base.zero(), None)
-
-    def _times_d(self, z):
-        """d * z for z in self.base."""
-        leaf = self._d_leaf
-        return self._d * z if leaf is None else z._times_qi(leaf)
+        if not x._field.ancestor_of(self):
+            raise FieldError("cannot lift %r into %r" % (x, self))
+        v, den = _num(x)
+        return Scalar(self, v + (0,) * (self._size - len(v)), den, None)
 
     def ancestor_of(self, other):
         f = other
@@ -175,7 +174,7 @@ class Field:
         x = self.lift(x)
         if self.is_base:
             return _sqrt_qi(x)
-        a, b = x._x, x._y
+        a, b = x.payload
         base = self.base
         if b.is_zero():
             r = base.sqrt(a)
@@ -184,7 +183,7 @@ class Field:
             # x = a may also be d * (square): sqrt = r * s
             r = base.sqrt(a / self._d)
             if r is not None:
-                return Scalar(self, base.zero(), r, None)
+                return _join(self, base.zero(), r)
             return None
         # y = u + v s with 2uv = b, u^2 + d v^2 = a; norm descent:
         norm = a * a - self._d * b * b
@@ -195,7 +194,7 @@ class Field:
             u = base.sqrt(cand)
             if u is not None and not u.is_zero():
                 v = b / (u * 2)
-                root = Scalar(self, u, v, None)
+                root = _join(self, u, v)
                 if root * root == x:
                     return root
         return None
@@ -263,27 +262,73 @@ def _qi(re: int, im: int, den: int):
     return Scalar(QI, re, im, den)
 
 
-def _gauss(a, b):
-    """The product of two Gaussian rationals given as (re, im, den) triples,
-    not normalized."""
-    ar, ai, ad = a
-    br, bi, bd = b
-    return ar * br - ai * bi, ar * bi + ai * br, ad * bd
+def _num(x):
+    """(numerators, den) of a Scalar: 2^(k+1) ints over one den at level k."""
+    if x._den is None:
+        return x._x, x._y
+    return (x._x, x._y), x._den
 
 
-def _qi_sum(a, b):
-    """The base-level Scalar a + b of two (re, im, den) triples, normalized."""
-    if a[2] == b[2]:
-        return _qi(a[0] + b[0], a[1] + b[1], a[2])
-    return _qi(a[0] * b[2] + b[0] * a[2], a[1] * b[2] + b[1] * a[2], a[2] * b[2])
+def _flat(field, v, den):
+    """The Scalar v / den of field for den > 0, reduced by one gcd."""
+    if field.is_base:
+        return _qi(v[0], v[1], den)
+    g = gcd(*v, den) if den != 1 else 1
+    if g != 1:
+        return Scalar(field, tuple([t // g for t in v]), den // g, None)
+    return Scalar(field, tuple(v), den, None)
 
 
-def _zero(s):
-    """s == 0.  A function, not a method, so the multiplication rule tests
-    halves without a method call."""
-    if s._den is not None:
-        return not s._x and not s._y
-    return _zero(s._x) and _zero(s._y)
+def _deeper(f, g):
+    """The deeper of two levels of one tower."""
+    if f.depth > g.depth:
+        f, g = g, f
+    if f is not g and not f.ancestor_of(g):
+        raise FieldError("scalars live in incompatible towers")
+    return g
+
+
+def _join(field, a, b):
+    """a + b s in field for a, b in field.base."""
+    (av, ad), (bv, bd) = _num(a), _num(b)
+    return _flat(field, [t * bd for t in av] + [t * ad for t in bv], ad * bd)
+
+
+def _mul(f, X, Y):
+    """A list Z with X Y == Z / f._c, for numerator tuples X and Y of level f."""
+    if f.is_base:
+        (x0, x1), (y0, y1) = X, Y
+        return [x0 * y0 - x1 * y1, x0 * y1 + x1 * y0]
+    e = f._e
+    if f.depth == 1:
+        (x0, x1, y0, y1), (u0, u1, v0, v1), (d0, d1) = X, Y, f._dv
+        w0, w1 = y0 * v0 - y1 * v1, y0 * v1 + y1 * v0
+        return [(x0 * u0 - x1 * u1) * e + d0 * w0 - d1 * w1,
+                (x0 * u1 + x1 * u0) * e + d0 * w1 + d1 * w0,
+                (x0 * v0 - x1 * v1 + y0 * u0 - y1 * u1) * e,
+                (x0 * v1 + x1 * v0 + y0 * u1 + y1 * u0) * e]
+    g = f.base
+    n = len(X) >> 1
+    x, y, u, v = X[:n], X[n:], Y[:n], Y[n:]
+    if any(y) and any(v):
+        dyv = _blocks(f._d._field, f._dv, _mul(g, y, v))
+        return ([e * a + b for a, b in zip(_mul(g, x, u), dyv)]
+                + [e * (a + b) for a, b in zip(_mul(g, x, v), _mul(g, y, u))])
+    # a lifted factor: two products below, or one
+    z = _mul(g, x, u) + (_mul(g, x, v) if any(v) else _mul(g, y, u) if any(y) else [0] * n)
+    return z if e == 1 else [e * t for t in z]
+
+
+def _blocks(f, A, Y):
+    """A list Z with A Y == Z / f._c, for a numerator tuple A of level f and
+    Y of f or a level above it: A times each block of Y, with no lift."""
+    n = len(A)
+    if n == len(Y):
+        return _mul(f, A, Y)
+    z = []
+    for k in range(0, len(Y), n):
+        z += _mul(f, A, Y[k:k + n])
+    return z
 
 
 class Scalar:
@@ -293,7 +338,7 @@ class Scalar:
 
     Build Scalars through Field (scalar, zero, one, i, generator, lift),
     parse_scalar and arithmetic.  The slots hold (re, im, den) ints at the
-    base level and (a, b, None) with a, b in field.base above it.
+    base level and (v, den, None) above it, v the tuple of numerators.
     """
 
     __slots__ = ("_field", "_x", "_y", "_den")
@@ -313,7 +358,8 @@ class Scalar:
         """Read-only view: (re, im) as reduced Fractions at the base level,
         (a, b) Scalars of field.base with x = a + b*s above it."""
         if self._den is None:
-            return self._x, self._y
+            v, n, base = self._x, self._field._size >> 1, self._field.base
+            return _flat(base, v[:n], self._y), _flat(base, v[n:], self._y)
         return Fraction(self._x, self._den), Fraction(self._y, self._den)
 
     @property
@@ -334,30 +380,19 @@ class Scalar:
         f, g = self._field, other._field
         if f is g:
             return self, other
-        if f.ancestor_of(g):
-            return g.lift(self), other
-        if g.ancestor_of(f):
-            return self, f.lift(other)
-        raise FieldError("scalars live in incompatible towers")
+        h = _deeper(f, g)
+        return h.lift(self), h.lift(other)
 
     def _scale(self, n: int, d: int):
         """self * n/d for ints n and d > 0."""
         if self._den is None:
-            return Scalar(self._field, self._x._scale(n, d), self._y._scale(n, d), None)
+            return _flat(self._field, [t * n for t in self._x], self._y * d)
         return _qi(self._x * n, self._y * n, self._den * d)
-
-    def _times_qi(self, q):
-        """self * q for q in Q(i), leaf by leaf (no lifting of q); the
-        product by an adjoined d that lies in Q(i)."""
-        if self._den is None:
-            return Scalar(self._field, self._x._times_qi(q), self._y._times_qi(q), None)
-        x, y, u, v = self._x, self._y, q._x, q._y
-        return _qi(x * u - y * v, x * v + y * u, self._den * q._den)
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self):
-        return _zero(self)
+        return not any(self._x) if self._den is None else not self._x and not self._y
 
     def __bool__(self):
         return not self.is_zero()
@@ -378,10 +413,9 @@ class Scalar:
         return a._x == b._x and a._y == b._y and a._den == b._den
 
     def __hash__(self):
-        if self._den is None:
-            if self._y.is_zero():
-                return hash(self._x)
-            return hash((self._x, self._y))
+        if self._den is None:               # by the shallowest level, so a lift agrees
+            low = lower(self)
+            return hash(low) if low._den is not None else hash((low._x, low._y))
         h = _rational_hash(self._x, self._den)
         if not self._y:
             return h
@@ -401,7 +435,10 @@ class Scalar:
                 return NotImplemented
         ad, bd = a._den, b._den
         if ad is None:
-            return Scalar(a._field, a._x + b._x, a._y + b._y, None)
+            x, xd, y, yd = a._x, a._y, b._x, b._y
+            if xd == yd:
+                return _flat(a._field, [s + t for s, t in zip(x, y)], xd)
+            return _flat(a._field, [s * yd + t * xd for s, t in zip(x, y)], xd * yd)
         if ad == bd:
             return _qi(a._x + b._x, a._y + b._y, ad)
         return _qi(a._x * bd + b._x * ad, a._y * bd + b._y * ad, ad * bd)
@@ -409,6 +446,8 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
+        if self._den is None:
+            return Scalar(self._field, tuple([-t for t in self._x]), self._y, None)
         return Scalar(self._field, -self._x, -self._y, self._den)
 
     def __sub__(self, other):
@@ -420,7 +459,7 @@ class Scalar:
                 return NotImplemented
         ad, bd = a._den, b._den
         if ad is None:
-            return Scalar(a._field, a._x - b._x, a._y - b._y, None)
+            return a + -b
         if ad == bd:
             return _qi(a._x - b._x, a._y - b._y, ad)
         return _qi(a._x * bd - b._x * ad, a._y * bd - b._y * ad, ad * bd)
@@ -436,6 +475,11 @@ class Scalar:
             a, b = self, other
         elif other.__class__ is int:
             return self._scale(other, 1)
+        elif other.__class__ is Scalar:     # two levels: blockwise, no lift
+            a, b = (self, other) if self._field.depth < other._field.depth else (other, self)
+            av, ad = _num(a)
+            return _flat(_deeper(a._field, b._field), _blocks(a._field, av, b._x),
+                         ad * b._y * a._field._c)
         else:
             a, b = self._pair(other)
             if a is None:
@@ -443,20 +487,8 @@ class Scalar:
         x, y, u, v = a._x, a._y, b._x, b._y
         if a._den is not None:
             return _qi(x * u - y * v, x * v + y * u, a._den * b._den)
-        # (x + y s)(u + v s) = (x u + d y v) + (x v + y u) s: four products
-        # below, or two for a lifted operand (zero upper half)
         f = a._field
-        if _zero(y):
-            return a if _zero(x) else Scalar(f, x * u, x * v, None)
-        if _zero(v):
-            return b if _zero(u) else Scalar(f, x * u, y * u, None)
-        if x._den is None:
-            return Scalar(f, x * u + f._times_d(y * v), x * v + y * u, None)
-        # one level above Q(i): each half is a sum of two Gaussian products,
-        # normalized once
-        x, y, u, v, d = ((t._x, t._y, t._den) for t in (x, y, u, v, f._d))
-        return Scalar(f, _qi_sum(_gauss(x, u), _gauss(d, _gauss(y, v))),
-                      _qi_sum(_gauss(x, v), _gauss(y, u)), None)
+        return _flat(f, _mul(f, x, u), y * v * f._c)
 
     __rmul__ = __mul__
 
@@ -465,9 +497,12 @@ class Scalar:
             raise ZeroDivisionError("scalar division by zero")
         x, y = self._x, self._y
         if self._den is None:
-            n = x * x - self._field._times_d(y * y)   # nonzero: d is not a square below
-            ninv = n.inverse()
-            return Scalar(self._field, x * ninv, -y * ninv, None)
+            # 1/(a + b s) = (a - b s) / (a^2 - d b^2); d is not a square below
+            f = self._field
+            n = f._size >> 1
+            conj = x[:n] + tuple([-t for t in x[n:]])
+            nv, nd = _num(_flat(f.base, _mul(f, x, conj)[:n], y * y * f._c).inverse())
+            return _flat(f, _blocks(f.base, nv, conj), y * nd * f.base._c)
         return _qi(x * self._den, -y * self._den, x * x + y * y)
 
     def __truediv__(self, other):
@@ -528,23 +563,20 @@ def dot(xs, ys):
     """The exact sum of x_k * y_k over two equal-length sequences (zero
     when they are empty).
 
-    Base-level operands: the Gaussian-integer products are summed over one
-    denominator, multiplied out only where a term's denominator differs,
-    and the sum is normalized once.  Tower operands are lifted to their
-    deepest field and each half of the sum is a dot one level down:
-        sum (x + y s)(u + v s) = (sum x u + d sum y v) + (sum x v + y u) s,
-    skipping the terms a zero half removes.  Any other operand (an int, a
-    Poly) is multiplied and summed term by term.
+    The raw integer products (Gaussian, or tower numerator tuples, blockwise
+    for two levels) are summed over one denominator, multiplied out only
+    where a term's denominator differs, and the sum is normalized once, in
+    the deepest field.  Any other operand (an int, a Poly) is multiplied and
+    summed term by term.
     """
     try:
         total = _dot_qi(xs, ys)
+        if total is None:
+            total = _dot_tower(xs, ys)
     except AttributeError:              # an operand is not a Scalar
         total = None
     if total is not None:
         return total
-    operands = (*xs, *ys)
-    if all(v.__class__ is Scalar for v in operands):
-        return _dot_in(deepest_field(operands), xs, ys)
     total = xs[0] * ys[0]
     for x, y in zip(xs[1:], ys[1:]):
         total = total + x * y
@@ -571,34 +603,24 @@ def _dot_qi(xs, ys):
     return _qi(re, im, den)
 
 
-def _dot_in(field, xs, ys):
-    """dot for Scalars of the tower level field and its ancestors."""
-    low_x, low_y, high_x, high_y, yv_x, yv_y = [], [], [], [], [], []
-    for a, b in zip(xs, ys):
-        if a._field is not field:
-            a = field.lift(a)
-        if b._field is not field:
-            b = field.lift(b)
-        x, y, u, v = a._x, a._y, b._x, b._y
-        low_x.append(x)
-        low_y.append(u)
-        v_zero = _zero(v)
-        if not v_zero:
-            high_x.append(x)
-            high_y.append(v)
-        if not _zero(y):
-            high_x.append(y)
-            high_y.append(u)
-            if not v_zero:
-                yv_x.append(y)
-                yv_y.append(v)
-    base = field.base
-    half = _dot_qi if base.is_base else partial(_dot_in, base)
-    if yv_x:
-        low_x.append(field._d)
-        low_y.append(half(yv_x, yv_y))
-    high = half(high_x, high_y) if high_x else base.zero()
-    return Scalar(field, half(low_x, low_y), high, None)
+def _dot_tower(xs, ys):
+    """dot for Scalars of one tower, in its deepest field among them."""
+    field, total, den = QI, [], 1
+    for x, y in zip(xs, ys):
+        if x._field.depth > y._field.depth:
+            x, y = y, x
+        f = x._field
+        field = _deeper(field, _deeper(f, y._field))
+        (xv, xd), (yv, yd) = _num(x), _num(y)
+        z, d = _blocks(f, xv, yv), xd * yd * f._c
+        if not total:
+            total, den = z, d
+            continue
+        if d != den:
+            total, z, den = [t * d for t in total], [t * den for t in z], den * d
+        total += [0] * (len(z) - len(total))
+        total[:len(z)] = [s + t for s, t in zip(total, z)]
+    return _flat(field, total + [0] * (field._size - len(total)), den)
 
 
 # -- serialization -----------------------------------------------------------
@@ -620,7 +642,7 @@ def format_scalar(x: Scalar) -> str:
         sign = "+" if im > 0 else "-"
         return "%s%s%s*i" % (_format_rational(re, den), sign,
                              _format_rational(abs(im), den))
-    a, b = x._x, x._y
+    a, b = x.payload
     if b.is_zero():
         return format_scalar(a)
     return "(%s)+(%s)*s%d" % (format_scalar(a), format_scalar(b), x.field.depth)
@@ -684,7 +706,7 @@ def scalar_to_json(x: Scalar):
     def unfold(s):
         if s.field.is_base:
             return format_scalar(s)
-        return [unfold(s._x), unfold(s._y)]
+        return [unfold(half) for half in s.payload]
 
     return {"gens": gens, "coeffs": unfold(x)}
 
@@ -726,18 +748,19 @@ def scalar_from_json(data, field: Field = QI) -> Scalar:
                              % len(gens))
         if not isinstance(coeffs, list) or len(coeffs) != 2:
             raise ValueError("tower coeffs must be pairs, got %.60r" % (coeffs,))
-        return Scalar(fld, fold(coeffs[0], fld.base), fold(coeffs[1], fld.base), None)
+        return _join(fld, fold(coeffs[0], fld.base), fold(coeffs[1], fld.base))
 
     return fold(data["coeffs"], f)
 
 
 def lower(x: Scalar) -> Scalar:
     """The same value in the shallowest tower level that contains it."""
-    while not x.field.is_base:
-        if not x._y.is_zero():
-            return x
-        x = x._x
-    return x
+    f, v = x._field, x._x
+    while not f.is_base and not any(v[f._size >> 1:f._size]):
+        f = f.base
+    if f is x._field:
+        return x
+    return Scalar(f, v[0], v[1], x._y) if f.is_base else Scalar(f, v[:f._size], x._y, None)
 
 
 def deepest_field(values) -> Field:

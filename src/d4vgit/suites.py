@@ -218,25 +218,26 @@ def suite_quiver(seed: int) -> Report:
     rep = Report("quiver", seed)
     rng = random.Random(seed)
 
-    ok_legs = True
-    ok_trace = True
-    ok_contract = True
-    for _ in range(50):
+    bad_legs = bad_trace = bad_contract = ""
+    for k in range(50):
         p = sampling.rand_point_hv(rng)
-        r = quiver.build_rep(p)
-        legs, central = quiver.preprojective_residual(r)
-        ok_legs = ok_legs and all(s.is_zero() for s in legs)
-        ok_trace = ok_trace and central.trace().is_zero()
-        ok_contract = ok_contract and _central_matches_e1(p)
-    rep.add("qv.legs_always_zero", ok_legs)
-    rep.add("qv.central_trace_free", ok_trace)
-    rep.add("qv.central_equals_E1_contraction", ok_contract)
+        legs, central = quiver.preprojective_residual(quiver.build_rep(p))
+        if not bad_legs and not all(s.is_zero() for s in legs):
+            bad_legs = _sample_details(k, p)
+        if not bad_trace and not central.trace().is_zero():
+            bad_trace = _sample_details(k, p)
+        if not bad_contract and not _central_matches_e1(p):
+            bad_contract = _sample_details(k, p)
+    rep.add("qv.legs_always_zero", not bad_legs, bad_legs)
+    rep.add("qv.central_trace_free", not bad_trace, bad_trace)
+    rep.add("qv.central_equals_E1_contraction", not bad_contract, bad_contract)
 
-    ok_z = True
-    for _ in range(60):
+    bad_z = ""
+    for k in range(60):
         p = sampling.rand_z_point(rng)
-        ok_z = ok_z and quiver.preprojective_holds(quiver.build_rep(p))
-    rep.add("qv.preprojective_on_Z", ok_z)
+        if not bad_z and not quiver.preprojective_holds(quiver.build_rep(p)):
+            bad_z = _sample_details(k, p)
+    rep.add("qv.preprojective_on_Z", not bad_z, bad_z)
 
     w = equations.witness_E2_not_E1().with_x(Vec2(QI.scalar(1), QI.scalar(2)))
     r = quiver.build_rep(w)

@@ -75,6 +75,19 @@ def test_weight_table_matches_reference():
     assert weight_table() == REFERENCE_WEIGHT_TABLE
 
 
+def test_coordinate_weights_act_once_per_cocharacter(monkeypatch):
+    """A cocharacter's weights come from act on the generic point once; the
+    table again, or a certificate re-check, reads the kept row."""
+    import d4vgit.gitcore as gitcore
+    gitcore.coordinate_weights.cache_clear()
+    calls = []
+    real = gitcore.act
+    monkeypatch.setattr(gitcore, "act", lambda h, p: calls.append(h) or real(h, p))
+    assert weight_table() == REFERENCE_WEIGHT_TABLE and len(calls) == 7
+    assert weight_table() == REFERENCE_WEIGHT_TABLE and len(calls) == 7
+    assert coordinate_weights(MU) is coordinate_weights(MU) and len(calls) == 7
+
+
 def test_weight_table_primitive_rows_verbatim():
     # the four generating rows of the reference torus table
     table = weight_table()

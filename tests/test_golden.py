@@ -39,7 +39,8 @@ def test_cli_stdout_matches_fixture(case):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    run = subprocess.run([sys.executable, "-m", "d4vgit", *CASES[case]],
+    optimize = ["-O"] * sys.flags.optimize      # under python -O, so is the CLI
+    run = subprocess.run([sys.executable, *optimize, "-m", "d4vgit", *CASES[case]],
                          cwd=DATA, env=env, capture_output=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout == (DATA / (case + ".stdout")).read_bytes()

@@ -360,6 +360,22 @@ STABILIZER_POINTS.update(
      for seed in range(20)})
 
 
+def test_stabilizer_takes_the_signed_adjugate(monkeypatch):
+    """det(g^-1) = e1 e2 e3 = +-1 for every admitted pattern, so g is the
+    signed adjugate of g^-1 and no matrix is inverted."""
+    points = [STABILIZER_POINTS[name]() for name in
+              ("base", "translate_depth1", "translate_depth2")]
+
+    def refuse(self):
+        raise AssertionError("stabilizer inverted a matrix")
+
+    monkeypatch.setattr(Mat2, "inverse", refuse)
+    for p in points:
+        for fix_beta, order in ((True, 8), (False, 16)):
+            group = stabilizer(p, fix_beta=fix_beta)
+            assert group.order() == order
+
+
 @pytest.mark.parametrize("fix_beta", [True, False])
 @pytest.mark.parametrize("name", sorted(STABILIZER_POINTS))
 def test_stabilizer_matches_per_candidate_reference(name, fix_beta):

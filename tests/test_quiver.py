@@ -1,10 +1,13 @@
 """The attached quiver representations: construction, relations, stability."""
 
+import json
 import random
+
+import pytest
 
 from d4vgit.equations import residuals, witness_E2_not_E1
 from d4vgit.gitcore import PointHV, act
-from d4vgit.linalg import Vec2
+from d4vgit.linalg import Mat2, Vec2
 from d4vgit.mckay import base_point
 from d4vgit.quiver import (
     build_rep, central_quadratic, king_stable, preprojective_holds,
@@ -137,3 +140,63 @@ def test_equivariance_of_build_rep():
         moved0 = (r_p.D0(Vec2(ginv.a, ginv.c)), r_p.D0(Vec2(ginv.b, ginv.d)))
         assert (r_q.D0.a, r_q.D0.b) == moved0
         del det_inv
+
+
+def _flip_legs(result):
+    legs, central = result
+    return (QI.one(),) + tuple(legs[1:]), central
+
+
+def _flip_trace(result):
+    legs, central = result
+    return legs, central + Mat2.identity()
+
+
+@pytest.mark.parametrize("check_id, module, name, flip, bad_call", [
+    ("qv.legs_always_zero", "quiver", "preprojective_residual", _flip_legs, 7),
+    ("qv.central_trace_free", "quiver", "preprojective_residual", _flip_trace, 3),
+    ("qv.central_equals_E1_contraction", "suites", "_central_matches_e1",
+     lambda ok: not ok, 11),
+    ("qv.preprojective_on_Z", "quiver", "preprojective_holds", lambda ok: not ok, 4),
+])
+def test_suite_quiver_names_the_first_failing_sample(monkeypatch, check_id, module,
+                                                     name, flip, bad_call):
+    """A sampled quiver check that fails reports its first failing sample
+    (index and point JSON); every other check passes with empty details."""
+    import d4vgit.quiver
+    import d4vgit.sampling
+    import d4vgit.suites
+    from d4vgit.gitcore import point_to_json
+    from d4vgit.suites import run_suite
+    target = {"quiver": d4vgit.quiver, "suites": d4vgit.suites}[module]
+    real = getattr(target, name)
+    flipped_samples = set()
+    drawn = []
+    sampler = "rand_z_point" if check_id == "qv.preprojective_on_Z" else "rand_point_hv"
+    real_sampler = getattr(d4vgit.sampling, sampler)
+
+    def drawing(rng):
+        drawn.append(real_sampler(rng))
+        return drawn[-1]
+
+    def flipped(arg):
+        # the first call made for samples bad_call and bad_call + 2 fails
+        k = len(drawn) - 1
+        if k in (bad_call, bad_call + 2) and k not in flipped_samples:
+            flipped_samples.add(k)
+            return flip(real(arg))
+        return real(arg)
+
+    monkeypatch.setattr(d4vgit.sampling, sampler, drawing)
+    monkeypatch.setattr(target, name, flipped)
+    checks = {c.check_id: c for c in run_suite("quiver", 7).checks}
+    assert not checks[check_id].passed
+    index, text = checks[check_id].details.split(": ", 1)
+    assert index == "sample %d" % bad_call
+    assert text == json.dumps(point_to_json(drawn[bad_call]), sort_keys=True)
+    for other, check in checks.items():
+        if other != check_id:
+            assert check.passed and check.details == "", other
+    monkeypatch.undo()
+    passing = {c.check_id: c for c in run_suite("quiver", 7).checks}
+    assert all(c.passed and c.details == "" for c in passing.values())

@@ -1,0 +1,312 @@
+"""The flat tower kernel against the pair-recursive tower arithmetic it
+replaced, kept here as a reference.
+
+A tower Scalar of level k is 2^k Gaussian-integer coefficients over one
+denominator.  The reference holds the same value as a pair tree: nested
+(a, b) pairs meaning a + b s, down to base-level Scalars, whose arithmetic
+is the unchanged int-triple code.  Its product, sum, dot and inverse are the
+pair-recursive rules of the old tower code: four products one level down,
+two when a factor is lifted (zero upper half), d y v taken leaf by leaf when
+d lies in Q(i), and each half of a sum of products a dot one level down.
+
+The cases are drawn from fixed seeds, with no hypothesis shrinking, so a
+defect in the kernel fails in seconds: towers of depth 1-3 whose d lies in
+Q(i) or in the tower, with leaves of height up to 2^256.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from d4vgit.scalars import (
+    QI, adjoin_sqrt, dot, format_scalar, lower, scalar_from_json,
+    scalar_to_json,
+)
+
+# -- the pair-recursive reference -----------------------------------------------
+
+
+def tree(x):
+    """The pair tree of a Scalar."""
+    if x.field.is_base:
+        return x
+    a, b = x.payload
+    return (tree(a), tree(b))
+
+
+def tree_zero(field):
+    return tree(field.zero())
+
+
+def tree_lift(t, src, dst):
+    """A pair tree of level src as a tree of its descendant level dst."""
+    if src is dst:
+        return t
+    return (tree_lift(t, src, dst.base), tree_zero(dst.base))
+
+
+def is_zero(t):
+    return t.is_zero() if not isinstance(t, tuple) else is_zero(t[0]) and is_zero(t[1])
+
+
+def add(f, a, b):
+    if f.is_base:
+        return a + b
+    return (add(f.base, a[0], b[0]), add(f.base, a[1], b[1]))
+
+
+def neg(f, a):
+    return -a if f.is_base else (neg(f.base, a[0]), neg(f.base, a[1]))
+
+
+def times_d(f, z):
+    """d * z for z of level f.base: leaf by leaf when d lies in Q(i)."""
+    low = lower(f.d)
+    if low.field.is_base:
+        return times_leaf(f.base, z, low)
+    return mul(f.base, tree_lift(tree(low), low.field, f.base), z)
+
+
+def times_leaf(f, z, q):
+    return z * q if f.is_base else (times_leaf(f.base, z[0], q), times_leaf(f.base, z[1], q))
+
+
+def mul(f, a, b):
+    """(x + y s)(u + v s) = (x u + d y v) + (x v + y u) s."""
+    if f.is_base:
+        return a * b
+    g = f.base
+    (x, y), (u, v) = a, b
+    if is_zero(y):
+        return a if is_zero(x) else (mul(g, x, u), mul(g, x, v))
+    if is_zero(v):
+        return b if is_zero(u) else (mul(g, x, u), mul(g, y, u))
+    return (add(g, mul(g, x, u), times_d(f, mul(g, y, v))),
+            add(g, mul(g, x, v), mul(g, y, u)))
+
+
+def inverse(f, a):
+    """1/(x + y s) = (x - y s) / (x^2 - d y^2), descending the tower."""
+    if f.is_base:
+        return a.inverse()
+    g = f.base
+    x, y = a
+    ninv = inverse(g, add(g, mul(g, x, x), neg(g, times_d(f, mul(g, y, y)))))
+    return (mul(g, x, ninv), neg(g, mul(g, y, ninv)))
+
+
+def tree_dot(f, xs, ys):
+    """sum (x + y s)(u + v s) = (sum x u + d sum y v) + (sum x v + y u) s,
+    skipping the terms a zero half removes; base-level sums go to dot."""
+    if f.is_base:
+        return dot(xs, ys)
+    low_x, low_y, high_x, high_y, yv_x, yv_y = [], [], [], [], [], []
+    for (x, y), (u, v) in zip(xs, ys):
+        low_x.append(x)
+        low_y.append(u)
+        if not is_zero(v):
+            high_x.append(x)
+            high_y.append(v)
+        if not is_zero(y):
+            high_x.append(y)
+            high_y.append(u)
+            if not is_zero(v):
+                yv_x.append(y)
+                yv_y.append(v)
+    g = f.base
+    low = tree_dot(g, low_x, low_y)
+    if yv_x:
+        low = add(g, low, times_d(f, tree_dot(g, yv_x, yv_y)))
+    return (low, tree_dot(g, high_x, high_y) if high_x else tree_zero(g))
+
+
+def tree_format(f, t):
+    if f.is_base:
+        return format_scalar(t)
+    if is_zero(t[1]):
+        return tree_format(f.base, t[0])
+    return "(%s)+(%s)*s%d" % (tree_format(f.base, t[0]), tree_format(f.base, t[1]),
+                              f.depth)
+
+
+def tree_coeffs(f, t):
+    return format_scalar(t) if f.is_base else [tree_coeffs(f.base, h) for h in t]
+
+
+# -- the cases ----------------------------------------------------------------------
+
+HEIGHTS = (10, 2 ** 64, 2 ** 256)
+
+
+def leaf(rng, height):
+    def part():
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+    return QI.scalar(part(), part())
+
+
+def random_tree(rng, field, height, shape=None):
+    """The pair tree of a random element of field: full, lifted (zero upper
+    half), a multiple of the generator (zero lower half) or zero, level by
+    level."""
+    if field.is_base:
+        return leaf(rng, height)
+    shape = shape or rng.choice(("full", "full", "lifted", "generator", "zero"))
+    a, b = (random_tree(rng, field.base, height) for _ in range(2))
+    zero = tree_zero(field.base)
+    return {"full": (a, b), "lifted": (a, zero), "generator": (zero, b),
+            "zero": (zero, zero)}[shape]
+
+
+def element(rng, field, height, shape=None):
+    """A random element of field, read from the JSON of its pair tree."""
+    t = random_tree(rng, field, height, shape)
+    if field.is_base:
+        return t
+    x = scalar_from_json({"gens": scalar_to_json(field.one())["gens"],
+                          "coeffs": tree_coeffs(field, t)})
+    assert x.field is field and tree(x) == t
+    return x
+
+
+def make_tower(seed, depth, d_in_tower):
+    """A depth-`depth` tower: every d a Gaussian rational with a denominator,
+    or, past the first level, a full element of the level below."""
+    rng = random.Random(seed)
+    field = QI
+    while field.depth < depth:
+        if d_in_tower and field.depth:
+            d = field.zero()
+            while lower(d).field is not field:      # d in the tower, not below
+                d = element(rng, field, rng.choice(HEIGHTS), "full")
+        else:
+            d = QI.scalar(Fraction(rng.randint(2, 99), rng.randint(2, 9)),
+                          Fraction(rng.randint(-9, 9), rng.randint(2, 9)))
+        field, _ = adjoin_sqrt(field, d)
+    assert field.depth == depth
+    return field
+
+
+TOWER_KINDS = [(depth, False) for depth in (1, 2, 3)] + [(2, True), (3, True)]
+KIND_IDS = ["d_qi_%d" % d if not t else "d_tower_%d" % d for d, t in TOWER_KINDS]
+CASES = {1: 24, 2: 12, 3: 4}           # operand pairs per tower depth
+
+
+def assert_canonical(x):
+    """One positive denominator, coprime to the numerators as a whole."""
+    if x.field.is_base:
+        re, im, den = x.triple
+        nums = (re, im)
+    else:
+        nums, den = x._x, x._y
+        assert len(nums) == 2 << x.field.depth
+    assert den > 0 and gcd(*nums, den) == 1
+
+
+def cases(depth, d_in_tower):
+    for k in range(2):
+        field = make_tower(100 * depth + 10 * d_in_tower + k, depth, d_in_tower)
+        rng = random.Random(k)
+        for _ in range(CASES[depth]):
+            height = rng.choice(HEIGHTS)
+            yield (rng, field, element(rng, field, height, "full"),
+                   element(rng, field, height))
+
+
+@pytest.mark.parametrize("depth, d_in_tower", TOWER_KINDS, ids=KIND_IDS)
+def test_ring_operations_match_reference(depth, d_in_tower):
+    for rng, f, a, b in cases(depth, d_in_tower):
+        ta, tb = tree(a), tree(b)
+        ab = mul(f, ta, tb)
+        for got, want in ((a * b, ab), (b * a, ab),
+                          (a * a, mul(f, ta, ta)), (a + b, add(f, ta, tb)),
+                          (a - b, add(f, ta, neg(f, tb))), (-a, neg(f, ta)),
+                          (a * 3, add(f, ta, add(f, ta, ta))),
+                          (a - a, tree_zero(f))):
+            assert got.field is f
+            assert_canonical(got)
+            assert tree(got) == want
+        if not a.is_zero():
+            inv, want = a.inverse(), inverse(f, ta)
+            assert_canonical(inv)
+            assert tree(inv) == want
+            assert a * inv == f.one() and tree(b / a) == mul(f, tb, want)
+
+
+@pytest.mark.parametrize("depth, d_in_tower", TOWER_KINDS, ids=KIND_IDS)
+def test_mixed_level_products_match_lifted_reference(depth, d_in_tower):
+    """A factor from a lower level multiplies blockwise, as if lifted."""
+    for rng, f, a, _ in cases(depth, d_in_tower):
+        low = f
+        for _ in range(rng.randint(1, depth)):
+            low = low.base
+        c = element(rng, low, rng.choice(HEIGHTS))
+        want = mul(f, tree_lift(tree(c), low, f), tree(a))
+        for got in (c * a, a * c):
+            assert got.field is f
+            assert_canonical(got)
+            assert tree(got) == want
+
+
+@pytest.mark.parametrize("depth, d_in_tower", TOWER_KINDS, ids=KIND_IDS)
+def test_dot_matches_reference(depth, d_in_tower):
+    """Sums of products over operands of every level of the tower, lifted
+    or not, zero terms and cancelling terms included."""
+    levels = [make_tower(100 * depth + 10 * d_in_tower, depth, d_in_tower)]
+    while not levels[-1].is_base:
+        levels.append(levels[-1].base)
+    f = levels[0]
+    rng = random.Random(depth)
+    for _ in range(CASES[depth]):
+        xs, ys = [], []
+        for _ in range(rng.randint(1, 4)):
+            height = rng.choice(HEIGHTS)
+            xs.append(element(rng, rng.choice(levels), height))
+            ys.append(element(rng, rng.choice(levels), height))
+        xs[rng.randrange(len(xs))] = element(rng, f, 10)    # one term in f
+        if rng.random() < 0.3:                      # cancelling terms
+            xs, ys = xs + [-xs[0]], ys + [ys[0]]
+        got = dot(xs, ys)
+        assert got.field is f
+        assert_canonical(got)
+        want = tree_dot(f, [tree_lift(tree(x), x.field, f) for x in xs],
+                        [tree_lift(tree(y), y.field, f) for y in ys])
+        assert tree(got) == want and dot(ys, xs) == got
+
+
+@pytest.mark.parametrize("depth, d_in_tower", TOWER_KINDS, ids=KIND_IDS)
+def test_sqrt_finds_both_roots_of_a_square(depth, d_in_tower):
+    for rng, f, a, b in cases(depth, d_in_tower):
+        root = f.sqrt(a * a)
+        assert root is not None and (root == a or root == -a)
+        r = f.sqrt(b)
+        assert r is None or mul(f, tree(r), tree(r)) == tree(b)
+        if not a.is_zero():           # d a^2 is the square of a s
+            s = f.generator()
+            r = f.sqrt(f.lift(f.d) * a * a)
+            assert r is not None and (r == a * s or r == -(a * s))
+
+
+@pytest.mark.parametrize("depth, d_in_tower", TOWER_KINDS, ids=KIND_IDS)
+def test_equality_hash_payload_and_json_across_lifts(depth, d_in_tower):
+    for rng, f, a, _ in cases(depth, d_in_tower):
+        low = lower(a)
+        assert f.lift(low) == a and low == a
+        assert hash(f.lift(low)) == hash(low) == hash(a)
+        x, y = a.payload
+        assert x.field is f.base and y.field is f.base
+        assert tree(x) == tree(a)[0] and tree(y) == tree(a)[1]
+        assert_canonical(x)
+        assert_canonical(y)
+        assert format_scalar(a) == tree_format(f, tree(a))
+        data = scalar_to_json(a)
+        assert data["coeffs"] == tree_coeffs(f, tree(a))
+        back = scalar_from_json(data)
+        assert back == a and back.field is f and hash(back) == hash(a)
+        assert_canonical(back)
+        assert_canonical(low)
+        if not low.field.is_base:                   # the shallowest level
+            assert not low.payload[1].is_zero()
+        elif low.payload[1] == 0:                   # a rational value
+            assert a == low.payload[0] and hash(a) == hash(low.payload[0])
