@@ -1,5 +1,5 @@
-"""Seeded exact random data: scalars of small height, group elements, and
-point families on Z.
+"""Seeded exact random data: scalars of small height, group elements over
+Q(i) or a square-root tower, and point families on Z.
 
 Z-points are sampled two ways, both exact: as group translates of the base
 point (the orbit parametrization is free), and as chart points built by
@@ -14,7 +14,7 @@ import random
 from .gitcore import GroupElement, PointHV, act
 from .linalg import Mat2, Vec2
 from .mckay import base_point
-from .scalars import QI, Scalar
+from .scalars import QI, Scalar, adjoin_sqrt
 
 
 def rand_scalar(rng: random.Random, height: int = 3) -> Scalar:
@@ -49,6 +49,26 @@ def rand_group_element(rng: random.Random, height: int = 3) -> GroupElement:
                  rand_scalar(rng, height), rand_scalar(rng, height))
         if not g.det().is_zero():
             return GroupElement.make(t, g)
+
+
+def rand_tower_group_element(rng: random.Random, depth: int) -> GroupElement:
+    """A group element over a depth-`depth` tower: a square root of a random
+    int in [2, 40] adjoined per level (drawn again while it is a square
+    there), then g (drawn again while det g = 0), then t.  Each entry is
+    u + v s at each level, with leaves from rand_nonzero_scalar."""
+    field = QI
+    while field.depth < depth:
+        field, _ = adjoin_sqrt(field, rng.randint(2, 40))
+
+    def element(f):
+        if f.is_base:
+            return rand_nonzero_scalar(rng)
+        return f.lift(element(f.base)) + f.generator() * f.lift(element(f.base))
+
+    while True:
+        g = Mat2(*(element(field) for _ in range(4)))
+        if not g.det().is_zero():
+            return GroupElement.make(tuple(element(field) for _ in range(3)), g)
 
 
 def rand_point_hv(rng: random.Random, height: int = 3) -> PointHV:

@@ -9,7 +9,9 @@ from d4vgit.cli import main
 from d4vgit.equations import witness_E1_not_E2
 from d4vgit.gitcore import point_to_json
 from d4vgit.mckay import base_point
-from d4vgit.sampling import rand_orbit_point
+from d4vgit.sampling import rand_chart_point, rand_orbit_point
+from d4vgit.scalars import scalar_from_json
+from d4vgit.stability import semistable_minus_theta
 
 
 @pytest.fixture
@@ -140,6 +142,23 @@ def test_orbit_sample_file_roundtrip(tmp_path, capsys):
     assert main(["verify-point", "--point", str(path), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["on_Z"] is True
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="int <-> decimal text past 4300 digits hits the "
+                          "interpreter's conversion limit: the witness value "
+                          "has 4583 digits and cannot be printed")
+def test_stability_prints_a_witness_of_any_height(tmp_path, capsys):
+    """A valid chart point of height 10^80 (ints of up to 1740 digits)
+    gets its verdict, and the printed witness parses back exactly."""
+    p = rand_chart_point(random.Random(1), 10 ** 80)
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(point_to_json(p)))
+    assert main(["stability", "--point", str(path),
+                 "--character", "minus-theta", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    witness = semistable_minus_theta(p).witness_value
+    assert scalar_from_json(out["witness_value"]) == witness
 
 
 def _point_file(tmp_path, edit):

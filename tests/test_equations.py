@@ -388,25 +388,9 @@ def _tower_translate(depth, height, seed):
     """A height-`height` chart point moved by a group element over a
     depth-`depth` tower with small rational leaves, as the orbit_towers
     benchmark builds its connect targets and translates."""
-    from d4vgit.gitcore import GroupElement
-    from d4vgit.linalg import Mat2
-    from d4vgit.sampling import rand_chart_point, rand_nonzero_scalar
-    from d4vgit.scalars import adjoin_sqrt
+    from d4vgit.sampling import rand_chart_point, rand_tower_group_element
     rng = random.Random(seed)
-    field = QI
-    while field.depth < depth:
-        field, _ = adjoin_sqrt(field, rng.randint(2, 40))
-
-    def element(f):
-        if f.is_base:
-            return rand_nonzero_scalar(rng)
-        return f.lift(element(f.base)) + f.generator() * f.lift(element(f.base))
-
-    while True:
-        g = Mat2(*(element(field) for _ in range(4)))
-        if not g.det().is_zero():
-            break
-    h = GroupElement.make(tuple(element(field) for _ in range(3)), g)
+    h = rand_tower_group_element(rng, depth)
     return act(h, rand_chart_point(rng, height))
 
 

@@ -17,7 +17,7 @@ from d4vgit.mckay import (
     point_field, quaternion_rep, stabilizer,
 )
 from d4vgit.sampling import (
-    rand_chart_point, rand_group_element, rand_nonzero_scalar, rand_z_point,
+    rand_chart_point, rand_group_element, rand_tower_group_element, rand_z_point,
 )
 from d4vgit.scalars import QI, ExtensionLimitError, adjoin_sqrt
 
@@ -174,27 +174,9 @@ def test_point_field_tracks_towers():
     assert point_field(lifted).depth == 1
 
 
-def _tower_group_element(depth, rng):
-    """A group element over a depth-`depth` tower of random square-root
-    generators."""
-    field = QI
-    while field.depth < depth:
-        field, _ = adjoin_sqrt(field, rng.randint(2, 40))
-
-    def element(f):
-        if f.is_base:
-            return rand_nonzero_scalar(rng)
-        return f.lift(element(f.base)) + f.generator() * f.lift(element(f.base))
-
-    g = Mat2(*(element(field) for _ in range(4)))
-    while g.det().is_zero():
-        g = Mat2(*(element(field) for _ in range(4)))
-    return GroupElement.make(tuple(element(field) for _ in range(3)), g)
-
-
 def _tower_translate(depth, seed):
     """The base point moved by a group element over a depth-`depth` tower."""
-    p = act(_tower_group_element(depth, random.Random(seed)), base_point())
+    p = act(rand_tower_group_element(random.Random(seed), depth), base_point())
     assert point_field(p).depth == depth
     return p
 
@@ -204,7 +186,7 @@ def _tower_chart_translate(depth, seed):
     depth-`depth` tower; connecting it adjoins three more square roots."""
     rng = random.Random(seed)
     c = rand_chart_point(rng, 16)
-    return act(_tower_group_element(depth, rng), c)
+    return act(rand_tower_group_element(rng, depth), c)
 
 
 def _tower_stabilizer(depth, seed):

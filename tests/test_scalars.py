@@ -1,8 +1,11 @@
-"""Field axioms, tower arithmetic, square roots, serialization."""
+"""Base-level field axioms and arithmetic against a Fraction-pair reference,
+tower construction and square roots, serialization, base-level dot.
+
+Tower arithmetic is checked against the pair-recursive reference in
+test_tower_reference.py."""
 
 import random
 import time
-import weakref
 from fractions import Fraction
 from math import gcd
 
@@ -281,208 +284,6 @@ class TestDifferential:
             x.field = QI
 
 
-TOWER_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-@st.composite
-def tower_fields(draw, min_depth=1, max_depth=3):
-    """A tower of the given depth, adjoining roots of distinct primes."""
-    k = draw(st.integers(min_depth, max_depth))
-    primes = draw(st.permutations(TOWER_PRIMES))[:k]
-    field = QI
-    for p in primes:
-        field, _ = adjoin_sqrt(field, p)
-    assert field.depth == k
-    return field
-
-
-def tower_element(draw, field):
-    if field.is_base:
-        return QI.scalar(draw(rationals), draw(rationals))
-    a = field.lift(tower_element(draw, field.base))
-    b = field.lift(tower_element(draw, field.base))
-    return a + field.generator() * b
-
-
-@st.composite
-def tower_triples(draw):
-    field = draw(tower_fields())
-    return field, [tower_element(draw, field) for _ in range(3)]
-
-
-class TestTowers:
-    @given(data=tower_triples())
-    @settings(max_examples=40, deadline=None)
-    def test_field_axioms(self, data):
-        field, (a, b, c) = data
-        assert (a + b) + c == a + (b + c)
-        assert a * (b + c) == a * b + a * c
-        assert (a * b) * c == a * (b * c)
-        assert a * b == b * a
-        assert (a - a).is_zero() and a + field.zero() == a and a * field.one() == a
-        if not a.is_zero():
-            assert a * a.inverse() == field.one()
-            assert (b / a) * a == b
-
-    @given(data=tower_triples())
-    @settings(max_examples=40, deadline=None)
-    def test_sqrt_sound_and_finds_squares(self, data):
-        field, (a, b, _) = data
-        root = field.sqrt(a * a)
-        assert root is not None and root * root == a * a
-        r = field.sqrt(b)
-        assert r is None or r * r == b
-
-    @given(data=tower_triples())
-    @settings(max_examples=40, deadline=None)
-    def test_json_roundtrip_and_hash(self, data):
-        field, (a, b, _) = data
-        assert scalar_from_json(scalar_to_json(a)) == a
-        assert hash(field.lift(lower(b))) == hash(lower(b))
-
-    @given(field=tower_fields(0, 2), p=st.sampled_from((17, 19, 23)))
-    def test_adjoin_sqrt_is_interned(self, field, p):
-        f1, s1 = adjoin_sqrt(field, p)
-        f2, s2 = adjoin_sqrt(field, field.scalar(p))
-        assert f1 is f2 and s1 == s2
-        assert f1 != adjoin_sqrt(field, p + 12)[0]
-
-    def test_unused_towers_are_freed(self):
-        """The intern table holds towers weakly and a Field keeps no Scalar
-        of itself, so dropping the last reference frees the tower at once."""
-        field, s = adjoin_sqrt(QI, 1009)
-        ref = weakref.ref(field)
-        del field, s
-        assert ref() is None
-
-
-# -- tower multiplication against the five-product rule ----------------------
-#
-# An element of a tower level is compared as its coefficient tree: nested
-# (a, b) pairs down to (re, im) Fraction pairs.  The reference multiplies
-# trees by (x + y s)(u + v s) = (x u + (d y) v) + (x v + y u) s, five
-# products per level, with no shortcut for zero halves.
-
-
-def tree(x):
-    if x.field.is_base:
-        re, im, den = x.triple
-        assert den > 0 and gcd(re, im, den) == 1
-        return x.payload
-    a, b = x.payload
-    return (tree(a), tree(b))
-
-
-def tree_add(a, b, field):
-    if field.is_base:
-        return ref_add(a, b)
-    return (tree_add(a[0], b[0], field.base), tree_add(a[1], b[1], field.base))
-
-
-def tree_mul(a, b, field):
-    if field.is_base:
-        return ref_mul(a, b)
-    (x, y), (u, v), lower_field = a, b, field.base
-    d = tree(lower_field.lift(field.d))
-    dy = tree_mul(d, y, lower_field)
-    return (tree_add(tree_mul(x, u, lower_field), tree_mul(dy, v, lower_field),
-                     lower_field),
-            tree_add(tree_mul(x, v, lower_field), tree_mul(y, u, lower_field),
-                     lower_field))
-
-
-def _base_level_d_tower(depth):
-    field = QI
-    for p in (2, 3, 5)[:depth]:
-        field, _ = adjoin_sqrt(field, p)
-    return field
-
-
-def _deep_d_tower(depth):
-    """Every level past the first adjoins a root of 3 + (previous root)."""
-    field, s = adjoin_sqrt(QI, 2)
-    while field.depth < depth:
-        field, s = adjoin_sqrt(field, s + 3)
-    return field
-
-
-TOWERS = {
-    "d_base_1": _base_level_d_tower(1), "d_base_2": _base_level_d_tower(2),
-    "d_base_3": _base_level_d_tower(3), "d_deep_2": _deep_d_tower(2),
-    "d_deep_3": _deep_d_tower(3),
-}
-SHAPES = ("full", "lifted", "generator", "zero")
-
-
-def coeff_tree(draw, depth, shape="full"):
-    """JSON coeffs of a depth-`depth` element of the given shape: "lifted"
-    has a zero upper half, "generator" a zero lower half."""
-    if depth == 0:
-        if shape == "zero":
-            return "0"
-        return format_scalar(QI.scalar(draw(small_fraction), draw(small_fraction)))
-    half = lambda: coeff_tree(draw, depth - 1, draw(st.sampled_from(SHAPES)))
-    zero = coeff_tree(draw, depth - 1, "zero")
-    return {"full": lambda: [half(), half()], "lifted": lambda: [half(), zero],
-            "generator": lambda: [zero, half()], "zero": lambda: [zero, zero]}[shape]()
-
-
-def tower_json(field):
-    return scalar_to_json(field.one())["gens"]
-
-
-@st.composite
-def tower_operands(draw):
-    name = draw(st.sampled_from(sorted(TOWERS)))
-    field = TOWERS[name]
-    gens = tower_json(field)
-    a, b = (scalar_from_json({"gens": gens, "coeffs": coeff_tree(
-        draw, field.depth, draw(st.sampled_from(SHAPES)))}) for _ in range(2))
-    return field, a, b
-
-
-class TestTowerMultiply:
-    def test_towers_cover_both_kinds_of_d(self):
-        for name, field in TOWERS.items():
-            assert lower(field.d).field.is_base == name.startswith("d_base")
-
-    @given(data=tower_operands())
-    @settings(max_examples=150, deadline=None)
-    def test_product_matches_five_product_rule(self, data):
-        field, a, b = data
-        want = tree_mul(tree(a), tree(b), field)
-        assert tree(a * b) == want and tree(b * a) == want
-        assert tree(a * a) == tree_mul(tree(a), tree(a), field)
-
-    @given(data=tower_operands(), level=st.integers(0, 2), draw=st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_mixed_level_product_matches_lifted_rule(self, data, level, draw):
-        """A factor from a lower level (Q(i) included) multiplies as if
-        lifted, and the product lives in the deeper field."""
-        field, a, _ = data
-        low = field
-        while low.depth > min(level, field.depth - 1):
-            low = low.base
-        coeffs = coeff_tree(draw.draw, low.depth, draw.draw(st.sampled_from(SHAPES)))
-        c = scalar_from_json(coeffs if low.is_base
-                             else {"gens": tower_json(low), "coeffs": coeffs})
-        assert c.field is low
-        want = tree_mul(tree(field.lift(c)), tree(a), field)
-        assert (c * a).field is field and (a * c).field is field
-        assert tree(c * a) == want and tree(a * c) == want
-
-    @given(data=tower_operands(), n=st.integers(0, 6))
-    @settings(max_examples=40, deadline=None)
-    def test_power_is_repeated_product(self, data, n):
-        field, a, _ = data
-        want = field.one()
-        for _ in range(n):
-            want = want * a
-        assert a ** n == want and (a ** n).field is field
-        if not a.is_zero():
-            assert a ** -n == want.inverse()
-
-
 # -- dot: one normalization per sum of products -------------------------------
 
 
@@ -516,41 +317,6 @@ class TestDot:
         assert dot((), ()).triple == (0, 0, 1)
         assert normalized(dot((zero, x, zero), (y, z, x))).triple == (x * z).triple
         assert normalized(dot((x, y), (z, zero))).triple == (x * z).triple
-
-    @given(field=st.one_of(tower_fields(), st.sampled_from(list(TOWERS.values()))),
-           n=st.integers(1, 4), draw=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_tower_operands_match_the_five_product_rule(self, field, n, draw):
-        """Operands of a depth 1-3 tower (d in Q(i) or not), some from lower
-        levels, lifted explicitly or not, give the tree sum of tree
-        products."""
-        levels = [field]
-        while not levels[-1].is_base:
-            levels.append(levels[-1].base)
-        xs, ys = [], []
-        for _ in range(n):
-            low = draw.draw(st.sampled_from(levels))
-            y = tower_element(draw.draw, low)
-            if draw.draw(st.booleans()):
-                y = field.lift(y)
-            xs.append(tower_element(draw.draw, field))
-            ys.append(y)
-        got = dot(xs, ys)
-        assert got.field is field
-        want = tree(field.zero())
-        for x, y in zip(xs, ys):
-            want = tree_add(want, tree_mul(tree(x), tree(field.lift(y)), field), field)
-        assert tree(got) == want
-        assert dot(ys, xs) == got
-
-    def test_tower_cancellation_and_lifted_only_operands(self):
-        field, s = adjoin_sqrt(adjoin_sqrt(QI, 2)[0], 3)
-        x = field.scalar(Fraction(2, 3), 5) + s
-        assert dot((x, x), (s, -s)) == field.zero()
-        assert dot((x, x), (s, -s)).field is field
-        low = adjoin_sqrt(QI, 2)[1]
-        got = dot((field.lift(low), QI.i()), (field.lift(low), QI.scalar(3)))
-        assert got.field is field and lower(got) == QI.scalar(2, 3)
 
     def test_polynomials_take_the_term_by_term_loop(self):
         V = ("a", "b")

@@ -1,20 +1,38 @@
-"""The flat tower kernel against the pair-recursive tower arithmetic it
-replaced, kept here as a reference.
+"""Tower arithmetic against one deterministic reference: the pair-recursive
+tower code the flat kernel replaced.
 
 A tower Scalar of level k is 2^k Gaussian-integer coefficients over one
 denominator.  The reference holds the same value as a pair tree: nested
 (a, b) pairs meaning a + b s, down to base-level Scalars, whose arithmetic
-is the unchanged int-triple code.  Its product, sum, dot and inverse are the
+is the base-level int-triple code (checked against Fraction pairs by
+hypothesis in test_scalars.py).  Its product, sum, dot and inverse are the
 pair-recursive rules of the old tower code: four products one level down,
 two when a factor is lifted (zero upper half), d y v taken leaf by leaf when
 d lies in Q(i), and each half of a sum of products a dot one level down.
 
+Tower kinds, each at depths 1-3 (d in the tower from depth 2):
+- d in Q(i) with a denominator: a random Gaussian rational per level;
+- d in the tower with a denominator: past the first level, a full element
+  of the level below with leaves of height up to 2^256;
+- d in Q(i) with none: the primes 2, 3, 5;
+- d in the tower with none: sqrt 2, then s + 3 for the root s below.
+The kinds without a denominator multiply with no extra factor at any level,
+as the stabilizer towers do.
+
+Operations: sum, difference, negation, product (full, lifted, generator-only
+and zero operands), int multiples, a ** n for n in -6..6, inverse and
+quotient, mixed-level products for every pair of levels (Q(i) included),
+dot over operands of every level with zero and cancelling terms, square
+roots, equality, hash, payload, format and JSON across lifts, interning and
+freeing of towers.  Every result is checked canonical: one positive
+denominator, coprime to the numerators.
+
 The cases are drawn from fixed seeds, with no hypothesis shrinking, so a
-defect in the kernel fails in seconds: towers of depth 1-3 whose d lies in
-Q(i) or in the tower, with leaves of height up to 2^256.
+defect in the kernel fails in seconds.
 """
 
 import random
+import weakref
 from fractions import Fraction
 from math import gcd
 
@@ -135,6 +153,10 @@ def tree_coeffs(f, t):
     return format_scalar(t) if f.is_base else [tree_coeffs(f.base, h) for h in t]
 
 
+def leaves(t):
+    return leaves(t[0]) + leaves(t[1]) if isinstance(t, tuple) else [t]
+
+
 # -- the cases ----------------------------------------------------------------------
 
 HEIGHTS = (10, 2 ** 64, 2 ** 256)
@@ -170,27 +192,49 @@ def element(rng, field, height, shape=None):
     return x
 
 
-def make_tower(seed, depth, d_in_tower):
-    """A depth-`depth` tower: every d a Gaussian rational with a denominator,
-    or, past the first level, a full element of the level below."""
+def make_tower(seed, depth, d_in_tower, integral):
+    """A depth-`depth` tower.  With a denominator: every d a random Gaussian
+    rational or, past the first level, a full element of the level below.
+    Without (integral): the primes 2, 3, 5, or, past the first level, s + 3
+    for the root s of the level below."""
     rng = random.Random(seed)
-    field = QI
+    field, s = QI, None
     while field.depth < depth:
-        if d_in_tower and field.depth:
+        if integral:
+            d = s + 3 if d_in_tower and field.depth else (2, 3, 5)[field.depth]
+        elif d_in_tower and field.depth:
             d = field.zero()
             while lower(d).field is not field:      # d in the tower, not below
                 d = element(rng, field, rng.choice(HEIGHTS), "full")
         else:
             d = QI.scalar(Fraction(rng.randint(2, 99), rng.randint(2, 9)),
                           Fraction(rng.randint(-9, 9), rng.randint(2, 9)))
-        field, _ = adjoin_sqrt(field, d)
+        field, s = adjoin_sqrt(field, d)
     assert field.depth == depth
     return field
 
 
-TOWER_KINDS = [(depth, False) for depth in (1, 2, 3)] + [(2, True), (3, True)]
-KIND_IDS = ["d_qi_%d" % d if not t else "d_tower_%d" % d for d, t in TOWER_KINDS]
+def levels(field):
+    """field and every level below it, Q(i) last."""
+    out = [field]
+    while not out[-1].is_base:
+        out.append(out[-1].base)
+    return out
+
+
+TOWER_KINDS = [(depth, d_in_tower, integral)
+               for integral in (False, True)
+               for depth, d_in_tower in ((1, False), (2, False), (3, False),
+                                         (2, True), (3, True))]
+KIND_IDS = ["d_%s%s_%d" % ("tower" if in_tower else "qi",
+                           "_integral" if integral else "", depth)
+            for depth, in_tower, integral in TOWER_KINDS]
+KIND = pytest.mark.parametrize("depth, d_in_tower, integral", TOWER_KINDS, ids=KIND_IDS)
 CASES = {1: 24, 2: 12, 3: 4}           # operand pairs per tower depth
+
+
+def tower_of(depth, d_in_tower, integral, k=0):
+    return make_tower(100 * depth + 10 * d_in_tower + k, depth, d_in_tower, integral)
 
 
 def assert_canonical(x):
@@ -204,19 +248,56 @@ def assert_canonical(x):
     assert den > 0 and gcd(*nums, den) == 1
 
 
-def cases(depth, d_in_tower):
+def cases(depth, d_in_tower, integral):
     for k in range(2):
-        field = make_tower(100 * depth + 10 * d_in_tower + k, depth, d_in_tower)
-        rng = random.Random(k)
+        field = tower_of(depth, d_in_tower, integral, k)
+        rng = random.Random(k + 2 * integral)
         for _ in range(CASES[depth]):
             height = rng.choice(HEIGHTS)
             yield (rng, field, element(rng, field, height, "full"),
                    element(rng, field, height))
 
 
-@pytest.mark.parametrize("depth, d_in_tower", TOWER_KINDS, ids=KIND_IDS)
-def test_ring_operations_match_reference(depth, d_in_tower):
-    for rng, f, a, b in cases(depth, d_in_tower):
+def test_tower_kinds_are_what_their_names_say():
+    """Read off public data only: d lies in Q(i), or in the level below and
+    not lower; every level's d has a leaf with a denominator, or none has."""
+    for kind in TOWER_KINDS:
+        _, d_in_tower, integral = kind
+        for k in range(2):
+            for f in levels(tower_of(*kind, k))[:-1]:
+                low = lower(f.d).field
+                assert low is (f.base if d_in_tower and f.depth > 1 else QI), kind
+                dens = {q.denominator for c in leaves(tree(f.d)) for q in c.payload}
+                assert (dens == {1}) == integral, kind
+
+
+@KIND
+def test_dot_matches_reference(depth, d_in_tower, integral):
+    """Sums of products over operands of every level of the tower, lifted
+    or not, zero terms and cancelling terms included."""
+    chain = levels(tower_of(depth, d_in_tower, integral))
+    f = chain[0]
+    rng = random.Random(depth + 10 * integral)
+    for _ in range(CASES[depth]):
+        xs, ys = [], []
+        for _ in range(rng.randint(1, 4)):
+            height = rng.choice(HEIGHTS)
+            xs.append(element(rng, rng.choice(chain), height))
+            ys.append(element(rng, rng.choice(chain), height))
+        xs[rng.randrange(len(xs))] = element(rng, f, 10)    # one term in f
+        if rng.random() < 0.3:                      # cancelling terms
+            xs, ys = xs + [-xs[0]], ys + [ys[0]]
+        got = dot(xs, ys)
+        assert got.field is f
+        assert_canonical(got)
+        want = tree_dot(f, [tree_lift(tree(x), x.field, f) for x in xs],
+                        [tree_lift(tree(y), y.field, f) for y in ys])
+        assert tree(got) == want and dot(ys, xs) == got
+
+
+@KIND
+def test_ring_operations_match_reference(depth, d_in_tower, integral):
+    for rng, f, a, b in cases(depth, d_in_tower, integral):
         ta, tb = tree(a), tree(b)
         ab = mul(f, ta, tb)
         for got, want in ((a * b, ab), (b * a, ab),
@@ -234,50 +315,50 @@ def test_ring_operations_match_reference(depth, d_in_tower):
             assert a * inv == f.one() and tree(b / a) == mul(f, tb, want)
 
 
-@pytest.mark.parametrize("depth, d_in_tower", TOWER_KINDS, ids=KIND_IDS)
-def test_mixed_level_products_match_lifted_reference(depth, d_in_tower):
-    """A factor from a lower level multiplies blockwise, as if lifted."""
-    for rng, f, a, _ in cases(depth, d_in_tower):
-        low = f
-        for _ in range(rng.randint(1, depth)):
-            low = low.base
-        c = element(rng, low, rng.choice(HEIGHTS))
-        want = mul(f, tree_lift(tree(c), low, f), tree(a))
-        for got in (c * a, a * c):
+@KIND
+def test_mixed_level_products_match_lifted_reference(depth, d_in_tower, integral):
+    """A factor from any lower level (Q(i) included) multiplies a factor of
+    any level above it blockwise, as if lifted."""
+    for rng, f, a, _ in cases(depth, d_in_tower, integral):
+        chain = levels(f)
+        for k, field in enumerate(chain[:-1]):
+            x = a if field is f else element(rng, field, rng.choice(HEIGHTS), "full")
+            for low in chain[k + 1:]:
+                c = element(rng, low, rng.choice(HEIGHTS))
+                want = mul(field, tree_lift(tree(c), low, field), tree(x))
+                for got in (c * x, x * c):
+                    assert got.field is field
+                    assert_canonical(got)
+                    assert tree(got) == want
+
+
+@KIND
+def test_powers_match_repeated_reference_product(depth, d_in_tower, integral):
+    """a ** n for n in -6..6: the repeated reference product, and its
+    reference inverse for negative n.  Height-10 operands in the first tower
+    of each kind: over the second d_tower_3 tower, whose d has leaves of
+    height 2^256, the reference inverses of six powers take seconds per
+    operand."""
+    f = tower_of(depth, d_in_tower, integral)
+    rng = random.Random(depth + 10 * integral)
+    for shape in ("full", "full", None, None, None, None):
+        a = element(rng, f, 10, shape)
+        want = tree(f.one())
+        for n in range(7):
+            got = a ** n
             assert got.field is f
             assert_canonical(got)
             assert tree(got) == want
+            if n and not a.is_zero():
+                got = a ** -n
+                assert_canonical(got)
+                assert tree(got) == inverse(f, want)
+            want = mul(f, want, tree(a))
 
 
-@pytest.mark.parametrize("depth, d_in_tower", TOWER_KINDS, ids=KIND_IDS)
-def test_dot_matches_reference(depth, d_in_tower):
-    """Sums of products over operands of every level of the tower, lifted
-    or not, zero terms and cancelling terms included."""
-    levels = [make_tower(100 * depth + 10 * d_in_tower, depth, d_in_tower)]
-    while not levels[-1].is_base:
-        levels.append(levels[-1].base)
-    f = levels[0]
-    rng = random.Random(depth)
-    for _ in range(CASES[depth]):
-        xs, ys = [], []
-        for _ in range(rng.randint(1, 4)):
-            height = rng.choice(HEIGHTS)
-            xs.append(element(rng, rng.choice(levels), height))
-            ys.append(element(rng, rng.choice(levels), height))
-        xs[rng.randrange(len(xs))] = element(rng, f, 10)    # one term in f
-        if rng.random() < 0.3:                      # cancelling terms
-            xs, ys = xs + [-xs[0]], ys + [ys[0]]
-        got = dot(xs, ys)
-        assert got.field is f
-        assert_canonical(got)
-        want = tree_dot(f, [tree_lift(tree(x), x.field, f) for x in xs],
-                        [tree_lift(tree(y), y.field, f) for y in ys])
-        assert tree(got) == want and dot(ys, xs) == got
-
-
-@pytest.mark.parametrize("depth, d_in_tower", TOWER_KINDS, ids=KIND_IDS)
-def test_sqrt_finds_both_roots_of_a_square(depth, d_in_tower):
-    for rng, f, a, b in cases(depth, d_in_tower):
+@KIND
+def test_sqrt_finds_both_roots_of_a_square(depth, d_in_tower, integral):
+    for rng, f, a, b in cases(depth, d_in_tower, integral):
         root = f.sqrt(a * a)
         assert root is not None and (root == a or root == -a)
         r = f.sqrt(b)
@@ -288,9 +369,9 @@ def test_sqrt_finds_both_roots_of_a_square(depth, d_in_tower):
             assert r is not None and (r == a * s or r == -(a * s))
 
 
-@pytest.mark.parametrize("depth, d_in_tower", TOWER_KINDS, ids=KIND_IDS)
-def test_equality_hash_payload_and_json_across_lifts(depth, d_in_tower):
-    for rng, f, a, _ in cases(depth, d_in_tower):
+@KIND
+def test_equality_hash_payload_and_json_across_lifts(depth, d_in_tower, integral):
+    for rng, f, a, _ in cases(depth, d_in_tower, integral):
         low = lower(a)
         assert f.lift(low) == a and low == a
         assert hash(f.lift(low)) == hash(low) == hash(a)
@@ -310,3 +391,34 @@ def test_equality_hash_payload_and_json_across_lifts(depth, d_in_tower):
             assert not low.payload[1].is_zero()
         elif low.payload[1] == 0:                   # a rational value
             assert a == low.payload[0] and hash(a) == hash(low.payload[0])
+
+
+def test_adjoin_sqrt_is_interned():
+    """The same (base, d) gives the same Field, whether d is an int or a
+    Scalar, and another d another Field."""
+    for depth in (0, 1, 2):
+        field = tower_of(depth, False, True)
+        for p in (17, 19, 23):
+            f1, s1 = adjoin_sqrt(field, p)
+            f2, s2 = adjoin_sqrt(field, field.scalar(p))
+            assert f1 is f2 and s1 == s2
+            assert f1 != adjoin_sqrt(field, p + 12)[0]
+
+
+def test_unused_towers_are_freed():
+    """The intern table holds towers weakly and a Field keeps no Scalar
+    of itself, so dropping the last reference frees the tower at once."""
+    field, s = adjoin_sqrt(QI, 1009)
+    ref = weakref.ref(field)
+    del field, s
+    assert ref() is None
+
+
+def test_tower_cancellation_and_lifted_only_operands():
+    field, s = adjoin_sqrt(adjoin_sqrt(QI, 2)[0], 3)
+    x = field.scalar(Fraction(2, 3), 5) + s
+    assert dot((x, x), (s, -s)) == field.zero()
+    assert dot((x, x), (s, -s)).field is field
+    low = adjoin_sqrt(QI, 2)[1]
+    got = dot((field.lift(low), QI.i()), (field.lift(low), QI.scalar(3)))
+    assert got.field is field and lower(got) == QI.scalar(2, 3)
