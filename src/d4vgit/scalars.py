@@ -7,11 +7,11 @@ den > 0 and gcd(re, im, den) = 1; the form is canonical, so equal values have
 equal triples.  A level-k tower Scalar is a flat tuple of 2^k Gaussian-
 integer coefficients over one positive denominator, canonical by one gcd (the
 common-denominator form, Cohen, GTM 138, 4.2): the low half is the level
-below, the high half the coefficient of the adjoined root s.  Products take
-    (x + y s)(u + v s) = (x u + d y v) + (x v + y u) s
-on the integer tuples level by level, the numerators and denominator of d
-folded in, and reduce once; a lower-level factor multiplies each block of
-the other, with no lift.
+below, the high half the coefficient of s' = m s for d = D/m at d's
+shallowest level, so s'^2 = m D is integral.  Products take
+    (x + y s')(u + v s') = (x u + m D y v) + (x v + y u) s'
+on the integer tuples level by level and reduce once (only _join and payload
+convert s to s'); a lower-level factor multiplies each block, with no lift.
 A sum of products is normalized once: dot(xs, ys) sums the raw products over
 one denominator and reduces the total with one gcd, where x*y + u*v reduces
 each product and the sum.  The other layers take every hot sum of products
@@ -89,16 +89,13 @@ class Field:
         self.is_base = base is None
         self.depth = 0 if self.is_base else base.depth + 1
         self._size = 2 << self.depth    # ints in a numerator tuple
-        # Numerator tuples X, Y multiply to _mul(self, X, Y) / _c; with d =
-        # D / delta at _d's level (the shallowest), e = delta * (its _c) makes
-        # the low half (e x u + D y v) / _c.  A Field keeps no Scalar of
-        # itself, so an unused tower is freed at once.
-        self._c = 1
+        # With d = D / m at _d's level (the shallowest), the tuples hold
+        # coefficients of s' = m s, and _dv = m D is the tuple of s'^2.  A
+        # Field keeps no Scalar of itself, so an unused tower is freed at once.
         if not self.is_base:
             self._d = lower(d)
-            self._dv, delta = _num(self._d)
-            self._e = delta * self._d._field._c
-            self._c = self._e * base._c
+            dv, self._m = _num(self._d)
+            self._dv = tuple([self._m * t for t in dv])
 
     @classmethod
     def gaussian_rationals(cls):
@@ -289,38 +286,37 @@ def _deeper(f, g):
 
 
 def _join(field, a, b):
-    """a + b s in field for a, b in field.base."""
+    """a + b s = a + (b/m) s' in field for a, b in field.base."""
     (av, ad), (bv, bd) = _num(a), _num(b)
+    bd *= field._m
     return _flat(field, [t * bd for t in av] + [t * ad for t in bv], ad * bd)
 
 
 def _mul(f, X, Y):
-    """A list Z with X Y == Z / f._c, for numerator tuples X and Y of level f."""
+    """The numerator tuple X Y (a list) for numerator tuples X, Y of level f."""
     if f.is_base:
         (x0, x1), (y0, y1) = X, Y
         return [x0 * y0 - x1 * y1, x0 * y1 + x1 * y0]
-    e = f._e
-    if f.depth == 1:
+    if f.depth == 1:    # unrolled: recursing here cost orbit_towers 17-20% of its ops/s
         (x0, x1, y0, y1), (u0, u1, v0, v1), (d0, d1) = X, Y, f._dv
         w0, w1 = y0 * v0 - y1 * v1, y0 * v1 + y1 * v0
-        return [(x0 * u0 - x1 * u1) * e + d0 * w0 - d1 * w1,
-                (x0 * u1 + x1 * u0) * e + d0 * w1 + d1 * w0,
-                (x0 * v0 - x1 * v1 + y0 * u0 - y1 * u1) * e,
-                (x0 * v1 + x1 * v0 + y0 * u1 + y1 * u0) * e]
+        return [x0 * u0 - x1 * u1 + d0 * w0 - d1 * w1,
+                x0 * u1 + x1 * u0 + d0 * w1 + d1 * w0,
+                x0 * v0 - x1 * v1 + y0 * u0 - y1 * u1,
+                x0 * v1 + x1 * v0 + y0 * u1 + y1 * u0]
     g = f.base
     n = len(X) >> 1
     x, y, u, v = X[:n], X[n:], Y[:n], Y[n:]
     if any(y) and any(v):
         dyv = _blocks(f._d._field, f._dv, _mul(g, y, v))
-        return ([e * a + b for a, b in zip(_mul(g, x, u), dyv)]
-                + [e * (a + b) for a, b in zip(_mul(g, x, v), _mul(g, y, u))])
+        return ([a + b for a, b in zip(_mul(g, x, u), dyv)]
+                + [a + b for a, b in zip(_mul(g, x, v), _mul(g, y, u))])
     # a lifted factor: two products below, or one
-    z = _mul(g, x, u) + (_mul(g, x, v) if any(v) else _mul(g, y, u) if any(y) else [0] * n)
-    return z if e == 1 else [e * t for t in z]
+    return _mul(g, x, u) + (_mul(g, x, v) if any(v) else _mul(g, y, u) if any(y) else [0] * n)
 
 
 def _blocks(f, A, Y):
-    """A list Z with A Y == Z / f._c, for a numerator tuple A of level f and
+    """The numerator tuple A Y (a list) for a numerator tuple A of level f and
     Y of f or a level above it: A times each block of Y, with no lift."""
     n = len(A)
     if n == len(Y):
@@ -358,8 +354,9 @@ class Scalar:
         """Read-only view: (re, im) as reduced Fractions at the base level,
         (a, b) Scalars of field.base with x = a + b*s above it."""
         if self._den is None:
-            v, n, base = self._x, self._field._size >> 1, self._field.base
-            return _flat(base, v[:n], self._y), _flat(base, v[n:], self._y)
+            f, v, den = self._field, self._x, self._y
+            n = f._size >> 1
+            return _flat(f.base, v[:n], den), _flat(f.base, [t * f._m for t in v[n:]], den)
         return Fraction(self._x, self._den), Fraction(self._y, self._den)
 
     @property
@@ -479,7 +476,7 @@ class Scalar:
             a, b = (self, other) if self._field.depth < other._field.depth else (other, self)
             av, ad = _num(a)
             return _flat(_deeper(a._field, b._field), _blocks(a._field, av, b._x),
-                         ad * b._y * a._field._c)
+                         ad * b._y)
         else:
             a, b = self._pair(other)
             if a is None:
@@ -488,7 +485,7 @@ class Scalar:
         if a._den is not None:
             return _qi(x * u - y * v, x * v + y * u, a._den * b._den)
         f = a._field
-        return _flat(f, _mul(f, x, u), y * v * f._c)
+        return _flat(f, _mul(f, x, u), y * v)
 
     __rmul__ = __mul__
 
@@ -501,8 +498,8 @@ class Scalar:
             f = self._field
             n = f._size >> 1
             conj = x[:n] + tuple([-t for t in x[n:]])
-            nv, nd = _num(_flat(f.base, _mul(f, x, conj)[:n], y * y * f._c).inverse())
-            return _flat(f, _blocks(f.base, nv, conj), y * nd * f.base._c)
+            nv, nd = _num(_flat(f.base, _mul(f, x, conj)[:n], y * y).inverse())
+            return _flat(f, _blocks(f.base, nv, conj), y * nd)
         return _qi(x * self._den, -y * self._den, x * x + y * y)
 
     def __truediv__(self, other):
@@ -612,7 +609,7 @@ def _dot_tower(xs, ys):
         f = x._field
         field = _deeper(field, _deeper(f, y._field))
         (xv, xd), (yv, yd) = _num(x), _num(y)
-        z, d = _blocks(f, xv, yv), xd * yd * f._c
+        z, d = _blocks(f, xv, yv), xd * yd
         if not total:
             total, den = z, d
             continue

@@ -113,9 +113,7 @@ def suite_equations(seed: int) -> Report:
     rep.add("eq.beta_flip_breaks_only_E3",
             rf.e1_zero() and rf.e2_zero() and not rf.e3_zero())
 
-    first_off_z = ""
-    ok_open = True
-    ok_det = True
+    first_off_z = bad_open = bad_det = ""
     ok_omega = True
     ok_semi = True
     for k in range(60):
@@ -125,17 +123,19 @@ def suite_equations(seed: int) -> Report:
         if not equations.on_Z(q) and not first_off_z:
             first_off_z = _sample_details(k, q)
         dq, is_open = _det_b_and_open_locus(q)
-        ok_open = ok_open and is_open
+        if not is_open and not bad_open:
+            bad_open = _sample_details(k, q)
         b1, b2, b3 = q.alpha
-        ok_det = ok_det and (dq + dq == q.beta ** 3 * b1 * b2 * b3)
+        if not bad_det and dq + dq != q.beta ** 3 * b1 * b2 * b3:
+            bad_det = _sample_details(k, q)
         ok_omega = ok_omega and (equations.omega(q)
                                  == h.g.det().inverse() * equations.omega(p))
         chi = (h.t[0] * h.t[1] * h.t[2] * h.g.det()).inverse()
         ok_semi = ok_semi and (equations.semi_invariant_minus_theta(q, dq)
                                == chi * equations.semi_invariant_minus_theta(p))
     rep.add("eq.G_invariance_of_Z", not first_off_z, first_off_z)
-    rep.add("eq.open_locus_G_invariant", ok_open)
-    rep.add("eq.det_identity_on_orbit", ok_det)
+    rep.add("eq.open_locus_G_invariant", not bad_open, bad_open)
+    rep.add("eq.det_identity_on_orbit", not bad_det, bad_det)
     rep.add("eq.omega_weight", ok_omega, "omega scales by det(g)^-1")
     rep.add("eq.semi_invariant_weight", ok_semi,
             "a^2 b^2 det B transforms by the inverse character")
@@ -203,14 +203,15 @@ def suite_stability(seed: int) -> Report:
             ok_minus = False
     rep.add("st.minus_theta_unstable_certified", ok_minus)
 
-    ok_g = True
-    for _ in range(20):
+    bad_g = ""
+    for k in range(20):
         p = sampling.rand_z_point(rng)
         h = sampling.rand_group_element(rng)
         v1 = stability.semistable_theta(p)
         v2 = stability.semistable_theta(act(h, p))
-        ok_g = ok_g and (v1.is_stable == v2.is_stable)
-    rep.add("st.verdict_G_invariant", ok_g)
+        if not bad_g and v1.is_stable != v2.is_stable:
+            bad_g = _sample_details(k, p)
+    rep.add("st.verdict_G_invariant", not bad_g, bad_g)
     return rep.finish()
 
 
@@ -221,12 +222,13 @@ def suite_quiver(seed: int) -> Report:
     bad_legs = bad_trace = bad_contract = ""
     for k in range(50):
         p = sampling.rand_point_hv(rng)
-        legs, central = quiver.preprojective_residual(quiver.build_rep(p))
+        r = quiver.build_rep(p)
+        legs, central = quiver.preprojective_residual(r)
         if not bad_legs and not all(s.is_zero() for s in legs):
             bad_legs = _sample_details(k, p)
         if not bad_trace and not central.trace().is_zero():
             bad_trace = _sample_details(k, p)
-        if not bad_contract and not _central_matches_e1(p):
+        if not bad_contract and not _central_matches_e1(p, r):
             bad_contract = _sample_details(k, p)
     rep.add("qv.legs_always_zero", not bad_legs, bad_legs)
     rep.add("qv.central_trace_free", not bad_trace, bad_trace)
@@ -249,7 +251,8 @@ def suite_quiver(seed: int) -> Report:
     return rep.finish()
 
 
-def _central_matches_e1(p: PointHV) -> bool:
+def _central_matches_e1(p: PointHV, r: quiver.QuiverRep) -> bool:
+    """Whether the central quadratic of r = build_rep(p) is p's E1 form."""
     res = equations.residuals(p)
     e1 = res.e1                      # upper triangle (m <= n)
     gram = {(0, 0): e1[0], (0, 1): e1[1], (0, 2): e1[2],
@@ -265,7 +268,6 @@ def _central_matches_e1(p: PointHV) -> bool:
         return s
 
     x = p.x
-    rep = quiver.build_rep(p)
     e1v = Vec2(QI.one(), QI.zero())
     e2v = Vec2(QI.zero(), QI.one())
 
@@ -275,7 +277,7 @@ def _central_matches_e1(p: PointHV) -> bool:
     checks = []
     for v in (e1v, e2v, Vec2(QI.one(), QI.one())):
         t = coords(v)
-        checks.append(quiver.central_quadratic(rep, v) == form(t, t))
+        checks.append(quiver.central_quadratic(r, v) == form(t, t))
     return all(checks)
 
 
@@ -337,16 +339,14 @@ def suite_orbit(seed: int) -> Report:
     rep.add("orb.conjugate_stabilizer",
             conj.order() == 8 and conj.is_quaternion())
 
-    ok_roundtrip = True
-    for _ in range(4):
+    bad_roundtrip = ""
+    for k in range(4):
         g = sampling.rand_group_element(rng)
         q = act(g, bstar)
         found = mckay.connect(bstar, q)
-        if found is None:
-            ok_roundtrip = False
-            continue
-        ok_roundtrip = ok_roundtrip and act(found, bstar).same_h_part(q)
-    rep.add("orb.connect_roundtrip", ok_roundtrip)
+        if not bad_roundtrip and (found is None or not act(found, bstar).same_h_part(q)):
+            bad_roundtrip = _sample_details(k, q)
+    rep.add("orb.connect_roundtrip", not bad_roundtrip, bad_roundtrip)
 
     self_h = mckay.connect(bstar, bstar)
     rep.add("orb.connect_self_in_stabilizer",

@@ -305,6 +305,42 @@ def test_suite_equations_reports_an_off_z_sample_as_a_failed_check(monkeypatch):
     assert passing["eq.G_invariance_of_Z"].details == ""
 
 
+@pytest.mark.parametrize("check_id, flip, also_fails", [
+    ("eq.open_locus_G_invariant", lambda d, is_open: (d, False), ()),
+    # the semi-invariant weight reads the same det B
+    ("eq.det_identity_on_orbit", lambda d, is_open: (d + 1, is_open),
+     ("eq.semi_invariant_weight",)),
+], ids=["open_locus", "det_identity"])
+def test_suite_equations_names_the_first_failing_orbit_sample(monkeypatch, check_id,
+                                                              flip, also_fails):
+    """An orbit sample outside the open locus, or off 2 det B = beta^3 a1 a2
+    a3, fails its check with the sample's index and point JSON; the other
+    checks report as they do when every sample passes."""
+    import d4vgit.suites as suites
+    passing = {c.check_id: c for c in suites.run_suite("equations", 7).checks}
+    real = suites._det_b_and_open_locus
+    seen = []
+    bad_call = 4
+
+    def flipped(p):
+        seen.append(p)
+        # call 0 is for b*; call k + 1 for orbit sample k; two samples fail
+        if len(seen) - 2 in (bad_call, bad_call + 3):
+            return flip(*real(p))
+        return real(p)
+
+    monkeypatch.setattr(suites, "_det_b_and_open_locus", flipped)
+    checks = {c.check_id: c for c in suites.run_suite("equations", 7).checks}
+    assert not checks[check_id].passed
+    index, text = checks[check_id].details.split(": ", 1)
+    assert index == "sample %d" % bad_call
+    assert text == json.dumps(point_to_json(seen[bad_call + 1]), sort_keys=True)
+    for other, check in checks.items():
+        if other != check_id and other not in also_fails:
+            assert check == passing[other], other
+    assert passing[check_id].passed and passing[check_id].details == ""
+
+
 # -- residuals kept on the point ---------------------------------------------------
 
 

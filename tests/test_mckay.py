@@ -5,6 +5,7 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from d4vgit.equations import ContractViolation, det_b, in_Zo, omega, residuals
 from d4vgit.cyclic_s3 import s3_base_point, s3_stabilizer
@@ -561,3 +562,53 @@ def test_connect_proves_with_one_act(monkeypatch):
     h = connect(b, q)
     assert calls[0] == 1
     assert act(h, b).same_h_part(q)
+
+
+@given(depth=st.integers(0, 2), bits=st.integers(1, 64), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=8, deadline=None)
+def test_tower_translates_at_height_keep_the_quaternion_stabilizer(depth, bits, seed):
+    """b* moved by a depth-`depth` tower element composed with a rational
+    one of height 2^bits: the stabilizer is quaternion of order 8, the
+    relaxed one has order 16, and connect reaches the translate from b* and
+    back."""
+    rng = random.Random(seed)
+    h = rand_tower_group_element(rng, depth).compose(rand_group_element(rng, 2 ** bits))
+    b = base_point()
+    p = act(h, b)
+    group = stabilizer(p)
+    assert group.order() == 8 and group.is_quaternion()
+    assert stabilizer(p, fix_beta=False).order() == 16
+    for source, target in ((b, p), (p, b)):
+        found = connect(source, target)
+        assert found is not None and act(found, source).same_h_part(target)
+
+
+@pytest.mark.parametrize("wrong", [None, "identity"])
+def test_suite_orbit_names_the_first_failing_connect_sample(monkeypatch, wrong):
+    """A connect that returns None, or an element that misses the target,
+    fails orb.connect_roundtrip with the index and point JSON of its
+    sample; every other check passes with empty details."""
+    import json
+
+    from d4vgit.suites import run_suite
+    real = mckay.connect
+    targets = []
+    bad_call = 2
+
+    def failing(p, q):
+        targets.append(q)
+        if len(targets) - 1 in (bad_call, bad_call + 1):     # two samples fail
+            return None if wrong is None else GroupElement.identity()
+        return real(p, q)
+
+    monkeypatch.setattr(mckay, "connect", failing)
+    checks = {c.check_id: c for c in run_suite("orbit", 7).checks}
+    check = checks.pop("orb.connect_roundtrip")
+    assert not check.passed
+    index, text = check.details.split(": ", 1)
+    assert index == "sample %d" % bad_call
+    assert text == json.dumps(gitcore.point_to_json(targets[bad_call]), sort_keys=True)
+    assert all(c.passed and c.details == "" for c in checks.values())
+    monkeypatch.undo()
+    passing = {c.check_id: c for c in run_suite("orbit", 7).checks}
+    assert all(c.passed and c.details == "" for c in passing.values())

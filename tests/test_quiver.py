@@ -179,13 +179,13 @@ def test_suite_quiver_names_the_first_failing_sample(monkeypatch, check_id, modu
         drawn.append(real_sampler(rng))
         return drawn[-1]
 
-    def flipped(arg):
+    def flipped(*args):
         # the first call made for samples bad_call and bad_call + 2 fails
         k = len(drawn) - 1
         if k in (bad_call, bad_call + 2) and k not in flipped_samples:
             flipped_samples.add(k)
-            return flip(real(arg))
-        return real(arg)
+            return flip(real(*args))
+        return real(*args)
 
     monkeypatch.setattr(d4vgit.sampling, sampler, drawing)
     monkeypatch.setattr(target, name, flipped)
@@ -200,3 +200,20 @@ def test_suite_quiver_names_the_first_failing_sample(monkeypatch, check_id, modu
     monkeypatch.undo()
     passing = {c.check_id: c for c in run_suite("quiver", 7).checks}
     assert all(c.passed and c.details == "" for c in passing.values())
+
+
+def test_suite_quiver_builds_each_sample_once(monkeypatch):
+    """suite_quiver hands the rep it built to the E1 contraction check
+    instead of building it again."""
+    import d4vgit.quiver
+    from d4vgit.suites import run_suite
+    real = d4vgit.quiver.build_rep
+    built = []
+
+    def counting(p):
+        built.append(p)
+        return real(p)
+
+    monkeypatch.setattr(d4vgit.quiver, "build_rep", counting)
+    assert run_suite("quiver", 7).passed
+    assert len(built) > 50 and len({id(p) for p in built}) == len(built)

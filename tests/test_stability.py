@@ -283,3 +283,42 @@ def test_suite_stability_names_the_first_failing_sample(monkeypatch, oracle,
     monkeypatch.undo()
     passing = {c.check_id: c for c in run_suite("stability", 7).checks}
     assert passing[check_id].passed and passing[check_id].details == ""
+
+
+def test_suite_stability_names_the_first_sample_whose_verdict_moves(monkeypatch):
+    """A sample whose translate gets the other theta verdict fails
+    st.verdict_G_invariant with the sample's index and point JSON; every
+    other check passes with empty details."""
+    import dataclasses
+    import json
+
+    import d4vgit.stability as stability
+    import d4vgit.suites as suites
+    from d4vgit.gitcore import point_to_json
+    real_act, real_theta = suites.act, stability.semistable_theta
+    pairs = []
+    bad_call = 6
+
+    def acting(h, p):
+        pairs.append((p, real_act(h, p)))
+        return pairs[-1][1]
+
+    def flipped(p):
+        v = real_theta(p)
+        # the translates of samples bad_call and bad_call + 2 flip
+        if pairs and p is pairs[-1][1] and len(pairs) - 1 in (bad_call, bad_call + 2):
+            return dataclasses.replace(v, status="unstable" if v.is_stable else "stable")
+        return v
+
+    monkeypatch.setattr(suites, "act", acting)
+    monkeypatch.setattr(stability, "semistable_theta", flipped)
+    checks = {c.check_id: c for c in suites.run_suite("stability", 7).checks}
+    check = checks.pop("st.verdict_G_invariant")
+    assert not check.passed
+    index, text = check.details.split(": ", 1)
+    assert index == "sample %d" % bad_call
+    assert text == json.dumps(point_to_json(pairs[bad_call][0]), sort_keys=True)
+    assert all(c.passed and c.details == "" for c in checks.values())
+    monkeypatch.undo()
+    passing = {c.check_id: c for c in suites.run_suite("stability", 7).checks}
+    assert all(c.passed and c.details == "" for c in passing.values())

@@ -16,8 +16,9 @@ Tower kinds, each at depths 1-3 (d in the tower from depth 2):
   of the level below with leaves of height up to 2^256;
 - d in Q(i) with none: the primes 2, 3, 5;
 - d in the tower with none: sqrt 2, then s + 3 for the root s below.
-The kinds without a denominator multiply with no extra factor at any level,
-as the stabilizer towers do.
+Every kind stores level k in the integral basis s' = m s, for d = D/m at
+d's shallowest level; the kinds without a denominator are the m = 1 kinds,
+as the stabilizer towers are.
 
 Operations: sum, difference, negation, product (full, lifted, generator-only
 and zero operands), int multiples, a ** n for n in -6..6, inverse and
