@@ -1,7 +1,9 @@
 """CLI stdout against recorded fixtures: the stabilizer tables and the S3
 report, recorded before the closure proof moved from |G|^2 products to a
-generating set, and the full suite report for seeds 0, 7 and 42, recorded
-before connect read its transport off the forms.  Each must stay
+generating set; the full suite report for seeds 0, 7 and 42, recorded
+before connect read its transport off the forms; and the chart closure
+check (its 24 quotients) and the base point's charts 2 and 3, recorded
+before the chart relations moved into one function.  Each must stay
 byte-identical.
 
 Each fixture under tests/data is the stdout of one command, for example
@@ -31,6 +33,11 @@ CASES = {
     "suite_all_seed0": ["suite", "all", "--seed", "0", "--json"],
     "suite_all_seed7": ["suite", "all", "--seed", "7", "--json"],
     "suite_all_seed42": ["suite", "all", "--seed", "42", "--json"],
+    "chart_closure_check": ["chart", "--closure-check", "--json"],
+    "chart_base_index2": ["chart", "--point", "base_point.json", "--index", "2",
+                          "--json"],
+    "chart_base_index3": ["chart", "--point", "base_point.json", "--index", "3",
+                          "--json"],
 }
 
 
