@@ -7,15 +7,19 @@ A stable point with witness index i is moved to the normal form
 
 by a unique group element up to the residual torus GL(L_j) x GL(L_k).  In
 this normal form membership in Z collapses to one relation: with
-omega = a_j a_k beta^2 the coordinates satisfy
+omega = a_j a_k beta^2 the five coordinates q_j, q_k, r, r_j, r_k are fixed
+by the free ones a_j, a_k, beta, p_j, p_k,
 
     4 r = omega,   r_j = -r p_j,   r_k = -r p_k,
     q_j = beta a_k p_k,   q_k = -beta a_j p_j,
-    1 + a_j p_j^2 + a_k p_k^2 = 0,
 
-and chart_closure_check verifies symbolically that these substitutions
-reduce every one of the 24 residual components of the defining equations to
-a multiple of N = 1 + a_j p_j^2 + a_k p_k^2.
+(dependent_coordinates, the one place these are written), and what is left
+is N = 1 + a_j p_j^2 + a_k p_k^2 = 0.  A ChartPoint is its five free
+coordinates; normalize, where a point enters a chart, checks the moved
+point against the five relations once.  chart_closure_check verifies
+symbolically that the relations, written over the five free generators,
+reduce every one of the 24 residual components of the defining equations
+to a multiple of N.
 
 The quiver-side chart fixes E0 = (1,0), D_i = (1,0), E_i = (0,1); writing
 D_m = (ph_m, qh_m) and E_m = ah_m (-qh_m, ph_m) for the other two legs and
@@ -49,24 +53,44 @@ def _cyclic(i):
     return (i + 1) % 3, (i + 2) % 3
 
 
+def dependent_coordinates(alpha_j, alpha_k, beta, p_j, p_k):
+    """(q_j, q_k, r, r_j, r_k) from the free chart coordinates, over any
+    commutative ring with division by 4 (Scalars, or Polys for the closure
+    check): the five chart relations.  The chart index i is implicit: the
+    formulas are the same in every chart, with (j, k) its cyclic successors.
+    """
+    r = alpha_j * alpha_k * beta * beta / 4
+    return (beta * alpha_k * p_k, -(beta * alpha_j * p_j),
+            r, -(r * p_j), -(r * p_k))
+
+
+# the relation each entry of dependent_coordinates satisfies, in its order
+_RELATIONS = ("q_j = beta a_k p_k", "q_k = -beta a_j p_j", "4r = omega",
+              "r_j = -r p_j", "r_k = -r p_k")
+
+
 @dataclass(frozen=True)
 class ChartPoint:
-    """Chart coordinates of a normalized point; validated on construction."""
+    """A normalized point by its free chart coordinates; validated on
+    construction.
+
+    q_j, q_k, r, r_j and r_k are not fields: __post_init__ sets them from
+    dependent_coordinates, so they take no part in == or hash.
+    """
 
     index: int                      # 1, 2 or 3
     alpha_j: Scalar
     alpha_k: Scalar
     beta: Scalar
     p_j: Scalar
-    q_j: Scalar
     p_k: Scalar
-    q_k: Scalar
-    r: Scalar
-    r_j: Scalar
-    r_k: Scalar
     normalizer: Optional[GroupElement] = field(default=None, compare=False)
 
     def __post_init__(self):
+        dependent = dependent_coordinates(self.alpha_j, self.alpha_k, self.beta,
+                                          self.p_j, self.p_k)
+        for name, value in zip(("q_j", "q_k", "r", "r_j", "r_k"), dependent):
+            object.__setattr__(self, name, value)
         self.validate()
 
     @property
@@ -74,13 +98,7 @@ class ChartPoint:
         return self.alpha_j * self.alpha_k * self.beta * self.beta
 
     def validate(self):
-        om = self.omega
         checks = (
-            ("4r = omega", self.r * 4 == om),
-            ("r_j = -r p_j", self.r_j == -self.r * self.p_j),
-            ("r_k = -r p_k", self.r_k == -self.r * self.p_k),
-            ("q_j = beta a_k p_k", self.q_j == self.beta * self.alpha_k * self.p_k),
-            ("q_k = -beta a_j p_j", self.q_k == -self.beta * self.alpha_j * self.p_j),
             ("1 + a_j p_j^2 + a_k p_k^2 = 0",
              (QI.one() + self.alpha_j * self.p_j ** 2
               + self.alpha_k * self.p_k ** 2).is_zero()),
@@ -107,7 +125,9 @@ def normalize(p: PointHV, index: int) -> ChartPoint:
     x = (1,0), a_i = 1, B_i = (1,0,r); all steps are rational, so no field
     extension is ever needed here.  A nonzero witness forces x != 0 and
     B_i(x, -) != 0; stability then asks only that B_j(x, -) and B_k(x, -)
-    be nonzero, which ChartPoint.validate checks as (p, q) != 0.
+    be nonzero, which ChartPoint.validate checks as (p, q) != 0.  This is
+    where a point enters a chart, so the five chart relations are checked
+    here, against the moved point's B-entries, and nowhere else.
     """
     if not on_Z(p):
         raise ContractViolation("normalize called off Z")
@@ -130,13 +150,13 @@ def normalize(p: PointHV, index: int) -> ChartPoint:
     h1 = GroupElement.make(tuple(t), g1)
     q = act(h1, q0)
     j, k = _cyclic(i)
-    return ChartPoint(
-        index=index,
-        alpha_j=q.alpha[j], alpha_k=q.alpha[k], beta=q.beta,
-        p_j=q.B[j][0], q_j=q.B[j][1], p_k=q.B[k][0], q_k=q.B[k][1],
-        r=q.B[i][2], r_j=q.B[j][2], r_k=q.B[k][2],
-        normalizer=h1.compose(h0),
-    )
+    (p_j, q_j, r_j), (p_k, q_k, r_k) = q.B[j], q.B[k]
+    fixed = dependent_coordinates(q.alpha[j], q.alpha[k], q.beta, p_j, p_k)
+    for name, want, got in zip(_RELATIONS, fixed, (q_j, q_k, q.B[i][2], r_j, r_k)):
+        if want != got:
+            raise ChartError("chart invariant failed: %s" % name)
+    return ChartPoint(index, q.alpha[j], q.alpha[k], q.beta, p_j, p_k,
+                      normalizer=h1.compose(h0))
 
 
 def chart_equivalent(c1: ChartPoint, c2: ChartPoint):
@@ -155,15 +175,12 @@ def chart_equivalent(c1: ChartPoint, c2: ChartPoint):
     tk = leg_scale(c1.p_k, c1.q_k, c2.p_k, c2.q_k)
     if tj is None or tk is None or tj.is_zero() or tk.is_zero():
         return None
+    # the free coordinates; the dependent ones follow from them
     ok = (
         c2.alpha_j == tj.inverse() ** 2 * c1.alpha_j
         and c2.alpha_k == tk.inverse() ** 2 * c1.alpha_k
         and c2.beta == tj * tk * c1.beta
-        and c2.p_j == tj * c1.p_j and c2.q_j == tj * c1.q_j
-        and c2.r_j == tj * c1.r_j
-        and c2.p_k == tk * c1.p_k and c2.q_k == tk * c1.q_k
-        and c2.r_k == tk * c1.r_k
-        and c2.r == c1.r
+        and c2.p_j == tj * c1.p_j and c2.p_k == tk * c1.p_k
     )
     return (tj, tk) if ok else None
 
@@ -223,15 +240,8 @@ def to_quiver_chart(c: ChartPoint) -> HatChart:
 
 
 def from_quiver_chart(hat: HatChart) -> ChartPoint:
-    r = hat.omega                     # r = omega/4 and omega = 4*omega_hat
-    return ChartPoint(
-        index=hat.index,
-        alpha_j=hat.alpha_j, alpha_k=hat.alpha_k,
-        beta=hat.beta * 2,
-        p_j=hat.p_j, q_j=hat.q_j * 2,
-        p_k=hat.p_k, q_k=hat.q_k * 2,
-        r=r, r_j=-r * hat.p_j, r_k=-r * hat.p_k,
-    )
+    return ChartPoint(hat.index, hat.alpha_j, hat.alpha_k, hat.beta * 2,
+                      hat.p_j, hat.p_k)
 
 
 def normalize_rep(rep: QuiverRep, index: int):
@@ -303,7 +313,7 @@ def _solve_beta_hat(leg_j, leg_k):
 # -- symbolic closure ----------------------------------------------------------
 
 
-CHART_VARIABLES = ("a2", "a3", "b", "p2", "p3", "q2", "q3", "r1", "r2", "r3")
+CHART_VARIABLES = ("a2", "a3", "b", "p2", "p3")
 
 
 @dataclass(frozen=True)
@@ -329,37 +339,25 @@ def chart_closure_check() -> ClosureReport:
     """Verify symbolically that the chart relations imply every remaining
     component of the three defining equations.
 
-    Each of the 24 residual components, after substituting
-    r1 = omega/4, r2 = -r1 p2, r3 = -r1 p3, q2 = b a3 p3, q3 = -b a2 p2,
-    must reduce to a polynomial multiple of N = 1 + a2 p2^2 + a3 p3^2.
-    Deterministic and exact; no randomness involved.
+    B is built in chart 1 over the five free generators a2, a3, b, p2, p3,
+    with q2, q3, r1, r2, r3 from dependent_coordinates; each of the 24
+    residual components must then be a polynomial multiple of
+    N = 1 + a2 p2^2 + a3 p3^2.  Deterministic and exact; no randomness
+    involved.
     """
     V = CHART_VARIABLES
     gen = Poly.ring(V)
-    one = Poly.constant(1, V)
-    alpha = (one, gen["a2"], gen["a3"])
-    beta = gen["b"]
-    B = ((one, Poly.constant(0, V), gen["r1"]),
-         (gen["p2"], gen["q2"], gen["r2"]),
-         (gen["p3"], gen["q3"], gen["r3"]))
-    e1, e2, e3 = residual_entries(alpha, beta, B)
-
-    omega = gen["a2"] * gen["a3"] * beta * beta
-    r1 = omega / 4
-    subst = {
-        "r1": r1,
-        "r2": -(r1 * gen["p2"]),
-        "r3": -(r1 * gen["p3"]),
-        "q2": beta * gen["a3"] * gen["p3"],
-        "q3": -(beta * gen["a2"] * gen["p2"]),
-    }
-    N = one + gen["a2"] * gen["p2"] ** 2 + gen["a3"] * gen["p3"] ** 2
+    one, zero = Poly.constant(1, V), Poly.constant(0, V)
+    a2, a3, b, p2, p3 = (gen[v] for v in V)
+    q2, q3, r1, r2, r3 = dependent_coordinates(a2, a3, b, p2, p3)
+    B = ((one, zero, r1), (p2, q2, r2), (p3, q3, r3))
+    e1, e2, e3 = residual_entries((one, a2, a3), b, B)
+    N = one + a2 * p2 ** 2 + a3 * p3 ** 2
 
     components = []
     for labels, entries in ((E1_LABELS, e1), (E2_LABELS, e2), (E3_LABELS, e3)):
         for label, entry in zip(labels, entries):
-            reduced = entry.substitute(subst)
-            quotient, remainder = reduced.divide_by(N)
+            quotient, remainder = entry.divide_by(N)
             components.append(ClosureComponent(
                 label=label,
                 quotient=str(quotient),

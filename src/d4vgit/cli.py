@@ -183,6 +183,8 @@ def cmd_examples(args):
             fan = cyclic_s3.an_quotient_fan(args.n, chi)
         except ValueError as err:
             return _usage("d4vgit examples an: %s" % err)
+        except OverflowError:
+            return _usage("d4vgit examples an: n is too large")
         except cyclic_s3.WallError as err:
             _emit({"error": str(err)}, args.json)
             return 1

@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials over the exact scalar field.
 
-Supports exactly what the symbolic chart verification needs: ring arithmetic,
-substitution, and division by a single polynomial under graded lex order.
+Supports exactly what the symbolic chart verification needs: ring arithmetic
+and division by a single polynomial under graded lex order.
 No zero coefficients are ever stored.
 """
 
@@ -148,41 +148,6 @@ class Poly:
             raise PolyError("zero polynomial has no leading monomial")
         expo = max(self.terms, key=lambda e: (sum(e), e))
         return expo, self.terms[expo]
-
-    # -- substitution ----------------------------------------------------------
-
-    def substitute(self, bindings):
-        """Exact substitution of variables by polynomials (or scalars).
-
-        Every bound name must occur in the variable list; unbound variables
-        pass through.  Substitution is a ring homomorphism.
-        """
-        for name in bindings:
-            if name not in self.variables:
-                raise PolyError("unknown variable %r" % (name,))
-        images = {}
-        for name, value in bindings.items():
-            if not isinstance(value, Poly):
-                value = Poly.constant(value, self.variables)
-            elif value.variables != self.variables:
-                raise PolyError("substitution image over a different ring")
-            images[name] = value
-        gens = [images[name] if name in images
-                else Poly.variable(name, self.variables)
-                for name in self.variables]
-        # power cache per variable
-        result = Poly(self.variables, {})
-        pcache = [dict() for _ in self.variables]
-        for expo, coeff in self.terms.items():
-            term = Poly.constant(coeff, self.variables)
-            for idx, k in enumerate(expo):
-                if k == 0:
-                    continue
-                if k not in pcache[idx]:
-                    pcache[idx][k] = gens[idx] ** k
-                term = term * pcache[idx][k]
-            result = result + term
-        return result
 
     # -- division ----------------------------------------------------------
 

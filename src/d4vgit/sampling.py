@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from .charts import dependent_coordinates
 from .gitcore import GroupElement, PointHV, act
 from .linalg import Mat2, Vec2
 from .mckay import base_point
@@ -98,15 +99,10 @@ def rand_chart_point(rng: random.Random, height: int = 3) -> PointHV:
         a2 = -(QI.one() + a3 * p3 * p3) / (p2 * p2)
         if a2.is_zero():
             continue
-        om = a2 * a3 * beta * beta
-        r1 = om / 4
-        q2 = beta * a3 * p3
-        q3 = -(beta * a2 * p2)
+        q2, q3, r1, r2, r3 = dependent_coordinates(a2, a3, beta, p2, p3)
         return PointHV.make(
             (QI.one(), a2, a3), beta,
-            ((QI.one(), QI.zero(), r1),
-             (p2, q2, -(r1 * p2)),
-             (p3, q3, -(r1 * p3))),
+            ((QI.one(), QI.zero(), r1), (p2, q2, r2), (p3, q3, r3)),
             (1, 0),
         )
 

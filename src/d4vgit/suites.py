@@ -193,15 +193,15 @@ def suite_stability(seed: int) -> Report:
             details.append(desc)
     rep.add("st.engineered_unstable", ok_eng, ",".join(details))
 
-    ok_minus = True
-    for desc, p in sampling.engineered_unstable_points(rng):
-        if p.x.is_zero():
+    bad_minus = ""
+    for k, (_, p) in enumerate(sampling.engineered_unstable_points(rng)):
+        if bad_minus or p.x.is_zero():
             continue
         v = stability.semistable_minus_theta(p)
         if v.is_stable or not stability.verify_certificate(
                 p, v.certificate, gitcore.MINUS_THETA, v.adapting):
-            ok_minus = False
-    rep.add("st.minus_theta_unstable_certified", ok_minus)
+            bad_minus = _sample_details(k, p)
+    rep.add("st.minus_theta_unstable_certified", not bad_minus, bad_minus)
 
     bad_g = ""
     for k in range(20):
@@ -281,6 +281,15 @@ def _central_matches_e1(p: PointHV, r: quiver.QuiverRep) -> bool:
     return all(checks)
 
 
+def _chart_fails(check) -> bool:
+    """Whether check() is false or raises a ChartError: a sample refused by
+    a chart fails the check that made the call."""
+    try:
+        return not check()
+    except charts.ChartError:
+        return True
+
+
 def suite_charts(seed: int) -> Report:
     rep = Report("charts", seed)
     rng = random.Random(seed)
@@ -290,36 +299,42 @@ def suite_charts(seed: int) -> Report:
     rep.add("ch.closure_all_remainders_zero", closure.ok,
             ",".join(closure.failing()))
 
-    ok_norm = True
-    ok_round = True
-    ok_compose = True
-    for _ in range(25):
+    bad_norm = bad_round = bad_compose = ""
+    for k in range(25):
         p = sampling.rand_z_point(rng)
         v = stability.semistable_theta(p)
         if not v.is_stable:
             continue
         idx = v.witness_index + 1
-        c = charts.normalize(p, idx)
-        ok_norm = ok_norm and c.validate()
-        hat = charts.to_quiver_chart(c)
-        ok_round = ok_round and charts.from_quiver_chart(hat) == c
-        hat2 = charts.normalize_rep(quiver.build_rep(p), idx)
-        ok_compose = ok_compose and hat == hat2
-    rep.add("ch.normalize_invariants", ok_norm)
-    rep.add("ch.hat_roundtrip", ok_round)
-    rep.add("ch.quiver_side_composition", ok_compose)
+        try:
+            c = charts.normalize(p, idx)
+        except charts.ChartError:
+            bad_norm = bad_norm or _sample_details(k, p)
+            continue
+        if not bad_round and _chart_fails(
+                lambda: charts.from_quiver_chart(charts.to_quiver_chart(c)) == c):
+            bad_round = _sample_details(k, p)
+        if not bad_compose and _chart_fails(
+                lambda: charts.normalize_rep(quiver.build_rep(p), idx)
+                == charts.to_quiver_chart(c)):
+            bad_compose = _sample_details(k, p)
+    rep.add("ch.normalize_invariants", not bad_norm, bad_norm)
+    rep.add("ch.hat_roundtrip", not bad_round, bad_round)
+    rep.add("ch.quiver_side_composition", not bad_compose, bad_compose)
 
-    ok_equiv = True
-    for _ in range(10):
+    bad_equiv = ""
+    for k in range(10):
         p = sampling.rand_chart_point(rng)
-        c1 = charts.normalize(p, 1)
         h = GroupElement.make(
             (1, sampling.rand_nonzero_scalar(rng),
              sampling.rand_nonzero_scalar(rng)),
             Mat2.identity())
-        c2 = charts.normalize(act(h, p), 1)
-        ok_equiv = ok_equiv and charts.chart_equivalent(c1, c2) is not None
-    rep.add("ch.residual_torus_equivalence", ok_equiv)
+        if not bad_equiv and _chart_fails(
+                lambda: charts.chart_equivalent(charts.normalize(p, 1),
+                                                charts.normalize(act(h, p), 1))
+                is not None):
+            bad_equiv = _sample_details(k, p)
+    rep.add("ch.residual_torus_equivalence", not bad_equiv, bad_equiv)
     return rep.finish()
 
 

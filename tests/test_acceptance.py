@@ -202,27 +202,23 @@ def test_criterion_07_chart_closure():
     _passed(7, "all 24 residual components reduce to remainder 0 mod N")
 
 
-@pytest.mark.xfail(reason="the variant substitution r1 = omega/2 does not "
+@pytest.mark.xfail(reason="the variant relation r1 = omega/2 does not "
                    "close; the chart relation under the pinned pairing "
-                   "normalization is r1 = omega/4", strict=True)
+                   "normalization is r1 = omega/4", strict=True,
+                   raises=AssertionError)
 def test_criterion_07_half_omega_substitution_variant():
     V = charts.CHART_VARIABLES
     gen = Poly.ring(V)
     one = Poly.constant(1, V)
-    alpha = (one, gen["a2"], gen["a3"])
-    beta = gen["b"]
-    B = ((one, Poly.constant(0, V), gen["r1"]),
-         (gen["p2"], gen["q2"], gen["r2"]),
-         (gen["p3"], gen["q3"], gen["r3"]))
-    e1, e2, e3 = equations.residual_entries(alpha, beta, B)
-    omega = gen["a2"] * gen["a3"] * beta * beta
-    r1 = omega / 2                      # the variant coefficient
-    subst = {"r1": r1, "r2": -(r1 * gen["p2"]), "r3": -(r1 * gen["p3"]),
-             "q2": beta * gen["a3"] * gen["p3"],
-             "q3": -(beta * gen["a2"] * gen["p2"])}
-    N = one + gen["a2"] * gen["p2"] ** 2 + gen["a3"] * gen["p3"] ** 2
+    a2, a3, b, p2, p3 = (gen[v] for v in V)
+    r1 = a2 * a3 * b * b / 2            # the variant coefficient
+    B = ((one, Poly.constant(0, V), r1),
+         (p2, b * a3 * p3, -(r1 * p2)),
+         (p3, -(b * a2 * p2), -(r1 * p3)))
+    e1, e2, e3 = equations.residual_entries((one, a2, a3), b, B)
+    N = one + a2 * p2 ** 2 + a3 * p3 ** 2
     for entry in e1 + e2 + e3:
-        _, remainder = entry.substitute(subst).divide_by(N)
+        _, remainder = entry.divide_by(N)
         assert remainder.is_zero()
 
 

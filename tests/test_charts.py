@@ -5,8 +5,9 @@ import random
 import pytest
 
 from d4vgit.charts import (
-    ChartError, chart_closure_check, chart_equivalent, from_quiver_chart,
-    normalize, normalize_rep, to_quiver_chart,
+    ChartError, ChartPoint, chart_closure_check, chart_equivalent,
+    dependent_coordinates, from_quiver_chart, normalize, normalize_rep,
+    to_quiver_chart,
 )
 from d4vgit.gitcore import GroupElement, act
 from d4vgit.linalg import Mat2
@@ -194,8 +195,9 @@ class TestClosure:
         assert report.ok, report.failing()
 
     def test_b1_pairing_component_identically_zero(self):
-        """The (1,1) entry of the second equation vanishes identically after
-        substitution: 2 r1 = omega/2 in chart variables (no division needed)."""
+        """The (1,1) entry of the second equation vanishes identically over
+        the free generators: 2 r1 = omega/2 in chart variables (no division
+        needed)."""
         report = chart_closure_check()
         comp = {c.label: c for c in report.components}
         assert comp["E2[0,0]"].quotient == "0"
@@ -238,3 +240,107 @@ def test_normalize_does_not_rerun_theta_oracle(monkeypatch):
               GroupElement.make((2, 3, 5), Mat2(1, 2, 3, 4))):
         with pytest.raises(ChartError):
             normalize(act(h, unstable), 2)
+
+
+def test_normalize_checks_the_chart_relations(monkeypatch):
+    """normalize compares the moved point with dependent_coordinates, so a
+    wrong relation is refused at the boundary, by name."""
+    import d4vgit.charts as charts
+    real = charts.dependent_coordinates
+
+    def wrong_r(*free):
+        q_j, q_k, r, r_j, r_k = real(*free)
+        return q_j, q_k, r + 1, r_j, r_k
+
+    monkeypatch.setattr(charts, "dependent_coordinates", wrong_r)
+    with pytest.raises(ChartError, match="4r = omega"):
+        normalize(base_point(x=(1, 2)), 1)
+
+
+def test_chart_point_is_its_free_coordinates():
+    """The dependent coordinates follow from the five free ones, so two
+    points with the same free coordinates are equal."""
+    c = normalize(rand_chart_point(random.Random(2)), 1)
+    assert (c.q_j, c.q_k, c.r, c.r_j, c.r_k) == dependent_coordinates(
+        c.alpha_j, c.alpha_k, c.beta, c.p_j, c.p_k)
+    assert ChartPoint(c.index, c.alpha_j, c.alpha_k, c.beta, c.p_j, c.p_k) == c
+
+
+def _refuse(*args):
+    raise ChartError("refused")
+
+
+@pytest.mark.parametrize("check_id, name, fail", [
+    ("ch.normalize_invariants", "normalize", _refuse),
+    ("ch.hat_roundtrip", "from_quiver_chart", _refuse),
+    ("ch.hat_roundtrip", "from_quiver_chart", lambda hat: None),
+    ("ch.quiver_side_composition", "normalize_rep", _refuse),
+    ("ch.quiver_side_composition", "normalize_rep", lambda rep, index: None),
+])
+def test_suite_charts_names_the_first_failing_sample(monkeypatch, check_id, name, fail):
+    """A stable sample that a chart refuses, or whose chart comes back
+    wrong, fails the check that made the call with the sample's index and
+    point JSON, and raises nothing; every other check passes with empty
+    details."""
+    import json
+
+    import d4vgit.charts as charts
+    import d4vgit.sampling as sampling
+    from d4vgit.gitcore import point_to_json
+    from d4vgit.suites import run_suite
+    real_sampler, real = sampling.rand_z_point, getattr(charts, name)
+    drawn, failed = [], []
+
+    def drawing(rng):
+        drawn.append(real_sampler(rng))
+        return drawn[-1]
+
+    def failing(*args):
+        # the calls for the first two samples from sample 3 on fail
+        k = len(drawn) - 1
+        if k >= 3 and len(failed) < 2 and k not in failed:
+            failed.append(k)
+            return fail(*args)
+        return real(*args)
+
+    monkeypatch.setattr(sampling, "rand_z_point", drawing)
+    monkeypatch.setattr(charts, name, failing)
+    checks = {c.check_id: c for c in run_suite("charts", 7).checks}
+    check = checks.pop(check_id)
+    assert not check.passed and failed
+    index, text = check.details.split(": ", 1)
+    assert index == "sample %d" % failed[0]
+    assert text == json.dumps(point_to_json(drawn[failed[0]]), sort_keys=True)
+    assert all(c.passed and c.details == "" for c in checks.values())
+
+
+@pytest.mark.parametrize("fail", [_refuse, lambda c1, c2: None])
+def test_suite_charts_names_the_first_chart_point_off_its_torus_class(monkeypatch,
+                                                                      fail):
+    """A chart point whose torus translate is refused, or not found
+    equivalent, fails ch.residual_torus_equivalence with its index and
+    point JSON; every other check passes with empty details."""
+    import json
+
+    import d4vgit.charts as charts
+    from d4vgit.gitcore import point_from_json
+    from d4vgit.suites import run_suite
+    real = charts.chart_equivalent
+    calls = []
+    bad = 4
+
+    def failing(c1, c2):
+        calls.append(c1)
+        return fail(c1, c2) if len(calls) - 1 in (bad, bad + 2) else real(c1, c2)
+
+    monkeypatch.setattr(charts, "chart_equivalent", failing)
+    checks = {c.check_id: c for c in run_suite("charts", 7).checks}
+    check = checks.pop("ch.residual_torus_equivalence")
+    assert not check.passed
+    index, text = check.details.split(": ", 1)
+    assert index == "sample %d" % bad
+    assert normalize(point_from_json(json.loads(text)), 1) == calls[bad]
+    assert all(c.passed and c.details == "" for c in checks.values())
+    monkeypatch.undo()
+    passing = {c.check_id: c for c in run_suite("charts", 7).checks}
+    assert all(c.passed and c.details == "" for c in passing.values())

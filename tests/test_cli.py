@@ -219,6 +219,8 @@ USAGE_CASES = {
         tmp, "chart", "--index", "1"),
     "missing_point_file": lambda tmp: ["quiver", "--point", str(tmp / "absent.json")],
     "an_n_1": lambda tmp: ["examples", "an", "--n", "1"],
+    "an_n_past_an_index": lambda tmp: ["examples", "an", "--n",
+                                       "100000000000000000000"],
     "an_chi_rank": lambda tmp: ["examples", "an", "--n", "4", "--chi", "1,1"],
     "argparse_missing_point": lambda tmp: ["verify-point"],
     "argparse_bad_index": lambda tmp: ["chart", "--point", "p.json", "--index", "5"],

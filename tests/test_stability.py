@@ -322,3 +322,43 @@ def test_suite_stability_names_the_first_sample_whose_verdict_moves(monkeypatch)
     monkeypatch.undo()
     passing = {c.check_id: c for c in suites.run_suite("stability", 7).checks}
     assert all(c.passed and c.details == "" for c in passing.values())
+
+
+def test_suite_stability_names_the_first_uncertified_engineered_point(monkeypatch):
+    """An engineered point the minus-theta oracle calls stable fails
+    st.minus_theta_unstable_certified with its index in the engineered list
+    and its point JSON; every other check passes with empty details."""
+    import dataclasses
+    import json
+
+    import d4vgit.sampling as sampling
+    import d4vgit.stability as stability
+    from d4vgit.gitcore import point_to_json
+    from d4vgit.suites import run_suite
+    real_points, real_oracle = sampling.engineered_unstable_points, stability.semistable_minus_theta
+    lists = []
+    bad = 3
+
+    def recording(rng):
+        lists.append(real_points(rng))
+        return lists[-1]
+
+    def flipped(p):
+        v = real_oracle(p)
+        # engineered points bad and bad + 2 of the certified pass come out stable
+        if len(lists) == 2 and any(p is lists[1][m][1] for m in (bad, bad + 2)):
+            return dataclasses.replace(v, status="stable")
+        return v
+
+    monkeypatch.setattr(sampling, "engineered_unstable_points", recording)
+    monkeypatch.setattr(stability, "semistable_minus_theta", flipped)
+    checks = {c.check_id: c for c in run_suite("stability", 7).checks}
+    check = checks.pop("st.minus_theta_unstable_certified")
+    assert not check.passed
+    index, text = check.details.split(": ", 1)
+    assert index == "sample %d" % bad
+    assert text == json.dumps(point_to_json(lists[1][bad][1]), sort_keys=True)
+    assert all(c.passed and c.details == "" for c in checks.values())
+    monkeypatch.undo()
+    passing = {c.check_id: c for c in run_suite("stability", 7).checks}
+    assert all(c.passed and c.details == "" for c in passing.values())
