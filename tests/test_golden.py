@@ -3,8 +3,10 @@ report, recorded before the closure proof moved from |G|^2 products to a
 generating set; the full suite report for seeds 0, 7 and 42, recorded
 before connect read its transport off the forms; and the chart closure
 check (its 24 quotients) and the base point's charts 2 and 3, recorded
-before the chart relations moved into one function.  Each must stay
-byte-identical.
+before the chart relations moved into one function; and three A_n quotient
+fans (the resolution, a mixed chamber and the orbifold chart), recorded
+before the fan moved from subset enumeration to one solve per pair of
+rays.  Each must stay byte-identical.
 
 Each fixture under tests/data is the stdout of one command, for example
     PYTHONPATH=src python -m d4vgit orbit --point tests/data/base_point.json --json
@@ -38,6 +40,11 @@ CASES = {
                           "--json"],
     "chart_base_index3": ["chart", "--point", "base_point.json", "--index", "3",
                           "--json"],
+    "examples_an_n5": ["examples", "an", "--n", "5", "--json"],
+    "examples_an_n5_chi_mixed": ["examples", "an", "--n", "5", "--chi",
+                                 "1,-1,2,1", "--json"],
+    "examples_an_n6_orbifold": ["examples", "an", "--n", "6",
+                                "--chi=-1,-1,-1,-1,-1", "--json"],
 }
 
 
