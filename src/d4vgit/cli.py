@@ -294,6 +294,10 @@ def main(argv=None):
     """Run one command; usage errors, argparse's included, exit 64 with one
     line on stderr."""
     ap = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--chi" in argv[:-1]:                # argparse reads "-1,..." as an option
+        i = argv.index("--chi")
+        argv[i:i + 2] = ["--chi=" + argv[i + 1]]
     argparse_err = io.StringIO()
     try:
         with contextlib.redirect_stderr(argparse_err):

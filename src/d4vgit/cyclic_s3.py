@@ -15,7 +15,7 @@ the characters) is
     x = e_1,  y = e_{n-1}.
 
 GIT quotients of the coordinate space by this torus are computed exactly
-through the quotient-lattice fan.
+through the quotient-lattice fan, with one exact solve per pair of rays.
 
 The S3 part stores a map B: Sym^2 U -> U + C in basis coordinates on
 (u1^2, u1u2, u2^2) and verifies the isometry relation
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .gitcore import split_form
@@ -39,7 +40,12 @@ from .scalars import (
 
 
 class WallError(Exception):
-    """The requested character lies on a GIT wall."""
+    """chi lies on a GIT wall: in the cone of the fewer than k `witness` weights."""
+
+    def __init__(self, chi, witness):
+        super().__init__("character %r lies on a wall (weight subset %r)"
+                         % (chi, witness))
+        self.witness = witness
 
 
 class DegenerateS3Point(Exception):
@@ -51,7 +57,7 @@ class DegenerateS3Point(Exception):
 
 def solve_exact(columns, target):
     """Solve sum_j c_j columns[j] = target exactly over Q; None if
-    inconsistent, else one solution (free variables set to zero)."""
+    inconsistent, else (one solution with free variables zero, pivots)."""
     k = len(target)
     m = len(columns)
     aug = [[Fraction(columns[j][i]) for j in range(m)] + [Fraction(target[i])]
@@ -79,7 +85,7 @@ def solve_exact(columns, target):
     sol = [Fraction(0)] * m
     for r, col in enumerate(pivots):
         sol[col] = aug[r][m]
-    return sol
+    return sol, pivots
 
 
 def in_cone(weights, chi):
@@ -90,16 +96,11 @@ def in_cone(weights, chi):
         return True
     k = len(chi)
     cols = [tuple(Fraction(c) for c in w) for w in weights]
-    from itertools import combinations
     for size in range(1, min(k, len(cols)) + 1):
         for subset in combinations(range(len(cols)), size):
-            sol = solve_exact([cols[j] for j in subset], chi)
-            if sol is not None and all(c >= 0 for c in sol):
-                # confirm exactly (solve_exact can return any solution)
-                check = [sum(sol[j] * cols[subset[j]][i] for j in range(size))
-                         for i in range(k)]
-                if all(a == b for a, b in zip(check, chi)):
-                    return True
+            found = solve_exact([cols[j] for j in subset], chi)
+            if found is not None and all(c >= 0 for c in found[0]):
+                return True
     return False
 
 
@@ -256,26 +257,6 @@ def an_semistable(problem: ToricGITProblem, chi, point) -> bool:
     return in_cone(support, chi)
 
 
-def on_wall(problem: ToricGITProblem, chi) -> tuple:
-    """A violated-inequality witness if chi lies on a GIT wall (the cone of
-    fewer than k independent weights), else None."""
-    chi = tuple(Fraction(c) for c in chi)
-    if all(c == 0 for c in chi):
-        return ("zero character",)
-    cols = problem.columns()
-    from itertools import combinations
-    for size in range(1, problem.k):
-        for subset in combinations(range(len(cols)), size):
-            sol = solve_exact([cols[j] for j in subset], chi)
-            if sol is None or any(c < 0 for c in sol):
-                continue
-            check = [sum(sol[j] * Fraction(cols[subset[j]][i]) for j in range(size))
-                     for i in range(problem.k)]
-            if all(a == b for a, b in zip(check, chi)):
-                return tuple(subset)
-    return None
-
-
 @dataclass(frozen=True)
 class FanData:
     rays: tuple             # primitive ray generators in Z^2
@@ -306,8 +287,16 @@ def an_quotient_fan(n: int, chi) -> FanData:
     """The quotient fan of the redundant presentation at the character chi.
 
     chi may be a single integer (replicated across the torus factors) or a
-    full (n-1)-tuple.  Wall characters raise WallError naming a violating
-    weight subset.
+    full (n-1)-tuple.  Wall characters raise WallError naming fewer than k
+    weights whose cone contains chi.
+
+    By Gale duality the k = n-1 weights off a pair (a, b) of the Smith
+    transform's rays form a basis exactly when v_a x v_b != 0, so one exact
+    solve of sum c_j w_j = chi decides each pair: c > 0 is a maximal cone,
+    c >= 0 with a zero a wall, a negative c_j no cone.  Every wall shows so:
+    chi in the cone of fewer than k weights is in the cone of independent
+    ones (Caratheodory), and these extend to a basis.  Cost: C(n+1, 2)
+    solves of size n-1, O(n^5) rational operations.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -317,10 +306,8 @@ def an_quotient_fan(n: int, chi) -> FanData:
     chi = tuple(chi)
     if len(chi) != problem.k:
         raise ValueError("character has wrong rank")
-    wall = on_wall(problem, chi)
-    if wall is not None:
-        raise WallError("character %r lies on a wall (weight subset %r)"
-                        % (chi, wall))
+    if not any(chi):
+        raise WallError(chi, ("zero character",))
     N = problem.n_coords
     k = problem.k
     # quotient lattice map: rows k.. of the Smith transform of the
@@ -333,15 +320,22 @@ def an_quotient_fan(n: int, chi) -> FanData:
     if any(len(r) != 2 for r in rays_raw):
         raise AssertionError("quotient lattice is not rank 2")
     cols = problem.columns()
-    from itertools import combinations
     cones = []
     for a, b in combinations(range(N), 2):
-        complement = [cols[j] for j in range(N) if j not in (a, b)]
         va, vb = rays_raw[a], rays_raw[b]
         if va[0] * vb[1] - va[1] * vb[0] == 0:
             continue
-        if in_cone(complement, chi):
-            cones.append((a, b))
+        basis = [j for j in range(N) if j not in (a, b)]
+        found = solve_exact([cols[j] for j in basis], chi)
+        if found is None or len(found[1]) != k:
+            raise AssertionError("the weights off rays %d, %d are not a basis"
+                                 % (a, b))
+        c = found[0]
+        if any(x < 0 for x in c):
+            continue
+        if 0 in c:
+            raise WallError(chi, tuple(j for j, x in zip(basis, c) if x > 0))
+        cones.append((a, b))
     if not cones:
         raise AssertionError("character admits no two-dimensional cones")
     # collect the rays that actually appear, primitivized

@@ -1,7 +1,11 @@
 """End-to-end command-line checks, including exit codes and determinism."""
 
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -93,6 +97,29 @@ def test_examples_commands(capsys):
     assert main(["examples", "s3", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["stabilizer_order"] == 6
+
+
+def test_examples_an_accepts_a_spaced_negative_chi(capsys):
+    """argparse alone reads "-1,-1,-1,-1" after --chi as an option."""
+    assert main(["examples", "an", "--n", "5", "--chi", "-1,-1,-1,-1", "--json"]) == 0
+    spaced = capsys.readouterr().out
+    assert main(["examples", "an", "--n", "5", "--chi=-1,-1,-1,-1", "--json"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert json.loads(spaced)["multiplicities"] == [5]
+
+
+def test_examples_an_n15_finishes():
+    """The fan is polynomial in n; subset enumeration never finished n = 15."""
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    optimize = ["-O"] * sys.flags.optimize
+    run = subprocess.run([sys.executable, *optimize, "-m", "d4vgit", "examples",
+                          "an", "--n", "15", "--json"],
+                         env=env, capture_output=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["interior_rays"] == 14
 
 
 def test_suite_determinism(capsys):

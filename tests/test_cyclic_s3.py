@@ -1,17 +1,73 @@
 """The cyclic-group toric verifiers and the S3 example."""
 
 import random
-from itertools import product
+import time
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from d4vgit.cyclic_s3 import (
-    DegenerateS3Point, S3Point, WallError, an_minimal_problem, an_quotient_fan,
-    an_redundant_problem, an_semistable, in_cone, on_wall, s3_act,
-    s3_base_point, s3_on_z, s3_stabilizer, smith_normal_form,
+    DegenerateS3Point, S3Point, WallError, _primitive, an_minimal_problem,
+    an_quotient_fan, an_redundant_problem, an_semistable, in_cone, s3_act,
+    s3_base_point, s3_on_z, s3_stabilizer, smith_normal_form, solve_exact,
 )
 from d4vgit.linalg import Mat2
 from d4vgit.scalars import QI
+
+
+# -- brute-force oracle: the subset enumeration the fan's solves replaced ------
+
+
+def on_wall(problem, chi):
+    """A weight subset of size < k whose cone holds chi, if chi lies on a
+    GIT wall, else None."""
+    if not any(chi):
+        return ("zero character",)
+    cols = problem.columns()
+    for size in range(1, problem.k):
+        for subset in combinations(range(len(cols)), size):
+            found = solve_exact([cols[j] for j in subset], chi)
+            if found is not None and all(c >= 0 for c in found[0]):
+                return subset
+    return None
+
+
+def brute_force_cones(n, chi):
+    """None on a wall, else the maximal cones as sets of primitive rays:
+    (a, b) is a cone when chi lies in the cone of the other weights."""
+    problem = an_redundant_problem(n)
+    if on_wall(problem, chi) is not None:
+        return None
+    k, N = problem.k, problem.n_coords
+    cols = problem.columns()
+    U, _ = smith_normal_form([list(c) for c in cols])
+    rays = [tuple(U[r][j] for r in range(k, N)) for j in range(N)]
+    cones = set()
+    for a, b in combinations(range(N), 2):
+        va, vb = rays[a], rays[b]
+        if va[0] * vb[1] - va[1] * vb[0] != 0 and in_cone(
+                [cols[j] for j in range(N) if j not in (a, b)], chi):
+            cones.add(frozenset((_primitive(va), _primitive(vb))))
+    return cones
+
+
+def _oracle_characters(n):
+    """[-2, 2]^k for k <= 3, random characters, and positive combinations
+    of fewer than k weights (walls by definition)."""
+    rng = random.Random(n)
+    k = n - 1
+    problem = an_redundant_problem(n)
+    chars = list(product(range(-2, 3), repeat=k)) if k <= 3 else []
+    randoms, walls = (4, 5) if n == 6 else (25, 35 if k > 1 else 0)
+    chars += [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(randoms)]
+    for _ in range(walls):
+        chi = (0,) * k
+        for j in rng.sample(range(n + 1), rng.randint(1, k - 1)):
+            chi = tuple(a + rng.randint(1, 3) * b
+                        for a, b in zip(chi, problem.column(j)))
+        chars.append(chi)
+    return chars
 
 
 class TestToricSemistability:
@@ -100,38 +156,79 @@ class TestFans:
             an_quotient_fan(3, tuple(col))
         assert on_wall(prob, col) is not None
 
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+    def test_fan_agrees_with_brute_force(self, n):
+        """The same cones as the subset enumeration, the same walls, and
+        each wall's witness: fewer than k weights whose cone holds chi."""
+        problem = an_redundant_problem(n)
+        cols = problem.columns()
+        for chi in _oracle_characters(n):
+            expected = brute_force_cones(n, chi)
+            try:
+                fan = an_quotient_fan(n, chi)
+            except WallError as err:
+                assert expected is None, chi
+                if any(chi):
+                    assert len(err.witness) < problem.k, (chi, err.witness)
+                    assert in_cone([cols[j] for j in err.witness], chi), chi
+                else:
+                    assert err.witness == ("zero character",)
+                continue
+            assert expected == {frozenset((fan.rays[a], fan.rays[b]))
+                                for a, b in fan.maximal_cones}, chi
+
+    def test_fan_is_polynomial_time(self):
+        """C(n+1, 2) solves: n = 12 takes well under a second (the subset
+        enumeration took minutes)."""
+        start = time.perf_counter()
+        resolution = an_quotient_fan(12, 1)
+        orbifold = an_quotient_fan(12, -1)
+        assert time.perf_counter() - start < 5
+        assert resolution.normalized_rays == tuple((i, 1) for i in range(13))
+        assert orbifold.multiplicities == (12,)
+
     def test_zero_character_is_wall(self):
         with pytest.raises(WallError):
             an_quotient_fan(3, (0, 0))
 
     def test_smith_normal_form(self):
+        """det U = +-1 exactly, and the rows of U A past the rank of A
+        vanish: the facts the Gale rays of the fan rely on."""
         rng = random.Random(1)
-        for _ in range(20):
-            rows = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(4)]
-            U, diag = smith_normal_form([list(r) for r in rows])
-            # U is unimodular
-            det = (U[0][0] * (U[1][1] * (U[2][2] * U[3][3] - U[2][3] * U[3][2])
-                              - U[1][2] * (U[2][1] * U[3][3] - U[2][3] * U[3][1])
-                              + U[1][3] * (U[2][1] * U[3][2] - U[2][2] * U[3][1])))
-            # cheap full expansion via fractions>Laplace is overkill; check
-            # invertibility over Q through numpy-free elimination instead
-            from fractions import Fraction
-            m = [[Fraction(x) for x in row] for row in U]
-            rank = 0
-            for col in range(4):
-                piv = next((r for r in range(rank, 4) if m[r][col] != 0), None)
-                if piv is None:
-                    continue
-                m[rank], m[piv] = m[piv], m[rank]
-                inv = 1 / m[rank][col]
-                m[rank] = [v * inv for v in m[rank]]
-                for r in range(4):
-                    if r != rank and m[r][col] != 0:
-                        f = m[r][col]
-                        m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-                rank += 1
-            assert rank == 4
-            del det
+        cases = [[[rng.randint(-4, 4) for _ in range(2)] for _ in range(4)]
+                 for _ in range(20)]
+        an_cases = [[list(c) for c in an_redundant_problem(n).columns()]
+                    for n in range(2, 9)]
+        for A in cases + an_cases:
+            U, diag = smith_normal_form([list(r) for r in A])
+            assert _rank_and_det(U)[1] in (1, -1)
+            rank = _rank_and_det(A)[0]
+            assert all(d != 0 for d in diag[:rank])
+            UA = [[sum(u * A[l][j] for l, u in enumerate(row))
+                   for j in range(len(A[0]))] for row in U]
+            assert all(v == 0 for row in UA[rank:] for v in row), A
+        for A in an_cases:                      # primitive: the fan's rays are integral
+            assert smith_normal_form(A)[1] == [1] * len(A[0])
+
+
+def _rank_and_det(rows):
+    """Rank, and the determinant when square, by exact elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det, rank = Fraction(1), 0
+    for col in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        det *= m[rank][col]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank, det
 
 
 class TestS3:
