@@ -6,7 +6,9 @@ check (its 24 quotients) and the base point's charts 2 and 3, recorded
 before the chart relations moved into one function; and three A_n quotient
 fans (the resolution, a mixed chamber and the orbifold chart), recorded
 before the fan moved from subset enumeration to one solve per pair of
-rays.  Each must stay byte-identical.
+rays; and a wall character's error report with its witness weights,
+recorded before the fan and the semistability test moved to one Gale-dual
+pass.  Each must stay byte-identical and exit with its recorded code.
 
 Each fixture under tests/data is the stdout of one command, for example
     PYTHONPATH=src python -m d4vgit orbit --point tests/data/base_point.json --json
@@ -22,29 +24,32 @@ import pytest
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parent.parent / "src"
 
+# name -> (expected exit code, argv)
 CASES = {
-    "orbit_base": ["orbit", "--point", "base_point.json", "--json"],
-    "orbit_base_relaxed": ["orbit", "--point", "base_point.json", "--json",
-                           "--relax-beta"],
-    "orbit_translate_depth1": ["orbit", "--point",
-                               "translate_depth1_point.json", "--json"],
-    "orbit_translate_depth1_relaxed": ["orbit", "--point",
-                                       "translate_depth1_point.json", "--json",
-                                       "--relax-beta"],
-    "examples_s3": ["examples", "s3", "--json"],
-    "suite_all_seed0": ["suite", "all", "--seed", "0", "--json"],
-    "suite_all_seed7": ["suite", "all", "--seed", "7", "--json"],
-    "suite_all_seed42": ["suite", "all", "--seed", "42", "--json"],
-    "chart_closure_check": ["chart", "--closure-check", "--json"],
-    "chart_base_index2": ["chart", "--point", "base_point.json", "--index", "2",
-                          "--json"],
-    "chart_base_index3": ["chart", "--point", "base_point.json", "--index", "3",
-                          "--json"],
-    "examples_an_n5": ["examples", "an", "--n", "5", "--json"],
-    "examples_an_n5_chi_mixed": ["examples", "an", "--n", "5", "--chi",
-                                 "1,-1,2,1", "--json"],
-    "examples_an_n6_orbifold": ["examples", "an", "--n", "6",
-                                "--chi=-1,-1,-1,-1,-1", "--json"],
+    "orbit_base": (0, ["orbit", "--point", "base_point.json", "--json"]),
+    "orbit_base_relaxed": (0, ["orbit", "--point", "base_point.json", "--json",
+                               "--relax-beta"]),
+    "orbit_translate_depth1": (0, ["orbit", "--point",
+                                   "translate_depth1_point.json", "--json"]),
+    "orbit_translate_depth1_relaxed": (0, ["orbit", "--point",
+                                           "translate_depth1_point.json",
+                                           "--json", "--relax-beta"]),
+    "examples_s3": (0, ["examples", "s3", "--json"]),
+    "suite_all_seed0": (0, ["suite", "all", "--seed", "0", "--json"]),
+    "suite_all_seed7": (0, ["suite", "all", "--seed", "7", "--json"]),
+    "suite_all_seed42": (0, ["suite", "all", "--seed", "42", "--json"]),
+    "chart_closure_check": (0, ["chart", "--closure-check", "--json"]),
+    "chart_base_index2": (0, ["chart", "--point", "base_point.json", "--index",
+                              "2", "--json"]),
+    "chart_base_index3": (0, ["chart", "--point", "base_point.json", "--index",
+                              "3", "--json"]),
+    "examples_an_n5": (0, ["examples", "an", "--n", "5", "--json"]),
+    "examples_an_n5_chi_mixed": (0, ["examples", "an", "--n", "5", "--chi",
+                                     "1,-1,2,1", "--json"]),
+    "examples_an_n6_orbifold": (0, ["examples", "an", "--n", "6",
+                                    "--chi=-1,-1,-1,-1,-1", "--json"]),
+    "examples_an_n5_wall": (1, ["examples", "an", "--n", "5", "--chi",
+                                "0,1,1,0", "--json"]),
 }
 
 
@@ -54,7 +59,8 @@ def test_cli_stdout_matches_fixture(case):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     optimize = ["-O"] * sys.flags.optimize      # under python -O, so is the CLI
-    run = subprocess.run([sys.executable, *optimize, "-m", "d4vgit", *CASES[case]],
+    code, argv = CASES[case]
+    run = subprocess.run([sys.executable, *optimize, "-m", "d4vgit", *argv],
                          cwd=DATA, env=env, capture_output=True, timeout=120)
-    assert run.returncode == 0, run.stderr
+    assert run.returncode == code, run.stderr
     assert run.stdout == (DATA / (case + ".stdout")).read_bytes()
