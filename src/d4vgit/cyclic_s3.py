@@ -14,8 +14,10 @@ the characters) is
     B_1 = -2 e_1 + e_2,  B_i = -e_1 - e_i + e_{i+1},  B_{n-1} = -e_1 - e_{n-1},
     x = e_1,  y = e_{n-1}.
 
-GIT quotients of the coordinate space by this torus are computed exactly
-through the quotient-lattice fan, with one exact solve per pair of rays.
+Both presentations have N = k + 2 coordinates, so every quotient is a
+surface and its fan, like each semistability verdict, is read off the two
+Gale-dual rays of the weights: one exact lift of the character, then one
+2x2 solve per pair of rays.
 
 The S3 part stores a map B: Sym^2 U -> U + C in basis coordinates on
 (u1^2, u1u2, u2^2) and verifies the isometry relation
@@ -56,8 +58,8 @@ class DegenerateS3Point(Exception):
 
 
 def solve_exact(columns, target):
-    """Solve sum_j c_j columns[j] = target exactly over Q; None if
-    inconsistent, else (one solution with free variables zero, pivots)."""
+    """Solve sum_j c_j columns[j] = target exactly over Q: one solution with
+    free variables zero, or None if inconsistent."""
     k = len(target)
     m = len(columns)
     aug = [[Fraction(columns[j][i]) for j in range(m)] + [Fraction(target[i])]
@@ -85,23 +87,7 @@ def solve_exact(columns, target):
     sol = [Fraction(0)] * m
     for r, col in enumerate(pivots):
         sol[col] = aug[r][m]
-    return sol, pivots
-
-
-def in_cone(weights, chi):
-    """Exact membership of chi in the rational cone spanned by the weight
-    vectors (brute force over independent subsets)."""
-    chi = tuple(Fraction(c) for c in chi)
-    if all(c == 0 for c in chi):
-        return True
-    k = len(chi)
-    cols = [tuple(Fraction(c) for c in w) for w in weights]
-    for size in range(1, min(k, len(cols)) + 1):
-        for subset in combinations(range(len(cols)), size):
-            found = solve_exact([cols[j] for j in subset], chi)
-            if found is not None and all(c >= 0 for c in found[0]):
-                return True
-    return False
+    return sol
 
 
 def smith_normal_form(A):
@@ -247,14 +233,58 @@ def an_redundant_problem(n: int) -> ToricGITProblem:
     return ToricGITProblem(rows)
 
 
+def _gale_pairs(problem: ToricGITProblem, chi):
+    """The Gale-dual rays v_j of a problem with N = k + 2 coordinates, and
+    for each pair (a, b) with v_a x v_b != 0, in combinations order, the
+    unique solution c of sum_j c_j w_j = chi with c_a = c_b = 0, as (a, b, c).
+
+    The rays, rows k and k+1 of the Smith transform of the transposed
+    weights, span their kernel: every solution is c = x - (<u, v_j>)_j for
+    one lift x of chi and some u in Q^2, so c_a = c_b = 0 is a 2x2 system in
+    u, solved by Cramer's rule.  Cost: one exact solve, then O(N^3).
+    """
+    k, N = problem.k, problem.n_coords
+    if N != k + 2:
+        raise ValueError("need N = k + 2 coordinates")
+    if len(chi) != k:
+        raise ValueError("character has wrong rank")
+    cols = problem.columns()
+    U, diag = smith_normal_form(cols)
+    if 0 in diag:
+        raise ValueError("weights have rank below k")
+    rays = [(U[k][j], U[k + 1][j]) for j in range(N)]
+    x = solve_exact(cols, chi)
+
+    def pairs():
+        for a, b in combinations(range(N), 2):
+            (p, q), (r, s) = rays[a], rays[b]
+            det = p * s - q * r
+            if det == 0:
+                continue
+            u0 = (x[a] * s - x[b] * q) / det
+            u1 = (p * x[b] - r * x[a]) / det
+            yield a, b, [xj - u0 * v0 - u1 * v1 for xj, (v0, v1) in zip(x, rays)]
+
+    return rays, pairs()
+
+
 def an_semistable(problem: ToricGITProblem, chi, point) -> bool:
     """A point is semistable for chi iff chi lies in the rational cone
-    spanned by the weights of its nonzero coordinates."""
+    spanned by the weights of its nonzero coordinates.
+
+    That is, iff the polyhedron {u in Q^2 : <u, v_j> = x_j off the support,
+    <= x_j on it} is nonempty (x a lift of chi, v_j the Gale-dual rays).
+    The v_j span Q^2, so it is pointed, and nonempty exactly when it has a
+    vertex: a pair of independent tight constraints, whose solution c of
+    sum c_j w_j = chi is >= 0 and zero off the support.  Needs
+    N = k + 2 coordinates; cost O(N^3) rational operations.
+    """
     chi = tuple(chi)
-    support = [problem.column(j) for j, c in enumerate(point) if c != 0]
-    if all(c == 0 for c in chi):
-        return True
-    return in_cone(support, chi)
+    if len(point) != problem.n_coords:
+        raise ValueError("point has the wrong number of coordinates")
+    _, pairs = _gale_pairs(problem, chi)
+    return any(all(cj >= 0 if pj != 0 else cj == 0 for cj, pj in zip(c, point))
+               for _, _, c in pairs)
 
 
 @dataclass(frozen=True)
@@ -290,13 +320,14 @@ def an_quotient_fan(n: int, chi) -> FanData:
     full (n-1)-tuple.  Wall characters raise WallError naming fewer than k
     weights whose cone contains chi.
 
-    By Gale duality the k = n-1 weights off a pair (a, b) of the Smith
-    transform's rays form a basis exactly when v_a x v_b != 0, so one exact
-    solve of sum c_j w_j = chi decides each pair: c > 0 is a maximal cone,
-    c >= 0 with a zero a wall, a negative c_j no cone.  Every wall shows so:
-    chi in the cone of fewer than k weights is in the cone of independent
-    ones (Caratheodory), and these extend to a basis.  Cost: C(n+1, 2)
-    solves of size n-1, O(n^5) rational operations.
+    By Gale duality the k = n-1 weights off a pair (a, b) of rays form a
+    basis exactly when v_a x v_b != 0, and the solution c of
+    sum c_j w_j = chi that vanishes at a and b decides the pair: c > 0 off
+    the pair is a maximal cone, c >= 0 with a zero a wall, a negative c_j
+    no cone.  Every wall shows so: chi in the cone of fewer than k weights
+    is in the cone of independent ones (Caratheodory), and these extend to
+    a basis.  Cost: one lift of chi and C(n+1, 2) 2x2 solves, O(n^3)
+    rational operations.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -304,37 +335,15 @@ def an_quotient_fan(n: int, chi) -> FanData:
     if isinstance(chi, int):
         chi = (chi,) * problem.k
     chi = tuple(chi)
-    if len(chi) != problem.k:
-        raise ValueError("character has wrong rank")
+    rays_raw, pairs = _gale_pairs(problem, chi)
     if not any(chi):
         raise WallError(chi, ("zero character",))
-    N = problem.n_coords
-    k = problem.k
-    # quotient lattice map: rows k.. of the Smith transform of the
-    # transposed weight matrix
-    A = [[problem.weights[i][j] for i in range(k)] for j in range(N)]
-    U, diag = smith_normal_form(A)
-    if any(d != 1 for d in diag[:k]):
-        raise AssertionError("weight matrix is not primitive")
-    rays_raw = [tuple(U[r][j] for r in range(k, N)) for j in range(N)]
-    if any(len(r) != 2 for r in rays_raw):
-        raise AssertionError("quotient lattice is not rank 2")
-    cols = problem.columns()
     cones = []
-    for a, b in combinations(range(N), 2):
-        va, vb = rays_raw[a], rays_raw[b]
-        if va[0] * vb[1] - va[1] * vb[0] == 0:
-            continue
-        basis = [j for j in range(N) if j not in (a, b)]
-        found = solve_exact([cols[j] for j in basis], chi)
-        if found is None or len(found[1]) != k:
-            raise AssertionError("the weights off rays %d, %d are not a basis"
-                                 % (a, b))
-        c = found[0]
+    for a, b, c in pairs:
         if any(x < 0 for x in c):
             continue
-        if 0 in c:
-            raise WallError(chi, tuple(j for j, x in zip(basis, c) if x > 0))
+        if c.count(0) > 2:                  # a zero off the pair
+            raise WallError(chi, tuple(j for j, x in enumerate(c) if x > 0))
         cones.append((a, b))
     if not cones:
         raise AssertionError("character admits no two-dimensional cones")
@@ -393,7 +402,12 @@ def _solve_unimodular(p, q):
 # -- the S3 example --------------------------------------------------------------
 
 
-J_GRAM = ((0, 0, 1), (0, Fraction(-1, 2), 0), (1, 0, 0))
+J_GRAM = Mat3(((0, 0, 1), (0, Fraction(-1, 2), 0), (1, 0, 0)))
+
+
+def _plus_one(m: Mat2) -> Mat3:
+    """m + 1 on U + C."""
+    return Mat3(((m.a, m.b, 0), (m.c, m.d, 0), (0, 0, 1)))
 
 
 @dataclass(frozen=True)
@@ -433,22 +447,9 @@ def s3_base_point() -> S3Point:
 
 def s3_residual(p: S3Point):
     """The six entries of B^dual o (b, 1) o B - (det B) J (upper triangle)."""
-    rows = (p.BU[0], p.BU[1], p.bC)
-    mb = p.b_matrix()
-    det = p.det()
-    out = []
-    for m in range(3):
-        for n in range(m, 3):
-            u = (rows[0][m], rows[1][m])
-            v = (rows[0][n], rows[1][n])
-            s = (mb.a * u[0] * v[0] + mb.b * u[0] * v[1]
-                 + mb.c * u[1] * v[0] + mb.d * u[1] * v[1])
-            s = s + rows[2][m] * rows[2][n]
-            gram = J_GRAM[m][n]
-            if gram != 0:
-                s = s - det * gram
-            out.append(s)
-    return tuple(out)
+    M = p.matrix()
+    R = Mat3(zip(*M.rows)) * _plus_one(p.b_matrix()) * M - J_GRAM * M.det()
+    return tuple(R[m, n] for m in range(3) for n in range(m, 3))
 
 
 def s3_on_z(p: S3Point) -> bool:
@@ -457,16 +458,8 @@ def s3_on_z(p: S3Point) -> bool:
 
 def s3_act(g: Mat2, p: S3Point) -> S3Point:
     """The GL(U)-action: B -> (g + 1) o B o Sym^2(g)^-1."""
-    s_inv = sym_square(g.inverse())
-    bu0 = tuple(sum((p.BU[0][m] * s_inv[m, n] for m in range(3)), QI.zero())
-                for n in range(3))
-    bu1 = tuple(sum((p.BU[1][m] * s_inv[m, n] for m in range(3)), QI.zero())
-                for n in range(3))
-    new0 = tuple(g.a * a + g.b * b for a, b in zip(bu0, bu1))
-    new1 = tuple(g.c * a + g.d * b for a, b in zip(bu0, bu1))
-    bc = tuple(sum((p.bC[m] * s_inv[m, n] for m in range(3)), QI.zero())
-               for n in range(3))
-    return S3Point((new0, new1), bc)
+    rows = (_plus_one(g) * p.matrix() * sym_square(g.inverse())).rows
+    return S3Point(rows[:2], rows[2])
 
 
 def _rational_cbrt(x: Scalar):

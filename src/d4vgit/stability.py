@@ -178,20 +178,21 @@ def semistable_theta(p: PointHV) -> StabilityVerdict:
 # -- minus-theta oracle --------------------------------------------------------
 
 
+def _rank_one_line(form):
+    """(l1, l2) with the rank-one form (p, q, r) a multiple of
+    (l1 v1 + l2 v2)^2 = (l1^2, 2 l1 l2, l2^2); p = 0 forces q = 0."""
+    pm, qm, _ = form
+    return (pm, qm / 2) if not pm.is_zero() else (QI.zero(), QI.one())
+
+
 def _isotropic_adapting(p: PointHV) -> GroupElement:
     """For a Z-point with beta = 0, all a_i nonzero and B not all zero: the
     nonzero forms B_i are multiples of a single rank-one form l^2; returns h
     such that every B-triple of act(h, p) has the shape (*, 0, 0)."""
-    for b in p.B:
-        if any(not c.is_zero() for c in b):
-            pm, qm, rm = b
-            break
-    else:
+    form = next((b for b in p.B if any(not c.is_zero() for c in b)), None)
+    if form is None:
         raise AssertionError("no nonzero form")
-    if not pm.is_zero():
-        l1, l2 = pm, qm / 2              # (l1^2, 2 l1 l2, l2^2) up to scale
-    else:
-        l1, l2 = QI.zero(), QI.one()     # rank one with p = 0 forces q = 0
+    l1, l2 = _rank_one_line(form)
     # K has columns u, w with l(u) = 1, l(w) = 0; then act with g = K^-1
     # turns the form l^2 into a multiple of v1^2.
     if not l1.is_zero():
@@ -231,14 +232,14 @@ def infinite_stabilizer_detected(p: PointHV) -> bool:
     of p is found (beta = 0 points whose forms share a line)."""
     if not p.beta.is_zero():
         return False
-    nonzero = [b for b in p.B if any(not c.is_zero() for c in b)]
-    if not nonzero:
+    form = next((b for b in p.B if any(not c.is_zero() for c in b)), None)
+    if form is None:
         return True                      # the full torus of GL(V) fixes it
-    pm, qm, rm = nonzero[0]
+    pm, _, rm = form
     families = []
-    if j_pairing(nonzero[0], nonzero[0]).is_zero():
+    if j_pairing(form, form).is_zero():
         # rank-one form (l1 v1 + l2 v2)^2: unipotent family along its kernel
-        l1, l2 = (pm, qm / 2) if not pm.is_zero() else (QI.zero(), QI.one())
+        l1, l2 = _rank_one_line(form)
 
         def shear(s, l1=l1, l2=l2):
             return Mat2(QI.one() - s * l2 * l1, -(s * l2 * l2),

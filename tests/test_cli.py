@@ -108,7 +108,7 @@ def test_examples_an_accepts_a_spaced_negative_chi(capsys):
     assert json.loads(spaced)["multiplicities"] == [5]
 
 
-def test_examples_an_n15_finishes():
+def test_examples_an_n30_finishes():
     """The fan is polynomial in n; subset enumeration never finished n = 15."""
     src = pathlib.Path(__file__).parent.parent / "src"
     env = dict(os.environ)
@@ -116,10 +116,10 @@ def test_examples_an_n15_finishes():
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     optimize = ["-O"] * sys.flags.optimize
     run = subprocess.run([sys.executable, *optimize, "-m", "d4vgit", "examples",
-                          "an", "--n", "15", "--json"],
+                          "an", "--n", "30", "--json"],
                          env=env, capture_output=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout)["interior_rays"] == 14
+    assert json.loads(run.stdout)["interior_rays"] == 29
 
 
 def test_suite_determinism(capsys):

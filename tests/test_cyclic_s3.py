@@ -8,15 +8,29 @@ from itertools import combinations, product
 import pytest
 
 from d4vgit.cyclic_s3 import (
-    DegenerateS3Point, S3Point, WallError, _primitive, an_minimal_problem,
-    an_quotient_fan, an_redundant_problem, an_semistable, in_cone, s3_act,
-    s3_base_point, s3_on_z, s3_stabilizer, smith_normal_form, solve_exact,
+    DegenerateS3Point, S3Point, ToricGITProblem, WallError, _primitive,
+    an_minimal_problem, an_quotient_fan, an_redundant_problem, an_semistable,
+    s3_act, s3_base_point, s3_on_z, s3_stabilizer, smith_normal_form,
+    solve_exact,
 )
 from d4vgit.linalg import Mat2
 from d4vgit.scalars import QI
 
 
-# -- brute-force oracle: the subset enumeration the fan's solves replaced ------
+# -- brute-force oracles: the subset enumerations the Gale-dual pass replaced --
+
+
+def in_cone(weights, chi):
+    """Exact membership of chi in the rational cone spanned by the weight
+    vectors (brute force over subsets)."""
+    if not any(chi):
+        return True
+    for size in range(1, min(len(chi), len(weights)) + 1):
+        for subset in combinations(weights, size):
+            found = solve_exact(subset, chi)
+            if found is not None and all(c >= 0 for c in found):
+                return True
+    return False
 
 
 def on_wall(problem, chi):
@@ -28,7 +42,7 @@ def on_wall(problem, chi):
     for size in range(1, problem.k):
         for subset in combinations(range(len(cols)), size):
             found = solve_exact([cols[j] for j in subset], chi)
-            if found is not None and all(c >= 0 for c in found[0]):
+            if found is not None and all(c >= 0 for c in found):
                 return subset
     return None
 
@@ -110,6 +124,39 @@ class TestToricSemistability:
                     break
             assert oracle == (not destabilized)
 
+    @pytest.mark.parametrize("make", (an_minimal_problem, an_redundant_problem))
+    def test_agrees_with_subset_oracle(self, make):
+        """The Gale-dual pass against the subset enumeration, on random
+        characters in [-3, 3]^k and random 0/1 supports, n = 2..7."""
+        rng = random.Random(5)
+        for n in range(2, 8):
+            prob = make(n)
+            for _ in range(150):
+                chi = tuple(rng.randint(-3, 3) for _ in range(prob.k))
+                point = [rng.randint(0, 1) for _ in range(prob.n_coords)]
+                support = [prob.column(j) for j, c in enumerate(point) if c]
+                assert an_semistable(prob, chi, point) == in_cone(support, chi), \
+                    (n, chi, point)
+
+    def test_is_polynomial_time(self):
+        """Both singularity coordinates zero: unstable at n = 16 in well
+        under a second (the subset enumeration took 6.7 s at n = 14 and
+        about doubles per step of n)."""
+        start = time.perf_counter()
+        assert not an_semistable(an_redundant_problem(16), (1,) * 15,
+                                 [1] * 15 + [0, 0])
+        assert time.perf_counter() - start < 5
+
+    def test_inputs_checked_at_entry(self):
+        prob = an_minimal_problem(4)
+        for chi, point in (((-1,), (1, 0)),             # too few coordinates
+                           ((-1,), (1, 0, 0, 0)),       # too many
+                           ((1, 1), (1, 0, 0))):        # a rank-2 character
+            with pytest.raises(ValueError):
+                an_semistable(prob, chi, point)
+        with pytest.raises(ValueError):                 # N != k + 2
+            an_semistable(ToricGITProblem(((1, 1),)), (1,), (1, 1))
+
     def test_in_cone_basics(self):
         assert in_cone([(1, 0), (0, 1)], (2, 3))
         assert not in_cone([(1, 0), (0, 1)], (-1, 0))
@@ -178,14 +225,14 @@ class TestFans:
                                 for a, b in fan.maximal_cones}, chi
 
     def test_fan_is_polynomial_time(self):
-        """C(n+1, 2) solves: n = 12 takes well under a second (the subset
-        enumeration took minutes)."""
+        """One lift and C(n+1, 2) 2x2 solves: n = 30 takes under a
+        second (the subset enumeration took minutes at n = 12)."""
         start = time.perf_counter()
-        resolution = an_quotient_fan(12, 1)
-        orbifold = an_quotient_fan(12, -1)
+        resolution = an_quotient_fan(30, 1)
+        orbifold = an_quotient_fan(30, -1)
         assert time.perf_counter() - start < 5
-        assert resolution.normalized_rays == tuple((i, 1) for i in range(13))
-        assert orbifold.multiplicities == (12,)
+        assert resolution.normalized_rays == tuple((i, 1) for i in range(31))
+        assert orbifold.multiplicities == (30,)
 
     def test_zero_character_is_wall(self):
         with pytest.raises(WallError):
