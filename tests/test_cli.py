@@ -130,6 +130,29 @@ def test_suite_determinism(capsys):
     assert first == second
 
 
+def test_failed_suite_check_prints_its_sample_in_the_summary(monkeypatch, capsys):
+    """The plain-text report of a failing suite exits 1 and prints the
+    failed check with its first failing sample's index and point JSON."""
+    from d4vgit import sampling, suites
+    real_sampler, real = sampling.rand_point_hv, suites._central_matches_e1
+    drawn = []
+
+    def drawing(rng):
+        drawn.append(real_sampler(rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(sampling, "rand_point_hv", drawing)
+    monkeypatch.setattr(suites, "_central_matches_e1",
+                        lambda p, r: len(drawn) - 1 not in (3, 5) and real(p, r))
+    assert main(["suite", "quiver", "--seed", "7"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "suite quiver (seed 7)"
+    assert ("  [FAIL] qv.central_equals_E1_contraction - sample 3: %s"
+            % json.dumps(point_to_json(drawn[3]), sort_keys=True)) in lines
+    assert "  [pass] qv.central_trace_free" in lines
+    assert lines[-1] == "  5 passed, 1 failed"
+
+
 def test_usage_errors(capsys):
     assert main(["suite", "nonsense"]) == 64
     capsys.readouterr()

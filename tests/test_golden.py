@@ -8,7 +8,9 @@ fans (the resolution, a mixed chamber and the orbifold chart), recorded
 before the fan moved from subset enumeration to one solve per pair of
 rays; and a wall character's error report with its witness weights,
 recorded before the fan and the semistability test moved to one Gale-dual
-pass.  Each must stay byte-identical and exit with its recorded code.
+pass; and the plain-text report of the seed-7 suite, recorded before the
+sampled checks moved to one runner.  Each must stay byte-identical and exit
+with its recorded code.
 
 Each fixture under tests/data is the stdout of one command, for example
     PYTHONPATH=src python -m d4vgit orbit --point tests/data/base_point.json --json
@@ -38,6 +40,7 @@ CASES = {
     "suite_all_seed0": (0, ["suite", "all", "--seed", "0", "--json"]),
     "suite_all_seed7": (0, ["suite", "all", "--seed", "7", "--json"]),
     "suite_all_seed42": (0, ["suite", "all", "--seed", "42", "--json"]),
+    "suite_all_seed7_text": (0, ["suite", "all", "--seed", "7"]),
     "chart_closure_check": (0, ["chart", "--closure-check", "--json"]),
     "chart_base_index2": (0, ["chart", "--point", "base_point.json", "--index",
                               "2", "--json"]),
