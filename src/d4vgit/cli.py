@@ -1,7 +1,8 @@
 """Command-line front end: point I/O, individual checks, verification suites.
 
 Exit codes: 0 on success, 1 when a suite or check fails, 2 for an unstable
-stability verdict, 3 for a precondition violation, 64 for usage errors.
+stability verdict, 3 for a precondition violation, 64 for usage errors, 141
+(128 + SIGPIPE) when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import sys
 
 from . import charts, cyclic_s3, equations, mckay, quiver, stability, suites
@@ -18,6 +20,7 @@ from .gitcore import point_from_json, point_to_json
 from .scalars import FieldError, scalar_to_json
 
 USAGE_ERROR = 64
+BROKEN_PIPE = 141                       # 128 + SIGPIPE, as a shell reports it
 
 
 def _usage(message):
@@ -292,7 +295,21 @@ def build_parser():
 
 def main(argv=None):
     """Run one command; usage errors, argparse's included, exit 64 with one
-    line on stderr."""
+    line on stderr.  A reader that closes stdout early ends the run with
+    exit 141 and nothing on stderr."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout goes to devnull, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE
+    return code
+
+
+def _run(argv):
     ap = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--chi" in argv[:-1]:                # argparse reads "-1,..." as an option

@@ -2,7 +2,11 @@
 
 Every suite draws all randomness from a single seed, sorts its checks by
 id, and reports machine-readable pass/fail entries, so identical seeds
-produce byte-identical reports.
+produce byte-identical reports.  A sampled check is a named predicate over
+a stream of samples, and `Report.add_sampled` is the one runner for them: a
+check fails at its first failing sample and names it (index and point
+JSON), and a ChartError or AssertionError (a failed re-verification) raised
+by a predicate counts as a failed check.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 from . import charts, cyclic_s3, equations, gitcore, mckay, quiver, sampling, stability
 from .gitcore import GroupElement, PointHV, act, pair, weight_table
 from .linalg import Mat2, Vec2
-from .scalars import QI
+from .scalars import QI, dot
 
 
 @dataclass
@@ -32,6 +36,27 @@ class Report:
 
     def add(self, check_id, passed, details=""):
         self.checks.append(Check(check_id, bool(passed), details))
+
+    def add_sampled(self, samples, checks, passed_details=None):
+        """One check per (id, predicate) in checks over samples, which yields
+        (k, args) for predicate(*args).  A check fails if a predicate is false
+        or raises a ChartError or AssertionError, and its details are then
+        `sample k: <JSON of args[0]>` for its first failing sample.  Every
+        predicate sees every sample, so neither the draws from a seeded rng
+        nor the calls a sample makes depend on the verdicts.  passed_details
+        maps an id to its details when the check passes."""
+        failed = {}
+        for k, args in samples:
+            for check_id, holds in checks.items():
+                try:
+                    ok = holds(*args)
+                except (charts.ChartError, AssertionError):
+                    ok = False
+                if not ok and check_id not in failed:
+                    failed[check_id] = _sample_details(k, args[0])
+        for check_id in checks:
+            self.add(check_id, check_id not in failed, failed.get(check_id)
+                     or (passed_details or {}).get(check_id, ""))
 
     def finish(self):
         self.checks.sort(key=lambda c: c.check_id)
@@ -80,9 +105,12 @@ REFERENCE_WEIGHT_TABLE = {
 }
 
 
-def _sample_details(k: int, p: PointHV) -> str:
-    """The details of a sampled check that failed first at sample k, point p."""
-    return "sample %d: %s" % (k, json.dumps(gitcore.point_to_json(p), sort_keys=True))
+def _sample_details(k: int, x) -> str:
+    """The details of a sampled check that failed first at sample k: k and
+    x, a point (as point JSON) or a JSON value."""
+    if isinstance(x, PointHV):
+        x = gitcore.point_to_json(x)
+    return "sample %d: %s" % (k, json.dumps(x, sort_keys=True))
 
 
 def _det_b_and_open_locus(p: PointHV):
@@ -113,32 +141,31 @@ def suite_equations(seed: int) -> Report:
     rep.add("eq.beta_flip_breaks_only_E3",
             rf.e1_zero() and rf.e2_zero() and not rf.e3_zero())
 
-    first_off_z = bad_open = bad_det = ""
-    ok_omega = True
-    ok_semi = True
-    for k in range(60):
-        h = sampling.rand_group_element(rng)
-        p = sampling.rand_z_point(rng)
-        q = act(h, p)
-        if not equations.on_Z(q) and not first_off_z:
-            first_off_z = _sample_details(k, q)
-        dq, is_open = _det_b_and_open_locus(q)
-        if not is_open and not bad_open:
-            bad_open = _sample_details(k, q)
-        b1, b2, b3 = q.alpha
-        if not bad_det and dq + dq != q.beta ** 3 * b1 * b2 * b3:
-            bad_det = _sample_details(k, q)
-        ok_omega = ok_omega and (equations.omega(q)
-                                 == h.g.det().inverse() * equations.omega(p))
+    def orbit_samples():
+        # (q = h.p, p, h, det B at q, whether q is in the open locus)
+        for k in range(60):
+            h = sampling.rand_group_element(rng)
+            p = sampling.rand_z_point(rng)
+            q = act(h, p)
+            yield k, (q, p, h, *_det_b_and_open_locus(q))
+
+    def semi_invariant_weight(q, p, h, d, is_open):
         chi = (h.t[0] * h.t[1] * h.t[2] * h.g.det()).inverse()
-        ok_semi = ok_semi and (equations.semi_invariant_minus_theta(q, dq)
-                               == chi * equations.semi_invariant_minus_theta(p))
-    rep.add("eq.G_invariance_of_Z", not first_off_z, first_off_z)
-    rep.add("eq.open_locus_G_invariant", not bad_open, bad_open)
-    rep.add("eq.det_identity_on_orbit", not bad_det, bad_det)
-    rep.add("eq.omega_weight", ok_omega, "omega scales by det(g)^-1")
-    rep.add("eq.semi_invariant_weight", ok_semi,
-            "a^2 b^2 det B transforms by the inverse character")
+        return (equations.semi_invariant_minus_theta(q, d)
+                == chi * equations.semi_invariant_minus_theta(p))
+
+    rep.add_sampled(orbit_samples(), {
+        "eq.G_invariance_of_Z": lambda q, *_: equations.on_Z(q),
+        "eq.open_locus_G_invariant": lambda q, p, h, d, is_open: is_open,
+        "eq.det_identity_on_orbit": lambda q, p, h, d, is_open: (
+            d + d == q.beta ** 3 * q.alpha[0] * q.alpha[1] * q.alpha[2]),
+        "eq.omega_weight": lambda q, p, h, *_: (
+            equations.omega(q) == h.g.det().inverse() * equations.omega(p)),
+        "eq.semi_invariant_weight": semi_invariant_weight,
+    }, passed_details={
+        "eq.omega_weight": "omega scales by det(g)^-1",
+        "eq.semi_invariant_weight": "a^2 b^2 det B transforms by the inverse character",
+    })
 
     w1 = equations.witness_E1_not_E2()
     r1 = equations.residuals(w1)
@@ -169,49 +196,35 @@ def suite_stability(seed: int) -> Report:
     except AssertionError as err:
         rep.add("st.subset_certificates", False, str(err))
 
-    first_mismatch = ""
-    first_unstable = ""
-    for k in range(40):
-        p = sampling.rand_z_point(rng)
-        v = stability.semistable_theta(p)
-        king = quiver.king_stable(quiver.build_rep(p))
-        if v.is_stable != king and not first_mismatch:
-            first_mismatch = _sample_details(k, p)
-        vm = stability.semistable_minus_theta(p)
-        if not vm.is_stable and not first_unstable:
-            first_unstable = _sample_details(k, p)
-    rep.add("st.theta_matches_king", not first_mismatch, first_mismatch)
-    rep.add("st.minus_theta_stable_on_open_locus", not first_unstable, first_unstable)
-
-    ok_eng = True
-    details = []
-    for desc, p in sampling.engineered_unstable_points(rng):
-        v = stability.semistable_theta(p)
-        k = quiver.king_stable(quiver.build_rep(p))
-        if v.is_stable or k:
-            ok_eng = False
-            details.append(desc)
-    rep.add("st.engineered_unstable", ok_eng, ",".join(details))
-
-    bad_minus = ""
-    for k, (_, p) in enumerate(sampling.engineered_unstable_points(rng)):
-        if bad_minus or p.x.is_zero():
-            continue
+    def minus_theta_certified(p):
+        # unstable, with a certificate that re-verifies
         v = stability.semistable_minus_theta(p)
-        if v.is_stable or not stability.verify_certificate(
-                p, v.certificate, gitcore.MINUS_THETA, v.adapting):
-            bad_minus = _sample_details(k, p)
-    rep.add("st.minus_theta_unstable_certified", not bad_minus, bad_minus)
+        return not v.is_stable and stability.verify_certificate(
+            p, v.certificate, gitcore.MINUS_THETA, v.adapting)
 
-    bad_g = ""
-    for k in range(20):
-        p = sampling.rand_z_point(rng)
-        h = sampling.rand_group_element(rng)
-        v1 = stability.semistable_theta(p)
-        v2 = stability.semistable_theta(act(h, p))
-        if not bad_g and v1.is_stable != v2.is_stable:
-            bad_g = _sample_details(k, p)
-    rep.add("st.verdict_G_invariant", not bad_g, bad_g)
+    rep.add_sampled(((k, (sampling.rand_z_point(rng),)) for k in range(40)), {
+        "st.theta_matches_king": lambda p: (stability.semistable_theta(p).is_stable
+                                            == quiver.king_stable(quiver.build_rep(p))),
+        "st.minus_theta_stable_on_open_locus":
+            lambda p: stability.semistable_minus_theta(p).is_stable,
+    })
+    engineered = sampling.engineered_unstable_points(rng)
+    rep.add_sampled(((k, (p,)) for k, (_, p) in enumerate(engineered)), {
+        "st.engineered_unstable": lambda p: not (
+            stability.semistable_theta(p).is_stable
+            or quiver.king_stable(quiver.build_rep(p))),
+    })
+    engineered = sampling.engineered_unstable_points(rng)
+    rep.add_sampled(((k, (p,)) for k, (_, p) in enumerate(engineered)
+                     if not p.x.is_zero()),
+                    {"st.minus_theta_unstable_certified": minus_theta_certified})
+    # each sample draws its point, then the group element
+    rep.add_sampled(((k, (sampling.rand_z_point(rng), sampling.rand_group_element(rng)))
+                     for k in range(20)), {
+        "st.verdict_G_invariant": lambda p, h: (
+            stability.semistable_theta(p).is_stable
+            == stability.semistable_theta(act(h, p)).is_stable),
+    })
     return rep.finish()
 
 
@@ -219,27 +232,22 @@ def suite_quiver(seed: int) -> Report:
     rep = Report("quiver", seed)
     rng = random.Random(seed)
 
-    bad_legs = bad_trace = bad_contract = ""
-    for k in range(50):
-        p = sampling.rand_point_hv(rng)
-        r = quiver.build_rep(p)
-        legs, central = quiver.preprojective_residual(r)
-        if not bad_legs and not all(s.is_zero() for s in legs):
-            bad_legs = _sample_details(k, p)
-        if not bad_trace and not central.trace().is_zero():
-            bad_trace = _sample_details(k, p)
-        if not bad_contract and not _central_matches_e1(p, r):
-            bad_contract = _sample_details(k, p)
-    rep.add("qv.legs_always_zero", not bad_legs, bad_legs)
-    rep.add("qv.central_trace_free", not bad_trace, bad_trace)
-    rep.add("qv.central_equals_E1_contraction", not bad_contract, bad_contract)
+    def reps():
+        # (p, build_rep(p), its leg residuals, its central residual)
+        for k in range(50):
+            p = sampling.rand_point_hv(rng)
+            r = quiver.build_rep(p)
+            yield k, (p, r, *quiver.preprojective_residual(r))
 
-    bad_z = ""
-    for k in range(60):
-        p = sampling.rand_z_point(rng)
-        if not bad_z and not quiver.preprojective_holds(quiver.build_rep(p)):
-            bad_z = _sample_details(k, p)
-    rep.add("qv.preprojective_on_Z", not bad_z, bad_z)
+    rep.add_sampled(reps(), {
+        "qv.legs_always_zero": lambda p, r, legs, central: all(s.is_zero() for s in legs),
+        "qv.central_trace_free": lambda p, r, legs, central: central.trace().is_zero(),
+        "qv.central_equals_E1_contraction": lambda p, r, *_: _central_matches_e1(p, r),
+    })
+    rep.add_sampled(((k, (sampling.rand_z_point(rng),)) for k in range(60)), {
+        "qv.preprojective_on_Z":
+            lambda p: quiver.preprojective_holds(quiver.build_rep(p)),
+    })
 
     w = equations.witness_E2_not_E1().with_x(Vec2(QI.scalar(1), QI.scalar(2)))
     r = quiver.build_rep(w)
@@ -253,41 +261,18 @@ def suite_quiver(seed: int) -> Report:
 
 def _central_matches_e1(p: PointHV, r: quiver.QuiverRep) -> bool:
     """Whether the central quadratic of r = build_rep(p) is p's E1 form."""
-    res = equations.residuals(p)
-    e1 = res.e1                      # upper triangle (m <= n)
-    gram = {(0, 0): e1[0], (0, 1): e1[1], (0, 2): e1[2],
-            (1, 1): e1[3], (1, 2): e1[4], (2, 2): e1[5]}
-
-    def form(u, v):
-        # bilinear extension of the residual form at basis coords u, v
-        s = QI.zero()
-        for m in range(3):
-            for n in range(3):
-                key = (m, n) if m <= n else (n, m)
-                s = s + gram[key] * u[m] * v[n]
-        return s
-
+    e1 = equations.residuals(p).e1           # upper triangle (m <= n)
+    gram = ((e1[0], e1[1], e1[2]), (e1[1], e1[3], e1[4]), (e1[2], e1[4], e1[5]))
     x = p.x
-    e1v = Vec2(QI.one(), QI.zero())
-    e2v = Vec2(QI.zero(), QI.one())
 
-    def coords(v):
-        return (x.a * v.a, x.a * v.b + x.b * v.a, x.b * v.b)
+    def form(v):
+        # the E1 form at the basis coordinates of x * v
+        t = (x.a * v.a, x.a * v.b + x.b * v.a, x.b * v.b)
+        return dot(t, [dot(row, t) for row in gram])
 
-    checks = []
-    for v in (e1v, e2v, Vec2(QI.one(), QI.one())):
-        t = coords(v)
-        checks.append(quiver.central_quadratic(r, v) == form(t, t))
-    return all(checks)
-
-
-def _chart_fails(check) -> bool:
-    """Whether check() is false or raises a ChartError: a sample refused by
-    a chart fails the check that made the call."""
-    try:
-        return not check()
-    except charts.ChartError:
-        return True
+    return all(quiver.central_quadratic(r, v) == form(v)
+               for v in (Vec2(QI.one(), QI.zero()), Vec2(QI.zero(), QI.one()),
+                         Vec2(QI.one(), QI.one())))
 
 
 def suite_charts(seed: int) -> Report:
@@ -299,42 +284,34 @@ def suite_charts(seed: int) -> Report:
     rep.add("ch.closure_all_remainders_zero", closure.ok,
             ",".join(closure.failing()))
 
-    bad_norm = bad_round = bad_compose = ""
-    for k in range(25):
-        p = sampling.rand_z_point(rng)
-        v = stability.semistable_theta(p)
-        if not v.is_stable:
-            continue
-        idx = v.witness_index + 1
-        try:
-            c = charts.normalize(p, idx)
-        except charts.ChartError:
-            bad_norm = bad_norm or _sample_details(k, p)
-            continue
-        if not bad_round and _chart_fails(
-                lambda: charts.from_quiver_chart(charts.to_quiver_chart(c)) == c):
-            bad_round = _sample_details(k, p)
-        if not bad_compose and _chart_fails(
-                lambda: charts.normalize_rep(quiver.build_rep(p), idx)
-                == charts.to_quiver_chart(c)):
-            bad_compose = _sample_details(k, p)
-    rep.add("ch.normalize_invariants", not bad_norm, bad_norm)
-    rep.add("ch.hat_roundtrip", not bad_round, bad_round)
-    rep.add("ch.quiver_side_composition", not bad_compose, bad_compose)
+    def stable_charts():
+        # (p, its witness chart index, its chart point, or None if refused)
+        for k in range(25):
+            p = sampling.rand_z_point(rng)
+            v = stability.semistable_theta(p)
+            if v.is_stable:
+                idx = v.witness_index + 1
+                try:
+                    c = charts.normalize(p, idx)
+                except charts.ChartError:
+                    c = None
+                yield k, (p, idx, c)
 
-    bad_equiv = ""
-    for k in range(10):
-        p = sampling.rand_chart_point(rng)
-        h = GroupElement.make(
-            (1, sampling.rand_nonzero_scalar(rng),
-             sampling.rand_nonzero_scalar(rng)),
-            Mat2.identity())
-        if not bad_equiv and _chart_fails(
-                lambda: charts.chart_equivalent(charts.normalize(p, 1),
-                                                charts.normalize(act(h, p), 1))
-                is not None):
-            bad_equiv = _sample_details(k, p)
-    rep.add("ch.residual_torus_equivalence", not bad_equiv, bad_equiv)
+    rep.add_sampled(stable_charts(), {
+        "ch.normalize_invariants": lambda p, idx, c: c is not None,
+        "ch.hat_roundtrip": lambda p, idx, c: (
+            c is None or charts.from_quiver_chart(charts.to_quiver_chart(c)) == c),
+        "ch.quiver_side_composition": lambda p, idx, c: (
+            c is None or charts.normalize_rep(quiver.build_rep(p), idx)
+            == charts.to_quiver_chart(c)),
+    })
+    # each sample draws its chart point, then the torus element
+    rep.add_sampled(((k, (sampling.rand_chart_point(rng), GroupElement.make(
+        (1, sampling.rand_nonzero_scalar(rng), sampling.rand_nonzero_scalar(rng)),
+        Mat2.identity()))) for k in range(10)), {
+        "ch.residual_torus_equivalence": lambda p, h: charts.chart_equivalent(
+            charts.normalize(p, 1), charts.normalize(act(h, p), 1)) is not None,
+    })
     return rep.finish()
 
 
@@ -354,14 +331,12 @@ def suite_orbit(seed: int) -> Report:
     rep.add("orb.conjugate_stabilizer",
             conj.order() == 8 and conj.is_quaternion())
 
-    bad_roundtrip = ""
-    for k in range(4):
-        g = sampling.rand_group_element(rng)
-        q = act(g, bstar)
+    def connects(q):
         found = mckay.connect(bstar, q)
-        if not bad_roundtrip and (found is None or not act(found, bstar).same_h_part(q)):
-            bad_roundtrip = _sample_details(k, q)
-    rep.add("orb.connect_roundtrip", not bad_roundtrip, bad_roundtrip)
+        return found is not None and act(found, bstar).same_h_part(q)
+
+    rep.add_sampled(((k, (act(sampling.rand_group_element(rng), bstar),))
+                     for k in range(4)), {"orb.connect_roundtrip": connects})
 
     self_h = mckay.connect(bstar, bstar)
     rep.add("orb.connect_self_in_stabilizer",
@@ -378,20 +353,24 @@ def suite_examples(seed: int) -> Report:
             and not cyclic_s3.an_semistable(prob, (-1,), (0, 1, 1))
             and not cyclic_s3.an_semistable(prob, (-1,), (0, 0, 0)))
 
-    ok_res = True
-    ok_orb = True
-    for n in (2, 3, 4, 5):
+    def resolution_fan(at):
+        # the fan for chi = 1 is the minimal resolution of C^2/Z_n
+        n = at["n"]
         fan = cyclic_s3.an_quotient_fan(n, 1)
-        expected = tuple(sorted((i, 1) for i in range(n + 1)))
-        ok_res = (ok_res and fan.normalized_rays == expected
-                  and len(fan.maximal_cones) == n
-                  and fan.interior_ray_count == n - 1
-                  and all(m == 1 for m in fan.multiplicities))
-        orb = cyclic_s3.an_quotient_fan(n, -1)
-        ok_orb = (ok_orb and len(orb.maximal_cones) == 1
-                  and orb.multiplicities == (n,))
-    rep.add("ex.an_resolution_fans", ok_res)
-    rep.add("ex.an_orbifold_charts", ok_orb)
+        return (fan.normalized_rays == tuple(sorted((i, 1) for i in range(n + 1)))
+                and len(fan.maximal_cones) == n
+                and fan.interior_ray_count == n - 1
+                and all(m == 1 for m in fan.multiplicities))
+
+    def orbifold_fan(at):
+        # the fan for chi = -1 is the one orbifold chart C^2/Z_n
+        orb = cyclic_s3.an_quotient_fan(at["n"], -1)
+        return len(orb.maximal_cones) == 1 and orb.multiplicities == (at["n"],)
+
+    rep.add_sampled(((k, ({"n": n},)) for k, n in enumerate((2, 3, 4, 5))), {
+        "ex.an_resolution_fans": resolution_fan,
+        "ex.an_orbifold_charts": orbifold_fan,
+    })
 
     s3p = cyclic_s3.s3_base_point()
     rep.add("ex.s3_base_residual", cyclic_s3.s3_on_z(s3p))
@@ -417,9 +396,7 @@ def run_suite(name: str, seed: int = 0) -> Report:
     if name == "all":
         rep = Report("all", seed)
         for sub in sorted(SUITES):
-            sub_rep = SUITES[sub](seed)
-            for c in sub_rep.checks:
-                rep.add(c.check_id, c.passed, c.details)
+            rep.checks.extend(SUITES[sub](seed).checks)
         return rep.finish()
     if name not in SUITES:
         raise KeyError("unknown suite %r" % (name,))

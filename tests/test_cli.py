@@ -108,18 +108,37 @@ def test_examples_an_accepts_a_spaced_negative_chi(capsys):
     assert json.loads(spaced)["multiplicities"] == [5]
 
 
-def test_examples_an_n30_finishes():
-    """The fan is polynomial in n; subset enumeration never finished n = 15."""
+def _cli(*argv):
+    """The command line and environment that run the CLI from this tree (under
+    -O when the tests run so)."""
     src = pathlib.Path(__file__).parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     optimize = ["-O"] * sys.flags.optimize
-    run = subprocess.run([sys.executable, *optimize, "-m", "d4vgit", "examples",
-                          "an", "--n", "30", "--json"],
-                         env=env, capture_output=True, timeout=60)
+    return [sys.executable, *optimize, "-m", "d4vgit", *argv], env
+
+
+def test_examples_an_n30_finishes():
+    """The fan is polynomial in n; subset enumeration never finished n = 15."""
+    cmd, env = _cli("examples", "an", "--n", "30", "--json")
+    run = subprocess.run(cmd, env=env, capture_output=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["interior_rays"] == 29
+
+
+@pytest.mark.parametrize("argv", [["make-point"], ["suite", "examples", "--seed", "3"],
+                                  ["chart", "--closure-check"]])
+def test_closed_stdout_exits_141_with_nothing_on_stderr(argv):
+    """A reader that closes stdout before the command writes ends it with
+    128 + SIGPIPE and no traceback, not with the failed-check code."""
+    cmd, env = _cli(*argv)
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_suite_determinism(capsys):
