@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 from .gitcore import split_form
 from .linalg import Mat2, Mat3, sym_square
@@ -159,10 +159,13 @@ def smith_normal_form(A):
     return U, diag
 
 
+def _cross(u, v):
+    """The 2x2 determinant u x v."""
+    return u[0] * v[1] - u[1] * v[0]
+
+
 def _primitive(v):
-    g = gcd(abs(v[0]), abs(v[1]))
-    if g == 0:
-        return v
+    g = gcd(*v)
     return (v[0] // g, v[1] // g)
 
 
@@ -258,11 +261,11 @@ def _gale_pairs(problem: ToricGITProblem, chi):
     def pairs():
         for a, b in combinations(range(N), 2):
             (p, q), (r, s) = rays[a], rays[b]
-            det = p * s - q * r
+            det = _cross(rays[a], rays[b])
             if det == 0:
                 continue
-            u0 = (x[a] * s - x[b] * q) / det
-            u1 = (p * x[b] - r * x[a]) / det
+            u0 = _cross((x[a], q), (x[b], s)) / det
+            u1 = _cross((p, x[a]), (r, x[b])) / det
             yield a, b, [xj - u0 * v0 - u1 * v1 for xj, (v0, v1) in zip(x, rays)]
 
     return rays, pairs()
@@ -296,21 +299,10 @@ class FanData:
 
     @property
     def interior_ray_count(self):
-        """Rays with other rays strictly on both sides."""
-        count = 0
-        for i, r in enumerate(self.rays):
-            signs = set()
-            for j, s in enumerate(self.rays):
-                if i == j:
-                    continue
-                cross = r[0] * s[1] - r[1] * s[0]
-                if cross > 0:
-                    signs.add(1)
-                elif cross < 0:
-                    signs.add(-1)
-            if signs == {1, -1}:
-                count += 1
-        return count
+        """Rays with other rays strictly on both sides: the signs of their
+        nonzero cross products take both values."""
+        return sum({c > 0 for s in self.rays if (c := _cross(r, s))} == {True, False}
+                   for r in self.rays)
 
 
 def an_quotient_fan(n: int, chi) -> FanData:
@@ -347,56 +339,33 @@ def an_quotient_fan(n: int, chi) -> FanData:
         cones.append((a, b))
     if not cones:
         raise AssertionError("character admits no two-dimensional cones")
-    # collect the rays that actually appear, primitivized
-    used = sorted({j for c in cones for j in c})
-    prim = {j: _primitive(rays_raw[j]) for j in used}
-    ray_list = []
-    ray_index = {}
-    for j in used:
-        v = prim[j]
-        if v not in ray_index:
-            ray_index[v] = len(ray_list)
-            ray_list.append(v)
-    max_cones = sorted({tuple(sorted((ray_index[prim[a]], ray_index[prim[b]])))
-                        for a, b in cones})
-    mults = tuple(abs(ray_list[a][0] * ray_list[b][1]
-                      - ray_list[a][1] * ray_list[b][0])
-                  for a, b in max_cones)
-    normal = _normalize_rays(ray_list, max_cones)
-    return FanData(tuple(ray_list), tuple(max_cones), mults, normal)
+    # the rays that actually appear, primitivized, numbered in index order
+    prim = {j: _primitive(rays_raw[j]) for j in sorted({j for c in cones for j in c})}
+    index = {v: i for i, v in enumerate(dict.fromkeys(prim.values()))}
+    rays = tuple(index)
+    max_cones = tuple(sorted({tuple(sorted((index[prim[a]], index[prim[b]])))
+                              for a, b in cones}))
+    mults = tuple(abs(_cross(rays[a], rays[b])) for a, b in max_cones)
+    return FanData(rays, max_cones, mults, _normalize_rays(rays, max_cones))
 
 
 def _normalize_rays(rays, cones):
     """Present the rays as (i, 1) with smallest i equal to 0, when some cone
-    is unimodular; otherwise return the raw rays."""
+    is unimodular; otherwise return the raw rays.
+
+    For a cone (p, q) with d = p x q = +-1, the integer map
+    r -> d (p x r, p x r + r x q) sends p to (0, 1) and q to (1, 1).
+    """
     for a, b in cones:
-        for (p, q) in ((rays[a], rays[b]), (rays[b], rays[a])):
-            m = _solve_unimodular(p, q)
-            if m is None:
+        for p, q in ((rays[a], rays[b]), (rays[b], rays[a])):
+            d = _cross(p, q)
+            if abs(d) != 1:
                 continue
-            imgs = [(m[0][0] * r[0] + m[0][1] * r[1],
-                     m[1][0] * r[0] + m[1][1] * r[1]) for r in rays]
+            imgs = [(d * _cross(p, r), d * (_cross(p, r) + _cross(r, q))) for r in rays]
             if all(w[1] == 1 for w in imgs):
                 shift = min(w[0] for w in imgs)
                 return tuple(sorted((w[0] - shift, 1) for w in imgs))
     return tuple(sorted(rays))
-
-
-def _solve_unimodular(p, q):
-    """Integer M with M p = (0, 1) and M q = (1, 1), if unimodular:
-    M = T [p q]^-1 with T = [[0,1],[1,1]]."""
-    det = p[0] * q[1] - p[1] * q[0]
-    if abs(det) != 1:
-        return None
-    inv = ((q[1] * det, -q[0] * det), (-p[1] * det, p[0] * det))
-    T = ((0, 1), (1, 1))
-    M = tuple(tuple(sum(T[i][l] * inv[l][j] for l in range(2)) for j in range(2))
-              for i in range(2))
-    if (M[0][0] * p[0] + M[0][1] * p[1], M[1][0] * p[0] + M[1][1] * p[1]) != (0, 1):
-        return None
-    if (M[0][0] * q[0] + M[0][1] * q[1], M[1][0] * q[0] + M[1][1] * q[1]) != (1, 1):
-        return None
-    return M
 
 
 # -- the S3 example --------------------------------------------------------------
@@ -462,31 +431,52 @@ def s3_act(g: Mat2, p: S3Point) -> S3Point:
     return S3Point(rows[:2], rows[2])
 
 
+def _icbrt(m):
+    """floor(cbrt(m)) for an int m >= 0: integer Newton from 2^ceil(bits/3)."""
+    if m == 0:
+        return 0
+    r = 1 << -(-m.bit_length() // 3)
+    while True:
+        s = (2 * r + m // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
+
+
 def _rational_cbrt(x: Scalar):
-    """Exact cube root of a base-level rational Scalar, or None."""
+    """Exact cube root in Q(i) of a base-level Scalar, or None.
+
+    For x = (a + b i)/d the root is g/d, g = u + v i the Gaussian integer with
+    g^3 = z = (a + b i) d^2.  Its norm m = u^2 + v^2 is the cube root of
+    N(z), and Re z = 4u^3 - 3mu, which bisection solves on each of the three
+    pieces where that cubic is monotone; Im z = v (3u^2 - v^2) then picks v.
+    """
     if not x.field.is_base:
         return None
-    re, im, d = x.triple
-    if im != 0:
+    a, b, d = x.triple
+    a, b = a * d * d, b * d * d
+    norm = a * a + b * b
+    m = _icbrt(norm)
+    if m ** 3 != norm:
         return None
-    sign = 1 if re >= 0 else -1
-    n = abs(re)
-
-    def icbrt(m):
-        # integer Newton from 2^ceil(bits/3) >= cbrt(m), down to the floor
-        if m == 0:
-            return 0
-        r = 1 << -(-m.bit_length() // 3)
-        while True:
-            s = (2 * r + m // (r * r)) // 3
-            if s >= r:
-                return r if r ** 3 == m else None
-            r = s
-
-    rn, rd = icbrt(n), icbrt(d)
-    if rn is None or rd is None:
-        return None
-    return QI.scalar(sign * rn) / rd
+    r = isqrt(m)
+    t = r // 2
+    for lo, hi, sign in ((-r, -t - 1, 1), (-t, t, -1), (t + 1, r, 1)):
+        if lo > hi:
+            continue
+        while lo < hi:                      # first u with sign (Re z - a) >= 0
+            mid = (lo + hi) // 2
+            if sign * (4 * mid ** 3 - 3 * m * mid - a) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        u, v = lo, isqrt(m - lo * lo)
+        if 4 * u ** 3 - 3 * m * u != a or u * u + v * v != m:
+            continue
+        for v in (v, -v):
+            if v * (3 * u * u - v * v) == b:
+                return QI.scalar(u, v) / d
+    return None
 
 
 def s3_stabilizer(p: S3Point) -> FiniteSubgroup:
@@ -510,14 +500,8 @@ def s3_stabilizer(p: S3Point) -> FiniteSubgroup:
         raise DegenerateS3Point("inner product degenerate")
     field, T = roots
     split = s3_act(T.inverse(), p)
-    # shape: rows proportional to (0,0,*) and (*,0,0) in one order or the other
-    if split.BU[0][0].is_zero() and split.BU[1][2].is_zero():
-        pass
-    elif split.BU[0][2].is_zero() and split.BU[1][0].is_zero():
-        swap = Mat2(QI.zero(), QI.one(), QI.one(), QI.zero())
-        T = T * swap
-        split = s3_act(T.inverse(), p)
-    else:
+    # shape: rows proportional to (0,0,*) and (*,0,0)
+    if not (split.BU[0][0].is_zero() and split.BU[1][2].is_zero()):
         raise DegenerateS3Point("point is not in the split normal form orbit")
     x3 = split.BU[0][2]
     y1 = split.BU[1][0]
@@ -535,7 +519,7 @@ def s3_stabilizer(p: S3Point) -> FiniteSubgroup:
             candidates.append(Mat2.diagonal(z * z, z))
     ratio = lower(x3 / y1)
     w0 = _rational_cbrt(ratio)
-    if w0 is not None and not w0.is_zero():
+    if w0 is not None:
         ws = [w0]
         if root3 is not None:
             ws += [field2.lift(w0) * zeta, field2.lift(w0) * zeta * zeta]

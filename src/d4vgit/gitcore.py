@@ -229,22 +229,9 @@ def pair(chi: Character, lam: Cocharacter) -> int:
 def _log2_rational(x: Scalar) -> int:
     """x must be an exact power of 2 in Q; returns the exponent."""
     n, im, d = x.triple
-    if im != 0:
-        raise ValueError("not a rational power of 2")
-    if n < 0:
-        raise ValueError("not a positive power of 2")
-    e = 0
-    while d > 1:
-        if d % 2:
-            raise ValueError("not a power of 2")
-        d //= 2
-        e -= 1
-    while n > 1:
-        if n % 2:
-            raise ValueError("not a power of 2")
-        n //= 2
-        e += 1
-    return e
+    if im != 0 or n <= 0 or n & (n - 1) or d & (d - 1):
+        raise ValueError("not a positive rational power of 2")
+    return n.bit_length() - d.bit_length()
 
 
 @cache

@@ -25,7 +25,6 @@ operations are exact and zero-testing is decidable at every level.
 from __future__ import annotations
 
 import re
-import sys
 import weakref
 from fractions import Fraction
 from math import gcd, isqrt
@@ -44,21 +43,6 @@ class ExtensionLimitError(FieldError):
 
 
 DEFAULT_TOWER_DEPTH = 4
-
-_HASH_MODULUS = sys.hash_info.modulus
-_HASH_INF = sys.hash_info.inf
-
-
-def _rational_hash(n: int, d: int) -> int:
-    """hash(Fraction(n, d)) for d > 0, by Python's numeric hash rule."""
-    g = gcd(n, d)
-    n, d = n // g, d // g
-    try:
-        h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
-    except ValueError:                   # d is a multiple of the modulus
-        h = _HASH_INF
-    h = h if n >= 0 else -h
-    return -2 if h == -1 else h
 
 
 def _rational_sqrt(n: int, d: int):
@@ -413,10 +397,10 @@ class Scalar:
         if self._den is None:               # by the shallowest level, so a lift agrees
             low = lower(self)
             return hash(low) if low._den is not None else hash((low._x, low._y))
-        h = _rational_hash(self._x, self._den)
+        h = hash(Fraction(self._x, self._den))
         if not self._y:
             return h
-        return hash((h, _rational_hash(self._y, self._den)))
+        return hash((h, hash(Fraction(self._y, self._den))))
 
     # -- ring operations ---------------------------------------------------
 
@@ -774,6 +758,4 @@ def as_scalar(x, field: Field = QI) -> Scalar:
         return x
     if isinstance(x, (int, Fraction)):
         return field.scalar(x)
-    if isinstance(x, str):
-        return parse_scalar(x, field)
     raise TypeError("cannot convert %r to Scalar" % (x,))

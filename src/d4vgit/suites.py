@@ -6,7 +6,8 @@ produce byte-identical reports.  A sampled check is a named predicate over
 a stream of samples, and `Report.add_sampled` is the one runner for them: a
 check fails at its first failing sample and names it (index and point
 JSON), and a ChartError or AssertionError (a failed re-verification) raised
-by a predicate counts as a failed check.
+by a predicate, or by the work a sample's checks share, counts as a failed
+check.
 """
 
 from __future__ import annotations
@@ -37,21 +38,24 @@ class Report:
     def add(self, check_id, passed, details=""):
         self.checks.append(Check(check_id, bool(passed), details))
 
-    def add_sampled(self, samples, checks, passed_details=None):
+    def add_sampled(self, samples, checks, passed_details=None, derive=None):
         """One check per (id, predicate) in checks over samples, which yields
-        (k, args) for predicate(*args).  A check fails if a predicate is false
-        or raises a ChartError or AssertionError, and its details are then
-        `sample k: <JSON of args[0]>` for its first failing sample.  Every
-        predicate sees every sample, so neither the draws from a seeded rng
-        nor the calls a sample makes depend on the verdicts.  passed_details
-        maps an id to its details when the check passes."""
+        (k, args) for predicate(*args, *derive(*args)); derive, the work one
+        sample's checks share, defaults to nothing and leaves out a sample
+        by returning None.  A check fails if its predicate is false, or it
+        or derive raises a ChartError or AssertionError; its details are
+        then `sample k: <JSON of args[0]>` for its first failing sample.
+        Every predicate sees every sample derive keeps, so neither the draws
+        from a seeded rng nor the calls a sample makes depend on the
+        verdicts.  passed_details maps an id to its details when the check
+        passes."""
         failed = {}
         for k, args in samples:
+            shared = _guarded(derive, *args) if derive else ()
+            if shared is None:
+                continue
             for check_id, holds in checks.items():
-                try:
-                    ok = holds(*args)
-                except (charts.ChartError, AssertionError):
-                    ok = False
+                ok = shared is not False and _guarded(holds, *args, *shared)
                 if not ok and check_id not in failed:
                     failed[check_id] = _sample_details(k, args[0])
         for check_id in checks:
@@ -105,6 +109,15 @@ REFERENCE_WEIGHT_TABLE = {
 }
 
 
+def _guarded(f, *args):
+    """f(*args), or False if it raises a ChartError or AssertionError (a
+    failed re-verification)."""
+    try:
+        return f(*args)
+    except (charts.ChartError, AssertionError):
+        return False
+
+
 def _sample_details(k: int, x) -> str:
     """The details of a sampled check that failed first at sample k: k and
     x, a point (as point JSON) or a JSON value."""
@@ -142,12 +155,12 @@ def suite_equations(seed: int) -> Report:
             rf.e1_zero() and rf.e2_zero() and not rf.e3_zero())
 
     def orbit_samples():
-        # (q = h.p, p, h, det B at q, whether q is in the open locus)
+        # (q = h.p, p, h); the checks add det B at q and whether q is in the
+        # open locus
         for k in range(60):
             h = sampling.rand_group_element(rng)
             p = sampling.rand_z_point(rng)
-            q = act(h, p)
-            yield k, (q, p, h, *_det_b_and_open_locus(q))
+            yield k, (act(h, p), p, h)
 
     def semi_invariant_weight(q, p, h, d, is_open):
         chi = (h.t[0] * h.t[1] * h.t[2] * h.g.det()).inverse()
@@ -165,7 +178,7 @@ def suite_equations(seed: int) -> Report:
     }, passed_details={
         "eq.omega_weight": "omega scales by det(g)^-1",
         "eq.semi_invariant_weight": "a^2 b^2 det B transforms by the inverse character",
-    })
+    }, derive=lambda q, p, h: _det_b_and_open_locus(q))
 
     w1 = equations.witness_E1_not_E2()
     r1 = equations.residuals(w1)
@@ -232,18 +245,16 @@ def suite_quiver(seed: int) -> Report:
     rep = Report("quiver", seed)
     rng = random.Random(seed)
 
-    def reps():
-        # (p, build_rep(p), its leg residuals, its central residual)
-        for k in range(50):
-            p = sampling.rand_point_hv(rng)
-            r = quiver.build_rep(p)
-            yield k, (p, r, *quiver.preprojective_residual(r))
+    def rep_and_residuals(p):
+        # build_rep(p), its leg residuals, its central residual
+        r = quiver.build_rep(p)
+        return (r, *quiver.preprojective_residual(r))
 
-    rep.add_sampled(reps(), {
+    rep.add_sampled(((k, (sampling.rand_point_hv(rng),)) for k in range(50)), {
         "qv.legs_always_zero": lambda p, r, legs, central: all(s.is_zero() for s in legs),
         "qv.central_trace_free": lambda p, r, legs, central: central.trace().is_zero(),
         "qv.central_equals_E1_contraction": lambda p, r, *_: _central_matches_e1(p, r),
-    })
+    }, derive=rep_and_residuals)
     rep.add_sampled(((k, (sampling.rand_z_point(rng),)) for k in range(60)), {
         "qv.preprojective_on_Z":
             lambda p: quiver.preprojective_holds(quiver.build_rep(p)),
@@ -284,27 +295,22 @@ def suite_charts(seed: int) -> Report:
     rep.add("ch.closure_all_remainders_zero", closure.ok,
             ",".join(closure.failing()))
 
-    def stable_charts():
-        # (p, its witness chart index, its chart point, or None if refused)
-        for k in range(25):
-            p = sampling.rand_z_point(rng)
-            v = stability.semistable_theta(p)
-            if v.is_stable:
-                idx = v.witness_index + 1
-                try:
-                    c = charts.normalize(p, idx)
-                except charts.ChartError:
-                    c = None
-                yield k, (p, idx, c)
+    def witness_chart(p):
+        # p's witness chart index and chart point, False if refused (which
+        # fails ch.normalize_invariants alone); unstable p is left out
+        v = stability.semistable_theta(p)
+        if v.is_stable:
+            return v.witness_index + 1, _guarded(charts.normalize, p, v.witness_index + 1)
+        return None
 
-    rep.add_sampled(stable_charts(), {
-        "ch.normalize_invariants": lambda p, idx, c: c is not None,
+    rep.add_sampled(((k, (sampling.rand_z_point(rng),)) for k in range(25)), {
+        "ch.normalize_invariants": lambda p, idx, c: c is not False,
         "ch.hat_roundtrip": lambda p, idx, c: (
-            c is None or charts.from_quiver_chart(charts.to_quiver_chart(c)) == c),
+            c is False or charts.from_quiver_chart(charts.to_quiver_chart(c)) == c),
         "ch.quiver_side_composition": lambda p, idx, c: (
-            c is None or charts.normalize_rep(quiver.build_rep(p), idx)
+            c is False or charts.normalize_rep(quiver.build_rep(p), idx)
             == charts.to_quiver_chart(c)),
-    })
+    }, derive=witness_chart)
     # each sample draws its chart point, then the torus element
     rep.add_sampled(((k, (sampling.rand_chart_point(rng), GroupElement.make(
         (1, sampling.rand_nonzero_scalar(rng), sampling.rand_nonzero_scalar(rng)),

@@ -1,6 +1,7 @@
 """Chart normalization, the quiver-side chart, the symbolic closure check."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,9 +11,9 @@ from d4vgit.charts import (
     to_quiver_chart,
 )
 from d4vgit.gitcore import GroupElement, act
-from d4vgit.linalg import Mat2
+from d4vgit.linalg import Mat2, Vec2
 from d4vgit.mckay import base_point
-from d4vgit.quiver import build_rep
+from d4vgit.quiver import Covector, build_rep
 from d4vgit.sampling import rand_chart_point, rand_nonzero_scalar, rand_z_point
 from d4vgit.scalars import QI
 from d4vgit.stability import semistable_theta
@@ -344,3 +345,66 @@ def test_suite_charts_names_the_first_chart_point_off_its_torus_class(monkeypatc
     monkeypatch.undo()
     passing = {c.check_id: c for c in run_suite("charts", 7).checks}
     assert all(c.passed and c.details == "" for c in passing.values())
+
+
+
+def _swap(maps, m, value):
+    return tuple(value if n == m else old for n, old in enumerate(maps))
+
+
+def _plus(c, d):
+    return Covector(c.a + d.a, c.b + d.b)
+
+
+_ZERO_C = Covector(QI.zero(), QI.zero())
+_ZERO_V = Vec2(0, 0)
+
+
+@pytest.mark.parametrize("message, perturb", [
+    ("E0 and E_1 do not span V", lambda r: replace(r, E=_swap(r.E, 0, r.E0))),
+    (r"D_1\(E0\) = 0", lambda r: replace(r, D=_swap(r.D, 0, _ZERO_C))),
+    ("leg relation D_1 E_1 != 0", lambda r: replace(r, E=_swap(r.E, 0, r.E[0] + r.E0))),
+    ("framing relation D0 E0 != 0", lambda r: replace(r, D0=_plus(r.D0, r.D[0]))),
+    ("leg 2 vanishes", lambda r: replace(r, D=_swap(r.D, 1, _ZERO_C))),
+    ("leg 2 is not of the dual form", lambda r: replace(r, E=_swap(r.E, 1, r.E[1] + r.E0))),
+    ("central relation degenerate", lambda r: replace(r, E=(r.E[0], _ZERO_V, _ZERO_V))),
+    ("hat invariant failed: ah_j", lambda r: replace(r, E=_swap(r.E, 1, r.E[1].scale(2)))),
+    ("framing map disagrees", lambda r: replace(r, D0=_plus(r.D0, r.D0))),
+], ids=["span", "d_i_e0", "leg_relation", "framing_relation", "leg_vanishes",
+        "dual_form", "central_degenerate", "hat_invariant", "framing_map"])
+def test_normalize_rep_refuses_each_broken_precondition(message, perturb):
+    """Each ChartError of normalize_rep, _solve_beta_hat and HatChart.validate
+    is reached by breaking one precondition of a stable point's rep (chart 1,
+    so legs 2 and 3 are j and k), and nothing else is raised."""
+    rep = build_rep(rand_chart_point(random.Random(2)))
+    assert normalize_rep(rep, 1) is not None
+    with pytest.raises(ChartError, match=message):
+        normalize_rep(perturb(rep), 1)
+
+
+def test_suite_charts_fails_the_sample_whose_theta_verdict_raises(monkeypatch, capsys):
+    """The theta oracle raising in the work a chart sample's checks share
+    fails each of those checks at that sample, and the run exits 1 with no
+    traceback."""
+    import json
+
+    import d4vgit.stability as stability
+    from d4vgit.cli import main
+    from d4vgit.gitcore import point_to_json
+    real, seen = stability.semistable_theta, []
+
+    def raising(p):
+        # one call per chart sample, so call 3 is sample 2
+        seen.append(p)
+        if len(seen) == 3:
+            raise AssertionError("unstable point matched no destabilized subset")
+        return real(p)
+
+    monkeypatch.setattr(stability, "semistable_theta", raising)
+    assert main(["suite", "charts", "--seed", "7"]) == 1
+    out, err = capsys.readouterr()
+    details = "sample 2: %s" % json.dumps(point_to_json(seen[2]), sort_keys=True)
+    assert [line for line in out.splitlines() if "[FAIL]" in line] == [
+        "  [FAIL] %s - %s" % (check_id, details) for check_id in (
+            "ch.hat_roundtrip", "ch.normalize_invariants", "ch.quiver_side_composition")]
+    assert err == ""

@@ -349,6 +349,45 @@ class TestS3:
             assert (_rational_cbrt(QI.scalar(Fraction(8, root ** 3)))
                     == QI.scalar(Fraction(2, root)))
 
+    @pytest.mark.parametrize("g", [
+        Mat2(QI.i(), QI.zero(), QI.zero(), QI.one()),
+        Mat2(QI.scalar(1, 1), QI.zero(), QI.zero(), QI.one()),
+    ], ids=["diag_i_1", "diag_1_plus_i_1"])
+    def test_gaussian_conjugate_keeps_its_reflections(self, g):
+        """A reflection of g.p needs the cube root of a ratio with an
+        imaginary part (here -i = i^3 and its analogue for 1 + i)."""
+        stab = s3_stabilizer(s3_act(g, s3_base_point()))
+        assert stab.order() == 6
+        assert stab.order_profile() == {1: 1, 2: 3, 3: 2}
+        for s in s3_stabilizer(s3_base_point()).elements:
+            assert stab.index_of(g * s * g.inverse()) is not None
+
+    def test_gaussian_conjugates_sweep(self):
+        rng = random.Random(1)
+        base = s3_stabilizer(s3_base_point()).elements
+        done = 0
+        while done < 12:
+            g = Mat2(*[QI.scalar(rng.randint(-3, 3), rng.randint(-2, 2))
+                       for _ in range(4)])
+            if g.det().is_zero():
+                continue
+            done += 1
+            stab = s3_stabilizer(s3_act(g, s3_base_point()))
+            assert stab.order_profile() == {1: 1, 2: 3, 3: 2}, g
+            assert all(stab.index_of(g * s * g.inverse()) is not None for s in base)
+
+    def test_rational_cbrt_over_gaussian_rationals(self):
+        from fractions import Fraction
+        from d4vgit.cyclic_s3 import _rational_cbrt
+        assert _rational_cbrt(-QI.i()) == QI.i()
+        assert _rational_cbrt(QI.scalar(-2, 11)) == QI.scalar(-2, 1)
+        w = QI.scalar(Fraction(10 ** 30 + 7, 3 ** 40), Fraction(-5, 2 ** 70))
+        assert _rational_cbrt(w ** 3) == w
+        assert _rational_cbrt(QI.scalar(-2, 10)) is None
+        assert _rational_cbrt(QI.scalar(0, 2)) is None      # norm 4 is no cube
+        # norm 5^3, but 10 + 5i = (2 + i)^2 (2 - i) is no cube
+        assert _rational_cbrt(QI.scalar(10, 5)) is None
+
     def test_degenerate_rejected(self):
         p = S3Point.make(((0, 0, 0), (0, 0, 0)), (0, 0, 0))
         with pytest.raises(DegenerateS3Point):

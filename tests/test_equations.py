@@ -440,3 +440,29 @@ def test_kept_residuals_equal_a_fresh_evaluation_on_tower_translates(depth, bits
     fresh = tuple(map(tuple, residual_entries(p.alpha, p.beta, p.B)))
     for q in (p, p.with_x((1, 1))):
         assert (residuals(q).e1, residuals(q).e2, residuals(q).e3) == fresh
+
+
+def test_suite_equations_fails_the_sample_whose_shared_work_raises(monkeypatch, capsys):
+    """The determinant identity failing in the work an orbit sample's checks
+    share (det B and the open locus at q) fails each of those checks at that
+    sample, and the run exits 1 with no traceback."""
+    import d4vgit.equations as equations
+    from d4vgit.cli import main
+    real, seen = equations.open_locus_det, []
+
+    def raising(p):
+        # call 1 is the base point; calls 2, 3, 4 are orbit samples 0, 1, 2
+        seen.append(p)
+        if len(seen) == 4:
+            raise AssertionError("determinant identity 2 det B = beta^3 a1 a2 a3 failed")
+        return real(p)
+
+    monkeypatch.setattr(equations, "open_locus_det", raising)
+    assert main(["suite", "equations", "--seed", "7"]) == 1
+    out, err = capsys.readouterr()
+    details = "sample 2: %s" % json.dumps(point_to_json(seen[3]), sort_keys=True)
+    assert [line for line in out.splitlines() if "[FAIL]" in line] == [
+        "  [FAIL] %s - %s" % (check_id, details) for check_id in (
+            "eq.G_invariance_of_Z", "eq.det_identity_on_orbit", "eq.omega_weight",
+            "eq.open_locus_G_invariant", "eq.semi_invariant_weight")]
+    assert err == ""

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from d4vgit.equations import ContractViolation, witness_E1_not_E2
-from d4vgit.gitcore import MINUS_THETA, THETA, PointHV, act
+from d4vgit.equations import ContractViolation, witness_E1_not_E2, witness_E2_not_E1
+from d4vgit.gitcore import (
+    LAMBDA, MINUS_THETA, THETA, Cocharacter, PointHV, act, pair,
+)
 from d4vgit.mckay import base_point
 from d4vgit.quiver import build_rep, form_contraction, king_stable
 from d4vgit.sampling import (
@@ -61,6 +63,45 @@ class TestMinusTheta:
 
     def test_infinite_stabilizer_not_detected_on_open_locus(self):
         assert not infinite_stabilizer_detected(base_point())
+
+    def test_infinite_stabilizer_detected_off_the_open_locus(self):
+        # a rank-one shared form: the unipotent shear family fixes the H-part
+        assert infinite_stabilizer_detected(witness_E2_not_E1())
+        # beta = 0 and B = 0: the whole torus of GL(V) fixes it
+        assert infinite_stabilizer_detected(
+            PointHV.make((1, 2, 3), 0, ((0, 0, 0),) * 3, (1, 0)))
+
+    def test_patched_bad_certificate_raises(self, monkeypatch):
+        """A certificate built with the wrong sign pairs negatively with
+        -theta, so the a1 = 0 branch raises instead of returning it (an
+        explicit raise, so this holds under python -O too)."""
+        import d4vgit.stability as stability
+        monkeypatch.setattr(stability, "Cocharacter", lambda a, w, name: Cocharacter(
+            tuple(-c for c in a), w, name))
+        p = PointHV.make((0, 0, 0), 0, ((0, 0, 0),) * 3, (1, 0))
+        with pytest.raises(AssertionError, match="failed re-verification"):
+            semistable_minus_theta(p)
+
+
+class TestVerifyCertificate:
+    """verify_certificate rejects each way a certificate can be wrong."""
+
+    def test_positive_weight_on_a_nonzero_coordinate(self):
+        # lambda1 gives beta weight +1, and beta != 0 at the base point
+        assert pair(THETA, LAMBDA[0]) > 0
+        assert not verify_certificate(base_point(), LAMBDA[0], THETA)
+
+    def test_nonpositive_pairing(self):
+        p = PointHV.make((0, 0, 0), 0, ((0, 0, 0),) * 3, (0, 0))
+        assert verify_certificate(p, LAMBDA[0], THETA)
+        assert not verify_certificate(p, LAMBDA[0], MINUS_THETA)
+        assert not verify_certificate(p, Cocharacter((1, -1, 0), (0, 0)), THETA)
+
+    def test_positive_x_weight_at_nonzero_x(self):
+        diagonal = Cocharacter((1, 1, 1), (1, 1), "diagonal")
+        zero_h = ((0, 0, 0), 0, ((0, 0, 0),) * 3)
+        assert verify_certificate(PointHV.make(*zero_h, (0, 0)), diagonal, THETA)
+        assert not verify_certificate(PointHV.make(*zero_h, (0, 1)), diagonal, THETA)
 
 
 class TestTheta:
