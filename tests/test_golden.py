@@ -9,11 +9,18 @@ before the fan moved from subset enumeration to one solve per pair of
 rays; and a wall character's error report with its witness weights,
 recorded before the fan and the semistability test moved to one Gale-dual
 pass; and the plain-text report of the seed-7 suite, recorded before the
-sampled checks moved to one runner.  Each must stay byte-identical and exit
-with its recorded code.
+sampled checks moved to one runner; and every refused-input report that
+exits 3 (a chart index that does not witness, and a point off Z or outside
+the open locus for chart, orbit and both stability characters), recorded
+before the CLI mapped a refused precondition to exit 3 in one place.  Each
+must stay byte-identical and exit with its recorded code.
 
 Each fixture under tests/data is the stdout of one command, for example
     PYTHONPATH=src python -m d4vgit orbit --point tests/data/base_point.json --json
+The point files are written by point_to_json: off_z_point.json is
+equations.witness_E1_not_E2() (off Z) and beta0_B1_0_point.json the
+{beta=0, B1=0} point of sampling.engineered_unstable_points (on Z, outside
+the open locus).
 """
 
 import os
@@ -53,6 +60,15 @@ CASES = {
                                     "--chi=-1,-1,-1,-1,-1", "--json"]),
     "examples_an_n5_wall": (1, ["examples", "an", "--n", "5", "--chi",
                                 "0,1,1,0", "--json"]),
+    "chart_base_index1_refused": (3, ["chart", "--point", "base_point.json",
+                                      "--index", "1", "--json"]),
+    "chart_off_z": (3, ["chart", "--point", "off_z_point.json", "--json"]),
+    "orbit_off_z": (3, ["orbit", "--point", "off_z_point.json", "--json"]),
+    "orbit_beta0_B1_0_text": (3, ["orbit", "--point", "beta0_B1_0_point.json"]),
+    "stability_minus_theta_off_z": (3, ["stability", "--point", "off_z_point.json",
+                                        "--character", "minus-theta", "--json"]),
+    "stability_theta_off_z_text": (3, ["stability", "--point", "off_z_point.json",
+                                       "--character", "theta"]),
 }
 
 
