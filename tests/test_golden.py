@@ -12,8 +12,10 @@ pass; and the plain-text report of the seed-7 suite, recorded before the
 sampled checks moved to one runner; and every refused-input report that
 exits 3 (a chart index that does not witness, and a point off Z or outside
 the open locus for chart, orbit and both stability characters), recorded
-before the CLI mapped a refused precondition to exit 3 in one place.  Each
-must stay byte-identical and exit with its recorded code.
+before the CLI mapped a refused precondition to exit 3 in one place; and
+the plain-text closure check and stabilizer table (a list of dicts and a
+list of lists), recorded before `_inline` was rewritten.  Each must stay
+byte-identical and exit with its recorded code.
 
 Each fixture under tests/data is the stdout of one command, for example
     PYTHONPATH=src python -m d4vgit orbit --point tests/data/base_point.json --json
@@ -69,6 +71,8 @@ CASES = {
                                         "--character", "minus-theta", "--json"]),
     "stability_theta_off_z_text": (3, ["stability", "--point", "off_z_point.json",
                                        "--character", "theta"]),
+    "chart_closure_check_text": (0, ["chart", "--closure-check"]),
+    "orbit_base_text": (0, ["orbit", "--point", "base_point.json"]),
 }
 
 
