@@ -44,8 +44,8 @@ from .scalars import QI, Scalar
 from .stability import adapting_element
 
 
-class ChartError(Exception):
-    pass
+class ChartError(ContractViolation):
+    """A point or representation outside the chart it was asked for."""
 
 
 def _cyclic(i):

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a suite or check fails, 2 for an unstable
 stability verdict, 3 for a precondition violation, 64 for usage errors, 141
-(128 + SIGPIPE) when the reader closes stdout early.
+(128 + SIGPIPE) when the reader closes stdout early.  `_run` reports any
+ContractViolation a command raises as {"error": <message>} and exits 3.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .equations import ContractViolation
 from .gitcore import point_from_json, point_to_json
 from .scalars import FieldError, scalar_to_json
 
+REFUSED = 3                             # a ContractViolation: input outside a precondition
 USAGE_ERROR = 64
 BROKEN_PIPE = 141                       # 128 + SIGPIPE, as a shell reports it
 
@@ -36,12 +38,10 @@ def _emit(data, as_json):
 
 
 def _inline(value):
-    if isinstance(value, dict):
-        return False
+    """Whether value prints on one line: it holds no dict at any depth."""
     if isinstance(value, list):
-        return all(not isinstance(v, (dict, list)) or _inline(v)
-                   for v in value) and not any(isinstance(v, dict) for v in value)
-    return True
+        return all(map(_inline, value))
+    return not isinstance(value, dict)
 
 
 def _render(value):
@@ -77,7 +77,7 @@ def cmd_verify_point(args):
         "nonzero_components": res.nonzero_components(),
     }
     if res.is_zero():
-        report["in_Zo"] = equations.in_open_locus(p)
+        report["in_Zo"] = equations.in_Zo(p)
         report["det_B"] = scalar_to_json(equations.det_b(p))
         report["omega"] = scalar_to_json(equations.omega(p))
     _emit(report, args.json)
@@ -95,7 +95,7 @@ def cmd_stability(args):
         if args.character == "minus-theta":
             report["off_Z_flags"] = stability.off_z_minus_theta_flags(p)
         _emit(report, args.json)
-        return 3
+        return REFUSED
     report = {"character": args.character, "status": verdict.status}
     if verdict.is_stable:
         if verdict.witness_index is not None:
@@ -143,11 +143,7 @@ def cmd_chart(args):
         return 0 if rep.ok else 1
     if not args.point:
         return _usage("d4vgit chart: need --point or --closure-check")
-    try:
-        c = charts.normalize(args.point, args.index)
-    except (charts.ChartError, ContractViolation) as err:
-        _emit({"error": str(err)}, args.json)
-        return 3
+    c = charts.normalize(args.point, args.index)
     report = {
         "index": c.index,
         "alpha_j": scalar_to_json(c.alpha_j), "alpha_k": scalar_to_json(c.alpha_k),
@@ -162,11 +158,7 @@ def cmd_chart(args):
 
 
 def cmd_orbit(args):
-    try:
-        stab = mckay.stabilizer(args.point, fix_beta=not args.relax_beta)
-    except (ContractViolation, mckay.DegeneratePointError) as err:
-        _emit({"error": str(err)}, args.json)
-        return 3
+    stab = mckay.stabilizer(args.point, fix_beta=not args.relax_beta)
     report = {
         "order": stab.order(),
         "order_profile": {str(k): v for k, v in stab.order_profile().items()},
@@ -315,12 +307,15 @@ def _run(argv):
     if "--chi" in argv[:-1]:                # argparse reads "-1,..." as an option
         i = argv.index("--chi")
         argv[i:i + 2] = ["--chi=" + argv[i + 1]]
-    argparse_err = io.StringIO()
+    # argparse swallows an error writing --help, so its text is written here
+    argparse_out, argparse_err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stderr(argparse_err):
+        with contextlib.redirect_stdout(argparse_out), \
+                contextlib.redirect_stderr(argparse_err):
             args = ap.parse_args(argv)
     except SystemExit as stop:
         if stop.code == 0:                       # --help
+            sys.stdout.write(argparse_out.getvalue())
             return 0
         return _usage(argparse_err.getvalue().strip().splitlines()[-1])
     if not getattr(args, "func", None):
@@ -334,7 +329,11 @@ def _run(argv):
         except (OSError, ValueError, ArithmeticError, LookupError, TypeError,
                 AttributeError, FieldError, RecursionError) as err:
             return _usage("d4vgit: cannot read point %s: %s" % (path, err))
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ContractViolation as err:
+        _emit({"error": str(err)}, getattr(args, "json", False))
+        return REFUSED
 
 
 if __name__ == "__main__":

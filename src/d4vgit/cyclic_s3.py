@@ -32,6 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
+from .equations import ContractViolation
 from .gitcore import split_form
 from .linalg import Mat2, Mat3, sym_square
 from .mckay import FiniteSubgroup
@@ -50,8 +51,8 @@ class WallError(Exception):
         self.witness = witness
 
 
-class DegenerateS3Point(Exception):
-    pass
+class DegenerateS3Point(ContractViolation):
+    """An S3 point off the relation or outside its nondegenerate orbit."""
 
 
 # -- exact rational linear algebra --------------------------------------------

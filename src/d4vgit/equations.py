@@ -168,11 +168,6 @@ def in_Zo(p: PointHV) -> bool:
     """Membership in the open locus where B is invertible; raises off Z."""
     if not on_Z(p):
         raise ContractViolation("in_Zo called off Z")
-    return in_open_locus(p)
-
-
-def in_open_locus(p: PointHV) -> bool:
-    """Membership in the open locus for a point already known to lie on Z."""
     return open_locus_det(p) is not None
 
 

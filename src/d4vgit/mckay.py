@@ -23,8 +23,8 @@ from .linalg import Mat2, Mat3
 from .scalars import ExtensionLimitError, Field, QI, adjoin_sqrt, deepest_field
 
 
-class DegeneratePointError(Exception):
-    pass
+class DegeneratePointError(ContractViolation):
+    """A form of the point is too degenerate to transport to the base point."""
 
 
 # -- the base point ------------------------------------------------------------
@@ -221,12 +221,10 @@ def point_field(p: PointHV) -> Field:
 def _line_projectors(B):
     """The rank-one projectors P_j = C[:, j] C^-1[j, :], for C the matrix
     with the B-triples as columns, stored entry-wise: entry (r, c) is the
-    triple (P_0, P_1, P_2)[r, c]."""
+    triple (P_0, P_1, P_2)[r, c].  det C = det B, which the open-locus
+    check of the caller has proved nonzero."""
     C = Mat3([[B[j][i] for j in range(3)] for i in range(3)])
-    det = C.det()
-    if det.is_zero():
-        raise DegeneratePointError("B-lines are not independent")
-    Cinv = C.adjugate() * det.inverse()
+    Cinv = C.adjugate() * C.det().inverse()
     return [[tuple(C[r, j] * Cinv[j, c] for j in range(3)) for c in range(3)]
             for r in range(3)]
 

@@ -407,9 +407,6 @@ class Scalar:
     def __add__(self, other):
         if other.__class__ is Scalar and other._field is self._field:
             a, b = self, other
-        elif other.__class__ is int and self._den is not None:
-            # (re + k den)/den keeps gcd(re, im, den) = 1
-            return Scalar(QI, self._x + other * self._den, self._y, self._den)
         else:
             a, b = self._pair(other)
             if a is None:
@@ -432,18 +429,10 @@ class Scalar:
         return Scalar(self._field, -self._x, -self._y, self._den)
 
     def __sub__(self, other):
-        if other.__class__ is Scalar and other._field is self._field:
-            a, b = self, other
-        else:
-            a, b = self._pair(other)
-            if a is None:
-                return NotImplemented
-        ad, bd = a._den, b._den
-        if ad is None:
-            return a + -b
-        if ad == bd:
-            return _qi(a._x - b._x, a._y - b._y, ad)
-        return _qi(a._x * bd - b._x * ad, a._y * bd - b._y * ad, ad * bd)
+        a, b = self._pair(other)
+        if a is None:
+            return NotImplemented
+        return a + -b
 
     def __rsub__(self, other):
         a, b = self._pair(other)

@@ -2,12 +2,13 @@
 
 Every suite draws all randomness from a single seed, sorts its checks by
 id, and reports machine-readable pass/fail entries, so identical seeds
-produce byte-identical reports.  A sampled check is a named predicate over
-a stream of samples, and `Report.add_sampled` is the one runner for them: a
-check fails at its first failing sample and names it (index and point
-JSON), and a ChartError or AssertionError (a failed re-verification) raised
-by a predicate, or by the work a sample's checks share, counts as a failed
-check.
+produce byte-identical reports.  Every check runs behind one guard: a
+ContractViolation or an AssertionError (a failed re-verification) raised by
+a check, or by work it shares, fails that check instead of the run.  A
+fixed check (`Report.add`) is a zero-argument predicate, and one that
+raises has the error's message as its details.  A sampled check
+(`Report.add_sampled`) is a named predicate over a stream of samples: it
+fails at its first failing sample and names it (index and point JSON).
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import charts, cyclic_s3, equations, gitcore, mckay, quiver, sampling, stability
+from .equations import ContractViolation
 from .gitcore import GroupElement, PointHV, act, pair, weight_table
 from .linalg import Mat2, Vec2
 from .scalars import QI, dot
@@ -35,15 +38,20 @@ class Report:
     seed: int
     checks: list = field(default_factory=list)
 
-    def add(self, check_id, passed, details=""):
-        self.checks.append(Check(check_id, bool(passed), details))
+    def add(self, check_id, holds, details=""):
+        """A fixed check: it passes when holds() is true, with details; a
+        ContractViolation or AssertionError from holds() fails it, with the
+        error's message as details."""
+        passed, err = _guarded(holds)
+        self.checks.append(Check(check_id, bool(passed),
+                                 details if err is None else str(err)))
 
     def add_sampled(self, samples, checks, passed_details=None, derive=None):
         """One check per (id, predicate) in checks over samples, which yields
         (k, args) for predicate(*args, *derive(*args)); derive, the work one
         sample's checks share, defaults to nothing and leaves out a sample
         by returning None.  A check fails if its predicate is false, or it
-        or derive raises a ChartError or AssertionError; its details are
+        or derive raises a ContractViolation or AssertionError; its details are
         then `sample k: <JSON of args[0]>` for its first failing sample.
         Every predicate sees every sample derive keeps, so neither the draws
         from a seeded rng nor the calls a sample makes depend on the
@@ -51,16 +59,16 @@ class Report:
         passes."""
         failed = {}
         for k, args in samples:
-            shared = _guarded(derive, *args) if derive else ()
+            shared = _guarded(derive, *args)[0] if derive else ()
             if shared is None:
                 continue
             for check_id, holds in checks.items():
-                ok = shared is not False and _guarded(holds, *args, *shared)
+                ok = shared is not False and _guarded(holds, *args, *shared)[0]
                 if not ok and check_id not in failed:
                     failed[check_id] = _sample_details(k, args[0])
         for check_id in checks:
-            self.add(check_id, check_id not in failed, failed.get(check_id)
-                     or (passed_details or {}).get(check_id, ""))
+            self.checks.append(Check(check_id, check_id not in failed, failed.get(check_id)
+                                     or (passed_details or {}).get(check_id, "")))
 
     def finish(self):
         self.checks.sort(key=lambda c: c.check_id)
@@ -110,12 +118,12 @@ REFERENCE_WEIGHT_TABLE = {
 
 
 def _guarded(f, *args):
-    """f(*args), or False if it raises a ChartError or AssertionError (a
-    failed re-verification)."""
+    """(f(*args), None), or (False, err) if it raises err, a ContractViolation
+    or an AssertionError."""
     try:
-        return f(*args)
-    except (charts.ChartError, AssertionError):
-        return False
+        return f(*args), None
+    except (ContractViolation, AssertionError) as err:
+        return False, err
 
 
 def _sample_details(k: int, x) -> str:
@@ -138,21 +146,19 @@ def suite_equations(seed: int) -> Report:
     rep = Report("equations", seed)
     rng = random.Random(seed)
     bstar = mckay.base_point(x=(1, 2))
+    # a cache keeps no raise, so each check that reads it meets a refusal
+    base_det = cache(lambda: _det_b_and_open_locus(bstar))
 
-    rep.add("eq.base_point_on_Z", equations.residuals(bstar).is_zero())
-    d, is_open = _det_b_and_open_locus(bstar)
-    rep.add("eq.base_point_open_locus", is_open)
+    rep.add("eq.base_point_on_Z", lambda: equations.residuals(bstar).is_zero())
+    rep.add("eq.base_point_open_locus", lambda: base_det()[1])
     a1, a2, a3 = bstar.alpha
-    rep.add("eq.det_identity", d + d == bstar.beta ** 3 * a1 * a2 * a3,
-            "2 det B = beta^3 a1 a2 a3")
-    rep.add("eq.zero_point_on_Z",
-            equations.residuals(PointHV.make((0, 0, 0), 0,
-                                             ((0, 0, 0),) * 3, (0, 0))).is_zero())
-
+    rep.add("eq.det_identity", lambda: (
+        base_det()[0] + base_det()[0] == bstar.beta ** 3 * a1 * a2 * a3),
+        "2 det B = beta^3 a1 a2 a3")
+    rep.add("eq.zero_point_on_Z", lambda: equations.residuals(
+        PointHV.make((0, 0, 0), 0, ((0, 0, 0),) * 3, (0, 0))).is_zero())
     flipped = PointHV(bstar.alpha, -bstar.beta, bstar.B, bstar.x)
-    rf = equations.residuals(flipped)
-    rep.add("eq.beta_flip_breaks_only_E3",
-            rf.e1_zero() and rf.e2_zero() and not rf.e3_zero())
+    rep.add("eq.beta_flip_breaks_only_E3", lambda: _breaks_only(flipped, 3))
 
     def orbit_samples():
         # (q = h.p, p, h); the checks add det B at q and whether q is in the
@@ -181,33 +187,31 @@ def suite_equations(seed: int) -> Report:
     }, derive=lambda q, p, h: _det_b_and_open_locus(q))
 
     w1 = equations.witness_E1_not_E2()
-    r1 = equations.residuals(w1)
-    rep.add("eq.witness_E1_not_E2",
-            r1.e1_zero() and r1.e3_zero() and not r1.e2_zero())
+    rep.add("eq.witness_E1_not_E2", lambda: _breaks_only(w1, 2))
     rep.add("eq.witness_semi_invariant_nonzero",
-            not equations.witness_semi_invariant(w1).is_zero())
-    w2 = equations.witness_E2_not_E1()
-    r2 = equations.residuals(w2)
+            lambda: not equations.witness_semi_invariant(w1).is_zero())
     rep.add("eq.witness_E2_not_E1",
-            r2.e2_zero() and r2.e3_zero() and not r2.e1_zero())
+            lambda: _breaks_only(equations.witness_E2_not_E1(), 1))
     return rep.finish()
+
+
+def _breaks_only(p: PointHV, broken: int) -> bool:
+    """Whether p's residuals are nonzero in equation `broken` (1-3) alone."""
+    r = equations.residuals(p)
+    return [r.e1_zero(), r.e2_zero(), r.e3_zero()] == [e != broken for e in (1, 2, 3)]
 
 
 def suite_stability(seed: int) -> Report:
     rep = Report("stability", seed)
     rng = random.Random(seed)
 
-    table = weight_table()
-    rep.add("st.weight_table", table == REFERENCE_WEIGHT_TABLE)
-    rep.add("st.pairings",
-            pair(gitcore.THETA, gitcore.LAMBDA[0]) == 1
-            and pair(gitcore.THETA, gitcore.MU) == 1
-            and pair(gitcore.MINUS_THETA, gitcore.LAMBDA[0]) == -1)
-    try:
-        certs = stability.unstable_subset_certificates()
-        rep.add("st.subset_certificates", len(certs) == 11)
-    except AssertionError as err:
-        rep.add("st.subset_certificates", False, str(err))
+    rep.add("st.weight_table", lambda: weight_table() == REFERENCE_WEIGHT_TABLE)
+    rep.add("st.pairings", lambda: (
+        pair(gitcore.THETA, gitcore.LAMBDA[0]) == 1
+        and pair(gitcore.THETA, gitcore.MU) == 1
+        and pair(gitcore.MINUS_THETA, gitcore.LAMBDA[0]) == -1))
+    rep.add("st.subset_certificates",
+            lambda: len(stability.unstable_subset_certificates()) == 11)
 
     def minus_theta_certified(p):
         # unstable, with a certificate that re-verifies
@@ -260,13 +264,15 @@ def suite_quiver(seed: int) -> Report:
             lambda p: quiver.preprojective_holds(quiver.build_rep(p)),
     })
 
-    w = equations.witness_E2_not_E1().with_x(Vec2(QI.scalar(1), QI.scalar(2)))
-    r = quiver.build_rep(w)
+    def witness_stable_but_not_preprojective():
+        r = quiver.build_rep(equations.witness_E2_not_E1().with_x(
+            Vec2(QI.scalar(1), QI.scalar(2))))
+        return quiver.king_stable(r) and not quiver.preprojective_holds(r)
+
     rep.add("qv.witness_stable_but_not_preprojective",
-            quiver.king_stable(r) and not quiver.preprojective_holds(r))
-    rep.add("qv.zero_rep",
-            not quiver.king_stable(quiver.build_rep(
-                PointHV.make((0, 0, 0), 0, ((0, 0, 0),) * 3, (0, 0)))))
+            witness_stable_but_not_preprojective)
+    rep.add("qv.zero_rep", lambda: not quiver.king_stable(quiver.build_rep(
+        PointHV.make((0, 0, 0), 0, ((0, 0, 0),) * 3, (0, 0)))))
     return rep.finish()
 
 
@@ -290,17 +296,24 @@ def suite_charts(seed: int) -> Report:
     rep = Report("charts", seed)
     rng = random.Random(seed)
 
-    closure = charts.chart_closure_check()
-    rep.add("ch.closure_24_components", len(closure.components) == 24)
-    rep.add("ch.closure_all_remainders_zero", closure.ok,
-            ",".join(closure.failing()))
+    closure = cache(charts.chart_closure_check)
+
+    def remainders_zero():
+        # a failure names the components whose remainder is not zero
+        failing = closure().failing()
+        if failing:
+            raise AssertionError(",".join(failing))
+        return True
+
+    rep.add("ch.closure_24_components", lambda: len(closure().components) == 24)
+    rep.add("ch.closure_all_remainders_zero", remainders_zero)
 
     def witness_chart(p):
         # p's witness chart index and chart point, False if refused (which
         # fails ch.normalize_invariants alone); unstable p is left out
         v = stability.semistable_theta(p)
         if v.is_stable:
-            return v.witness_index + 1, _guarded(charts.normalize, p, v.witness_index + 1)
+            return v.witness_index + 1, _guarded(charts.normalize, p, v.witness_index + 1)[0]
         return None
 
     rep.add_sampled(((k, (sampling.rand_z_point(rng),)) for k in range(25)), {
@@ -326,16 +339,15 @@ def suite_orbit(seed: int) -> Report:
     rng = random.Random(seed)
     bstar = mckay.base_point()
 
-    stab = mckay.stabilizer(bstar)
-    rep.add("orb.stabilizer_order_8", stab.order() == 8)
-    rep.add("orb.quaternion_signature", stab.is_quaternion())
-    relaxed = mckay.stabilizer(bstar, fix_beta=False)
-    rep.add("orb.relaxed_order_16", relaxed.order() == 16)
+    stab = cache(lambda: mckay.stabilizer(bstar))
 
+    rep.add("orb.stabilizer_order_8", lambda: stab().order() == 8)
+    rep.add("orb.quaternion_signature", lambda: stab().is_quaternion())
+    rep.add("orb.relaxed_order_16",
+            lambda: mckay.stabilizer(bstar, fix_beta=False).order() == 16)
     h = sampling.rand_group_element(rng)
-    conj = mckay.stabilizer(act(h, bstar))
     rep.add("orb.conjugate_stabilizer",
-            conj.order() == 8 and conj.is_quaternion())
+            lambda: mckay.stabilizer(act(h, bstar)).is_quaternion())
 
     def connects(q):
         found = mckay.connect(bstar, q)
@@ -344,9 +356,11 @@ def suite_orbit(seed: int) -> Report:
     rep.add_sampled(((k, (act(sampling.rand_group_element(rng), bstar),))
                      for k in range(4)), {"orb.connect_roundtrip": connects})
 
-    self_h = mckay.connect(bstar, bstar)
-    rep.add("orb.connect_self_in_stabilizer",
-            self_h is not None and stab.index_of(self_h) is not None)
+    def connects_to_itself():
+        self_h = mckay.connect(bstar, bstar)
+        return self_h is not None and stab().index_of(self_h) is not None
+
+    rep.add("orb.connect_self_in_stabilizer", connects_to_itself)
     return rep.finish()
 
 
@@ -354,10 +368,10 @@ def suite_examples(seed: int) -> Report:
     rep = Report("examples", seed)
 
     prob = cyclic_s3.an_minimal_problem(4)
-    rep.add("ex.an_minimal_semistable",
-            cyclic_s3.an_semistable(prob, (-1,), (1, 0, 0))
-            and not cyclic_s3.an_semistable(prob, (-1,), (0, 1, 1))
-            and not cyclic_s3.an_semistable(prob, (-1,), (0, 0, 0)))
+    rep.add("ex.an_minimal_semistable", lambda: (
+        cyclic_s3.an_semistable(prob, (-1,), (1, 0, 0))
+        and not cyclic_s3.an_semistable(prob, (-1,), (0, 1, 1))
+        and not cyclic_s3.an_semistable(prob, (-1,), (0, 0, 0))))
 
     def resolution_fan(at):
         # the fan for chi = 1 is the minimal resolution of C^2/Z_n
@@ -379,11 +393,14 @@ def suite_examples(seed: int) -> Report:
     })
 
     s3p = cyclic_s3.s3_base_point()
-    rep.add("ex.s3_base_residual", cyclic_s3.s3_on_z(s3p))
-    stab = cyclic_s3.s3_stabilizer(s3p)
-    rep.add("ex.s3_stabilizer_order_6",
-            stab.order() == 6 and not stab.is_abelian()
-            and stab.order_profile() == {1: 1, 2: 3, 3: 2})
+
+    def s3_stabilizer_order_6():
+        stab = cyclic_s3.s3_stabilizer(s3p)
+        return (stab.order() == 6 and not stab.is_abelian()
+                and stab.order_profile() == {1: 1, 2: 3, 3: 2})
+
+    rep.add("ex.s3_base_residual", lambda: cyclic_s3.s3_on_z(s3p))
+    rep.add("ex.s3_stabilizer_order_6", s3_stabilizer_order_6)
     return rep.finish()
 
 

@@ -305,3 +305,44 @@ def test_usage_error_exit_code(case, tmp_path, capsys):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
 
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["suite", "--help"]])
+def test_closed_stdout_exits_141_for_help_with_unbuffered_output(argv):
+    """argparse swallows an error writing its help; with unbuffered stdout
+    no later flush could raise, so help that never arrived exited 0."""
+    cmd, env = _cli(*argv)
+    env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_a_refused_s3_point_exits_3(monkeypatch, capsys):
+    """Every command maps a ContractViolation to exit 3 and one error
+    report, the S3 example included."""
+    from d4vgit import cyclic_s3
+
+    def refuse(p):
+        raise cyclic_s3.DegenerateS3Point("inner product degenerate")
+
+    monkeypatch.setattr(cyclic_s3, "s3_stabilizer", refuse)
+    assert main(["examples", "s3", "--json"]) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": "inner product degenerate"} and err == ""
+
+
+def test_make_point_reports_a_refusal_as_text(monkeypatch, capsys):
+    """make-point has no --json: its refusal is the plain-text report."""
+    from d4vgit import mckay
+    from d4vgit.equations import ContractViolation
+
+    def refuse(x=(0, 0)):
+        raise ContractViolation("base point refused")
+
+    monkeypatch.setattr(mckay, "base_point", refuse)
+    assert main(["make-point"]) == 3
+    assert capsys.readouterr() == ("error: base point refused\n", "")

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from d4vgit.equations import ContractViolation, witness_E1_not_E2, witness_E2_not_E1
 from d4vgit.gitcore import (
@@ -12,7 +13,7 @@ from d4vgit.mckay import base_point
 from d4vgit.quiver import build_rep, form_contraction, king_stable
 from d4vgit.sampling import (
     engineered_unstable_points, rand_chart_point, rand_group_element,
-    rand_z_point,
+    rand_tower_group_element, rand_z_point,
 )
 from d4vgit.scalars import QI
 from d4vgit.stability import (
@@ -403,3 +404,26 @@ def test_suite_stability_names_the_first_uncertified_engineered_point(monkeypatc
     monkeypatch.undo()
     passing = {c.check_id: c for c in run_suite("stability", 7).checks}
     assert all(c.passed and c.details == "" for c in passing.values())
+
+
+@given(depth=st.integers(0, 2), seed=st.integers(0, 2 ** 32), bits=st.just(64),
+       engineered=st.booleans())
+@example(depth=0, seed=0, bits=256, engineered=False)
+@example(depth=0, seed=0, bits=256, engineered=True)
+@settings(max_examples=8, deadline=None)
+def test_verdicts_are_invariant_under_tower_translates_at_height(depth, seed, bits,
+                                                                 engineered):
+    """p, a Z point of height 2^16 or an engineered unstable point, moved by
+    a depth-`depth` tower element composed with a rational one of height
+    2^bits: the plus-theta verdict of h.p is King's verdict on its quiver
+    representation and p's verdict, and the minus-theta verdict is p's."""
+    rng = random.Random(seed)
+    if engineered:
+        p = rng.choice(engineered_unstable_points(rng))[1]
+    else:
+        p = rand_z_point(rng, 2 ** 16)
+    h = rand_tower_group_element(rng, depth).compose(rand_group_element(rng, 2 ** bits))
+    q = act(h, p)
+    theta = semistable_theta(q).is_stable
+    assert theta == king_stable(build_rep(q)) == semistable_theta(p).is_stable
+    assert semistable_minus_theta(q).status == semistable_minus_theta(p).status

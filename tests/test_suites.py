@@ -149,3 +149,96 @@ def test_a_failed_reverification_fails_its_check(monkeypatch, capsys, error):
     assert main(["suite", "orbit"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "  [FAIL] orb.connect_roundtrip - %s" % _details(2, targets[2]) in out
+
+
+# -- fixed checks behind the same guard ------------------------------------------
+
+
+def test_a_fixed_check_whose_work_raises_fails_with_the_message(monkeypatch, capsys):
+    """The determinant identity failing at b*, the first call of
+    open_locus_det, fails eq.base_point_open_locus with the error's message;
+    the run exits 1 with no traceback, and eq.det_identity, which asks for
+    the same work again, gets it."""
+    real, calls = equations.open_locus_det, []
+    message = "determinant identity 2 det B = beta^3 a1 a2 a3 failed"
+
+    def raising(p):
+        calls.append(p)
+        if len(calls) == 1:
+            raise AssertionError(message)
+        return real(p)
+
+    monkeypatch.setattr(equations, "open_locus_det", raising)
+    assert main(["suite", "equations", "--seed", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert [line for line in out.splitlines() if "[FAIL]" in line] == [
+        "  [FAIL] eq.base_point_open_locus - " + message]
+    assert err == ""
+
+
+def test_a_refused_stabilizer_fails_every_fixed_orbit_check(monkeypatch):
+    """mckay.stabilizer raising fails the five fixed orb.* checks that use
+    it, each with the message; orb.connect_roundtrip does not use it and
+    passes."""
+    def refuse(p, fix_beta=True):
+        raise AssertionError("stabilizer refused")
+
+    monkeypatch.setattr(mckay, "stabilizer", refuse)
+    checks = {c.check_id: c for c in run_suite("orbit", 7).checks}
+    assert checks.pop("orb.connect_roundtrip").passed
+    assert sorted(checks) == [
+        "orb.conjugate_stabilizer", "orb.connect_self_in_stabilizer",
+        "orb.quaternion_signature", "orb.relaxed_order_16", "orb.stabilizer_order_8"]
+    assert all(not c.passed and c.details == "stabilizer refused"
+               for c in checks.values())
+
+
+def test_a_degenerate_s3_point_fails_one_check_of_the_whole_run(monkeypatch):
+    """s3_stabilizer refusing its point fails ex.s3_stabilizer_order_6 and
+    nothing else: suite all still reports its 44 checks."""
+    def refuse(p):
+        raise cyclic_s3.DegenerateS3Point("split form degenerate")
+
+    passing = run_suite("all", 7).checks
+    monkeypatch.setattr(cyclic_s3, "s3_stabilizer", refuse)
+    checks = run_suite("all", 7).checks
+    assert len(checks) == len(passing) == 44
+    assert [(c.check_id, c.details) for c in checks if not c.passed] == [
+        ("ex.s3_stabilizer_order_6", "split form degenerate")]
+    assert all(c == p for c, p in zip(checks, passing)
+               if c.check_id != "ex.s3_stabilizer_order_6")
+
+
+@pytest.mark.parametrize("error", [AssertionError, equations.ContractViolation])
+def test_subset_certificates_fail_with_the_error_message(monkeypatch, error):
+    """A certificate table that refuses to build fails
+    st.subset_certificates with the error's message, and the suite still
+    reports every check (st.engineered_unstable, whose plus-theta verdicts
+    read the same table, fails too)."""
+    def refuse():
+        raise error("certificate for {x=0} does not re-verify")
+
+    count = len(run_suite("stability", 7).checks)
+    monkeypatch.setattr(stability, "unstable_subset_certificates", refuse)
+    checks = {c.check_id: c for c in run_suite("stability", 7).checks}
+    check = checks["st.subset_certificates"]
+    assert not check.passed
+    assert check.details == "certificate for {x=0} does not re-verify"
+    assert len(checks) == count
+
+
+def test_closure_failure_names_the_failing_components(monkeypatch):
+    from d4vgit import charts
+    real = charts.chart_closure_check
+
+    def two_failing():
+        components = list(real().components)
+        for m in (0, 5):
+            components[m] = dataclasses.replace(components[m], remainder_zero=False)
+        return charts.ClosureReport(tuple(components))
+
+    monkeypatch.setattr(charts, "chart_closure_check", two_failing)
+    checks = {c.check_id: c for c in run_suite("charts", 7).checks}
+    failed = checks.pop("ch.closure_all_remainders_zero")
+    assert not failed.passed and failed.details == "E1[0,0],E1[2,2]"
+    assert checks["ch.closure_24_components"].passed
