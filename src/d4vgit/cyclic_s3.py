@@ -16,8 +16,9 @@ the characters) is
 
 Both presentations have N = k + 2 coordinates, so every quotient is a
 surface and its fan, like each semistability verdict, is read off the two
-Gale-dual rays of the weights: one exact lift of the character, then one
-2x2 solve per pair of rays.
+Gale-dual rays of the weights.  One Smith transform of the weights gives
+both the rays and an exact lift of the character; then one 2x2 solve per
+pair of rays decides each pair.
 
 The S3 part stores a map B: Sym^2 U -> U + C in basis coordinates on
 (u1^2, u1u2, u2^2) and verifies the isometry relation
@@ -55,52 +56,20 @@ class DegenerateS3Point(ContractViolation):
     """An S3 point off the relation or outside its nondegenerate orbit."""
 
 
-# -- exact rational linear algebra --------------------------------------------
-
-
-def solve_exact(columns, target):
-    """Solve sum_j c_j columns[j] = target exactly over Q: one solution with
-    free variables zero, or None if inconsistent."""
-    k = len(target)
-    m = len(columns)
-    aug = [[Fraction(columns[j][i]) for j in range(m)] + [Fraction(target[i])]
-           for i in range(k)]
-    pivots = []
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, k) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(k):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == k:
-            break
-    for r in range(row, k):
-        if aug[r][m] != 0:
-            return None
-    sol = [Fraction(0)] * m
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][m]
-    return sol
+# -- integer linear algebra -----------------------------------------------------
 
 
 def smith_normal_form(A):
-    """(U, diag) with U unimodular and U*A*V diagonal (V not tracked).
+    """(U, diag, V) with U, V unimodular and U*A*V diagonal.
 
     A is a list of rows of integers, size N x k.  Returns U as a list of N
-    rows and the list of diagonal entries.
+    rows, the list of diagonal entries and V as a list of k rows.
     """
     A = [list(map(int, row)) for row in A]
     n = len(A)
     k = len(A[0]) if n else 0
     U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    V = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
     def row_op(i, j, f):
         A[i] = [a - f * b for a, b in zip(A[i], A[j])]
@@ -111,11 +80,11 @@ def smith_normal_form(A):
         U[i], U[j] = U[j], U[i]
 
     def col_op(i, j, f):
-        for row in A:
+        for row in A + V:
             row[i] -= f * row[j]
 
     def col_swap(i, j):
-        for row in A:
+        for row in A + V:
             row[i], row[j] = row[j], row[i]
 
     t = 0
@@ -157,7 +126,7 @@ def smith_normal_form(A):
             U[t] = [-a for a in U[t]]
         t += 1
     diag = [A[i][i] for i in range(min(n, k))]
-    return U, diag
+    return U, diag, V
 
 
 def _cross(u, v):
@@ -242,22 +211,24 @@ def _gale_pairs(problem: ToricGITProblem, chi):
     for each pair (a, b) with v_a x v_b != 0, in combinations order, the
     unique solution c of sum_j c_j w_j = chi with c_a = c_b = 0, as (a, b, c).
 
-    The rays, rows k and k+1 of the Smith transform of the transposed
-    weights, span their kernel: every solution is c = x - (<u, v_j>)_j for
-    one lift x of chi and some u in Q^2, so c_a = c_b = 0 is a 2x2 system in
-    u, solved by Cramer's rule.  Cost: one exact solve, then O(N^3).
+    The rays, rows k and k+1 of the Smith transform U*A*V = D of the
+    transposed weights A, span their kernel: every solution is
+    c = x - (<u, v_j>)_j for one lift x of chi and some u in Q^2, so
+    c_a = c_b = 0 is a 2x2 system in u, solved by Cramer's rule.  The lift
+    is x = U^T y with y_i = (V^T chi)_i / d_i, as U*A = D*V^-1.  Cost: one
+    Smith transform, then O(N^3).
     """
     k, N = problem.k, problem.n_coords
     if N != k + 2:
         raise ValueError("need N = k + 2 coordinates")
     if len(chi) != k:
         raise ValueError("character has wrong rank")
-    cols = problem.columns()
-    U, diag = smith_normal_form(cols)
+    U, diag, V = smith_normal_form(problem.columns())
     if 0 in diag:
         raise ValueError("weights have rank below k")
     rays = [(U[k][j], U[k + 1][j]) for j in range(N)]
-    x = solve_exact(cols, chi)
+    y = [Fraction(sum(V[l][i] * chi[l] for l in range(k)), diag[i]) for i in range(k)]
+    x = [sum(U[i][j] * y[i] for i in range(k)) for j in range(N)]
 
     def pairs():
         for a, b in combinations(range(N), 2):

@@ -177,9 +177,6 @@ class Character:
 
     theta: tuple
 
-    def __iter__(self):
-        return iter(self.theta)
-
 
 THETA = Character((1, 1, 1, 1))
 MINUS_THETA = Character((-1, -1, -1, -1))

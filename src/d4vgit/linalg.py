@@ -25,9 +25,6 @@ class Vec2:
     def __add__(self, other):
         return Vec2(self.a + other.a, self.b + other.b)
 
-    def __sub__(self, other):
-        return Vec2(self.a - other.a, self.b - other.b)
-
     def scale(self, c):
         return Vec2(self.a * c, self.b * c)
 
@@ -71,9 +68,6 @@ class Mat2:
     def __add__(self, other):
         return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
 
-    def __sub__(self, other):
-        return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
-
     def __mul__(self, other):
         if isinstance(other, Mat2):
             top, bottom = (self.a, self.b), (self.c, self.d)
@@ -83,7 +77,7 @@ class Mat2:
         if isinstance(other, Vec2):
             v = (other.a, other.b)
             return Vec2(dot((self.a, self.b), v), dot((self.c, self.d), v))
-        return Mat2(self.a * other, self.b * other, self.c * other, self.d * other)
+        return NotImplemented
 
     def scale(self, c):
         return Mat2(self.a * c, self.b * c, self.c * c, self.d * c)
@@ -135,9 +129,6 @@ class Mat3:
     def __hash__(self):
         return hash(self.rows)
 
-    def __add__(self, other):
-        return Mat3([[self[i, j] + other[i, j] for j in range(3)] for i in range(3)])
-
     def __sub__(self, other):
         return Mat3([[self[i, j] - other[i, j] for j in range(3)] for i in range(3)])
 
@@ -163,9 +154,6 @@ class Mat3:
                 minor = dot((r[a][c], r[a][d]), (r[b][d], -r[b][c]))
                 cof[i][j] = minor if (i + j) % 2 == 0 else -minor
         return Mat3([[cof[j][i] for j in range(3)] for i in range(3)])
-
-    def is_zero(self):
-        return all(x.is_zero() for r in self.rows for x in r)
 
     def __repr__(self):
         return "Mat3(%r)" % (self.rows,)

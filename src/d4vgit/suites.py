@@ -4,11 +4,12 @@ Every suite draws all randomness from a single seed, sorts its checks by
 id, and reports machine-readable pass/fail entries, so identical seeds
 produce byte-identical reports.  Every check runs behind one guard: a
 ContractViolation or an AssertionError (a failed re-verification) raised by
-a check, or by work it shares, fails that check instead of the run.  A
-fixed check (`Report.add`) is a zero-argument predicate, and one that
-raises has the error's message as its details.  A sampled check
-(`Report.add_sampled`) is a named predicate over a stream of samples: it
-fails at its first failing sample and names it (index and point JSON).
+a check, by work it shares or by the sample stream that feeds it, fails
+that check instead of the run.  A fixed check (`Report.add`) is a
+zero-argument predicate, and one that raises has the error's message as its
+details.  A sampled check (`Report.add_sampled`) is a named predicate over a
+stream of samples: it fails at its first failing sample and names it (index
+and point JSON).
 """
 
 from __future__ import annotations
@@ -49,26 +50,31 @@ class Report:
     def add_sampled(self, samples, checks, passed_details=None, derive=None):
         """One check per (id, predicate) in checks over samples, which yields
         (k, args) for predicate(*args, *derive(*args)); derive, the work one
-        sample's checks share, defaults to nothing and leaves out a sample
-        by returning None.  A check fails if its predicate is false, or it
-        or derive raises a ContractViolation or AssertionError; its details are
-        then `sample k: <JSON of args[0]>` for its first failing sample.
-        Every predicate sees every sample derive keeps, so neither the draws
-        from a seeded rng nor the calls a sample makes depend on the
-        verdicts.  passed_details maps an id to its details when the check
-        passes."""
+        sample's checks share, defaults to nothing.  A check fails if its
+        predicate is false, or it or derive raises a ContractViolation or
+        AssertionError; its details are then `sample k: <JSON of args[0]>`
+        for its first failing sample.  If the stream itself raises one, every
+        check that has not failed yet fails with the error's message.  Every
+        predicate sees every sample, so neither the draws from a seeded rng
+        nor the calls a sample makes depend on the verdicts.  passed_details
+        maps an id to its details when the check passes."""
         failed = {}
-        for k, args in samples:
-            shared = _guarded(derive, *args)[0] if derive else ()
-            if shared is None:
-                continue
-            for check_id, holds in checks.items():
-                ok = shared is not False and _guarded(holds, *args, *shared)[0]
-                if not ok and check_id not in failed:
-                    failed[check_id] = _sample_details(k, args[0])
+
+        def run():
+            for k, args in samples:
+                shared = _guarded(derive, *args)[0] if derive else ()
+                for check_id, holds in checks.items():
+                    ok = shared is not False and _guarded(holds, *args, *shared)[0]
+                    if not ok and check_id not in failed:
+                        failed[check_id] = _sample_details(k, args[0])
+
+        err = _guarded(run)[1]
+        passed_details = passed_details or {}
         for check_id in checks:
-            self.checks.append(Check(check_id, check_id not in failed, failed.get(check_id)
-                                     or (passed_details or {}).get(check_id, "")))
+            if err is not None:
+                failed.setdefault(check_id, str(err))
+            self.checks.append(Check(check_id, check_id not in failed, failed.get(
+                check_id, passed_details.get(check_id, ""))))
 
     def finish(self):
         self.checks.sort(key=lambda c: c.check_id)
@@ -145,20 +151,22 @@ def _det_b_and_open_locus(p: PointHV):
 def suite_equations(seed: int) -> Report:
     rep = Report("equations", seed)
     rng = random.Random(seed)
-    bstar = mckay.base_point(x=(1, 2))
     # a cache keeps no raise, so each check that reads it meets a refusal
-    base_det = cache(lambda: _det_b_and_open_locus(bstar))
+    bstar = cache(lambda: mckay.base_point(x=(1, 2)))
+    base_det = cache(lambda: _det_b_and_open_locus(bstar()))
 
-    rep.add("eq.base_point_on_Z", lambda: equations.residuals(bstar).is_zero())
+    rep.add("eq.base_point_on_Z", lambda: equations.residuals(bstar()).is_zero())
     rep.add("eq.base_point_open_locus", lambda: base_det()[1])
-    a1, a2, a3 = bstar.alpha
-    rep.add("eq.det_identity", lambda: (
-        base_det()[0] + base_det()[0] == bstar.beta ** 3 * a1 * a2 * a3),
-        "2 det B = beta^3 a1 a2 a3")
+
+    def det_identity():
+        a1, a2, a3 = bstar().alpha
+        return base_det()[0] + base_det()[0] == bstar().beta ** 3 * a1 * a2 * a3
+
+    rep.add("eq.det_identity", det_identity, "2 det B = beta^3 a1 a2 a3")
     rep.add("eq.zero_point_on_Z", lambda: equations.residuals(
         PointHV.make((0, 0, 0), 0, ((0, 0, 0),) * 3, (0, 0))).is_zero())
-    flipped = PointHV(bstar.alpha, -bstar.beta, bstar.B, bstar.x)
-    rep.add("eq.beta_flip_breaks_only_E3", lambda: _breaks_only(flipped, 3))
+    rep.add("eq.beta_flip_breaks_only_E3", lambda: _breaks_only(
+        PointHV(bstar().alpha, -bstar().beta, bstar().B, bstar().x), 3))
 
     def orbit_samples():
         # (q = h.p, p, h); the checks add det B at q and whether q is in the
@@ -310,11 +318,12 @@ def suite_charts(seed: int) -> Report:
 
     def witness_chart(p):
         # p's witness chart index and chart point, False if refused (which
-        # fails ch.normalize_invariants alone); unstable p is left out
+        # fails ch.normalize_invariants alone); rand_z_point is theta-stable,
+        # so an unstable p fails every check, named as its sample
         v = stability.semistable_theta(p)
-        if v.is_stable:
-            return v.witness_index + 1, _guarded(charts.normalize, p, v.witness_index + 1)[0]
-        return None
+        if not v.is_stable:
+            raise AssertionError("sample is theta-unstable")
+        return v.witness_index + 1, _guarded(charts.normalize, p, v.witness_index + 1)[0]
 
     rep.add_sampled(((k, (sampling.rand_z_point(rng),)) for k in range(25)), {
         "ch.normalize_invariants": lambda p, idx, c: c is not False,
@@ -337,27 +346,27 @@ def suite_charts(seed: int) -> Report:
 def suite_orbit(seed: int) -> Report:
     rep = Report("orbit", seed)
     rng = random.Random(seed)
-    bstar = mckay.base_point()
-
-    stab = cache(lambda: mckay.stabilizer(bstar))
+    # a cache keeps no raise, so each check that reads it meets a refusal
+    bstar = cache(mckay.base_point)
+    stab = cache(lambda: mckay.stabilizer(bstar()))
 
     rep.add("orb.stabilizer_order_8", lambda: stab().order() == 8)
     rep.add("orb.quaternion_signature", lambda: stab().is_quaternion())
     rep.add("orb.relaxed_order_16",
-            lambda: mckay.stabilizer(bstar, fix_beta=False).order() == 16)
+            lambda: mckay.stabilizer(bstar(), fix_beta=False).order() == 16)
     h = sampling.rand_group_element(rng)
     rep.add("orb.conjugate_stabilizer",
-            lambda: mckay.stabilizer(act(h, bstar)).is_quaternion())
+            lambda: mckay.stabilizer(act(h, bstar())).is_quaternion())
 
     def connects(q):
-        found = mckay.connect(bstar, q)
-        return found is not None and act(found, bstar).same_h_part(q)
+        found = mckay.connect(bstar(), q)
+        return found is not None and act(found, bstar()).same_h_part(q)
 
-    rep.add_sampled(((k, (act(sampling.rand_group_element(rng), bstar),))
+    rep.add_sampled(((k, (act(sampling.rand_group_element(rng), bstar()),))
                      for k in range(4)), {"orb.connect_roundtrip": connects})
 
     def connects_to_itself():
-        self_h = mckay.connect(bstar, bstar)
+        self_h = mckay.connect(bstar(), bstar())
         return self_h is not None and stab().index_of(self_h) is not None
 
     rep.add("orb.connect_self_in_stabilizer", connects_to_itself)

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import random
+import shlex
 import subprocess
 import sys
 
@@ -346,3 +347,27 @@ def test_make_point_reports_a_refusal_as_text(monkeypatch, capsys):
     monkeypatch.setattr(mckay, "base_point", refuse)
     assert main(["make-point"]) == 3
     assert capsys.readouterr() == ("error: base point refused\n", "")
+
+
+def test_every_readme_command_line_exits_0(tmp_path, monkeypatch, capsys):
+    """Each line of the README's command-line block, run in-process in an
+    empty directory, exits 0; `make-point > point.json` writes the point
+    file the other lines read."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    ran = 0
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if not argv:
+            continue
+        assert argv[0] == "d4vgit", line
+        argv, target = argv[1:], None
+        if ">" in argv:
+            argv, target = argv[:argv.index(">")], argv[-1]
+        assert main(argv) == 0, line
+        out = capsys.readouterr().out
+        if target:
+            pathlib.Path(target).write_text(out)
+        ran += 1
+    assert ran == 13

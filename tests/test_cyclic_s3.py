@@ -11,13 +11,45 @@ from d4vgit.cyclic_s3 import (
     DegenerateS3Point, S3Point, ToricGITProblem, WallError, _primitive,
     an_minimal_problem, an_quotient_fan, an_redundant_problem, an_semistable,
     s3_act, s3_base_point, s3_on_z, s3_stabilizer, smith_normal_form,
-    solve_exact,
 )
 from d4vgit.linalg import Mat2
 from d4vgit.scalars import QI
 
 
 # -- brute-force oracles: the subset enumerations the Gale-dual pass replaced --
+
+
+def solve_exact(columns, target):
+    """Solve sum_j c_j columns[j] = target exactly over Q: one solution with
+    free variables zero, or None if inconsistent."""
+    k = len(target)
+    m = len(columns)
+    aug = [[Fraction(columns[j][i]) for j in range(m)] + [Fraction(target[i])]
+           for i in range(k)]
+    pivots = []
+    row = 0
+    for col in range(m):
+        piv = next((r for r in range(row, k) if aug[r][col] != 0), None)
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [v * inv for v in aug[row]]
+        for r in range(k):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == k:
+            break
+    for r in range(row, k):
+        if aug[r][m] != 0:
+            return None
+    sol = [Fraction(0)] * m
+    for r, col in enumerate(pivots):
+        sol[col] = aug[r][m]
+    return sol
 
 
 def in_cone(weights, chi):
@@ -55,7 +87,7 @@ def brute_force_cones(n, chi):
         return None
     k, N = problem.k, problem.n_coords
     cols = problem.columns()
-    U, _ = smith_normal_form([list(c) for c in cols])
+    U, _, _ = smith_normal_form([list(c) for c in cols])
     rays = [tuple(U[r][j] for r in range(k, N)) for j in range(N)]
     cones = set()
     for a, b in combinations(range(N), 2):
@@ -82,6 +114,15 @@ def _oracle_characters(n):
                         for a, b in zip(chi, problem.column(j)))
         chars.append(chi)
     return chars
+
+
+def _scaled_redundant_problem(n):
+    """The redundant weights with row i scaled by i + 2: they span a
+    sublattice, with Smith diagonals [2], [1, 6], [1, 2, 12], ..., so the
+    lift of chi divides by some d_i != 1."""
+    rows = an_redundant_problem(n).weights
+    return ToricGITProblem(tuple(tuple((i + 2) * w for w in row)
+                                 for i, row in enumerate(rows)))
 
 
 class TestToricSemistability:
@@ -124,12 +165,14 @@ class TestToricSemistability:
                     break
             assert oracle == (not destabilized)
 
-    @pytest.mark.parametrize("make", (an_minimal_problem, an_redundant_problem))
+    @pytest.mark.parametrize("make", (an_minimal_problem, an_redundant_problem,
+                                      _scaled_redundant_problem))
     def test_agrees_with_subset_oracle(self, make):
         """The Gale-dual pass against the subset enumeration, on random
-        characters in [-3, 3]^k and random 0/1 supports, n = 2..7."""
+        characters in [-3, 3]^k and random 0/1 supports, n = 2..7 (2..6 for
+        the scaled weights, whose oracle is slower)."""
         rng = random.Random(5)
-        for n in range(2, 8):
+        for n in range(2, 7 if make is _scaled_redundant_problem else 8):
             prob = make(n)
             for _ in range(150):
                 chi = tuple(rng.randint(-3, 3) for _ in range(prob.k))
@@ -240,20 +283,26 @@ class TestFans:
 
     def test_smith_normal_form(self):
         """det U = +-1 exactly, and the rows of U A past the rank of A
-        vanish: the facts the Gale rays of the fan rely on."""
+        vanish: the facts the Gale rays of the fan rely on.  det V = +-1 and
+        U A V = D, which the lift of chi relies on."""
         rng = random.Random(1)
         cases = [[[rng.randint(-4, 4) for _ in range(2)] for _ in range(4)]
                  for _ in range(20)]
         an_cases = [[list(c) for c in an_redundant_problem(n).columns()]
                     for n in range(2, 9)]
         for A in cases + an_cases:
-            U, diag = smith_normal_form([list(r) for r in A])
+            U, diag, V = smith_normal_form([list(r) for r in A])
             assert _rank_and_det(U)[1] in (1, -1)
             rank = _rank_and_det(A)[0]
             assert all(d != 0 for d in diag[:rank])
             UA = [[sum(u * A[l][j] for l, u in enumerate(row))
                    for j in range(len(A[0]))] for row in U]
             assert all(v == 0 for row in UA[rank:] for v in row), A
+            assert _rank_and_det(V)[1] in (1, -1)
+            k = len(V)
+            assert [[sum(r[l] * V[l][j] for l in range(k)) for j in range(k)]
+                    for r in UA] == [[diag[i] if i == j else 0 for j in range(k)]
+                                     for i in range(len(A))], A
         for A in an_cases:                      # primitive: the fan's rays are integral
             assert smith_normal_form(A)[1] == [1] * len(A[0])
 

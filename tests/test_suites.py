@@ -242,3 +242,58 @@ def test_closure_failure_names_the_failing_components(monkeypatch):
     failed = checks.pop("ch.closure_all_remainders_zero")
     assert not failed.passed and failed.details == "E1[0,0],E1[2,2]"
     assert checks["ch.closure_24_components"].passed
+
+
+@pytest.mark.parametrize("suite, failing", [
+    ("equations", ["eq.base_point_on_Z", "eq.base_point_open_locus",
+                   "eq.beta_flip_breaks_only_E3", "eq.det_identity"]),
+    ("orbit", ["orb.conjugate_stabilizer", "orb.connect_roundtrip",
+               "orb.connect_self_in_stabilizer", "orb.quaternion_signature",
+               "orb.relaxed_order_16", "orb.stabilizer_order_8"]),
+])
+def test_a_raising_base_point_fails_the_checks_that_read_it(monkeypatch, capsys,
+                                                            suite, failing):
+    """b* failing its residual re-check fails every check that reads it,
+    with the message, also the sampled orb.connect_roundtrip, whose sample
+    stream acts on b*; the run exits 1 with no traceback."""
+    message = "base point failed residual check"
+
+    def raising(x=(0, 0)):
+        raise AssertionError(message)
+
+    monkeypatch.setattr(mckay, "base_point", raising)
+    assert main(["suite", suite, "--seed", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert [line for line in out.splitlines() if "[FAIL]" in line] == [
+        "  [FAIL] %s - %s" % (check_id, message) for check_id in failing]
+    assert err == ""
+
+
+def test_a_raising_sample_stream_fails_the_checks_not_yet_failed():
+    def samples():
+        yield 0, ({"k": 0},)
+        yield 1, ({"k": 1},)
+        raise equations.ContractViolation("stream refused")
+
+    rep = Report("runner", 0)
+    rep.add_sampled(samples(), {"a": lambda at: at["k"] != 1, "b": lambda at: True})
+    assert [(c.check_id, c.passed, c.details) for c in rep.checks] == [
+        ("a", False, 'sample 1: {"k": 1}'), ("b", False, "stream refused")]
+
+
+def test_a_theta_unstable_chart_sample_fails_its_checks(monkeypatch):
+    """A chart sample the theta oracle calls unstable is not left out: it
+    fails the three checks it feeds, which name it."""
+    real, seen = stability.semistable_theta, []
+
+    def unstable_third(p):
+        # one call per chart sample, so call 3 is sample 2
+        seen.append(p)
+        v = real(p)
+        return dataclasses.replace(v, status="unstable") if len(seen) == 3 else v
+
+    monkeypatch.setattr(stability, "semistable_theta", unstable_third)
+    checks = {c.check_id: c for c in run_suite("charts", 7).checks}
+    assert [(c.check_id, c.details) for c in checks.values() if not c.passed] == [
+        (check_id, _details(2, seen[2])) for check_id in (
+            "ch.hat_roundtrip", "ch.normalize_invariants", "ch.quiver_side_composition")]
