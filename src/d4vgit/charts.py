@@ -36,7 +36,7 @@ from typing import Optional
 from .equations import (
     E1_LABELS, E2_LABELS, E3_LABELS, ContractViolation, on_Z, residual_entries,
 )
-from .gitcore import GroupElement, PointHV, act
+from .gitcore import GroupElement, PointHV, act, apply_form_matrix, form_matrix
 from .linalg import Mat2, Vec2
 from .poly import Poly
 from .quiver import QuiverRep, form_contraction
@@ -125,7 +125,8 @@ def normalize(p: PointHV, index: int) -> ChartPoint:
     x = (1,0), a_i = 1, B_i = (1,0,r); all steps are rational, so no field
     extension is ever needed here.  A nonzero witness forces x != 0 and
     B_i(x, -) != 0; stability then asks only that B_j(x, -) and B_k(x, -)
-    be nonzero, which ChartPoint.validate checks as (p, q) != 0.  This is
+    be nonzero, which ChartPoint.validate checks as (p, q) != 0.  The whole
+    normalizer is built from leg i alone, then the point moves once.  This is
     where a point enters a chart, so the five chart relations are checked
     here, against the moved point's B-entries, and nowhere else.
     """
@@ -136,19 +137,19 @@ def normalize(p: PointHV, index: int) -> ChartPoint:
     if spanning.is_zero():
         raise ChartError("index %d is not a witnessing index for this point"
                          % index)
-    # step 1: move x to e1
+    # step 1: h0 moves x to e1; leg i of act(h0, p), as h0's torus part is 1
     h0 = adapting_element(p.x)
-    q0 = act(h0, p)
-    # step 2: shear and scale, fixing e1
-    pi, qi, ri = q0.B[i]
-    ai = q0.alpha[i]
+    g0 = h0.g
+    ai = g0.det() * p.alpha[i]
+    pi, qi, _ = apply_form_matrix(form_matrix(g0.inverse()), p.B[i])
+    # step 2: h1 shears and scales, fixing e1; then one move by h1 h0
     b = qi / (pi * 2)
     d = (ai * pi * pi).inverse()
     g1 = Mat2(QI.one(), b, QI.zero(), d)
     t = [QI.one(), QI.one(), QI.one()]
     t[i] = pi.inverse()
-    h1 = GroupElement.make(tuple(t), g1)
-    q = act(h1, q0)
+    h = GroupElement.make(tuple(t), g1).compose(h0)
+    q = act(h, p)
     j, k = _cyclic(i)
     (p_j, q_j, r_j), (p_k, q_k, r_k) = q.B[j], q.B[k]
     fixed = dependent_coordinates(q.alpha[j], q.alpha[k], q.beta, p_j, p_k)
@@ -156,7 +157,7 @@ def normalize(p: PointHV, index: int) -> ChartPoint:
         if want != got:
             raise ChartError("chart invariant failed: %s" % name)
     return ChartPoint(index, q.alpha[j], q.alpha[k], q.beta, p_j, p_k,
-                      normalizer=h1.compose(h0))
+                      normalizer=h)
 
 
 def chart_equivalent(c1: ChartPoint, c2: ChartPoint):

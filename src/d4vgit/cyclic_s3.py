@@ -16,9 +16,9 @@ the characters) is
 
 Both presentations have N = k + 2 coordinates, so every quotient is a
 surface and its fan, like each semistability verdict, is read off the two
-Gale-dual rays of the weights.  One Smith transform of the weights gives
-both the rays and an exact lift of the character; then one 2x2 solve per
-pair of rays decides each pair.
+Gale-dual rays of the weights.  One unimodular diagonalization of the
+weights gives both the rays and an exact lift of the character; then one
+2x2 solve per pair of rays decides each pair.
 
 The S3 part stores a map B: Sym^2 U -> U + C in basis coordinates on
 (u1^2, u1u2, u2^2) and verifies the isometry relation
@@ -59,11 +59,14 @@ class DegenerateS3Point(ContractViolation):
 # -- integer linear algebra -----------------------------------------------------
 
 
-def smith_normal_form(A):
+def diagonalize(A):
     """(U, diag, V) with U, V unimodular and U*A*V diagonal.
 
     A is a list of rows of integers, size N x k.  Returns U as a list of N
-    rows, the list of diagonal entries and V as a list of k rows.
+    rows, the list of diagonal entries and V as a list of k rows.  This is a
+    unimodular diagonalization, not the Smith normal form: the entries need
+    not divide each other ([[2, 0], [0, 3], [0, 0]] gives [2, 3], where the
+    invariant factors are [1, 6]).
     """
     A = [list(map(int, row)) for row in A]
     n = len(A)
@@ -211,19 +214,19 @@ def _gale_pairs(problem: ToricGITProblem, chi):
     for each pair (a, b) with v_a x v_b != 0, in combinations order, the
     unique solution c of sum_j c_j w_j = chi with c_a = c_b = 0, as (a, b, c).
 
-    The rays, rows k and k+1 of the Smith transform U*A*V = D of the
-    transposed weights A, span their kernel: every solution is
+    The rays, rows k and k+1 of the unimodular diagonalization U*A*V = D
+    of the transposed weights A, span their kernel: every solution is
     c = x - (<u, v_j>)_j for one lift x of chi and some u in Q^2, so
     c_a = c_b = 0 is a 2x2 system in u, solved by Cramer's rule.  The lift
     is x = U^T y with y_i = (V^T chi)_i / d_i, as U*A = D*V^-1.  Cost: one
-    Smith transform, then O(N^3).
+    unimodular diagonalization, then O(N^3).
     """
     k, N = problem.k, problem.n_coords
     if N != k + 2:
         raise ValueError("need N = k + 2 coordinates")
     if len(chi) != k:
         raise ValueError("character has wrong rank")
-    U, diag, V = smith_normal_form(problem.columns())
+    U, diag, V = diagonalize(problem.columns())
     if 0 in diag:
         raise ValueError("weights have rank below k")
     rays = [(U[k][j], U[k + 1][j]) for j in range(N)]

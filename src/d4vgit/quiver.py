@@ -97,9 +97,8 @@ def king_stable(rep: QuiverRep) -> bool:
     return any(not rep.E0.wedge(Ev).is_zero() for Ev in rep.E)
 
 
-def central_quadratic(rep: QuiverRep, v: Vec2) -> Scalar:
-    """v ^ (M v) for the central residual M: the quadratic form that matches
-    the first equation's residual contracted at x.v (tested exactly)."""
-    _, central = preprojective_residual(rep)
-    mv = central * v
-    return v.wedge(mv)
+def central_quadratic(central: Mat2, v: Vec2) -> Scalar:
+    """v ^ (M v) for the central residual M = preprojective_residual(rep)[1]:
+    the quadratic form that matches the first equation's residual
+    contracted at x.v (tested exactly)."""
+    return v.wedge(central * v)

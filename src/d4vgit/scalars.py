@@ -12,11 +12,12 @@ shallowest level, so s'^2 = m D is integral.  Products take
     (x + y s')(u + v s') = (x u + m D y v) + (x v + y u) s'
 on the integer tuples level by level and reduce once (only _join and payload
 convert s to s'); a lower-level factor multiplies each block, with no lift.
-A sum of products is normalized once: dot(xs, ys) sums the raw products over
-one denominator and reduces the total with one gcd, where x*y + u*v reduces
-each product and the sum.  The other layers take every hot sum of products
-(matrix products, determinants, the equations' residuals, the quiver maps)
-through dot.
+A sum of products is normalized once: dot(xs, ys) skips the zero terms, sums
+the raw products over one denominator (the lcm of the term denominators at
+the base level, their product in a tower) and reduces the total with one
+gcd, where x*y + u*v reduces each product and the sum.  The other layers
+take every hot sum of products (matrix products, determinants, the
+equations' residuals, the quiver maps) through dot.
 Towers are interned: adjoin_sqrt gives the same Field object for the same
 (base, d) while that Field is in use, so fields compare by identity.  All
 operations are exact and zero-testing is decidable at every level.
@@ -533,11 +534,13 @@ def dot(xs, ys):
     """The exact sum of x_k * y_k over two equal-length sequences (zero
     when they are empty).
 
-    The raw integer products (Gaussian, or tower numerator tuples, blockwise
-    for two levels) are summed over one denominator, multiplied out only
-    where a term's denominator differs, and the sum is normalized once, in
-    the deepest field.  Any other operand (an int, a Poly) is multiplied and
-    summed term by term.
+    Terms with a zero factor are skipped.  The other raw integer products
+    (Gaussian, or tower numerator tuples, blockwise for two levels) are
+    summed over one denominator, multiplied out only where a term's
+    denominator differs: to the lcm at the base level, to the product in a
+    tower.  The sum is normalized once, in the deepest field of all the
+    operands, zero ones included.  Any other operand (an int, a Poly) is
+    multiplied and summed term by term.
     """
     try:
         total = _dot_qi(xs, ys)
@@ -554,22 +557,27 @@ def dot(xs, ys):
 
 
 def _dot_qi(xs, ys):
-    """dot for base-level Scalars, or None at the first tower operand."""
+    """dot for base-level Scalars over the lcm of the term denominators,
+    skipping zero terms; None at the first tower operand."""
     re = im = 0
     den = 1
     for x, y in zip(xs, ys):
         xd, yd = x._den, y._den
         if xd is None or yd is None:
             return None
-        d = xd * yd
         xr, xi, yr, yi = x._x, x._y, y._x, y._y
+        if not (xr or xi) or not (yr or yi):
+            continue
+        d = xd * yd
         if d == den:
             re += xr * yr - xi * yi
             im += xr * yi + xi * yr
         else:
-            re = re * d + (xr * yr - xi * yi) * den
-            im = im * d + (xr * yi + xi * yr) * den
-            den *= d
+            g = gcd(d, den)
+            dg, eg = d // g, den // g
+            re = re * dg + (xr * yr - xi * yi) * eg
+            im = im * dg + (xr * yi + xi * yr) * eg
+            den *= dg
     return _qi(re, im, den)
 
 
@@ -582,6 +590,8 @@ def _dot_tower(xs, ys):
         f = x._field
         field = _deeper(field, _deeper(f, y._field))
         (xv, xd), (yv, yd) = _num(x), _num(y)
+        if not any(xv) or not any(yv):
+            continue
         z, d = _blocks(f, xv, yv), xd * yd
         if not total:
             total, den = z, d

@@ -9,7 +9,8 @@ that check instead of the run.  A fixed check (`Report.add`) is a
 zero-argument predicate, and one that raises has the error's message as its
 details.  A sampled check (`Report.add_sampled`) is a named predicate over a
 stream of samples: it fails at its first failing sample and names it (index
-and point JSON).
+and point JSON).  Each suite seeds its own stream from its name and the
+seed, so no two suites draw the same samples.
 """
 
 from __future__ import annotations
@@ -123,6 +124,13 @@ REFERENCE_WEIGHT_TABLE = {
 }
 
 
+def _stream(rep: Report) -> random.Random:
+    """The suite's own sample stream for its seed.  A str seed goes through
+    SHA-512, so no two suites draw the same samples and no stream depends on
+    PYTHONHASHSEED."""
+    return random.Random("%s/%d" % (rep.suite, rep.seed))
+
+
 def _guarded(f, *args):
     """(f(*args), None), or (False, err) if it raises err, a ContractViolation
     or an AssertionError."""
@@ -150,7 +158,7 @@ def _det_b_and_open_locus(p: PointHV):
 
 def suite_equations(seed: int) -> Report:
     rep = Report("equations", seed)
-    rng = random.Random(seed)
+    rng = _stream(rep)
     # a cache keeps no raise, so each check that reads it meets a refusal
     bstar = cache(lambda: mckay.base_point(x=(1, 2)))
     base_det = cache(lambda: _det_b_and_open_locus(bstar()))
@@ -211,7 +219,7 @@ def _breaks_only(p: PointHV, broken: int) -> bool:
 
 def suite_stability(seed: int) -> Report:
     rep = Report("stability", seed)
-    rng = random.Random(seed)
+    rng = _stream(rep)
 
     rep.add("st.weight_table", lambda: weight_table() == REFERENCE_WEIGHT_TABLE)
     rep.add("st.pairings", lambda: (
@@ -255,7 +263,7 @@ def suite_stability(seed: int) -> Report:
 
 def suite_quiver(seed: int) -> Report:
     rep = Report("quiver", seed)
-    rng = random.Random(seed)
+    rng = _stream(rep)
 
     def rep_and_residuals(p):
         # build_rep(p), its leg residuals, its central residual
@@ -265,7 +273,8 @@ def suite_quiver(seed: int) -> Report:
     rep.add_sampled(((k, (sampling.rand_point_hv(rng),)) for k in range(50)), {
         "qv.legs_always_zero": lambda p, r, legs, central: all(s.is_zero() for s in legs),
         "qv.central_trace_free": lambda p, r, legs, central: central.trace().is_zero(),
-        "qv.central_equals_E1_contraction": lambda p, r, *_: _central_matches_e1(p, r),
+        "qv.central_equals_E1_contraction":
+            lambda p, r, legs, central: _central_matches_e1(p, central),
     }, derive=rep_and_residuals)
     rep.add_sampled(((k, (sampling.rand_z_point(rng),)) for k in range(60)), {
         "qv.preprojective_on_Z":
@@ -284,8 +293,9 @@ def suite_quiver(seed: int) -> Report:
     return rep.finish()
 
 
-def _central_matches_e1(p: PointHV, r: quiver.QuiverRep) -> bool:
-    """Whether the central quadratic of r = build_rep(p) is p's E1 form."""
+def _central_matches_e1(p: PointHV, central: Mat2) -> bool:
+    """Whether the central quadratic of build_rep(p), whose central residual
+    is `central`, is p's E1 form."""
     e1 = equations.residuals(p).e1           # upper triangle (m <= n)
     gram = ((e1[0], e1[1], e1[2]), (e1[1], e1[3], e1[4]), (e1[2], e1[4], e1[5]))
     x = p.x
@@ -295,14 +305,14 @@ def _central_matches_e1(p: PointHV, r: quiver.QuiverRep) -> bool:
         t = (x.a * v.a, x.a * v.b + x.b * v.a, x.b * v.b)
         return dot(t, [dot(row, t) for row in gram])
 
-    return all(quiver.central_quadratic(r, v) == form(v)
+    return all(quiver.central_quadratic(central, v) == form(v)
                for v in (Vec2(QI.one(), QI.zero()), Vec2(QI.zero(), QI.one()),
                          Vec2(QI.one(), QI.one())))
 
 
 def suite_charts(seed: int) -> Report:
     rep = Report("charts", seed)
-    rng = random.Random(seed)
+    rng = _stream(rep)
 
     closure = cache(charts.chart_closure_check)
 
@@ -345,7 +355,7 @@ def suite_charts(seed: int) -> Report:
 
 def suite_orbit(seed: int) -> Report:
     rep = Report("orbit", seed)
-    rng = random.Random(seed)
+    rng = _stream(rep)
     # a cache keeps no raise, so each check that reads it meets a refusal
     bstar = cache(mckay.base_point)
     stab = cache(lambda: mckay.stabilizer(bstar()))

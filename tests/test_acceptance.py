@@ -142,7 +142,7 @@ def test_criterion_04_preprojective_functor(z_samples):
         for vv in (Vec2(QI.one(), QI.zero()), Vec2(QI.zero(), QI.one()),
                    Vec2(QI.one(), QI.one())):
             t = (x.a * vv.a, x.a * vv.b + x.b * vv.a, x.b * vv.b)
-            assert quiver.central_quadratic(rep, vv) == form(t)
+            assert quiver.central_quadratic(central, vv) == form(t)
         off += 1
     assert off >= 50
     _passed(4, "preprojective relations exact on %d Z-points; legs and the "

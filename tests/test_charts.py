@@ -243,6 +243,55 @@ def test_normalize_does_not_rerun_theta_oracle(monkeypatch):
             normalize(act(h, unstable), 2)
 
 
+def test_normalize_moves_the_point_once(monkeypatch):
+    """normalize builds its whole normalizer from leg i, then makes one act."""
+    import d4vgit.charts as charts
+    calls = []
+
+    def counting_act(h, p):
+        calls.append(h)
+        return act(h, p)
+
+    monkeypatch.setattr(charts, "act", counting_act)
+    c = normalize(base_point(x=(1, 2)), 1)
+    assert len(calls) == 1 and calls[0] is c.normalizer
+
+
+def _two_step_normalize(p, index):
+    """The chart point of p by two moves: h0 takes x to e1, then h1 shears
+    and scales, read off the moved point's leg i."""
+    from d4vgit.stability import adapting_element
+    i = index - 1
+    h0 = adapting_element(p.x)
+    q0 = act(h0, p)
+    pi, qi, _ = q0.B[i]
+    t = [QI.one(), QI.one(), QI.one()]
+    t[i] = pi.inverse()
+    h1 = GroupElement.make(tuple(t), Mat2(QI.one(), qi / (pi * 2), QI.zero(),
+                                          (q0.alpha[i] * pi * pi).inverse()))
+    q = act(h1, q0)
+    j, k = (i + 1) % 3, (i + 2) % 3
+    return q, h1.compose(h0), (q.alpha[j], q.alpha[k], q.beta, q.B[j][0], q.B[k][0])
+
+
+def test_normalize_equals_the_two_step_form():
+    """On theta-stable points over Q(i) and over depth-1 and depth-2 towers,
+    the one move by h1 h0 gives the chart point of act(h1, act(h0, p))."""
+    from d4vgit.sampling import rand_tower_group_element
+    rng = random.Random(20)
+    points = [base_point(x=x) for x in ((1, 2), (1, 3), (0, 1), (2, -1))]
+    points += [act(rand_tower_group_element(rng, depth), base_point(x=(1, 2)))
+               for depth in (1, 1, 2)]
+    for p in points:
+        v = semistable_theta(p)
+        assert v.is_stable
+        index = v.witness_index + 1
+        c = normalize(p, index)
+        q, h, free = _two_step_normalize(p, index)
+        assert (c.alpha_j, c.alpha_k, c.beta, c.p_j, c.p_k) == free
+        assert c.normalizer == h and act(c.normalizer, p) == q
+
+
 def test_normalize_checks_the_chart_relations(monkeypatch):
     """normalize compares the moved point with dependent_coordinates, so a
     wrong relation is refused at the boundary, by name."""

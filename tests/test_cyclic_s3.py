@@ -10,7 +10,7 @@ import pytest
 from d4vgit.cyclic_s3 import (
     DegenerateS3Point, S3Point, ToricGITProblem, WallError, _primitive,
     an_minimal_problem, an_quotient_fan, an_redundant_problem, an_semistable,
-    s3_act, s3_base_point, s3_on_z, s3_stabilizer, smith_normal_form,
+    diagonalize, s3_act, s3_base_point, s3_on_z, s3_stabilizer,
 )
 from d4vgit.linalg import Mat2
 from d4vgit.scalars import QI
@@ -87,7 +87,7 @@ def brute_force_cones(n, chi):
         return None
     k, N = problem.k, problem.n_coords
     cols = problem.columns()
-    U, _, _ = smith_normal_form([list(c) for c in cols])
+    U, _, _ = diagonalize([list(c) for c in cols])
     rays = [tuple(U[r][j] for r in range(k, N)) for j in range(N)]
     cones = set()
     for a, b in combinations(range(N), 2):
@@ -118,7 +118,7 @@ def _oracle_characters(n):
 
 def _scaled_redundant_problem(n):
     """The redundant weights with row i scaled by i + 2: they span a
-    sublattice, with Smith diagonals [2], [1, 6], [1, 2, 12], ..., so the
+    sublattice, with invariant factors [2], [1, 6], [1, 2, 12], ..., so the
     lift of chi divides by some d_i != 1."""
     rows = an_redundant_problem(n).weights
     return ToricGITProblem(tuple(tuple((i + 2) * w for w in row)
@@ -281,7 +281,7 @@ class TestFans:
         with pytest.raises(WallError):
             an_quotient_fan(3, (0, 0))
 
-    def test_smith_normal_form(self):
+    def test_diagonalize(self):
         """det U = +-1 exactly, and the rows of U A past the rank of A
         vanish: the facts the Gale rays of the fan rely on.  det V = +-1 and
         U A V = D, which the lift of chi relies on."""
@@ -290,8 +290,9 @@ class TestFans:
                  for _ in range(20)]
         an_cases = [[list(c) for c in an_redundant_problem(n).columns()]
                     for n in range(2, 9)]
-        for A in cases + an_cases:
-            U, diag, V = smith_normal_form([list(r) for r in A])
+        not_smith = [[2, 0], [0, 3], [0, 0]]   # invariant factors [1, 6]
+        for A in cases + an_cases + [not_smith]:
+            U, diag, V = diagonalize([list(r) for r in A])
             assert _rank_and_det(U)[1] in (1, -1)
             rank = _rank_and_det(A)[0]
             assert all(d != 0 for d in diag[:rank])
@@ -304,7 +305,8 @@ class TestFans:
                     for r in UA] == [[diag[i] if i == j else 0 for j in range(k)]
                                      for i in range(len(A))], A
         for A in an_cases:                      # primitive: the fan's rays are integral
-            assert smith_normal_form(A)[1] == [1] * len(A[0])
+            assert diagonalize(A)[1] == [1] * len(A[0])
+        assert diagonalize(not_smith)[1] == [2, 3]
 
 
 def _rank_and_det(rows):

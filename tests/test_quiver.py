@@ -75,12 +75,12 @@ def test_central_residual_is_e1_contraction():
                     s = s + gram[key] * u[m] * v[n]
             return s
 
-        rep = build_rep(p)
+        central = preprojective_residual(build_rep(p))[1]
         x = p.x
         for vv in (Vec2(QI.one(), QI.zero()), Vec2(QI.zero(), QI.one()),
                    Vec2(QI.scalar(2), QI.scalar(-3))):
             t = (x.a * vv.a, x.a * vv.b + x.b * vv.a, x.b * vv.b)
-            assert central_quadratic(rep, vv) == form(t, t)
+            assert central_quadratic(central, vv) == form(t, t)
 
 
 def test_preprojective_on_z_samples():

@@ -318,6 +318,26 @@ class TestDot:
         assert normalized(dot((zero, x, zero), (y, z, x))).triple == (x * z).triple
         assert normalized(dot((x, y), (z, zero))).triple == (x * z).triple
 
+    @pytest.mark.parametrize("terms", [
+        # zero factors whose partners' denominators differ from the running one
+        [((Fraction(1, 3), 0), (Fraction(2, 5), 1)), ((0, 0), (Fraction(1, 11), 2)),
+         ((Fraction(5, 7), Fraction(-1, 2)), (0, 0)), ((1, 1), (Fraction(3, 4), 0))],
+        [((0, 0), (Fraction(1, 9), 0)), ((Fraction(2, 9), 1), (Fraction(7, 13), 0))],
+        # denominators with a shared factor: the lcm of 6 and 10 is 30
+        [((Fraction(1, 6), 0), (1, 0)), ((Fraction(1, 10), 0), (1, 0))],
+        [((Fraction(1, 2), Fraction(1, 3)), (Fraction(5, 3), 0)),
+         ((Fraction(7, 10), 0), (Fraction(1, 1), Fraction(3, 10))),
+         ((Fraction(-1, 6), 0), (Fraction(1, 5), 0))],
+        # terms that cancel across shared factors, leaving the canonical zero
+        [((Fraction(1, 6), 0), (1, 0)), ((Fraction(-1, 10), 0), (Fraction(5, 3), 0))],
+    ])
+    def test_zero_terms_and_shared_denominator_factors(self, terms):
+        xs = [QI.scalar(*a) for a, _ in terms]
+        ys = [QI.scalar(*b) for _, b in terms]
+        got = normalized(dot(xs, ys))
+        assert got.payload == ref_dot(*zip(*terms))
+        assert dot(ys, xs) == got
+
     def test_polynomials_take_the_term_by_term_loop(self):
         V = ("a", "b")
         a, b = Poly.variable("a", V), Poly.variable("b", V)

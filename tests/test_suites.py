@@ -9,7 +9,7 @@ import pytest
 
 from d4vgit import cyclic_s3, equations, mckay, sampling, stability, suites
 from d4vgit.cli import main
-from d4vgit.gitcore import PointHV, point_to_json
+from d4vgit.gitcore import PointHV, group_to_json, point_to_json
 from d4vgit.suites import Report, run_suite
 
 
@@ -297,3 +297,32 @@ def test_a_theta_unstable_chart_sample_fails_its_checks(monkeypatch):
     assert [(c.check_id, c.details) for c in checks.values() if not c.passed] == [
         (check_id, _details(2, seen[2])) for check_id in (
             "ch.hat_roundtrip", "ch.normalize_invariants", "ch.quiver_side_composition")]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_suites_draw_disjoint_samples(monkeypatch, seed):
+    """Each suite seeds its own stream from its name and the seed, so the
+    charts and stability suites test different points, and the equations and
+    orbit suites different group elements."""
+    drawn = []
+
+    def recording(draw, to_json):
+        def wrapped(rng, *args):
+            x = draw(rng, *args)
+            drawn.append(json.dumps(to_json(x), sort_keys=True))
+            return x
+        return wrapped
+
+    monkeypatch.setattr(sampling, "rand_z_point",
+                        recording(sampling.rand_z_point, point_to_json))
+    monkeypatch.setattr(sampling, "rand_group_element",
+                        recording(sampling.rand_group_element, group_to_json))
+
+    def draws(suite):
+        drawn.clear()
+        suites.SUITES[suite](seed)
+        assert drawn
+        return set(drawn)
+
+    assert draws("charts").isdisjoint(draws("stability"))
+    assert draws("equations").isdisjoint(draws("orbit"))

@@ -415,6 +415,31 @@ def test_unused_towers_are_freed():
     assert ref() is None
 
 
+def test_zero_terms_keep_the_deepest_field():
+    """Zero terms are skipped, yet the sum still lives in the deepest field
+    of all the operands, zero ones included."""
+    field, s = adjoin_sqrt(adjoin_sqrt(QI, 2)[0], 3)
+    base = [QI.scalar(Fraction(1, 6)), QI.scalar(Fraction(3, 10), 1), QI.zero()]
+    cases = [
+        # an all-zero sum mixing a base zero and a tower zero
+        ((QI.zero(), field.zero()), (QI.scalar(Fraction(1, 7)), s)),
+        ((QI.scalar(2), QI.zero()), (field.zero(), s)),
+        # a zero tower operand among base terms
+        (base, (QI.scalar(Fraction(1, 10)), field.zero(), QI.scalar(5))),
+        (base + [field.zero()], base[::-1] + [QI.scalar(Fraction(1, 15))]),
+        # zero base terms among tower terms, over denominators 6 and 10
+        ((s / 6, QI.zero(), s / 10), (QI.scalar(Fraction(1, 7)), s, QI.scalar(3))),
+    ]
+    for xs, ys in cases:
+        got = dot(xs, ys)
+        assert got.field is field
+        assert_canonical(got)
+        want = tree_dot(field, [tree_lift(tree(x), x.field, field) for x in xs],
+                        [tree_lift(tree(y), y.field, field) for y in ys])
+        assert tree(got) == want and dot(ys, xs) == got
+    assert dot(*cases[0]) == field.zero()
+
+
 def test_tower_cancellation_and_lifted_only_operands():
     field, s = adjoin_sqrt(adjoin_sqrt(QI, 2)[0], 3)
     x = field.scalar(Fraction(2, 3), 5) + s
