@@ -109,7 +109,12 @@ def rand_chart_point(rng: random.Random, height: int = 3) -> PointHV:
 
 def rand_z_point(rng: random.Random, height: int = 2) -> PointHV:
     """A Z x V point: either an orbit translate or a translated chart point."""
-    if rng.random() < 0.5:
+    # An exact fair coin: rng.random() builds its float from two 32-bit words
+    # and is below 0.5 exactly when the first is below 2^31, so this takes the
+    # same branch and leaves the same generator state, without a float.
+    w = rng.getrandbits(32)
+    rng.getrandbits(32)
+    if w < 2 ** 31:
         return rand_orbit_point(rng, height)
     p = rand_chart_point(rng, height)
     h = rand_group_element(rng, height)

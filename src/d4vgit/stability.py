@@ -7,7 +7,9 @@ condition (every B_i(x, -) nonzero and some a_i B_i(x, x) nonzero).  The
 1-PS machinery cross-checks the verdicts: an unstable certificate is a
 cocharacter, expressed in a basis adapted to x, such that every coordinate
 carrying positive weight vanishes at the point and which pairs positively
-with the character.
+with the character.  Each unstable branch moves the point to its adapted
+basis at most once; the verdict is the first candidate certificate that
+`verify_certificate` accepts there, so the search is the re-verification.
 """
 
 from __future__ import annotations
@@ -78,16 +80,19 @@ def verify_certificate(p: PointHV, cert: Cocharacter, chi: Character,
     return True
 
 
-def _unstable(p: PointHV, chi: Character, cert: Cocharacter, subset: str,
+def _unstable(q: PointHV, chi: Character, candidates,
               adapting: Optional[GroupElement] = None) -> StabilityVerdict:
-    """The unstable verdict, once its certificate re-verifies (an explicit
-    check, so it also runs under python -O)."""
-    if not verify_certificate(p, cert, chi, adapting):
-        raise AssertionError("certificate %s for %s failed re-verification"
-                             % (cert.name, subset))
-    return StabilityVerdict(
-        UNSTABLE, chi, certificate=cert, subset=subset,
-        adapting=GroupElement.identity() if adapting is None else adapting)
+    """The unstable verdict for the first (description, cocharacter) of
+    `candidates` that re-verifies at q, the point already moved by
+    `adapting`.  None re-verifying raises explicitly, so the check also runs
+    under python -O."""
+    for subset, cert in candidates:
+        if verify_certificate(q, cert, chi):
+            return StabilityVerdict(
+                UNSTABLE, chi, certificate=cert, subset=subset,
+                adapting=GroupElement.identity() if adapting is None else adapting)
+    raise AssertionError("every certificate for %s failed re-verification"
+                         % ", ".join(subset for subset, _ in candidates))
 
 
 # -- the unstable subset families (plus-theta side) ---------------------------
@@ -95,7 +100,6 @@ def _unstable(p: PointHV, chi: Character, cert: Cocharacter, subset: str,
 
 _COORD_NAMES = ("a1", "a2", "a3", "beta",
                 "p1", "q1", "r1", "p2", "q2", "r2", "p3", "q3", "r3")
-_COORD_INDEX = {n: i for i, n in enumerate(_COORD_NAMES)}
 
 
 @cache
@@ -104,8 +108,9 @@ def unstable_subset_certificates():
     certificate cocharacter per subset (coordinates in the adapted basis).
 
     Each certificate is re-verified mechanically against the weight table:
-    its positive-weight coordinates lie in the subset's vanishing list.
-    Computed once; the result is a tuple.
+    its positive-weight coordinates are exactly the subset's vanishing list,
+    so at a point adapted to x it re-verifies exactly where its subset
+    vanishes.  Computed once; the result is a tuple.
     """
     out = []
     for i in range(3):
@@ -131,18 +136,10 @@ def unstable_subset_certificates():
     for desc, subset, lam in out:
         weights = coordinate_weights(lam)
         positive = {_COORD_NAMES[m] for m, w in enumerate(weights) if w > 0}
-        if not positive <= set(subset):
-            raise AssertionError("certificate %s has stray positive weights %s"
-                                 % (desc, positive - set(subset)))
+        if positive != set(subset):
+            raise AssertionError("certificate %s has positive weights %s, not %s"
+                                 % (desc, sorted(positive), subset))
     return tuple(out)
-
-
-def _find_subset_certificate(adapted: PointHV):
-    coords = adapted.coords()
-    for desc, subset, lam in unstable_subset_certificates():
-        if all(coords[_COORD_INDEX[n]].is_zero() for n in subset):
-            return desc, lam
-    return None
 
 
 # -- plus-theta oracle ---------------------------------------------------------
@@ -157,8 +154,8 @@ def semistable_theta(p: PointHV) -> StabilityVerdict:
     if not on_Z(p):
         raise ContractViolation("semistable_theta called off Z")
     if p.x.is_zero():
-        return _unstable(p, THETA, Cocharacter((1, 1, 1), (1, 1), "diagonal"),
-                         "{x=0}")
+        return _unstable(p, THETA,
+                         [("{x=0}", Cocharacter((1, 1, 1), (1, 1), "diagonal"))])
     contractions = [form_contraction(b, p.x) for b in p.B]
     if all(not c.is_zero() for c in contractions):
         for i, (a, c) in enumerate(zip(p.alpha, contractions)):
@@ -167,12 +164,9 @@ def semistable_theta(p: PointHV) -> StabilityVerdict:
                 return StabilityVerdict(STABLE, THETA, witness_index=i,
                                         witness_value=s)
     h = adapting_element(p.x)
-    adapted = act(h, p)
-    found = _find_subset_certificate(adapted)
-    if found is None:
-        raise AssertionError("unstable point matched no destabilized subset")
-    desc, cert = found
-    return _unstable(p, THETA, cert, desc, h)
+    return _unstable(act(h, p), THETA,
+                     [(desc, lam) for desc, _, lam in unstable_subset_certificates()],
+                     h)
 
 
 # -- minus-theta oracle --------------------------------------------------------
@@ -185,13 +179,13 @@ def _rank_one_line(form):
     return (pm, qm / 2) if not pm.is_zero() else (QI.zero(), QI.one())
 
 
-def _isotropic_adapting(p: PointHV) -> GroupElement:
-    """For a Z-point with beta = 0, all a_i nonzero and B not all zero: the
-    nonzero forms B_i are multiples of a single rank-one form l^2; returns h
-    such that every B-triple of act(h, p) has the shape (*, 0, 0)."""
+def _isotropic_adapting(p: PointHV) -> Optional[GroupElement]:
+    """For a Z-point with beta = 0 and all a_i nonzero: the nonzero forms B_i
+    are multiples of a single rank-one form l^2; returns h such that every
+    B-triple of act(h, p) has the shape (*, 0, 0), or None when B = 0."""
     form = next((b for b in p.B if any(not c.is_zero() for c in b)), None)
     if form is None:
-        raise AssertionError("no nonzero form")
+        return None
     l1, l2 = _rank_one_line(form)
     # K has columns u, w with l(u) = 1, l(w) = 0; then act with g = K^-1
     # turns the form l^2 into a multiple of v1^2.
@@ -216,12 +210,11 @@ def semistable_minus_theta(p: PointHV) -> StabilityVerdict:
         if a.is_zero():
             cert = Cocharacter(tuple(-1 if m == i else 0 for m in range(3)),
                                (0, 0), "-lambda%d" % (i + 1))
-            return _unstable(p, MINUS_THETA, cert, "{a%d=0}" % (i + 1))
+            return _unstable(p, MINUS_THETA, [("{a%d=0}" % (i + 1), cert)])
     # all a_i nonzero, beta = 0: B has rank <= 1 with isotropic image
-    cert = Cocharacter((0, 0, 0), (0, -1), "-mu")
-    if all(c.is_zero() for b in p.B for c in b):
-        return _unstable(p, MINUS_THETA, cert, "{beta=0}")
-    return _unstable(p, MINUS_THETA, cert, "{beta=0}", _isotropic_adapting(p))
+    h = _isotropic_adapting(p)
+    return _unstable(p if h is None else act(h, p), MINUS_THETA,
+                     [("{beta=0}", Cocharacter((0, 0, 0), (0, -1), "-mu"))], h)
 
 
 # -- off-Z reporting -------------------------------------------------------------

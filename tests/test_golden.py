@@ -14,15 +14,21 @@ exits 3 (a chart index that does not witness, and a point off Z or outside
 the open locus for chart, orbit and both stability characters), recorded
 before the CLI mapped a refused precondition to exit 3 in one place; and
 the plain-text closure check and stabilizer table (a list of dicts and a
-list of lists), recorded before `_inline` was rewritten.  Each must stay
-byte-identical and exit with its recorded code.
+list of lists), recorded before `_inline` was rewritten; and every unstable
+report that exits 2 (both stability characters at the {beta=0, B1=0} point
+and at a translate of the {p1=p2=p3=0} point, where both oracles move the
+point by a nontrivial adapting element), recorded before the certificate
+search became the re-verification.  Each must stay byte-identical and exit
+with its recorded code.
 
 Each fixture under tests/data is the stdout of one command, for example
     PYTHONPATH=src python -m d4vgit orbit --point tests/data/base_point.json --json
 The point files are written by point_to_json: off_z_point.json is
 equations.witness_E1_not_E2() (off Z) and beta0_B1_0_point.json the
 {beta=0, B1=0} point of sampling.engineered_unstable_points (on Z, outside
-the open locus).
+the open locus); p_zero_translate_point.json is the {p1=p2=p3=0} point of
+engineered_unstable_points(random.Random(0)) moved by
+rand_group_element(random.Random(0)).
 """
 
 import os
@@ -73,6 +79,19 @@ CASES = {
                                        "--character", "theta"]),
     "chart_closure_check_text": (0, ["chart", "--closure-check"]),
     "orbit_base_text": (0, ["orbit", "--point", "base_point.json"]),
+    "stability_theta_beta0_B1_0": (2, ["stability", "--point",
+                                       "beta0_B1_0_point.json", "--character",
+                                       "theta", "--json"]),
+    "stability_minus_theta_beta0_B1_0": (2, ["stability", "--point",
+                                             "beta0_B1_0_point.json",
+                                             "--character", "minus-theta",
+                                             "--json"]),
+    "stability_theta_p_zero_translate": (2, ["stability", "--point",
+                                             "p_zero_translate_point.json",
+                                             "--character", "theta", "--json"]),
+    "stability_minus_theta_p_zero_translate": (2, [
+        "stability", "--point", "p_zero_translate_point.json", "--character",
+        "minus-theta", "--json"]),
 }
 
 

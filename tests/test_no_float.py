@@ -1,0 +1,104 @@
+"""The README promises exact arithmetic with no floating point.  Two guards
+keep that literal: a syntax scan of every module under src/ for the ways a
+float can enter (a float or complex literal, the float and complex types,
+cmath and decimal, math beyond its integer functions, and the float draws
+of random), and a run of the full suite that checks every Scalar it builds
+holds int payloads only."""
+
+import ast
+import pathlib
+
+import pytest
+
+from d4vgit import scalars
+from d4vgit.suites import run_suite
+
+SRC = pathlib.Path(__file__).parent.parent / "src"
+
+FLOAT_NAMES = {"float", "complex"}
+FLOAT_MODULES = {"cmath", "decimal"}
+MATH_ALLOWED = {"gcd", "isqrt", "lcm"}
+# the draws of random.Random that return a float
+RANDOM_FLOAT_DRAWS = {
+    "random", "uniform", "triangular", "gauss", "normalvariate",
+    "lognormvariate", "expovariate", "vonmisesvariate", "gammavariate",
+    "betavariate", "paretovariate", "weibullvariate",
+}
+
+
+def float_entries(tree):
+    """(line, reason) for each place in the module's syntax tree where a
+    float can enter."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            yield node.lineno, "%s literal %r" % (type(node.value).__name__, node.value)
+        elif isinstance(node, ast.Name) and node.id in FLOAT_NAMES:
+            yield node.lineno, "name %s" % node.id
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] in FLOAT_MODULES:
+                    yield node.lineno, "import %s" % alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.split(".")[0]
+            names = {alias.name for alias in node.names}
+            if (module in FLOAT_MODULES
+                    or module == "math" and names - MATH_ALLOWED
+                    or module == "random" and names & RANDOM_FLOAT_DRAWS):
+                yield node.lineno, "from %s import %s" % (module, ", ".join(sorted(names)))
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            if owner == "math" and node.attr not in MATH_ALLOWED:
+                yield node.lineno, "math.%s" % node.attr
+            elif owner in FLOAT_MODULES:
+                yield node.lineno, "%s.%s" % (owner, node.attr)
+            elif node.attr in RANDOM_FLOAT_DRAWS:
+                yield node.lineno, "float draw .%s" % node.attr
+
+
+SOURCES = sorted(SRC.rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_float_syntax(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = ["%s:%d: %s" % (path.name, line, why) for line, why in float_entries(tree)]
+    assert not found, found
+
+
+@pytest.mark.parametrize("snippet", [
+    "x = 0.5", "x = 2j", "x = float(1)", "complex", "import cmath",
+    "from decimal import Decimal", "import math\nmath.sqrt(2)",
+    "from math import floor", "rng.random() < 0.5", "rng.gauss(0, 1)",
+    "from random import uniform",
+])
+def test_the_scan_rejects(snippet):
+    assert list(float_entries(ast.parse(snippet)))
+
+
+@pytest.mark.parametrize("snippet", [
+    "from math import gcd, isqrt, lcm", "import math\nmath.gcd(4, 6)",
+    "rng.randint(0, 3)", "rng.getrandbits(32) < 2 ** 31", "random.Random(7)",
+    "from fractions import Fraction",
+])
+def test_the_scan_accepts(snippet):
+    assert not list(float_entries(ast.parse(snippet)))
+
+
+def test_suite_builds_int_payloads_only(monkeypatch):
+    """suite all at seeds 0-2 with every Scalar construction checked: the
+    slots hold (re, im, den) ints at the base level and (numerators, den,
+    None) above it."""
+    real = scalars.Scalar.__init__
+    bad = []
+
+    def checking(self, field, x, y, den):
+        ints = (x, y, den) if den is not None else (*x, y)
+        if not all(type(v) is int for v in ints):
+            bad.append((x, y, den))
+        real(self, field, x, y, den)
+
+    monkeypatch.setattr(scalars.Scalar, "__init__", checking)
+    for seed in range(3):
+        report = run_suite("all", seed)
+        assert all(c.passed for c in report.checks), seed
+    assert bad == []

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from d4vgit.equations import ContractViolation, witness_E1_not_E2, witness_E2_not_E1
 from d4vgit.gitcore import (
-    LAMBDA, MINUS_THETA, THETA, Cocharacter, PointHV, act, pair,
+    LAMBDA, MINUS_THETA, THETA, Cocharacter, PointHV, act, coordinate_weights, pair,
 )
 from d4vgit.mckay import base_point
 from d4vgit.quiver import build_rep, form_contraction, king_stable
@@ -181,6 +181,17 @@ class TestSubsetCertificates:
         assert certs["{p1=p2=p3=0}"].name == "2mu+sum lambda"
         assert certs["{a2=a3=0, p1=0}"].name == "mu+lambda1"
 
+    def test_positive_weights_are_exactly_the_subset(self):
+        """So at a point adapted to x (x2 = 0, the only x-coordinate any
+        entry weights positively) an entry re-verifies exactly where its
+        subset vanishes, and the search picks the first vanishing subset."""
+        names = ("a1", "a2", "a3", "beta", "p1", "q1", "r1", "p2", "q2", "r2",
+                 "p3", "q3", "r3")
+        for desc, subset, lam in unstable_subset_certificates():
+            weights = coordinate_weights(lam)
+            assert {n for n, w in zip(names, weights) if w > 0} == set(subset), desc
+            assert pair(THETA, lam) > 0 and lam.w[0] <= 0, desc
+
 
 class TestZBranchIdentities:
     """The two constraint patterns the equations force at degenerate legs."""
@@ -248,6 +259,35 @@ class TestCheckOnce:
             v = semistable_minus_theta(p)
             assert v.is_stable and not v.witness_value.is_zero()
             assert len(calls) == 1
+
+    def test_unstable_verdicts_act_at_most_once(self, monkeypatch):
+        """Each unstable verdict moves the point to its adapted basis at most
+        once: the certificate search is the re-verification.  The translated
+        {p1=p2=p3=0} point (tests/data/p_zero_translate_point.json) needs a
+        nontrivial adapting element under both characters."""
+        import d4vgit.stability as stability
+        calls = []
+        real = stability.act
+
+        def counting(h, p):
+            calls.append(h)
+            return real(h, p)
+
+        monkeypatch.setattr(stability, "act", counting)
+        p = dict(engineered_unstable_points(random.Random(0)))["{p1=p2=p3=0}"]
+        q = act(rand_group_element(random.Random(0)), p)
+        v = semistable_theta(q)
+        assert (v.status, v.subset, len(calls)) == ("unstable", "{beta=0, B3=0}", 1)
+        calls.clear()
+        v = semistable_minus_theta(q)
+        assert (v.status, v.subset) == ("unstable", "{beta=0}") and len(calls) <= 1
+        rng = random.Random(5)
+        for desc, p in engineered_unstable_points(rng):
+            for point in (p, act(rand_group_element(rng), p)):
+                for oracle in (semistable_theta, semistable_minus_theta):
+                    calls.clear()
+                    oracle(point)
+                    assert len(calls) <= 1, (desc, oracle.__name__)
 
     def test_certificate_recheck_survives_optimize(self):
         """Under python -O a certificate that fails re-verification still
