@@ -23,12 +23,11 @@ the omega/4 coefficient in the quiver map.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .gitcore import PointHV
 from .linalg import Mat3
-from .scalars import QI, Scalar, dot
+from .scalars import QI, Scalar, dot, sum_of_products
 
 
 class ContractViolation(Exception):
@@ -62,49 +61,52 @@ def wedge(u, v):
 
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-_MINUS_HALF = QI.scalar(Fraction(-1, 2))
-# the omega coefficients the invariant pairing on Sym^2 V adds to e1[m, n]
-# (entry (1,1) carries 1/2)
-_E1_OMEGA = {(0, 2): _MINUS_HALF, (1, 1): QI.scalar(Fraction(1, 4))}
+# e1[m, n] = (k sum_i a_i b_i[m] b_i[n] + o omega) / den for (k, o, den):
+# the halves of the functional vectors (p, q/2, r) and the omega coefficients
+# the invariant pairing on Sym^2 V adds (-1/2 at (0, 2), 1/4 at (1, 1))
+_E1 = {(0, 0): (1, 0, 1), (0, 1): (1, 0, 2), (0, 2): (2, -1, 2),
+       (1, 1): (1, 1, 4), (1, 2): (1, 0, 2), (2, 2): (1, 0, 1)}
 
 
 def residual_entries(alpha, beta, B):
     """(e1, e2, e3) entry lists over any commutative ring with halving.
 
     e1 is the 6 upper-triangle entries (m <= n) of the symmetric form on
-    Sym^2 V; e2 and e3 are row-major 3x3.  Each sum is one dot, its omega
-    or beta a_i term included.
+    Sym^2 V; e2 and e3 are row-major 3x3.  Each entry is one
+    sum_of_products, the halves and signs in its integer coefficients and
+    denominator.  omega, 2 j_pairing(B_i, B_j) and beta a_i are shared as
+    lazy factors.
     """
-    om = alpha[0] * alpha[1] * alpha[2] * beta * beta
-    # functional vectors (p, q/2, r)
-    btil = [(b[0], b[1] / 2, b[2]) for b in B]
-    scaled = [tuple(a * t for t in bt) for a, bt in zip(alpha, btil)]
+    a1, a2, a3 = alpha
+    om = sum_of_products(((1, a1, a2, a3, beta, beta),), lazy=True)
 
     e1 = []
-    for m in range(3):
-        for n in range(m, 3):
-            xs = tuple(row[m] for row in scaled)
-            ys = tuple(bt[n] for bt in btil)
-            if (m, n) in _E1_OMEGA:
-                xs, ys = xs + (om,), ys + (_E1_OMEGA[m, n],)
-            e1.append(dot(xs, ys))
+    for (m, n), (k, o, den) in _E1.items():
+        terms = [(k, a, b[m], b[n]) for a, b in zip(alpha, B)]
+        if o:
+            terms.append((o, om))
+        e1.append(sum_of_products(terms, den))
 
+    # a_j j_pairing(B_i, B_j) - (omega/2) delta_ij, over the denominator 2
     pairing = {}
     for i in range(3):
         for j in range(i, 3):
-            pairing[i, j] = pairing[j, i] = j_pairing(B[i], B[j])
-    e2 = [dot((alpha[j], om), (pairing[i, j], _MINUS_HALF)) if i == j
-          else alpha[j] * pairing[i, j] for i in range(3) for j in range(3)]
+            (pu, qu, ru), (pv, qv, rv) = B[i], B[j]
+            pairing[i, j] = pairing[j, i] = sum_of_products(
+                ((2, pu, rv), (2, ru, pv), (-1, qu, qv)), lazy=True)
+    e2 = [sum_of_products(((1, alpha[j], pairing[i, j]), (-1, om)) if i == j
+                          else ((1, alpha[j], pairing[i, j]),), 2)
+          for i in range(3) for j in range(3)]
 
     e3 = []
     for i, j, k in _CYCLIC:
         # wedge(B_j, B_k) - beta a_i (r_i, -q_i/2, p_i)
-        (pu, qu, ru), (pv, qv, rv) = B[j], B[k]
-        pi, hi, ri = btil[i]
-        ba = beta * alpha[i]
-        e3.extend((dot((qu, ru, ba), (rv, -qv, -ri)),
-                   dot((ru, pu, ba), (pv, -rv, hi)),
-                   dot((pu, qu, ba), (qv, -pv, -pi))))
+        (pu, qu, ru), (pv, qv, rv), (pi, qi, ri) = B[j], B[k], B[i]
+        ba = sum_of_products(((1, beta, alpha[i]),), lazy=True)
+        e3.extend((
+            sum_of_products(((1, qu, rv), (-1, ru, qv), (-1, ba, ri))),
+            sum_of_products(((2, ru, pv), (-2, pu, rv), (1, ba, qi)), 2),
+            sum_of_products(((1, pu, qv), (-1, qu, pv), (-1, ba, pi)))))
 
     return e1, e2, e3
 

@@ -23,7 +23,7 @@ from functools import cache
 from .linalg import Mat2, Mat3, Vec2, sym_square
 from .scalars import (
     QI, Scalar, adjoin_sqrt, as_scalar, deepest_field, dot,
-    scalar_from_json, scalar_to_json,
+    scalar_from_json, scalar_to_json, sum_of_products,
 )
 
 
@@ -152,21 +152,34 @@ def split_form(triple, field):
 def act(h: GroupElement, p: PointHV) -> PointHV:
     """The group action on H x V; act(h1, act(h2, p)) == act(h1*h2, p).
 
-    det g is inverted once, and the form matrix of g^-1 is built once and
-    applied to the three triples before their torus scaling.
+    det g and the t_i are inverted once each, and every output coordinate
+    is one reduced sum_of_products.  B_i o Sym^2(g)^-1 is written with the
+    quadratic monomials of the adjugate (d, -b; -c, a) of g = (a b; c d),
+    and t_i / det^2 scales each sum; those factors are shared lazily, so no
+    form matrix is built and none is reduced at the base level.
     """
     g = h.g
+    a, b, c, d = g.a, g.b, g.c, g.d
     det = g.det()
-    det_inv = det.inverse()
-    M = form_matrix(g.adjugate().scale(det_inv))
-    alpha = tuple(det * ti.inverse() ** 2 * a for ti, a in zip(h.t, p.alpha))
-    beta = h.t[0] * h.t[1] * h.t[2] * det_inv * det_inv * p.beta
-    B = tuple(
-        tuple(ti * c for c in apply_form_matrix(M, b))
-        for ti, b in zip(h.t, p.B)
-    )
-    x = g * p.x
-    return PointHV(alpha, beta, B, x)
+    di = det.inverse()
+    dd, dc, cc, db, ca, da_cb, bb, ba, aa, di2 = (
+        sum_of_products(terms, lazy=True) for terms in (
+            ((1, d, d),), ((1, d, c),), ((1, c, c),), ((2, d, b),), ((2, c, a),),
+            ((1, d, a), (1, c, b)), ((1, b, b),), ((1, b, a),), ((1, a, a),),
+            ((1, di, di),)))
+    alpha = []
+    B = []
+    for t, ai, (pi, qi, ri) in zip(h.t, p.alpha, p.B):
+        u = t.inverse()
+        alpha.append(sum_of_products(((1, ai, det, u, u),)))
+        s = sum_of_products(((1, t, di2),), lazy=True)
+        B.append((
+            sum_of_products(((1, pi, dd), (-1, qi, dc), (1, ri, cc)), scale=s),
+            sum_of_products(((-1, pi, db), (1, qi, da_cb), (-1, ri, ca)), scale=s),
+            sum_of_products(((1, pi, bb), (-1, qi, ba), (1, ri, aa)), scale=s)))
+    t1, t2, t3 = h.t
+    beta = sum_of_products(((1, p.beta, t1, t2, t3, di2),))
+    return PointHV(tuple(alpha), beta, tuple(B), g * p.x)
 
 
 # -- characters and cocharacters ---------------------------------------------

@@ -12,12 +12,13 @@ shallowest level, so s'^2 = m D is integral.  Products take
     (x + y s')(u + v s') = (x u + m D y v) + (x v + y u) s'
 on the integer tuples level by level and reduce once (only _join and payload
 convert s to s'); a lower-level factor multiplies each block, with no lift.
-A sum of products is normalized once: dot(xs, ys) skips the zero terms, sums
-the raw products over one denominator (the lcm of the term denominators at
-the base level, their product in a tower) and reduces the total with one
-gcd, where x*y + u*v reduces each product and the sum.  The other layers
-take every hot sum of products (matrix products, determinants, the
-equations' residuals, the quiver maps) through dot.
+A sum of products of any arity is reduced once: sum_of_products multiplies
+each term's raw numerators, skips zero terms, sums over the lcm of the term
+denominators and takes one gcd, where x*y*z + u*v reduces every product and
+sum (Knuth, TAOCP 2, 4.5.1).  gitcore.act and equations.residual_entries
+make each output one sum_of_products; dot(xs, ys), its two-factor case,
+carries the other layers' sums of products (matrix products, determinants,
+the quiver maps).
 Towers are interned: adjoin_sqrt gives the same Field object for the same
 (base, d) while that Field is in use, so fields compare by identity.  All
 operations are exact and zero-testing is decidable at every level.
@@ -447,10 +448,8 @@ class Scalar:
         elif other.__class__ is int:
             return self._scale(other, 1)
         elif other.__class__ is Scalar:     # two levels: blockwise, no lift
-            a, b = (self, other) if self._field.depth < other._field.depth else (other, self)
-            av, ad = _num(a)
-            return _flat(_deeper(a._field, b._field), _blocks(a._field, av, b._x),
-                         ad * b._y)
+            (v, d), (w, e) = _num(self), _num(other)
+            return _flat(*_times(self._field, v, other._field, w), d * e)
         else:
             a, b = self._pair(other)
             if a is None:
@@ -530,77 +529,145 @@ QI = Field.gaussian_rationals()
 
 # -- sums of products --------------------------------------------------------
 
-def dot(xs, ys):
-    """The exact sum of x_k * y_k over two equal-length sequences (zero
-    when they are empty).
+def sum_of_products(terms, den=1, scale=None, lazy=False):
+    """The exact sum of c x_1 ... x_k over the terms (c, x_1, ..., x_k) (a
+    small int c, k >= 1), times the factor scale if one is given, over the
+    positive int den; zero for no terms.  terms is a sequence.
 
-    Terms with a zero factor are skipped.  The other raw integer products
-    (Gaussian, or tower numerator tuples, blockwise for two levels) are
-    summed over one denominator, multiplied out only where a term's
-    denominator differs: to the lcm at the base level, to the product in a
-    tower.  The sum is normalized once, in the deepest field of all the
-    operands, zero ones included.  Any other operand (an int, a Poly) is
-    multiplied and summed term by term.
+    Each term's raw numerators (Gaussian integers, or tower numerator tuples
+    multiplied blockwise across levels) are multiplied, terms with a zero
+    factor are skipped, and the sum is taken over the lcm of the term
+    denominators, multiplied by scale once and reduced once, in the deepest
+    field of all the factors, zero ones included.  Other factors (ints,
+    Polys) are multiplied and summed term by term.
+
+    lazy=True marks a value used only as a factor of later sums: the base
+    level skips its gcd (the later sum reduces), so it must never be
+    compared, hashed or returned.  A tower reduces it anyway, since there
+    unreduced numerators grow far faster than the gcd costs.
     """
-    try:
-        total = _dot_qi(xs, ys)
-        if total is None:
-            total = _dot_tower(xs, ys)
-    except AttributeError:              # an operand is not a Scalar
-        total = None
-    if total is not None:
-        return total
-    total = xs[0] * ys[0]
-    for x, y in zip(xs[1:], ys[1:]):
-        total = total + x * y
-    return total
-
-
-def _dot_qi(xs, ys):
-    """dot for base-level Scalars over the lcm of the term denominators,
-    skipping zero terms; None at the first tower operand."""
     re = im = 0
-    den = 1
-    for x, y in zip(xs, ys):
-        xd, yd = x._den, y._den
-        if xd is None or yd is None:
-            return None
-        xr, xi, yr, yi = x._x, x._y, y._x, y._y
-        if not (xr or xi) or not (yr or yi):
-            continue
-        d = xd * yd
-        if d == den:
-            re += xr * yr - xi * yi
-            im += xr * yi + xi * yr
+    sd = 1
+    try:
+        for term in terms:
+            x = term[1]
+            tr, ti, d = x._x, x._y, x._den
+            if d is None:
+                break
+            for x in term[2:]:
+                xd = x._den
+                if xd is None:
+                    break
+                xr, xi = x._x, x._y
+                tr, ti = tr * xr - ti * xi, tr * xi + ti * xr
+                d *= xd
+            else:
+                if not (tr or ti):
+                    continue
+                c = term[0]
+                if c != 1:
+                    tr, ti = tr * c, ti * c
+                if d == sd:
+                    re += tr
+                    im += ti
+                else:                   # over the lcm of the denominators
+                    g = gcd(d, sd)
+                    dg, eg = d // g, sd // g
+                    re = re * dg + tr * eg
+                    im = im * dg + ti * eg
+                    sd *= dg
+                continue
+            break                       # a tower factor
         else:
-            g = gcd(d, den)
-            dg, eg = d // g, den // g
-            re = re * dg + (xr * yr - xi * yi) * eg
-            im = im * dg + (xr * yi + xi * yr) * eg
-            den *= dg
-    return _qi(re, im, den)
+            if scale is not None:
+                xd = scale._den
+                if xd is None:
+                    return _sum_tower(terms, den, scale)
+                xr, xi = scale._x, scale._y
+                re, im = re * xr - im * xi, re * xi + im * xr
+                sd *= xd
+            return Scalar(QI, re, im, sd * den) if lazy else _qi(re, im, sd * den)
+    except AttributeError:              # a factor is not a Scalar
+        return _sum_any(terms, den, scale)
+    return _sum_tower(terms, den, scale)   # a factor lies in a tower
 
 
-def _dot_tower(xs, ys):
-    """dot for Scalars of one tower, in its deepest field among them."""
-    field, total, den = QI, [], 1
-    for x, y in zip(xs, ys):
-        if x._field.depth > y._field.depth:
-            x, y = y, x
-        f = x._field
-        field = _deeper(field, _deeper(f, y._field))
-        (xv, xd), (yv, yd) = _num(x), _num(y)
-        if not any(xv) or not any(yv):
-            continue
-        z, d = _blocks(f, xv, yv), xd * yd
-        if not total:
-            total, den = z, d
-            continue
-        if d != den:
-            total, z, den = [t * d for t in total], [t * den for t in z], den * d
-        total += [0] * (len(z) - len(total))
-        total[:len(z)] = [s + t for s, t in zip(total, z)]
-    return _flat(field, total + [0] * (field._size - len(total)), den)
+def dot(xs, ys):
+    """The exact sum of x_k * y_k over two equal-length sequences: the
+    two-factor sum_of_products."""
+    if len(xs) == 2:                    # most calls (2x2 matrices, vectors)
+        (x, u), (y, v) = xs, ys
+        return sum_of_products(((1, x, y), (1, u, v)))
+    return sum_of_products([(1, x, y) for x, y in zip(xs, ys)])
+
+
+def _times(f, v, g, w):
+    """(level, numerators) of v w for numerator tuples v of level f and w of
+    level g, one tower: a lower factor multiplies each block of the other."""
+    if g is f:
+        return f, _mul(f, v, w)
+    if _deeper(f, g) is g:
+        return g, _blocks(f, v, w)
+    return f, _blocks(g, w, v)
+
+
+def _sum_tower(terms, den, scale):
+    """sum_of_products for Scalars of one tower, in its deepest field."""
+    field, total, tden = QI, [], 1
+    try:
+        for term in terms:
+            x = term[1]
+            f = x._field
+            v, d = _num(x)
+            live = any(v)
+            for x in term[2:]:
+                if live and not x.is_zero():
+                    xv, xd = _num(x)
+                    f, v = _times(f, v, x._field, xv)
+                    d *= xd
+                else:
+                    f, live = _deeper(f, x._field), False
+            field = _deeper(field, f)
+            if not live:
+                continue
+            if term[0] != 1:
+                v = [term[0] * t for t in v]
+            if not total:
+                total, tden = list(v), d
+                continue
+            if d != tden:               # over the lcm of the denominators
+                g = gcd(d, tden)
+                dg, eg = d // g, tden // g
+                total, v, tden = [t * dg for t in total], [t * eg for t in v], tden * dg
+            total += [0] * (len(v) - len(total))
+            total[:len(v)] = [s + t for s, t in zip(total, v)]
+        total += [0] * (field._size - len(total))
+        if scale is not None:
+            if any(total):
+                xv, xd = _num(scale)
+                field, total = _times(field, total, scale._field, xv)
+                tden *= xd
+            else:
+                field = _deeper(field, scale._field)
+                total = [0] * field._size
+    except AttributeError:              # a factor is not a Scalar
+        return _sum_any(terms, den, scale)
+    return _flat(field, total, tden * den)
+
+
+def _sum_any(terms, den, scale):
+    """sum_of_products with Scalar, int and Poly arithmetic."""
+    total = 0
+    for term in terms:
+        t = term[1]
+        for x in term[2:]:
+            t = t * x
+        if term[0] != 1:
+            t = t * term[0]
+        total = total + t
+    if scale is not None:
+        total = total * scale
+    return total if den == 1 else total * Fraction(1, den)
 
 
 # -- serialization -----------------------------------------------------------

@@ -8,8 +8,9 @@ condition (every B_i(x, -) nonzero and some a_i B_i(x, x) nonzero).  The
 cocharacter, expressed in a basis adapted to x, such that every coordinate
 carrying positive weight vanishes at the point and which pairs positively
 with the character.  Each unstable branch moves the point to its adapted
-basis at most once; the verdict is the first candidate certificate that
-`verify_certificate` accepts there, so the search is the re-verification.
+basis at most once and reads its coordinates once; the verdict is the first
+candidate certificate that passes the check `verify_certificate` makes, so
+the search is the re-verification.
 """
 
 from __future__ import annotations
@@ -66,28 +67,33 @@ def verify_certificate(p: PointHV, cert: Cocharacter, chi: Character,
                        adapting: Optional[GroupElement] = None) -> bool:
     """Mechanical re-verification: positive pairing with chi, and every
     positively weighted coordinate (including x) vanishes at the point."""
-    if pair(chi, cert) <= 0:
-        return False
     q = act(adapting, p) if adapting is not None else p
-    weights = coordinate_weights(cert)
-    coords = q.coords()
-    for w, c in zip(weights, coords):
-        if w > 0 and not c.is_zero():
-            return False
-    for w, c in zip(cert.w, (q.x.a, q.x.b)):
-        if w > 0 and not c.is_zero():
-            return False
-    return True
+    return _certifies(q.coords() + (q.x.a, q.x.b), cert, chi)
+
+
+@cache
+def _positive_coordinates(cert: Cocharacter):
+    """The indices into coords() + (x1, x2) that cert weights positively."""
+    weights = coordinate_weights(cert) + tuple(cert.w)
+    return tuple(k for k, w in enumerate(weights) if w > 0)
+
+
+def _certifies(values, cert: Cocharacter, chi: Character) -> bool:
+    """cert pairs positively with chi, and every coordinate it weights
+    positively is zero among the values coords() + (x1, x2) of a point."""
+    return pair(chi, cert) > 0 and all(
+        values[k].is_zero() for k in _positive_coordinates(cert))
 
 
 def _unstable(q: PointHV, chi: Character, candidates,
               adapting: Optional[GroupElement] = None) -> StabilityVerdict:
     """The unstable verdict for the first (description, cocharacter) of
     `candidates` that re-verifies at q, the point already moved by
-    `adapting`.  None re-verifying raises explicitly, so the check also runs
-    under python -O."""
+    `adapting`, whose coordinates are read once.  None re-verifying raises
+    explicitly, so the check also runs under python -O."""
+    values = q.coords() + (q.x.a, q.x.b)
     for subset, cert in candidates:
-        if verify_certificate(q, cert, chi):
+        if _certifies(values, cert, chi):
             return StabilityVerdict(
                 UNSTABLE, chi, certificate=cert, subset=subset,
                 adapting=GroupElement.identity() if adapting is None else adapting)

@@ -19,8 +19,8 @@ from d4vgit.equations import (
 )
 from d4vgit.gitcore import PointHV, act, point_from_json, point_to_json
 from d4vgit.mckay import base_point
-from d4vgit.sampling import rand_group_element, rand_z_point
-from d4vgit.scalars import QI
+from d4vgit.sampling import rand_group_element, rand_scalar, rand_z_point
+from d4vgit.scalars import QI, adjoin_sqrt
 
 
 class TestJPairing:
@@ -79,52 +79,82 @@ class TestResiduals:
 
     def test_sympy_oracle(self):
         """Independent expansion of all 24 entries on random points."""
-        a = sp.symbols("a1 a2 a3")
-        b = sp.Symbol("b")
-        B = [sp.symbols("p%d q%d r%d" % (i, i, i)) for i in (1, 2, 3)]
-        om = a[0] * a[1] * a[2] * b ** 2
-        half = sp.Rational(1, 2)
-        btil = [sp.Matrix([t[0], half * t[1], t[2]]) for t in B]
-        J = sp.Matrix([[0, 0, 1], [0, -half, 0], [1, 0, 0]])
-        E1 = sum((a[i] * btil[i] * btil[i].T for i in range(3)),
-                 sp.zeros(3, 3)) - om / 2 * J
-
-        def jp(u, v):
-            return u[0] * v[2] + u[2] * v[0] - u[1] * v[1] / 2
-
-        E2 = sp.Matrix(3, 3, lambda i, j: a[j] * jp(B[i], B[j])
-                       - (om / 2 if i == j else 0))
-        E3 = sp.zeros(3, 3)
-        for i, jj, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            u, v = B[jj], B[k]
-            w = (u[1] * v[2] - u[2] * v[1], -(u[0] * v[2] - u[2] * v[0]),
-                 u[0] * v[1] - u[1] * v[0])
-            rhs = (b * a[i] * B[i][2], -b * a[i] * B[i][1] / 2, b * a[i] * B[i][0])
-            for c in range(3):
-                E3[i, c] = w[c] - rhs[c]
-
+        symbols, expected = _sympy_residuals()
         rng = random.Random(2)
         for _ in range(5):
-            vals = {}
-            for s in list(a) + [b] + [s for t in B for s in t]:
-                vals[s] = sp.Rational(rng.randint(-3, 3), rng.randint(1, 2))
-            point = PointHV.make(
-                [QI.scalar(Fraction(int(vals[a[i]].p), int(vals[a[i]].q)))
-                 for i in range(3)],
-                QI.scalar(Fraction(int(vals[b].p), int(vals[b].q))),
-                [[QI.scalar(Fraction(int(vals[s].p), int(vals[s].q))) for s in t]
-                 for t in B],
-                (0, 0),
-            )
+            vals = {s: sp.Rational(rng.randint(-3, 3), rng.randint(1, 2)) for s in symbols}
+            coords = [QI.scalar(Fraction(int(vals[s].p), int(vals[s].q))) for s in symbols]
+            point = PointHV.make(coords[:3], coords[3], (coords[4:7], coords[7:10],
+                                                         coords[10:13]), (0, 0))
             got = residuals(point)
-            exp_e1 = [sp.nsimplify(E1[m, n].subs(vals)) for m in range(3)
-                      for n in range(m, 3)]
-            exp_e2 = [E2[i, j].subs(vals) for i in range(3) for j in range(3)]
-            exp_e3 = [E3[i, c].subs(vals) for i in range(3) for c in range(3)]
-            for mine, ref in zip(list(got.e1) + list(got.e2) + list(got.e3),
-                                 exp_e1 + exp_e2 + exp_e3):
-                ref = sp.nsimplify(ref)
+            for mine, ref in zip(list(got.e1) + list(got.e2) + list(got.e3), expected):
+                ref = sp.nsimplify(ref.subs(vals))
                 assert mine == QI.scalar(Fraction(int(ref.p), int(ref.q)))
+
+    def test_sympy_oracle_on_tower_points(self):
+        """The same expansion on a point of Q(i)(sqrt 2)(sqrt 3) with Gaussian
+        leaves of height 2^64, every coordinate read as a sympy radical
+        expression, each difference expanded to exactly zero (about 4 s)."""
+        field, s1 = adjoin_sqrt(QI, 2)
+        field, s2 = adjoin_sqrt(field, 3)
+        symbols, expected = _sympy_residuals()
+        rng = random.Random(3)
+
+        def leaf():
+            return rand_scalar(rng, 2 ** 64)
+
+        coords = [field.lift(leaf()) + s1 * leaf() + s2 * (leaf() + s1 * leaf())
+                  for _ in symbols]
+        point = PointHV.make(coords[:3], coords[3], (coords[4:7], coords[7:10],
+                                                     coords[10:13]), (0, 0))
+        vals = dict(zip(symbols, map(_to_sympy, coords)))
+        got = residuals(point)
+        entries = list(got.e1) + list(got.e2) + list(got.e3)
+        assert all(e.field is field for e in entries)
+        for mine, ref in zip(entries, expected):
+            assert sp.expand(_to_sympy(mine) - ref.subs(vals)) == 0
+
+
+def _sympy_residuals():
+    """(the 13 coordinate symbols a1 a2 a3 b p1 q1 r1 ..., the 24 residual
+    entries in e1, e2, e3 order), expanded from the equations in sympy."""
+    a = sp.symbols("a1 a2 a3")
+    b = sp.Symbol("b")
+    B = [sp.symbols("p%d q%d r%d" % (i, i, i)) for i in (1, 2, 3)]
+    om = a[0] * a[1] * a[2] * b ** 2
+    half = sp.Rational(1, 2)
+    btil = [sp.Matrix([t[0], half * t[1], t[2]]) for t in B]
+    J = sp.Matrix([[0, 0, 1], [0, -half, 0], [1, 0, 0]])
+    E1 = sum((a[i] * btil[i] * btil[i].T for i in range(3)),
+             sp.zeros(3, 3)) - om / 2 * J
+
+    def jp(u, v):
+        return u[0] * v[2] + u[2] * v[0] - u[1] * v[1] / 2
+
+    E2 = sp.Matrix(3, 3, lambda i, j: a[j] * jp(B[i], B[j])
+                   - (om / 2 if i == j else 0))
+    E3 = sp.zeros(3, 3)
+    for i, jj, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        u, v = B[jj], B[k]
+        w = (u[1] * v[2] - u[2] * v[1], -(u[0] * v[2] - u[2] * v[0]),
+             u[0] * v[1] - u[1] * v[0])
+        rhs = (b * a[i] * B[i][2], -b * a[i] * B[i][1] / 2, b * a[i] * B[i][0])
+        for c in range(3):
+            E3[i, c] = w[c] - rhs[c]
+    symbols = list(a) + [b] + [s for t in B for s in t]
+    return symbols, ([E1[m, n] for m in range(3) for n in range(m, 3)]
+                     + [E2[i, j] for i in range(3) for j in range(3)]
+                     + [E3[i, c] for i in range(3) for c in range(3)])
+
+
+def _to_sympy(x):
+    """A Scalar as a sympy expression in I and the square roots of its tower."""
+    if x.field.is_base:
+        re, im = x.payload
+        return sp.Rational(re.numerator, re.denominator) + sp.I * sp.Rational(
+            im.numerator, im.denominator)
+    low, high = x.payload
+    return _to_sympy(low) + _to_sympy(high) * sp.sqrt(_to_sympy(x.field.d))
 
 
 class TestOpenLocus:
@@ -241,6 +271,25 @@ def count_residual_entries(monkeypatch):
 
     monkeypatch.setattr(equations, "residual_entries", counting)
     return calls
+
+
+@pytest.mark.parametrize("height", [2, 2 ** 8, 2 ** 64])
+def test_residual_entries_reduce_each_entry_once(monkeypatch, height):
+    """At the base level the 24 residual entries are 24 reduced values
+    (scalars._qi, the one builder of a reduced base-level Scalar): omega,
+    the pairings and beta a_i are shared unreduced."""
+    import d4vgit.scalars as scalars
+    from d4vgit.equations import residual_entries
+    rng = random.Random(16)
+    points = [rand_z_point(rng, height) for _ in range(3)]
+    points.append(act(rand_group_element(rng, height), points[0]))
+    reduced = []
+    real = scalars._qi
+    monkeypatch.setattr(scalars, "_qi", lambda *args: reduced.append(args) or real(*args))
+    for p in points:
+        reduced.clear()
+        e1, e2, e3 = residual_entries(p.alpha, p.beta, p.B)
+        assert len(e1) + len(e2) + len(e3) == 24 and len(reduced) == 24
 
 
 def test_suite_equations_evaluates_residuals_once_per_point(count_residual_entries):

@@ -2,6 +2,8 @@
 
 import json
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,7 +15,7 @@ from d4vgit.gitcore import (
 from d4vgit.equations import residuals
 from d4vgit.linalg import Mat2, Mat3, Vec2, sym_square
 from d4vgit.sampling import rand_group_element, rand_point_hv, rand_scalar, rand_z_point
-from d4vgit.scalars import QI, adjoin_sqrt
+from d4vgit.scalars import QI, Scalar, adjoin_sqrt
 from d4vgit.suites import REFERENCE_WEIGHT_TABLE
 
 
@@ -165,12 +167,12 @@ def ref_act(h, p):
     )
 
 
-def _depth2(rng):
+def _depth2(rng, height=5):
     field, s1 = adjoin_sqrt(QI, 2)
     field, s2 = adjoin_sqrt(field, 3)
 
     def elem():
-        r = [rand_scalar(rng, 5) for _ in range(4)]
+        r = [rand_scalar(rng, height) for _ in range(4)]
         # some entries keep a zero half, as lifted operands do
         if rng.random() < 0.3:
             r[1] = r[3] = QI.zero()
@@ -178,15 +180,15 @@ def _depth2(rng):
     return field, elem
 
 
-def _depth2_point(rng):
-    _, elem = _depth2(rng)
+def _depth2_point(rng, height=5):
+    _, elem = _depth2(rng, height)
     return PointHV.make([elem() for _ in range(3)], elem(),
                         [[elem() for _ in range(3)] for _ in range(3)],
                         (elem(), elem()))
 
 
-def _depth2_group_element(rng):
-    _, elem = _depth2(rng)
+def _depth2_group_element(rng, height=5):
+    _, elem = _depth2(rng, height)
     while True:
         t = tuple(elem() for _ in range(3))
         g = Mat2(elem(), elem(), elem(), elem())
@@ -222,6 +224,88 @@ def test_group_law_on_depth2_points():
         p = _depth2_point(rng)
         lhs, rhs = act(h1, act(h2, p)), act(h1 * h2, p)
         assert lhs.same_h_part(rhs) and lhs.x == rhs.x
+
+
+def test_group_law_on_depth2_points_of_large_height():
+    rng = random.Random(14)
+    h1, h2 = (_depth2_group_element(rng, 2 ** 64) for _ in range(2))
+    p = _depth2_point(rng, 2 ** 64)
+    lhs, rhs = act(h1, act(h2, p)), act(h1 * h2, p)
+    assert lhs.same_h_part(rhs) and lhs.x == rhs.x
+
+
+def _count_calls(monkeypatch, name):
+    """The argument tuples of every call to scalars.<name> from now on."""
+    import d4vgit.scalars as scalars
+    calls = []
+    real = getattr(scalars, name)
+    monkeypatch.setattr(scalars, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("height", [2, 2 ** 8, 2 ** 64])
+def test_act_reduces_each_output_once(monkeypatch, height):
+    """A base-level act builds at most 20 reduced values (scalars._qi, the
+    one builder of a reduced base-level Scalar): its 15 output coordinates
+    plus det g, its inverse and the three t_i inverses."""
+    rng = random.Random(15)
+    cases = [(rand_group_element(rng, height), rand_z_point(rng, height)) for _ in range(4)]
+    reduced = _count_calls(monkeypatch, "_qi")
+    for h, p in cases:
+        reduced.clear()
+        act(h, p)
+        assert len(reduced) <= 20
+
+
+def test_tower_act_reduces_at_most_37_values(monkeypatch):
+    """act by a depth-1 tower element on a depth-1 translate of b*
+    reduces (scalars._flat) at most 37 times: the shared factors, the
+    inverses and one reduction per output."""
+    from d4vgit.mckay import base_point
+    from d4vgit.sampling import rand_tower_group_element
+    cases = []
+    for seed in range(4):
+        rng = random.Random(seed)
+        h = rand_tower_group_element(rng, 1)
+        cases.append((h.compose(rand_group_element(rng)), act(h, base_point())))
+    reduced = _count_calls(monkeypatch, "_flat")
+    for h, p in cases:
+        reduced.clear()
+        q = act(h, p)
+        assert q.beta.field.depth == 1 and len(reduced) <= 37
+
+
+def _assert_reduced(x):
+    """x is a canonical Scalar: one positive denominator coprime to the
+    numerators."""
+    assert type(x) is Scalar
+    if x.field.is_base:
+        re, im, den = x.triple
+        nums = (re, im)
+    else:
+        nums, den = x._x, x._y
+    assert den > 0 and gcd(*nums, den) == 1
+
+
+@pytest.mark.parametrize("height", [2, 2 ** 8])
+def test_no_lazy_factor_escapes(height):
+    """act and residual_entries share unreduced (lazy) factors at the base
+    level; every value they return, and so every coordinate of a PointHV
+    they build, is reduced.  Even denominators make the shared squares and
+    products of the group entries unreduced."""
+    from d4vgit.equations import residual_entries
+    rng = random.Random(17)
+    field, s = adjoin_sqrt(QI, 2)
+    for _ in range(6):
+        h = rand_group_element(rng, height)
+        h2 = GroupElement.make(tuple(t * 2 for t in h.t), h.g.scale(QI.scalar(Fraction(1, 2))))
+        p = rand_z_point(rng, height)
+        for q in (act(h, p), act(h2, p), act(h2, _lifted_point(p, field))):
+            for x in q.coords() + (q.x.a, q.x.b):
+                _assert_reduced(x)
+            for entries in residual_entries(q.alpha, q.beta, q.B):
+                for x in entries:
+                    _assert_reduced(x)
 
 
 def _lifted_point(p, field):

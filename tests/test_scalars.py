@@ -1,5 +1,6 @@
 """Base-level field axioms and arithmetic against a Fraction-pair reference,
-tower construction and square roots, serialization, base-level dot.
+tower construction and square roots, serialization, base-level dot and
+sum_of_products.
 
 Tower arithmetic is checked against the pair-recursive reference in
 test_tower_reference.py."""
@@ -16,7 +17,7 @@ from d4vgit.poly import Poly
 from d4vgit.scalars import (
     QI, DegenerateExtensionError, ExtensionLimitError, adjoin_sqrt,
     as_scalar, dot, format_scalar, lower, parse_scalar, scalar_from_json,
-    scalar_to_json,
+    scalar_to_json, sum_of_products,
 )
 
 
@@ -347,3 +348,50 @@ class TestDot:
         assert got == a * b * 2 + a * b * half
         assert str(got) == str(a * b * Fraction(3, 2))
         assert dot((3, QI.i()), (QI.i(), 2)) == QI.scalar(0, 5)
+
+
+# -- sum_of_products: the kernel dot is the two-factor case of -----------------
+
+
+def ref_sum_of_products(terms, den, scale):
+    """Term by term: each coefficient times its factors, the sum times
+    scale (if any), over den."""
+    total = (Fraction(0), Fraction(0))
+    for c, factors in terms:
+        value = (Fraction(c), Fraction(0))
+        for f in factors:
+            value = ref_mul(value, f)
+        total = ref_add(total, value)
+    if scale is not None:
+        total = ref_mul(total, scale)
+    return (total[0] / den, total[1] / den)
+
+
+factors_or_zero = st.one_of(pairs, st.just((0, 0)))
+
+
+class TestSumOfProducts:
+    @given(terms=st.lists(st.tuples(st.integers(-3, 3),
+                                    st.lists(factors_or_zero, min_size=1, max_size=5)),
+                          max_size=5),
+           den=st.integers(1, 6), scale=st.one_of(st.none(), factors_or_zero))
+    @settings(max_examples=100)
+    def test_matches_the_term_by_term_reference(self, terms, den, scale):
+        """Arities 1-5, small integer coefficients, a scale factor or none,
+        empty sums, zero factors and heights up to 2^256; a lazy value is
+        the same number."""
+        args = ([(c,) + tuple(QI.scalar(*f) for f in fs) for c, fs in terms], den,
+                None if scale is None else QI.scalar(*scale))
+        got = normalized(sum_of_products(*args))
+        assert got.payload == ref_sum_of_products(terms, den, scale)
+        lazy = sum_of_products(*args, lazy=True)
+        assert lazy.payload == got.payload
+        assert normalized(sum_of_products(((1, lazy), (-1, got)))).triple == (0, 0, 1)
+
+    def test_polynomials_and_ints_are_summed_term_by_term(self):
+        V = ("a", "b")
+        a, b = Poly.variable("a", V), Poly.variable("b", V)
+        got = sum_of_products(((2, a, b, a), (-1, b), (3, QI.i(), a)), 4, b)
+        assert isinstance(got, Poly)
+        assert got == (a * a * b * 2 - b + a * QI.i() * 3) * b / 4
+        assert sum_of_products(((3, QI.i(), 2), (1, QI.one())), 2) == QI.scalar(Fraction(1, 2), 3)

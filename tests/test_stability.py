@@ -289,6 +289,26 @@ class TestCheckOnce:
                     oracle(point)
                     assert len(calls) <= 1, (desc, oracle.__name__)
 
+    def test_certificate_search_reads_the_point_once(self, monkeypatch):
+        """The theta search checks every candidate against one read of the
+        moved point's coordinates, however many candidates it rejects."""
+        rng = random.Random(5)
+        points = [point for _, p in engineered_unstable_points(rng)
+                  for point in (p, act(rand_group_element(rng), p))]
+        for p in points:                 # weight rows and point caches warm
+            semistable_theta(p)
+        reads = []
+        real = PointHV.coords
+        monkeypatch.setattr(PointHV, "coords", lambda q: reads.append(q) or real(q))
+        subsets = set()
+        for p in points:
+            reads.clear()
+            v = semistable_theta(p)
+            assert v.status == "unstable" and len(reads) == 1, v.subset
+            subsets.add(v.subset)
+        # most verdicts are not the first candidate in the table
+        assert len(subsets) >= 8
+
     def test_certificate_recheck_survives_optimize(self):
         """Under python -O a certificate that fails re-verification still
         makes each unstable branch of both oracles raise."""
@@ -303,7 +323,7 @@ class TestCheckOnce:
             from d4vgit.gitcore import PointHV
             from d4vgit.mckay import base_point
 
-            stability.verify_certificate = lambda *args, **kwargs: False
+            stability._certifies = lambda *args: False
             zero_b = ((0, 0, 0),) * 3
             zero = PointHV.make((0, 0, 0), 0, zero_b, (1, 0))
             beta_zero = PointHV.make((1, 1, 1), 0, zero_b, (1, 0))

@@ -40,8 +40,8 @@ from math import gcd
 import pytest
 
 from d4vgit.scalars import (
-    QI, adjoin_sqrt, dot, format_scalar, lower, scalar_from_json,
-    scalar_to_json,
+    QI, adjoin_sqrt, deepest_field, dot, format_scalar, lower, scalar_from_json,
+    scalar_to_json, sum_of_products,
 )
 
 # -- the pair-recursive reference -----------------------------------------------
@@ -139,6 +139,20 @@ def tree_dot(f, xs, ys):
     if yv_x:
         low = add(g, low, times_d(f, tree_dot(g, yv_x, yv_y)))
     return (low, tree_dot(g, high_x, high_y) if high_x else tree_zero(g))
+
+
+def tree_sum_of_products(f, terms, den, scale):
+    """Term by term: each product by mul from its coefficient, the sum by
+    add, times scale (if any), and 1/den leaf by leaf."""
+    total = tree_zero(f)
+    for c, *factors in terms:
+        value = tree_lift(QI.scalar(c), QI, f)
+        for x in factors:
+            value = mul(f, value, tree_lift(tree(x), x.field, f))
+        total = add(f, total, value)
+    if scale is not None:
+        total = mul(f, total, tree_lift(tree(scale), scale.field, f))
+    return times_leaf(f, total, QI.scalar(Fraction(1, den)))
 
 
 def tree_format(f, t):
@@ -294,6 +308,39 @@ def test_dot_matches_reference(depth, d_in_tower, integral):
         want = tree_dot(f, [tree_lift(tree(x), x.field, f) for x in xs],
                         [tree_lift(tree(y), y.field, f) for y in ys])
         assert tree(got) == want and dot(ys, xs) == got
+
+
+@pytest.mark.parametrize("depth, d_in_tower, integral",
+                         [(0, False, False)] + TOWER_KINDS, ids=["qi"] + KIND_IDS)
+def test_sum_of_products_matches_reference(depth, d_in_tower, integral):
+    """Arities 1-5, coefficients -3..3, a denominator, a scale factor or
+    none, empty sums, operands of every level with zero ones among them,
+    depths 0-3 and heights 2^8-2^256: the sum lies in the deepest field of
+    all the factors, a zero one of that field included."""
+    chain = levels(tower_of(depth, d_in_tower, integral))
+    for seed in range(SUM_CASES[depth]):
+        rng = random.Random(seed)
+        terms = []
+        for _ in range(rng.randint(0, 4)):
+            height = rng.choice((2 ** 8, 2 ** 64, 2 ** 256))
+            factors = [element(rng, rng.choice(chain), height)
+                       for _ in range(rng.randint(1, 5))]
+            if rng.random() < 0.3:
+                factors[rng.randrange(len(factors))] = rng.choice(chain).zero()
+            terms.append((rng.randint(-3, 3),) + tuple(factors))
+        den = rng.randint(1, 6)
+        scale = element(rng, rng.choice(chain), 2 ** 8) if rng.random() < 0.5 else None
+        f = deepest_field([x for term in terms for x in term[1:]]
+                          + ([] if scale is None else [scale]))
+        want = tree_sum_of_products(f, terms, den, scale)
+        got = sum_of_products(terms, den, scale)
+        assert got.field is f and tree(got) == want, seed
+        assert_canonical(got)
+        lazy = sum_of_products(terms, den, scale, lazy=True)
+        assert tree(sum_of_products(((1, lazy),))) == want, seed
+
+
+SUM_CASES = {0: 100, 1: 60, 2: 40, 3: 24}     # sums per tower depth
 
 
 @KIND
