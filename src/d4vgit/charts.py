@@ -15,8 +15,10 @@ by the free ones a_j, a_k, beta, p_j, p_k,
 
 (dependent_coordinates, the one place these are written), and what is left
 is N = 1 + a_j p_j^2 + a_k p_k^2 = 0.  A ChartPoint is its five free
-coordinates; normalize, where a point enters a chart, checks the moved
-point against the five relations once.  chart_closure_check verifies
+coordinates, and computes the dependent ones once; normalize, where a point
+enters a chart, checks the moved point against the ChartPoint's own
+dependent coordinates, once.  Every invariant the charts validate is one
+zero test of an unreduced sum of products.  chart_closure_check verifies
 symbolically that the relations, written over the five free generators,
 reduce every one of the 24 residual components of the defining equations
 to a multiple of N.
@@ -36,12 +38,12 @@ from typing import Optional
 from .equations import (
     E1_LABELS, E2_LABELS, E3_LABELS, ContractViolation, on_Z, residual_entries,
 )
-from .gitcore import GroupElement, PointHV, act, apply_form_matrix, form_matrix
+from .gitcore import GroupElement, PointHV, act
 from .linalg import Mat2, Vec2
 from .poly import Poly
-from .quiver import QuiverRep, form_contraction
-from .scalars import QI, Scalar
-from .stability import adapting_element
+from .quiver import QuiverRep
+from .scalars import QI, Scalar, sum_of_products
+from .stability import adapting_matrix
 
 
 class ChartError(ContractViolation):
@@ -56,12 +58,16 @@ def _cyclic(i):
 def dependent_coordinates(alpha_j, alpha_k, beta, p_j, p_k):
     """(q_j, q_k, r, r_j, r_k) from the free chart coordinates, over any
     commutative ring with division by 4 (Scalars, or Polys for the closure
-    check): the five chart relations.  The chart index i is implicit: the
-    formulas are the same in every chart, with (j, k) its cyclic successors.
+    check): the five chart relations, one sum_of_products per output, with
+    omega shared lazily.  The chart index i is implicit: the formulas are
+    the same in every chart, with (j, k) its cyclic successors.
     """
-    r = alpha_j * alpha_k * beta * beta / 4
-    return (beta * alpha_k * p_k, -(beta * alpha_j * p_j),
-            r, -(r * p_j), -(r * p_k))
+    om = sum_of_products(((1, alpha_j, alpha_k, beta, beta),), lazy=True)
+    return (sum_of_products(((1, beta, alpha_k, p_k),)),
+            sum_of_products(((-1, beta, alpha_j, p_j),)),
+            sum_of_products(((1, om),), 4),
+            sum_of_products(((-1, om, p_j),), 4),
+            sum_of_products(((-1, om, p_k),), 4))
 
 
 # the relation each entry of dependent_coordinates satisfies, in its order
@@ -95,15 +101,15 @@ class ChartPoint:
 
     @property
     def omega(self):
-        return self.alpha_j * self.alpha_k * self.beta * self.beta
+        return sum_of_products(((1, self.alpha_j, self.alpha_k, self.beta, self.beta),))
 
     def validate(self):
+        aj, ak, pj, pk = self.alpha_j, self.alpha_k, self.p_j, self.p_k
         checks = (
             ("1 + a_j p_j^2 + a_k p_k^2 = 0",
-             (QI.one() + self.alpha_j * self.p_j ** 2
-              + self.alpha_k * self.p_k ** 2).is_zero()),
-            ("(p_j, q_j) != 0", not (self.p_j.is_zero() and self.q_j.is_zero())),
-            ("(p_k, q_k) != 0", not (self.p_k.is_zero() and self.q_k.is_zero())),
+             _vanishes((1, QI.one()), (1, aj, pj, pj), (1, ak, pk, pk))),
+            ("(p_j, q_j) != 0", not (pj.is_zero() and self.q_j.is_zero())),
+            ("(p_k, q_k) != 0", not (pk.is_zero() and self.q_k.is_zero())),
         )
         for name, ok in checks:
             if not ok:
@@ -112,9 +118,15 @@ class ChartPoint:
 
     def torus_invariants(self):
         """Functions invariant under the residual GL(L_j) x GL(L_k) torus."""
-        return (self.alpha_j * self.p_j ** 2,
-                self.alpha_k * self.p_k ** 2,
+        return (sum_of_products(((1, self.alpha_j, self.p_j, self.p_j),)),
+                sum_of_products(((1, self.alpha_k, self.p_k, self.p_k),)),
                 self.omega)
+
+
+def _vanishes(*terms):
+    """Whether the sum of the products (c, x_1, ..., x_k) is zero: one zero
+    test of the unreduced sum."""
+    return sum_of_products(terms, lazy=True).is_zero()
 
 
 def normalize(p: PointHV, index: int) -> ChartPoint:
@@ -128,36 +140,49 @@ def normalize(p: PointHV, index: int) -> ChartPoint:
     be nonzero, which ChartPoint.validate checks as (p, q) != 0.  The whole
     normalizer is built from leg i alone, then the point moves once.  This is
     where a point enters a chart, so the five chart relations are checked
-    here, against the moved point's B-entries, and nowhere else.
+    here, once: the moved point's B-entries against the ChartPoint's own
+    dependent coordinates.
     """
     if not on_Z(p):
         raise ContractViolation("normalize called off Z")
     i = index - 1
-    spanning = p.alpha[i] * form_contraction(p.B[i], p.x)(p.x)
-    if spanning.is_zero():
+    # step 1: h0 = (1, g0) moves x to e1, and g0^-1 = K has first column x;
+    # leg i of act(h0, p) is B_i o K, so p_i = B_i(x, x), q_i = 2 B_i(x, K e2)
+    x1, x2 = p.x
+    K = adapting_matrix(p.x)
+    pB, qB, rB = p.B[i]
+    w1, w2 = K.b, K.d
+    pi = sum_of_products(((1, pB, x1, x1), (1, qB, x1, x2), (1, rB, x2, x2)))
+    if p.alpha[i].is_zero() or pi.is_zero():       # the witness a_i B_i(x, x)
         raise ChartError("index %d is not a witnessing index for this point"
                          % index)
-    # step 1: h0 moves x to e1; leg i of act(h0, p), as h0's torus part is 1
-    h0 = adapting_element(p.x)
-    g0 = h0.g
-    ai = g0.det() * p.alpha[i]
-    pi, qi, _ = apply_form_matrix(form_matrix(g0.inverse()), p.B[i])
-    # step 2: h1 shears and scales, fixing e1; then one move by h1 h0
-    b = qi / (pi * 2)
-    d = (ai * pi * pi).inverse()
-    g1 = Mat2(QI.one(), b, QI.zero(), d)
+    qi = sum_of_products(((2, pB, x1, w1), (1, qB, x1, w2), (1, qB, x2, w1),
+                          (2, rB, x2, w2)))
+    # step 2: g1 = (1 b; 0 d) shears and scales, fixing e1, with
+    # a_i = det(g0) alpha_i = alpha_i / det K; then one move by
+    # h = (t, g1 g0), g1 g0 = g1 adj(K) / det K.  d and p_i are nonzero, so
+    # h is invertible by construction.
+    det_k = K.det()
+    kinv, pinv = det_k.inverse(), pi.inverse()
+    b = sum_of_products(((1, qi, pinv),), 2)                        # q_i / 2 p_i
+    d = sum_of_products(((1, det_k, pinv, pinv),)) / p.alpha[i]     # 1 / a_i p_i^2
+    adj = K.adjugate()
+    g = Mat2(sum_of_products(((1, adj.a), (1, b, adj.c)), scale=kinv),
+             sum_of_products(((1, adj.b), (1, b, adj.d)), scale=kinv),
+             sum_of_products(((1, d, adj.c),), scale=kinv),
+             sum_of_products(((1, d, adj.d),), scale=kinv))
     t = [QI.one(), QI.one(), QI.one()]
-    t[i] = pi.inverse()
-    h = GroupElement.make(tuple(t), g1).compose(h0)
+    t[i] = pinv
+    h = GroupElement(tuple(t), g)
     q = act(h, p)
     j, k = _cyclic(i)
-    (p_j, q_j, r_j), (p_k, q_k, r_k) = q.B[j], q.B[k]
-    fixed = dependent_coordinates(q.alpha[j], q.alpha[k], q.beta, p_j, p_k)
-    for name, want, got in zip(_RELATIONS, fixed, (q_j, q_k, q.B[i][2], r_j, r_k)):
+    c = ChartPoint(index, q.alpha[j], q.alpha[k], q.beta, q.B[j][0], q.B[k][0],
+                   normalizer=h)
+    moved = (q.B[j][1], q.B[k][1], q.B[i][2], q.B[j][2], q.B[k][2])
+    for name, want, got in zip(_RELATIONS, (c.q_j, c.q_k, c.r, c.r_j, c.r_k), moved):
         if want != got:
             raise ChartError("chart invariant failed: %s" % name)
-    return ChartPoint(index, q.alpha[j], q.alpha[k], q.beta, p_j, p_k,
-                      normalizer=h)
+    return c
 
 
 def chart_equivalent(c1: ChartPoint, c2: ChartPoint):
@@ -207,22 +232,20 @@ class HatChart:
 
     @property
     def omega(self):
-        return self.beta * self.beta * self.alpha_j * self.alpha_k
+        return sum_of_products(((1, self.beta, self.beta, self.alpha_j, self.alpha_k),))
 
     def validate(self):
-        one = QI.one()
+        aj, ak, bh = self.alpha_j, self.alpha_k, self.beta
+        pj, qj, pk, qk = self.p_j, self.q_j, self.p_k, self.q_k
         checks = (
             ("ah_j ph_j^2 + ah_k ph_k^2 + 1 = 0",
-             (self.alpha_j * self.p_j ** 2 + self.alpha_k * self.p_k ** 2
-              + one).is_zero()),
+             _vanishes((1, aj, pj, pj), (1, ak, pk, pk), (1, QI.one()))),
             ("ah_j ph_j qh_j + ah_k ph_k qh_k = 0",
-             (self.alpha_j * self.p_j * self.q_j
-              + self.alpha_k * self.p_k * self.q_k).is_zero()),
+             _vanishes((1, aj, pj, qj), (1, ak, pk, qk))),
             ("ah_j qh_j^2 + ah_k qh_k^2 + wh = 0",
-             (self.alpha_j * self.q_j ** 2 + self.alpha_k * self.q_k ** 2
-              + self.omega).is_zero()),
-            ("qh_j = bh ah_k ph_k", self.q_j == self.beta * self.alpha_k * self.p_k),
-            ("qh_k = -bh ah_j ph_j", self.q_k == -self.beta * self.alpha_j * self.p_j),
+             _vanishes((1, aj, qj, qj), (1, ak, qk, qk), (1, bh, bh, aj, ak))),
+            ("qh_j = bh ah_k ph_k", _vanishes((1, qj), (-1, bh, ak, pk))),
+            ("qh_k = -bh ah_j ph_j", _vanishes((1, qk), (1, bh, aj, pj))),
         )
         for name, ok in checks:
             if not ok:

@@ -36,8 +36,14 @@ class ContractViolation(Exception):
 
 def omega(p: PointHV) -> Scalar:
     """omega = a1 a2 a3 beta^2 (transforms as a section of (det V)^-1)."""
-    a1, a2, a3 = p.alpha
-    return a1 * a2 * a3 * p.beta * p.beta
+    return omega_of(p.alpha, p.beta)
+
+
+def omega_of(alpha, beta, lazy=False):
+    """a1 a2 a3 beta^2 over any commutative ring: one product term, lazy as
+    in sum_of_products."""
+    a1, a2, a3 = alpha
+    return sum_of_products(((1, a1, a2, a3, beta, beta),), lazy=lazy)
 
 
 def j_pairing(u, v):
@@ -77,8 +83,7 @@ def residual_entries(alpha, beta, B):
     denominator.  omega, 2 j_pairing(B_i, B_j) and beta a_i are shared as
     lazy factors.
     """
-    a1, a2, a3 = alpha
-    om = sum_of_products(((1, a1, a2, a3, beta, beta),), lazy=True)
+    om = omega_of(alpha, beta, lazy=True)
 
     e1 = []
     for (m, n), (k, o, den) in _E1.items():
@@ -177,15 +182,18 @@ def open_locus_det(p: PointHV) -> Optional[Scalar]:
     """det B at a point already known to lie on Z, or None off the open locus.
 
     On Z the condition a1 a2 a3 beta != 0 is equivalent to det B != 0, and
-    2 det B = beta^3 a1 a2 a3 holds exactly; both are re-checked here.
+    2 det B = beta^3 a1 a2 a3 holds exactly; both are re-checked here, the
+    identity as one zero test of the unreduced difference.
     """
     a1, a2, a3 = p.alpha
-    if (a1 * a2 * a3 * p.beta).is_zero():
+    beta = p.beta
+    if a1.is_zero() or a2.is_zero() or a3.is_zero() or beta.is_zero():
         return None
     d = det_b(p)
     if d.is_zero():
         raise AssertionError("det B vanished on the open locus")
-    if d + d != p.beta ** 3 * a1 * a2 * a3:
+    if not sum_of_products(((2, d), (-1, beta, beta, beta, a1, a2, a3)),
+                           lazy=True).is_zero():
         raise AssertionError("determinant identity 2 det B = beta^3 a1 a2 a3 failed")
     return d
 
@@ -195,9 +203,10 @@ def semi_invariant_minus_theta(p: PointHV, det: Optional[Scalar] = None) -> Scal
     nonvanishing exactly on the open locus (within Z).  Pass det = det B
     when it is already known."""
     a1, a2, a3 = p.alpha
+    beta = p.beta
     if det is None:
         det = det_b(p)
-    return (a1 * a2 * a3) ** 2 * p.beta ** 2 * det
+    return sum_of_products(((1, a1, a1, a2, a2, a3, a3, beta, beta, det),))
 
 
 def f_pairing(p: PointHV, i: int, j: int) -> Scalar:

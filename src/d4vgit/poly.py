@@ -107,6 +107,8 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Scalar)):     # coefficient-wise
+            return Poly(self.variables, {e: c * other for e, c in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented

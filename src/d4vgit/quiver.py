@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .equations import omega
+from .equations import omega_of
 from .gitcore import PointHV
 from .linalg import Mat2, Vec2
-from .scalars import Scalar, dot
+from .scalars import Scalar, dot, sum_of_products
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,9 @@ def form_contraction(triple, x: Vec2) -> Covector:
 def build_rep(p: PointHV) -> QuiverRep:
     """The representation attached to a point of H x V (defined everywhere)."""
     x = p.x
-    om4 = omega(p) / 4
-    D0 = Covector(-om4 * x.b, om4 * x.a)
+    om = omega_of(p.alpha, p.beta, lazy=True)       # D0 = (omega/4)(x, -)
+    D0 = Covector(sum_of_products(((-1, om, x.b),), 4),
+                  sum_of_products(((1, om, x.a),), 4))
     D = tuple(form_contraction(b, x) for b in p.B)
     E = tuple(Dc.dual_vector().scale(a) for a, Dc in zip(p.alpha, D))
     return QuiverRep(x, D0, D, E)

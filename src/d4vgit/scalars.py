@@ -541,10 +541,11 @@ def sum_of_products(terms, den=1, scale=None, lazy=False):
     field of all the factors, zero ones included.  Other factors (ints,
     Polys) are multiplied and summed term by term.
 
-    lazy=True marks a value used only as a factor of later sums: the base
-    level skips its gcd (the later sum reduces), so it must never be
-    compared, hashed or returned.  A tower reduces it anyway, since there
-    unreduced numerators grow far faster than the gcd costs.
+    lazy=True marks a value used only as a factor of later sums or in a
+    zero test: the base level skips its gcd (the later sum reduces, and
+    is_zero reads the numerators alone), so it must never be compared,
+    hashed or returned.  A tower reduces it anyway, since there unreduced
+    numerators grow far faster than the gcd costs.
     """
     re = im = 0
     sd = 1
@@ -656,18 +657,27 @@ def _sum_tower(terms, den, scale):
 
 
 def _sum_any(terms, den, scale):
-    """sum_of_products with Scalar, int and Poly arithmetic."""
-    total = 0
+    """sum_of_products with Scalar, int and Poly arithmetic: a coefficient
+    of +-1 costs no product, another int scales each coefficient, and den
+    divides each coefficient (a Poly's by its own __mul__ and __truediv__)."""
+    total = None
     for term in terms:
         t = term[1]
         for x in term[2:]:
             t = t * x
-        if term[0] != 1:
-            t = t * term[0]
-        total = total + t
+        c = term[0]
+        if c == -1:
+            t = -t
+        elif c != 1:
+            t = t * c
+        total = t if total is None else total + t
+    if total is None:
+        total = 0
     if scale is not None:
         total = total * scale
-    return total if den == 1 else total * Fraction(1, den)
+    if den == 1:
+        return total
+    return Fraction(total, den) if isinstance(total, (int, Fraction)) else total / den
 
 
 # -- serialization -----------------------------------------------------------

@@ -54,13 +54,19 @@ class StabilityVerdict:
         return self.status == STABLE
 
 
+def adapting_matrix(x: Vec2) -> Mat2:
+    """K with K (1, 0) == x and det K = x1, or -x2 when x1 = 0: the inverse
+    of the GL2 part of adapting_element(x), read off x; invertible iff x is
+    nonzero."""
+    if not x.a.is_zero():
+        return Mat2(x.a, QI.zero(), x.b, QI.one())
+    return Mat2(QI.zero(), QI.one(), x.b, QI.zero())
+
+
 def adapting_element(x: Vec2) -> GroupElement:
     """h with act(h, p).x == (1, 0); requires x nonzero."""
-    if not x.a.is_zero():
-        g = Mat2(x.a, QI.zero(), x.b, QI.one())
-    else:
-        g = Mat2(QI.zero(), QI.one(), x.b, QI.zero())
-    return GroupElement.make((1, 1, 1), g.inverse())
+    one = QI.one()
+    return GroupElement((one, one, one), adapting_matrix(x).inverse())
 
 
 def verify_certificate(p: PointHV, cert: Cocharacter, chi: Character,
