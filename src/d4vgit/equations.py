@@ -74,23 +74,29 @@ _E1 = {(0, 0): (1, 0, 1), (0, 1): (1, 0, 2), (0, 2): (2, -1, 2),
        (1, 1): (1, 1, 4), (1, 2): (1, 0, 2), (2, 2): (1, 0, 1)}
 
 
-def residual_entries(alpha, beta, B):
-    """(e1, e2, e3) entry lists over any commutative ring with halving.
-
-    e1 is the 6 upper-triangle entries (m <= n) of the symmetric form on
-    Sym^2 V; e2 and e3 are row-major 3x3.  Each entry is one
-    sum_of_products, the halves and signs in its integer coefficients and
-    denominator.  omega, 2 j_pairing(B_i, B_j) and beta a_i are shared as
-    lazy factors.
-    """
-    om = omega_of(alpha, beta, lazy=True)
-
+def e1_entries(alpha, B, om):
+    """The 6 upper-triangle entries (m <= n) of e1, the symmetric form on
+    Sym^2 V, over any commutative ring with halving; om is omega_of(alpha,
+    beta, lazy=True).  Each entry is one sum_of_products."""
     e1 = []
     for (m, n), (k, o, den) in _E1.items():
         terms = [(k, a, b[m], b[n]) for a, b in zip(alpha, B)]
         if o:
             terms.append((o, om))
         e1.append(sum_of_products(terms, den))
+    return e1
+
+
+def residual_entries(alpha, beta, B):
+    """(e1, e2, e3) entry lists over any commutative ring with halving.
+
+    e1 is e1_entries; e2 and e3 are row-major 3x3.  Each entry is one
+    sum_of_products, the halves and signs in its integer coefficients and
+    denominator.  omega, 2 j_pairing(B_i, B_j) and beta a_i are shared as
+    lazy factors.
+    """
+    om = omega_of(alpha, beta, lazy=True)
+    e1 = e1_entries(alpha, B, om)
 
     # a_j j_pairing(B_i, B_j) - (omega/2) delta_ij, over the denominator 2
     pairing = {}

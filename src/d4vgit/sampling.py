@@ -5,6 +5,11 @@ Z-points are sampled two ways, both exact: as group translates of the base
 point (the orbit parametrization is free), and as chart points built by
 solving the chart relations for rational data.  Engineered unstable points
 realize each destabilized subset family on Z.
+
+Every int is drawn by _below, the rejection loop under rng.randint, so the
+values and the generator state are those of randint.  A group element or
+point is built with the plain constructor where the draw has itself tested
+what make would check (nonzero t, det g != 0, Scalar coordinates).
 """
 
 from __future__ import annotations
@@ -15,14 +20,29 @@ from .charts import dependent_coordinates
 from .gitcore import GroupElement, PointHV, act
 from .linalg import Mat2, Vec2
 from .mckay import base_point
-from .scalars import QI, Scalar, adjoin_sqrt
+from .scalars import QI, Scalar, _qi, adjoin_sqrt
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform int in [0, n) for n > 0: draw k = n.bit_length() bits until
+    the draw is below n (the rejection method; Knuth, TAOCP vol. 2, 3.4.1).
+    It is the draw random.Random.randrange makes on CPython 3.10-3.13, so
+    rng.randint(a, b) == a + _below(rng, b - a + 1) and both leave rng in
+    the same state."""
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def rand_scalar(rng: random.Random, height: int = 3) -> Scalar:
     """n1/d1 + (n2/d2) i with |n| <= height and 1 <= d <= height."""
-    n1, d1 = rng.randint(-height, height), rng.randint(1, height)
-    n2, d2 = rng.randint(-height, height), rng.randint(1, height)
-    return QI.scalar(n1 * d2, n2 * d1) / (d1 * d2)
+    w = 2 * height + 1
+    n1, d1 = _below(rng, w) - height, _below(rng, height) + 1
+    n2, d2 = _below(rng, w) - height, _below(rng, height) + 1
+    return _qi(n1 * d2, n2 * d1, d1 * d2)
 
 
 def rand_nonzero_scalar(rng: random.Random, height: int = 3) -> Scalar:
@@ -49,7 +69,7 @@ def rand_group_element(rng: random.Random, height: int = 3) -> GroupElement:
         g = Mat2(rand_scalar(rng, height), rand_scalar(rng, height),
                  rand_scalar(rng, height), rand_scalar(rng, height))
         if not g.det().is_zero():
-            return GroupElement.make(t, g)
+            return GroupElement(t, g)
 
 
 def rand_tower_group_element(rng: random.Random, depth: int) -> GroupElement:
@@ -59,7 +79,7 @@ def rand_tower_group_element(rng: random.Random, depth: int) -> GroupElement:
     u + v s at each level, with leaves from rand_nonzero_scalar."""
     field = QI
     while field.depth < depth:
-        field, _ = adjoin_sqrt(field, rng.randint(2, 40))
+        field, _ = adjoin_sqrt(field, 2 + _below(rng, 39))
 
     def element(f):
         if f.is_base:
@@ -74,10 +94,10 @@ def rand_tower_group_element(rng: random.Random, depth: int) -> GroupElement:
 
 def rand_point_hv(rng: random.Random, height: int = 3) -> PointHV:
     """A random point of H x V (generically off Z)."""
-    return PointHV.make(
-        [rand_scalar(rng, height) for _ in range(3)],
+    return PointHV(
+        tuple(rand_scalar(rng, height) for _ in range(3)),
         rand_scalar(rng, height),
-        [[rand_scalar(rng, height) for _ in range(3)] for _ in range(3)],
+        tuple(tuple(rand_scalar(rng, height) for _ in range(3)) for _ in range(3)),
         rand_vec(rng, height),
     )
 
@@ -96,15 +116,14 @@ def rand_chart_point(rng: random.Random, height: int = 3) -> PointHV:
         p2 = rand_nonzero_scalar(rng, height)
         p3 = rand_nonzero_scalar(rng, height)
         beta = rand_nonzero_scalar(rng, height)
-        a2 = -(QI.one() + a3 * p3 * p3) / (p2 * p2)
+        one, zero = QI.one(), QI.zero()
+        a2 = -(one + a3 * p3 * p3) / (p2 * p2)
         if a2.is_zero():
             continue
         q2, q3, r1, r2, r3 = dependent_coordinates(a2, a3, beta, p2, p3)
-        return PointHV.make(
-            (QI.one(), a2, a3), beta,
-            ((QI.one(), QI.zero(), r1), (p2, q2, r2), (p3, q3, r3)),
-            (1, 0),
-        )
+        return PointHV((one, a2, a3), beta,
+                       ((one, zero, r1), (p2, q2, r2), (p3, q3, r3)),
+                       Vec2(one, zero))
 
 
 def rand_z_point(rng: random.Random, height: int = 2) -> PointHV:

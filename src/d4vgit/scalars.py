@@ -16,9 +16,9 @@ A sum of products of any arity is reduced once: sum_of_products multiplies
 each term's raw numerators, skips zero terms, sums over the lcm of the term
 denominators and takes one gcd, where x*y*z + u*v reduces every product and
 sum (Knuth, TAOCP 2, 4.5.1).  gitcore.act and equations.residual_entries
-make each output one sum_of_products; dot(xs, ys), its two-factor case,
-carries the other layers' sums of products (matrix products, determinants,
-the quiver maps).
+make each output one sum_of_products; dot(xs, ys), its two-factor case
+(two base-level terms unrolled), carries the other layers' sums of products
+(matrix products, determinants, the quiver maps).
 Towers are interned: adjoin_sqrt gives the same Field object for the same
 (base, d) while that Field is in use, so fields compare by identity.  All
 operations are exact and zero-testing is decidable at every level.
@@ -595,9 +595,26 @@ def sum_of_products(terms, den=1, scale=None, lazy=False):
 
 def dot(xs, ys):
     """The exact sum of x_k * y_k over two equal-length sequences: the
-    two-factor sum_of_products."""
-    if len(xs) == 2:                    # most calls (2x2 matrices, vectors)
+    two-factor sum_of_products.  Two terms of base-level Scalars, most calls
+    (2x2 matrices, vectors), take its base-level loop unrolled: both Gaussian
+    products inline, summed over the lcm of their denominators, one _qi."""
+    if len(xs) == 2:
         (x, u), (y, v) = xs, ys
+        # the class first: dot also carries Polys
+        if x.__class__ is u.__class__ is y.__class__ is v.__class__ is Scalar:
+            d, e, yd, vd = x._den, u._den, y._den, v._den
+            if d and e and yd and vd:   # a tower Scalar's _den is None
+                xr, xi, yr, yi = x._x, x._y, y._x, y._y
+                ur, ui, vr, vi = u._x, u._y, v._x, v._y
+                d *= yd
+                e *= vd
+                re, im = xr * yr - xi * yi, xr * yi + xi * yr
+                tr, ti = ur * vr - ui * vi, ur * vi + ui * vr
+                if d == e:
+                    return _qi(re + tr, im + ti, d)
+                g = gcd(d, e)
+                dg, eg = d // g, e // g
+                return _qi(re * eg + tr * dg, im * eg + ti * dg, d * eg)
         return sum_of_products(((1, x, y), (1, u, v)))
     return sum_of_products([(1, x, y) for x, y in zip(xs, ys)])
 

@@ -29,8 +29,7 @@ from .gitcore import (
     act, coordinate_weights, pair,
 )
 from .linalg import Mat2, Vec2
-from .quiver import form_contraction
-from .scalars import QI, Scalar
+from .scalars import QI, Scalar, sum_of_products
 
 
 STABLE = "stable"
@@ -157,6 +156,14 @@ def unstable_subset_certificates():
 # -- plus-theta oracle ---------------------------------------------------------
 
 
+def _contraction_vanishes(form, x1, x2) -> bool:
+    """Whether B(x, -) = (p x1 + q x2 / 2, q x1 / 2 + r x2) is zero for the
+    form (p, q, r): two lazy zero tests of its double, no reduction."""
+    pm, qm, rm = form
+    return (sum_of_products(((2, pm, x1), (1, qm, x2)), lazy=True).is_zero()
+            and sum_of_products(((1, qm, x1), (2, rm, x2)), lazy=True).is_zero())
+
+
 def semistable_theta(p: PointHV) -> StabilityVerdict:
     """Stability for the character (1,1,1,1) on Z x V.
 
@@ -168,10 +175,12 @@ def semistable_theta(p: PointHV) -> StabilityVerdict:
     if p.x.is_zero():
         return _unstable(p, THETA,
                          [("{x=0}", Cocharacter((1, 1, 1), (1, 1), "diagonal"))])
-    contractions = [form_contraction(b, p.x) for b in p.B]
-    if all(not c.is_zero() for c in contractions):
-        for i, (a, c) in enumerate(zip(p.alpha, contractions)):
-            s = a * c(p.x)                   # the spanning determinant a_i B_i(x, x)
+    x1, x2 = p.x.a, p.x.b
+    if not any(_contraction_vanishes(b, x1, x2) for b in p.B):
+        for i, (a, (pi, qi, ri)) in enumerate(zip(p.alpha, p.B)):
+            # the spanning determinant a_i B_i(x, x), one reduction
+            s = sum_of_products(((1, a, pi, x1, x1), (1, a, qi, x1, x2),
+                                 (1, a, ri, x2, x2)))
             if not s.is_zero():
                 return StabilityVerdict(STABLE, THETA, witness_index=i,
                                         witness_value=s)

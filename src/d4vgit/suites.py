@@ -295,8 +295,10 @@ def suite_quiver(seed: int) -> Report:
 
 def _central_matches_e1(p: PointHV, central: Mat2) -> bool:
     """Whether the central quadratic of build_rep(p), whose central residual
-    is `central`, is p's E1 form."""
-    e1 = equations.residuals(p).e1           # upper triangle (m <= n)
+    is `central`, is p's E1 form.  Only the 6 E1 entries are computed, not
+    all 24 residual entries: nothing else reads this sample's residuals."""
+    om = equations.omega_of(p.alpha, p.beta, lazy=True)
+    e1 = equations.e1_entries(p.alpha, p.B, om)     # upper triangle (m <= n)
     gram = ((e1[0], e1[1], e1[2]), (e1[1], e1[3], e1[4]), (e1[2], e1[4], e1[5]))
     x = p.x
 

@@ -233,6 +233,9 @@ rationals = st.one_of(
     st.builds(Fraction, st.integers(-HEIGHT, HEIGHT)),
 )
 pairs = st.tuples(rationals, rationals)
+high = st.integers(8, 256).flatmap(lambda k: st.builds(
+    Fraction, st.integers(-2 ** k, 2 ** k), st.integers(1, 2 ** k)))
+high_pairs = st.tuples(high, high)
 
 
 class TestDifferential:
@@ -337,6 +340,29 @@ class TestDot:
         ys = [QI.scalar(*b) for _, b in terms]
         got = normalized(dot(xs, ys))
         assert got.payload == ref_dot(*zip(*terms))
+        assert dot(ys, xs) == got
+
+    @given(terms=st.lists(st.tuples(high_pairs, high_pairs), min_size=2, max_size=2),
+           zero=st.sampled_from((None, 0, 1, 2, 3)),
+           shape=st.sampled_from(("free", "repeated", "swapped")))
+    @settings(max_examples=200)
+    def test_two_terms_at_height(self, terms, zero, shape):
+        """The inline two-term branch at heights 2^8-2^256, with a zero
+        operand, and with equal product denominators (a repeated or swapped
+        pair) or unequal ones, against the reference and the kernel."""
+        if shape == "repeated":
+            terms = [terms[0], terms[0]]
+        elif shape == "swapped":
+            terms = [terms[0], terms[0][::-1]]
+        if zero is not None:
+            term = list(terms[zero // 2])
+            term[zero % 2] = (Fraction(0), Fraction(0))
+            terms[zero // 2] = tuple(term)
+        xs = [QI.scalar(*a) for a, _ in terms]
+        ys = [QI.scalar(*b) for _, b in terms]
+        got = normalized(dot(xs, ys))
+        assert got.payload == ref_dot(*zip(*terms))
+        assert got.triple == sum_of_products([(1, x, y) for x, y in zip(xs, ys)]).triple
         assert dot(ys, xs) == got
 
     def test_polynomials_take_the_term_by_term_loop(self):

@@ -8,7 +8,8 @@ is the base-level int-triple code (checked against Fraction pairs by
 hypothesis in test_scalars.py).  Its product, sum, dot and inverse are the
 pair-recursive rules of the old tower code: four products one level down,
 two when a factor is lifted (zero upper half), d y v taken leaf by leaf when
-d lies in Q(i), and each half of a sum of products a dot one level down.
+d lies in Q(i), and each half of a sum of products a dot one level down,
+down to binary base-level products and sums.
 
 Tower kinds, each at depths 1-3 (d in the tower from depth 2):
 - d in Q(i) with a denominator: a random Gaussian rational per level;
@@ -118,9 +119,13 @@ def inverse(f, a):
 
 def tree_dot(f, xs, ys):
     """sum (x + y s)(u + v s) = (sum x u + d sum y v) + (sum x v + y u) s,
-    skipping the terms a zero half removes; base-level sums go to dot."""
+    skipping the terms a zero half removes; base-level sums are binary
+    products and sums, so the reference does not rest on dot."""
     if f.is_base:
-        return dot(xs, ys)
+        total = QI.zero()
+        for x, y in zip(xs, ys):
+            total = total + x * y
+        return total
     low_x, low_y, high_x, high_y, yv_x, yv_y = [], [], [], [], [], []
     for (x, y), (u, v) in zip(xs, ys):
         low_x.append(x)
@@ -271,6 +276,22 @@ def cases(depth, d_in_tower, integral):
             height = rng.choice(HEIGHTS)
             yield (rng, field, element(rng, field, height, "full"),
                    element(rng, field, height))
+
+
+@pytest.mark.parametrize("height", (2 ** 8, 2 ** 64, 2 ** 256))
+def test_base_level_two_term_dot_matches_reference(height):
+    """dot's inline two-term branch: zero operands, equal product
+    denominators (a repeated or swapped pair), unequal ones, cancellation."""
+    rng = random.Random(height)
+    zero = QI.zero()
+    for _ in range(40):
+        x, y, u, v = (element(rng, QI, rng.choice((10, height))) for _ in range(4))
+        for xs, ys in (((x, u), (y, v)), ((x, x), (y, y)), ((x, y), (y, x)),
+                       ((x, u), (zero, v)), ((zero, u), (y, zero)), ((x, -x), (y, y)),
+                       ((zero, zero), (y, v))):
+            got = dot(xs, ys)
+            assert_canonical(got)
+            assert got == tree_dot(QI, xs, ys) and dot(ys, xs) == got
 
 
 def test_tower_kinds_are_what_their_names_say():
