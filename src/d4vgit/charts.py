@@ -39,10 +39,10 @@ from .equations import (
     E1_LABELS, E2_LABELS, E3_LABELS, ContractViolation, on_Z, residual_entries,
 )
 from .gitcore import GroupElement, PointHV, act
-from .linalg import Mat2, Vec2
+from .linalg import Mat2
 from .poly import Poly
 from .quiver import QuiverRep
-from .scalars import QI, Scalar, sum_of_products
+from .scalars import QI, Scalar, sum_of_products, vanishes
 from .stability import adapting_matrix
 
 
@@ -107,7 +107,7 @@ class ChartPoint:
         aj, ak, pj, pk = self.alpha_j, self.alpha_k, self.p_j, self.p_k
         checks = (
             ("1 + a_j p_j^2 + a_k p_k^2 = 0",
-             _vanishes((1, QI.one()), (1, aj, pj, pj), (1, ak, pk, pk))),
+             vanishes(((1, QI.one()), (1, aj, pj, pj), (1, ak, pk, pk)))),
             ("(p_j, q_j) != 0", not (pj.is_zero() and self.q_j.is_zero())),
             ("(p_k, q_k) != 0", not (pk.is_zero() and self.q_k.is_zero())),
         )
@@ -121,12 +121,6 @@ class ChartPoint:
         return (sum_of_products(((1, self.alpha_j, self.p_j, self.p_j),)),
                 sum_of_products(((1, self.alpha_k, self.p_k, self.p_k),)),
                 self.omega)
-
-
-def _vanishes(*terms):
-    """Whether the sum of the products (c, x_1, ..., x_k) is zero: one zero
-    test of the unreduced sum."""
-    return sum_of_products(terms, lazy=True).is_zero()
 
 
 def normalize(p: PointHV, index: int) -> ChartPoint:
@@ -239,13 +233,13 @@ class HatChart:
         pj, qj, pk, qk = self.p_j, self.q_j, self.p_k, self.q_k
         checks = (
             ("ah_j ph_j^2 + ah_k ph_k^2 + 1 = 0",
-             _vanishes((1, aj, pj, pj), (1, ak, pk, pk), (1, QI.one()))),
+             vanishes(((1, aj, pj, pj), (1, ak, pk, pk), (1, QI.one())))),
             ("ah_j ph_j qh_j + ah_k ph_k qh_k = 0",
-             _vanishes((1, aj, pj, qj), (1, ak, pk, qk))),
+             vanishes(((1, aj, pj, qj), (1, ak, pk, qk)))),
             ("ah_j qh_j^2 + ah_k qh_k^2 + wh = 0",
-             _vanishes((1, aj, qj, qj), (1, ak, qk, qk), (1, bh, bh, aj, ak))),
-            ("qh_j = bh ah_k ph_k", _vanishes((1, qj), (-1, bh, ak, pk))),
-            ("qh_k = -bh ah_j ph_j", _vanishes((1, qk), (1, bh, aj, pj))),
+             vanishes(((1, aj, qj, qj), (1, ak, qk, qk), (1, bh, bh, aj, ak)))),
+            ("qh_j = bh ah_k ph_k", vanishes(((1, qj), (-1, bh, ak, pk)))),
+            ("qh_k = -bh ah_j ph_j", vanishes(((1, qk), (1, bh, aj, pj)))),
         )
         for name, ok in checks:
             if not ok:
@@ -286,12 +280,12 @@ def normalize_rep(rep: QuiverRep, index: int):
         raise ChartError("D_%d(E0) = 0; rep not in chart %d" % (index, index))
     if not rep.D[i](w).is_zero():
         raise ChartError("leg relation D_%d E_%d != 0" % (index, index))
-    ti = du.inverse()
-    ghat = Mat2.diagonal(QI.one(), ti) * M.inverse()
-    ginv = ghat.inverse()
+    ghat = Mat2.diagonal(QI.one(), du.inverse()) * M.inverse()
+    # ghat^-1 = M diag(1, D_i(E0)) has the columns E0 and D_i(E0) E_i
+    wd = w.scale(du)
 
     def move_cov(cov):
-        return (cov(Vec2(ginv.a, ginv.c)), cov(Vec2(ginv.b, ginv.d)))
+        return (cov(u), cov(wd))
 
     d0 = move_cov(rep.D0)
     if not d0[0].is_zero():

@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .gitcore import PointHV
+from .gitcore import PointHV, pairing_terms
 from .linalg import Mat3
-from .scalars import QI, Scalar, dot, sum_of_products
+from .scalars import QI, Scalar, dot, sum_of_products, vanishes
 
 
 class ContractViolation(Exception):
@@ -50,11 +50,10 @@ def j_pairing(u, v):
     """The pairing on quadratic-form triples: pu*rv + ru*pv - qu*qv/2.
 
     Normalized so that j_pairing((1,0,r), (1,0,r)) = 2r; this is the
-    polarized discriminant and is equivariant for the form action.
+    polarized discriminant and is equivariant for the form action.  One
+    sum of gitcore.pairing_terms over the denominator 2.
     """
-    pu, qu, ru = u
-    pv, qv, rv = v
-    return dot((pu, ru, qu), (rv, pv, -qv / 2))
+    return sum_of_products(pairing_terms(u, v), 2)
 
 
 def wedge(u, v):
@@ -102,9 +101,8 @@ def residual_entries(alpha, beta, B):
     pairing = {}
     for i in range(3):
         for j in range(i, 3):
-            (pu, qu, ru), (pv, qv, rv) = B[i], B[j]
             pairing[i, j] = pairing[j, i] = sum_of_products(
-                ((2, pu, rv), (2, ru, pv), (-1, qu, qv)), lazy=True)
+                pairing_terms(B[i], B[j]), lazy=True)
     e2 = [sum_of_products(((1, alpha[j], pairing[i, j]), (-1, om)) if i == j
                           else ((1, alpha[j], pairing[i, j]),), 2)
           for i in range(3) for j in range(3)]
@@ -198,8 +196,7 @@ def open_locus_det(p: PointHV) -> Optional[Scalar]:
     d = det_b(p)
     if d.is_zero():
         raise AssertionError("det B vanished on the open locus")
-    if not sum_of_products(((2, d), (-1, beta, beta, beta, a1, a2, a3)),
-                           lazy=True).is_zero():
+    if not vanishes(((2, d), (-1, beta, beta, beta, a1, a2, a3))):
         raise AssertionError("determinant identity 2 det B = beta^3 a1 a2 a3 failed")
     return d
 

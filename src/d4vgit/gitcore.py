@@ -80,9 +80,9 @@ class PointHV:
 class GroupElement:
     """(t1, t2, t3, g) with all t_i nonzero and g invertible.
 
-    make is the one validating constructor, for data from outside; compose
-    and inverse build their results directly, since a product or inverse of
-    invertible elements is invertible.
+    make is the one validating constructor, for data from outside; identity,
+    compose and inverse build their results directly, since a product or
+    inverse of invertible elements is invertible.
     """
 
     t: tuple              # (t1, t2, t3)
@@ -99,7 +99,7 @@ class GroupElement:
 
     @staticmethod
     def identity():
-        return GroupElement.make((1, 1, 1), Mat2.identity())
+        return GroupElement((QI.one(),) * 3, Mat2.identity())
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(
@@ -130,6 +130,15 @@ def apply_form_matrix(M: Mat3, triple):
     return tuple(dot(row, triple) for row in M.rows)
 
 
+def pairing_terms(u, v):
+    """The sum_of_products terms of 2 j(u, v) = 2 p_u r_v + 2 r_u p_v - q_u q_v,
+    twice the invariant pairing of two form triples (the polarized
+    discriminant: -2 j(f, f) is the discriminant q^2 - 4 p r of f)."""
+    pu, qu, ru = u
+    pv, qv, rv = v
+    return ((2, pu, rv), (2, ru, pv), (-1, qu, qv))
+
+
 def split_form(triple, field):
     """(field', T) with the columns of T the two root directions of the
     binary form Q with the given triple, so that Q o T is a multiple of v1 v2.
@@ -139,7 +148,7 @@ def split_form(triple, field):
     root is taken.
     """
     p, q, r = triple
-    disc = q * q - p * r * 4
+    disc = -sum_of_products(pairing_terms(triple, triple))
     if disc.is_zero():
         return None
     if p.is_zero():

@@ -20,7 +20,7 @@ from .gitcore import (
     GroupElement, PointHV, act, apply_form_matrix, form_matrix, split_form,
 )
 from .linalg import Mat2, Mat3
-from .scalars import ExtensionLimitError, Field, QI, adjoin_sqrt, deepest_field
+from .scalars import ExtensionLimitError, Field, QI, adjoin_sqrt, deepest_field, dot
 
 
 class DegeneratePointError(ContractViolation):
@@ -362,7 +362,7 @@ def canonicalize(p: PointHV) -> GroupElement:
     for b, bstar in zip(p.B, target.B):
         # the first nonzero coefficient of the base form fixes the scale
         k = next(k for k, c in enumerate(bstar) if not c.is_zero())
-        t.append(bstar[k] / apply_form_matrix(M, b)[k])
+        t.append(bstar[k] / dot(M.rows[k], b))
     sigma2 = sigma ** 2
     return GroupElement(tuple(sigma2 * ti for ti in t),
                         ginv.inverse().scale(sigma))

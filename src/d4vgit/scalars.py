@@ -67,8 +67,6 @@ class Field:
     which interns them; Field equality is identity.
     """
 
-    _BASE = None
-
     def __init__(self, base, d):
         self.base = base            # Field or None for Q(i)
         self.d = d                  # Scalar of base or below, as given; or None
@@ -82,12 +80,6 @@ class Field:
             self._d = lower(d)
             dv, self._m = _num(self._d)
             self._dv = tuple([self._m * t for t in dv])
-
-    @classmethod
-    def gaussian_rationals(cls):
-        if cls._BASE is None:
-            cls._BASE = cls(None, None)
-        return cls._BASE
 
     def __repr__(self):
         if self.is_base:
@@ -524,7 +516,7 @@ class Scalar:
         return format_scalar(self)
 
 
-QI = Field.gaussian_rationals()
+QI = Field(None, None)
 
 
 # -- sums of products --------------------------------------------------------
@@ -541,11 +533,10 @@ def sum_of_products(terms, den=1, scale=None, lazy=False):
     field of all the factors, zero ones included.  Other factors (ints,
     Polys) are multiplied and summed term by term.
 
-    lazy=True marks a value used only as a factor of later sums or in a
-    zero test: the base level skips its gcd (the later sum reduces, and
-    is_zero reads the numerators alone), so it must never be compared,
-    hashed or returned.  A tower reduces it anyway, since there unreduced
-    numerators grow far faster than the gcd costs.
+    lazy=True marks a value used only as a factor of later sums: the base
+    level skips its gcd (the later sum reduces), so it must never be
+    compared, hashed or returned.  A tower reduces it anyway, since there
+    unreduced numerators grow far faster than the gcd costs.
     """
     re = im = 0
     sd = 1
@@ -591,6 +582,12 @@ def sum_of_products(terms, den=1, scale=None, lazy=False):
     except AttributeError:              # a factor is not a Scalar
         return _sum_any(terms, den, scale)
     return _sum_tower(terms, den, scale)   # a factor lies in a tower
+
+
+def vanishes(terms):
+    """Whether sum_of_products(terms) is zero: one zero test of the
+    unreduced sum (is_zero reads the numerators alone)."""
+    return sum_of_products(terms, lazy=True).is_zero()
 
 
 def dot(xs, ys):

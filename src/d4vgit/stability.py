@@ -29,7 +29,7 @@ from .gitcore import (
     act, coordinate_weights, pair,
 )
 from .linalg import Mat2, Vec2
-from .scalars import QI, Scalar, sum_of_products
+from .scalars import QI, Scalar, sum_of_products, vanishes
 
 
 STABLE = "stable"
@@ -42,7 +42,7 @@ class StabilityVerdict:
     character: Character
     # unstable: destabilizing data
     certificate: Optional[Cocharacter] = None
-    adapting: Optional[GroupElement] = None        # moves the point to the adapted basis
+    adapting: Optional[GroupElement] = None        # to the adapted basis; None: no move
     subset: str = ""
     # stable: witnessing data
     witness_index: Optional[int] = None            # condition-(iii) index, theta side
@@ -94,14 +94,13 @@ def _unstable(q: PointHV, chi: Character, candidates,
               adapting: Optional[GroupElement] = None) -> StabilityVerdict:
     """The unstable verdict for the first (description, cocharacter) of
     `candidates` that re-verifies at q, the point already moved by
-    `adapting`, whose coordinates are read once.  None re-verifying raises
-    explicitly, so the check also runs under python -O."""
+    `adapting` (None: not moved), whose coordinates are read once.  None
+    re-verifying raises explicitly, so the check also runs under python -O."""
     values = q.coords() + (q.x.a, q.x.b)
     for subset, cert in candidates:
         if _certifies(values, cert, chi):
-            return StabilityVerdict(
-                UNSTABLE, chi, certificate=cert, subset=subset,
-                adapting=GroupElement.identity() if adapting is None else adapting)
+            return StabilityVerdict(UNSTABLE, chi, certificate=cert, subset=subset,
+                                    adapting=adapting)
     raise AssertionError("every certificate for %s failed re-verification"
                          % ", ".join(subset for subset, _ in candidates))
 
@@ -158,10 +157,9 @@ def unstable_subset_certificates():
 
 def _contraction_vanishes(form, x1, x2) -> bool:
     """Whether B(x, -) = (p x1 + q x2 / 2, q x1 / 2 + r x2) is zero for the
-    form (p, q, r): two lazy zero tests of its double, no reduction."""
+    form (p, q, r): two zero tests of its double, no reduction."""
     pm, qm, rm = form
-    return (sum_of_products(((2, pm, x1), (1, qm, x2)), lazy=True).is_zero()
-            and sum_of_products(((1, qm, x1), (2, rm, x2)), lazy=True).is_zero())
+    return vanishes(((2, pm, x1), (1, qm, x2))) and vanishes(((1, qm, x1), (2, rm, x2)))
 
 
 def semistable_theta(p: PointHV) -> StabilityVerdict:
@@ -214,7 +212,7 @@ def _isotropic_adapting(p: PointHV) -> Optional[GroupElement]:
         K = Mat2(l1.inverse(), -l2 / l1, QI.zero(), QI.one())
     else:
         K = Mat2(QI.zero(), QI.one(), l2.inverse(), QI.zero())
-    return GroupElement.make((1, 1, 1), K.inverse())
+    return GroupElement((QI.one(),) * 3, K.inverse())
 
 
 def semistable_minus_theta(p: PointHV) -> StabilityVerdict:
@@ -263,9 +261,8 @@ def infinite_stabilizer_detected(p: PointHV) -> bool:
     elif pm.is_zero() and rm.is_zero():
         # split nondegenerate form v1 v2: its special orthogonal torus
         families.append(lambda s: Mat2(s, QI.zero(), QI.zero(), s.inverse()))
-    for fam in families:
-        h2 = GroupElement.make((1, 1, 1), fam(QI.scalar(2)))
-        h3 = GroupElement.make((1, 1, 1), fam(QI.scalar(3)))
+    for fam in families:                 # det fam(s) = 1
+        h2, h3 = (GroupElement((QI.one(),) * 3, fam(QI.scalar(s))) for s in (2, 3))
         if act(h2, p).same_h_part(p) and act(h3, p).same_h_part(p):
             return True
     return False

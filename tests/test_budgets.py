@@ -1,28 +1,35 @@
 """Work budgets: pinned counts of the reduced values and products each
-operation of the point pipeline and the stabilizer closure proof makes.
+operation of the point pipeline, the stabilizer and connect make.
 
 scalars._qi is the one builder of a reduced base-level Scalar, so its calls
-count the gcds an operation takes.  The points are those of the
-point_stream benchmark: stable Z-points of height 2^8, translated by a
-group element of height 2^8 and read back from point JSON.
+count the gcds an operation takes; scalars._flat builds every reduced tower
+Scalar (and a base-level one through _qi).  The points of the pipeline are
+those of the point_stream benchmark: stable Z-points of height 2^8,
+translated by a group element of height 2^8 and read back from point JSON.
 """
 
 import json
 import random
 
 import pytest
+from test_golden import CONNECT_TARGETS
 
 import d4vgit.charts as charts
 import d4vgit.scalars as scalars
+import d4vgit.stability as stability
 from d4vgit.charts import from_quiver_chart, normalize, to_quiver_chart
 from d4vgit.cyclic_s3 import s3_base_point, s3_stabilizer
-from d4vgit.equations import residuals
-from d4vgit.gitcore import GroupElement, act, point_from_json, point_to_json
+from d4vgit.equations import j_pairing, residuals
+from d4vgit.gitcore import (
+    MINUS_THETA, THETA, GroupElement, PointHV, act, point_from_json, point_to_json,
+    split_form,
+)
 from d4vgit.linalg import Mat2
-from d4vgit.mckay import FiniteSubgroup, base_point, stabilizer
+from d4vgit.mckay import FiniteSubgroup, base_point, connect, stabilizer
 from d4vgit.quiver import build_rep
-from d4vgit.sampling import rand_group_element, rand_z_point
-from d4vgit.stability import semistable_minus_theta, semistable_theta
+from d4vgit.sampling import engineered_unstable_points, rand_group_element, rand_z_point
+from d4vgit.scalars import QI
+from d4vgit.stability import semistable_minus_theta, semistable_theta, verify_certificate
 
 
 def _stable_stream_points(seed, n=6):
@@ -40,13 +47,18 @@ def _stable_stream_points(seed, n=6):
     return out
 
 
+def _record(monkeypatch, module, name):
+    """A list that records every call of module.name from now on."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 @pytest.fixture
 def reduced(monkeypatch):
     """A list that records every scalars._qi call from now on."""
-    calls = []
-    real = scalars._qi
-    monkeypatch.setattr(scalars, "_qi", lambda *args: calls.append(args) or real(*args))
-    return calls
+    return _record(monkeypatch, scalars, "_qi")
 
 
 def _count(calls, run):
@@ -129,3 +141,61 @@ def test_s3_closure_proof_uses_two_generators(monkeypatch):
     S = s3_stabilizer(s3_base_point())
     assert _count_products(monkeypatch, Mat2,
                            lambda: FiniteSubgroup(S.elements, Mat2.identity())) == 12
+
+
+def test_pairing_and_discriminant_reduce_once(reduced):
+    """j_pairing is one sum over the denominator 2 (2 with -q_v/2 reduced
+    first), and split_form's discriminant one sum (4 as q*q - p*r*4): 10 ->
+    7 for a rational form with a non-square discriminant."""
+    u = (QI.scalar(3, 1) / 5, QI.scalar(-7) / 2, QI.scalar(2, -3) / 11)
+    v = (QI.scalar(1, 4) / 3, QI.scalar(5, 2) / 7, QI.scalar(-1) / 4)
+    assert _count(reduced, lambda: j_pairing(u, v)) == 1
+    assert _count(reduced, lambda: split_form(u, QI)) == 7
+
+
+@pytest.mark.parametrize("target, qi, flat", [
+    ("chart_16_seed0", 122, 184), ("tower_depth1_seed5", 135, 150)])
+def test_connect_stays_within_its_budget(monkeypatch, target, qi, flat):
+    """connect(b*, q) counted on _qi and _flat, the residuals of both points
+    already kept: each discriminant split_form takes is one sum."""
+    b, q = base_point(), CONNECT_TARGETS[target]()
+    residuals(q)
+    reduced = _record(monkeypatch, scalars, "_qi")
+    flats = _record(monkeypatch, scalars, "_flat")
+    connect(b, q)
+    assert (len(reduced), len(flats)) == (qi, flat)
+
+
+@pytest.mark.parametrize("fix_beta, budget", [(True, 336), (False, 730)])
+def test_stabilizer_stays_within_its_budget(reduced, fix_beta, budget):
+    """stabilizer(b*) counted on _qi; its identity is built, not validated."""
+    b = base_point()
+    assert _count(reduced, lambda: stabilizer(b, fix_beta)) == budget
+
+
+def _moved_nothing():
+    """(description, character, point, verdict) for each unstable verdict
+    that moved nothing: theta at x = 0 and -theta where some a_i = 0, at the
+    engineered points, and -theta at a Z-point with beta = 0 and B = 0."""
+    zero_b = PointHV.make((1, 1, 1), 0, ((0, 0, 0),) * 3, (1, 0))
+    out = [("B=0", MINUS_THETA, zero_b, semistable_minus_theta(zero_b))]
+    for desc, p in engineered_unstable_points(random.Random(0)):
+        for chi, oracle, moved_nothing in (
+                (THETA, semistable_theta, ("{x=0}",)),
+                (MINUS_THETA, semistable_minus_theta, ("{a1=0}", "{a2=0}", "{a3=0}"))):
+            v = oracle(p)
+            if v.subset in moved_nothing:
+                out.append((desc, chi, p, v))
+    return out
+
+
+def test_an_unstable_verdict_that_moved_nothing_reverifies_without_acting(monkeypatch):
+    """These verdicts keep no adapting element, so their re-verification
+    reads the point itself: no act."""
+    cases = _moved_nothing()
+    assert {desc for desc, *_ in cases} >= {"B=0", "{x=0}", "{a1=a2=a3=0}"}
+    acts = _record(monkeypatch, stability, "act")
+    for desc, chi, p, v in cases:
+        assert v.adapting is None, desc
+        assert verify_certificate(p, v.certificate, chi, v.adapting), desc
+    assert acts == []

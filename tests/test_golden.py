@@ -21,6 +21,11 @@ point by a nontrivial adapting element), recorded before the certificate
 search became the re-verification.  Each must stay byte-identical and exit
 with its recorded code.
 
+connect_transports.json holds group_to_json(connect(b*, q)) for three
+height-16 chart-point translates and for base-point translates over depth-1
+and depth-2 towers, recorded before the invariant pairing moved into one
+function (split_form, which starts every transport, reads it).
+
 Each fixture under tests/data is the stdout of one command, for example
     PYTHONPATH=src python -m d4vgit orbit --point tests/data/base_point.json --json
 The point files are written by point_to_json: off_z_point.json is
@@ -31,12 +36,18 @@ engineered_unstable_points(random.Random(0)) moved by
 rand_group_element(random.Random(0)).
 """
 
+import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
+
+from d4vgit.gitcore import act, group_to_json
+from d4vgit.mckay import base_point, connect
+from d4vgit.sampling import rand_chart_point, rand_group_element, rand_tower_group_element
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -106,3 +117,29 @@ def test_cli_stdout_matches_fixture(case):
                          cwd=DATA, env=env, capture_output=True, timeout=120)
     assert run.returncode == code, run.stderr
     assert run.stdout == (DATA / (case + ".stdout")).read_bytes()
+
+
+def _chart_translate(seed):
+    rng = random.Random(seed)
+    c = rand_chart_point(rng, 16)
+    return act(rand_group_element(rng), c)
+
+
+def _tower_translate(depth, seed):
+    return act(rand_tower_group_element(random.Random(seed), depth), base_point())
+
+
+CONNECT_TARGETS = {
+    "chart_16_seed0": lambda: _chart_translate(0),
+    "chart_16_seed1": lambda: _chart_translate(1),
+    "chart_16_seed2": lambda: _chart_translate(2),
+    "tower_depth1_seed5": lambda: _tower_translate(1, 5),
+    "tower_depth2_seed6": lambda: _tower_translate(2, 6),
+}
+
+
+@pytest.mark.parametrize("target", sorted(CONNECT_TARGETS))
+def test_connect_transport_matches_fixture(target):
+    recorded = json.loads((DATA / "connect_transports.json").read_text())
+    h = connect(base_point(), CONNECT_TARGETS[target]())
+    assert group_to_json(h) == recorded[target]

@@ -2,15 +2,16 @@
 keep that literal: a syntax scan of every module under src/ for the ways a
 float can enter (a float or complex literal, the float and complex types,
 cmath and decimal, math beyond its integer functions, and the float draws
-of random), and a run of the full suite that checks every Scalar it builds
-holds int payloads only."""
+of random), and runs of the full suite and of every golden CLI command,
+in-process, that check every Scalar they build holds int payloads only."""
 
 import ast
 import pathlib
 
 import pytest
+from test_golden import CASES, DATA
 
-from d4vgit import scalars
+from d4vgit import cli, scalars
 from d4vgit.suites import run_suite
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -84,9 +85,10 @@ def test_the_scan_accepts(snippet):
     assert not list(float_entries(ast.parse(snippet)))
 
 
-def test_suite_builds_int_payloads_only(monkeypatch):
-    """suite all at seeds 0-2 with every Scalar construction checked: the
-    slots hold (re, im, den) ints at the base level and (numerators, den,
+@pytest.fixture
+def non_int_payloads(monkeypatch):
+    """A list that records the slots of every Scalar built from now on that
+    are not all ints: (re, im, den) at the base level, (numerators, den,
     None) above it."""
     real = scalars.Scalar.__init__
     bad = []
@@ -98,7 +100,25 @@ def test_suite_builds_int_payloads_only(monkeypatch):
         real(self, field, x, y, den)
 
     monkeypatch.setattr(scalars.Scalar, "__init__", checking)
+    return bad
+
+
+def test_suite_builds_int_payloads_only(non_int_payloads):
+    """suite all at seeds 0-2."""
     for seed in range(3):
         report = run_suite("all", seed)
         assert all(c.passed for c in report.checks), seed
-    assert bad == []
+    assert non_int_payloads == []
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_command_builds_int_payloads_only(monkeypatch, capsys, non_int_payloads,
+                                                 case):
+    """Each command of the golden fixtures run through cli.main in this
+    process, from the fixtures' directory: the recorded exit code and
+    stdout, with int payloads only."""
+    code, argv = CASES[case]
+    monkeypatch.chdir(DATA)
+    assert cli.main(argv) == code
+    assert capsys.readouterr().out == (DATA / (case + ".stdout")).read_text()
+    assert non_int_payloads == []
