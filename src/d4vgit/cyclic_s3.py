@@ -346,12 +346,14 @@ def _normalize_rays(rays, cones):
 # -- the S3 example --------------------------------------------------------------
 
 
-J_GRAM = Mat3(((0, 0, 1), (0, Fraction(-1, 2), 0), (1, 0, 0)))
+J_GRAM = Mat3([[QI.scalar(c) for c in row]
+               for row in ((0, 0, 1), (0, Fraction(-1, 2), 0), (1, 0, 0))])
 
 
 def _plus_one(m: Mat2) -> Mat3:
     """m + 1 on U + C."""
-    return Mat3(((m.a, m.b, 0), (m.c, m.d, 0), (0, 0, 1)))
+    zero = QI.zero()
+    return Mat3(((m.a, m.b, zero), (m.c, m.d, zero), (zero, zero, QI.one())))
 
 
 @dataclass(frozen=True)

@@ -225,7 +225,7 @@ def witness_semi_invariant(p: PointHV) -> Scalar:
     """
     a1, a2, a3 = p.alpha
     f = f_pairing(p, 0, 1)
-    return (a1 * a2 * a3) ** 2 * (a1 * a2 * f * f) ** 5
+    return sum_of_products(((1,) + (a1, a2) * 7 + (a3, a3) + (f,) * 10,))
 
 
 def witness_E1_not_E2() -> PointHV:

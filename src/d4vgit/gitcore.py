@@ -32,6 +32,11 @@ def _triple(t):
     return (as_scalar(p), as_scalar(q), as_scalar(r))
 
 
+def _vector(x):
+    """x if it is a Vec2, else the pair (x1, x2) as a Vec2 of Scalars."""
+    return x if isinstance(x, Vec2) else Vec2(*map(as_scalar, x))
+
+
 @dataclass(frozen=True)
 class PointHV:
     """A point (a1, a2, a3, beta, B, x) of H x V.
@@ -51,14 +56,10 @@ class PointHV:
         alpha = tuple(as_scalar(a) for a in alpha)
         beta = as_scalar(beta)
         B = tuple(_triple(b) for b in B)
-        if not isinstance(x, Vec2):
-            x = Vec2(*x)
-        return PointHV(alpha, beta, B, x)
+        return PointHV(alpha, beta, B, _vector(x))
 
     def with_x(self, x):
-        if not isinstance(x, Vec2):
-            x = Vec2(*x)
-        q = PointHV(self.alpha, self.beta, self.B, x)
+        q = PointHV(self.alpha, self.beta, self.B, _vector(x))
         # the equations do not involve x, so the residuals carry over
         object.__setattr__(q, "_residuals", self._residuals)
         return q

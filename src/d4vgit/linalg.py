@@ -1,16 +1,17 @@
-"""Tiny exact linear algebra: 2-vectors, 2x2 and 3x3 matrices of Scalars."""
+"""Tiny exact linear algebra: 2-vectors, 2x2 and 3x3 matrices of Scalars, stored
+as given; outside data is converted where it enters (PointHV.make, JSON)."""
 
 from __future__ import annotations
 
-from .scalars import as_scalar, dot
+from .scalars import QI, dot
 
 
 class Vec2:
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
-        self.a = as_scalar(a)
-        self.b = as_scalar(b)
+        self.a = a
+        self.b = b
 
     def __iter__(self):
         yield self.a
@@ -45,18 +46,19 @@ class Mat2:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        self.a = as_scalar(a)
-        self.b = as_scalar(b)
-        self.c = as_scalar(c)
-        self.d = as_scalar(d)
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
 
     @staticmethod
     def identity():
-        return Mat2(1, 0, 0, 1)
+        one, zero = QI.one(), QI.zero()
+        return Mat2(one, zero, zero, one)
 
     @staticmethod
     def diagonal(u, v):
-        return Mat2(u, 0, 0, v)
+        return Mat2(u, QI.zero(), QI.zero(), v)
 
     def __eq__(self, other):
         return (isinstance(other, Mat2) and self.a == other.a and self.b == other.b
@@ -111,13 +113,14 @@ class Mat3:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(as_scalar(x) for x in r) for r in rows)
+        self.rows = tuple(tuple(r) for r in rows)
         if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
             raise ValueError("Mat3 needs 3x3 entries")
 
     @staticmethod
     def identity():
-        return Mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        one, zero = QI.one(), QI.zero()
+        return Mat3([[one, zero, zero], [zero, one, zero], [zero, zero, one]])
 
     def __getitem__(self, ij):
         i, j = ij

@@ -20,8 +20,8 @@ from functools import cache
 from typing import Optional
 
 from .equations import (
-    ContractViolation, j_pairing, on_Z, open_locus_det,
-    semi_invariant_minus_theta, witness_semi_invariant,
+    ContractViolation, det_b, f_pairing, on_Z, open_locus_det,
+    semi_invariant_minus_theta, wedge,
 )
 from .gitcore import (
     LAMBDA, MU, THETA, MINUS_THETA,
@@ -240,40 +240,29 @@ def semistable_minus_theta(p: PointHV) -> StabilityVerdict:
 
 
 def infinite_stabilizer_detected(p: PointHV) -> bool:
-    """True when an explicit positive-dimensional family fixing the H-part
-    of p is found (beta = 0 points whose forms share a line)."""
+    """For beta = 0 (False otherwise): whether a positive-dimensional subgroup
+    of SL(V), with t = 1, fixes the H-part of p.  Such elements fix every a_i
+    and beta and move only the forms.  The subgroup fixing a nonzero form f
+    is the shear along its kernel when f has rank one, and its special
+    orthogonal torus otherwise; it fixes exactly the multiples of f in
+    Sym^2 V.  So the test is B = 0, or every wedge(f, B_i) zero for f the
+    first nonzero form."""
     if not p.beta.is_zero():
         return False
     form = next((b for b in p.B if any(not c.is_zero() for c in b)), None)
-    if form is None:
-        return True                      # the full torus of GL(V) fixes it
-    pm, _, rm = form
-    families = []
-    if j_pairing(form, form).is_zero():
-        # rank-one form (l1 v1 + l2 v2)^2: unipotent family along its kernel
-        l1, l2 = _rank_one_line(form)
-
-        def shear(s, l1=l1, l2=l2):
-            return Mat2(QI.one() - s * l2 * l1, -(s * l2 * l2),
-                        s * l1 * l1, QI.one() + s * l1 * l2)
-
-        families.append(shear)
-    elif pm.is_zero() and rm.is_zero():
-        # split nondegenerate form v1 v2: its special orthogonal torus
-        families.append(lambda s: Mat2(s, QI.zero(), QI.zero(), s.inverse()))
-    for fam in families:                 # det fam(s) = 1
-        h2, h3 = (GroupElement((QI.one(),) * 3, fam(QI.scalar(s))) for s in (2, 3))
-        if act(h2, p).same_h_part(p) and act(h3, p).same_h_part(p):
-            return True
-    return False
+    return form is None or all(
+        all(c.is_zero() for c in wedge(form, b)) for b in p.B)
 
 
 def off_z_minus_theta_flags(p: PointHV) -> dict:
     """Report flags for points off Z: whether a nonvanishing semi-invariant
     of negative-character weight certifies semistability, and whether an
-    infinite stabilizer is detected (the strictly-semistable signature)."""
-    semi = (not semi_invariant_minus_theta(p).is_zero()
-            or not witness_semi_invariant(p).is_zero())
+    infinite stabilizer is detected (the strictly-semistable signature).
+    The semi-invariants a^2 beta^2 det B and (a1 a2 a3)^2 (a1 a2 f_12^2)^5
+    are tested by their factors, since a product vanishes with a factor."""
+    semi = not any(a.is_zero() for a in p.alpha) and (
+        not p.beta.is_zero() and not det_b(p).is_zero()
+        or not f_pairing(p, 0, 1).is_zero())
     infinite = infinite_stabilizer_detected(p)
     return {
         "semi_invariant_nonvanishing": semi,

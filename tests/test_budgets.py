@@ -19,7 +19,9 @@ import d4vgit.scalars as scalars
 import d4vgit.stability as stability
 from d4vgit.charts import from_quiver_chart, normalize, to_quiver_chart
 from d4vgit.cyclic_s3 import s3_base_point, s3_stabilizer
-from d4vgit.equations import j_pairing, residuals
+from d4vgit.equations import (
+    j_pairing, residuals, witness_E1_not_E2, witness_E2_not_E1, witness_semi_invariant,
+)
 from d4vgit.gitcore import (
     MINUS_THETA, THETA, GroupElement, PointHV, act, point_from_json, point_to_json,
     split_form,
@@ -29,7 +31,10 @@ from d4vgit.mckay import FiniteSubgroup, base_point, connect, stabilizer
 from d4vgit.quiver import build_rep
 from d4vgit.sampling import engineered_unstable_points, rand_group_element, rand_z_point
 from d4vgit.scalars import QI
-from d4vgit.stability import semistable_minus_theta, semistable_theta, verify_certificate
+from d4vgit.stability import (
+    infinite_stabilizer_detected, off_z_minus_theta_flags, semistable_minus_theta,
+    semistable_theta, verify_certificate,
+)
 
 
 def _stable_stream_points(seed, n=6):
@@ -199,3 +204,28 @@ def test_an_unstable_verdict_that_moved_nothing_reverifies_without_acting(monkey
         assert v.adapting is None, desc
         assert verify_certificate(p, v.certificate, chi, v.adapting), desc
     assert acts == []
+
+
+@pytest.mark.parametrize("point, budget", [
+    (witness_E2_not_E1, 9), (witness_E1_not_E2, 9)])
+def test_infinite_stabilizer_test_is_three_wedges(reduced, point, budget):
+    """beta = 0 with a shared rank-one form, and with all forms multiples of
+    v1 v2: one wedge (three dots) per form, no family built or acted with
+    (62 and 43 with two acts per family)."""
+    p = point()
+    assert _count(reduced, lambda: infinite_stabilizer_detected(p)) == budget
+
+
+def test_off_z_flags_test_factors(reduced):
+    """At witness_E1_not_E2: the a_i and beta are read, f_12 is one sum and
+    the infinite-stabilizer test nine dots; neither semi-invariant product
+    is built (59 before)."""
+    p = witness_E1_not_E2()
+    assert _count(reduced, lambda: off_z_minus_theta_flags(p)) == 10
+
+
+def test_witness_semi_invariant_is_one_product(reduced):
+    """f_12 and one product term a1^7 a2^7 a3^2 f_12^10 (11 with binary
+    products and powers)."""
+    p = witness_E1_not_E2()
+    assert _count(reduced, lambda: witness_semi_invariant(p)) == 2

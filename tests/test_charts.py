@@ -238,7 +238,7 @@ def test_normalize_does_not_rerun_theta_oracle(monkeypatch):
     monkeypatch.setattr(charts, "semistable_theta", refuse, raising=False)
     assert normalize(base_point(x=(1, 2)), 1).validate()
     for h in (GroupElement.identity(),
-              GroupElement.make((2, 3, 5), Mat2(1, 2, 3, 4))):
+              GroupElement.make((2, 3, 5), Mat2(*map(QI.scalar, (1, 2, 3, 4))))):
         with pytest.raises(ChartError):
             normalize(act(h, unstable), 2)
 
@@ -406,7 +406,7 @@ def _plus(c, d):
 
 
 _ZERO_C = Covector(QI.zero(), QI.zero())
-_ZERO_V = Vec2(0, 0)
+_ZERO_V = Vec2(QI.zero(), QI.zero())
 
 
 @pytest.mark.parametrize("message, perturb", [

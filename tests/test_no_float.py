@@ -3,7 +3,10 @@ keep that literal: a syntax scan of every module under src/ for the ways a
 float can enter (a float or complex literal, the float and complex types,
 cmath and decimal, math beyond its integer functions, and the float draws
 of random), and runs of the full suite and of every golden CLI command,
-in-process, that check every Scalar they build holds int payloads only."""
+in-process, that check every Scalar they build holds int payloads only.
+The same runs check that the linalg constructors, which store what they
+are given, are given Scalars only: outside data is converted at its
+boundary."""
 
 import ast
 import pathlib
@@ -11,7 +14,7 @@ import pathlib
 import pytest
 from test_golden import CASES, DATA
 
-from d4vgit import cli, scalars
+from d4vgit import cli, linalg, scalars
 from d4vgit.suites import run_suite
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -103,22 +106,49 @@ def non_int_payloads(monkeypatch):
     return bad
 
 
-def test_suite_builds_int_payloads_only(non_int_payloads):
+@pytest.fixture
+def non_scalar_entries(monkeypatch):
+    """A list that records every entry of a Vec2, Mat2 or Mat3 built from
+    now on that is not a Scalar, with its class name."""
+    bad = []
+
+    def guard(cls):
+        real = cls.__init__
+
+        def checking(self, *entries):
+            if cls is linalg.Mat3:
+                entries = ([tuple(r) for r in entries[0]],)   # rows may be an iterator
+                flat = [x for r in entries[0] for x in r]
+            else:
+                flat = entries
+            bad.extend((cls.__name__, x) for x in flat if not isinstance(x, scalars.Scalar))
+            real(self, *entries)
+
+        monkeypatch.setattr(cls, "__init__", checking)
+
+    for cls in (linalg.Vec2, linalg.Mat2, linalg.Mat3):
+        guard(cls)
+    return bad
+
+
+def test_suite_builds_int_payloads_only(non_int_payloads, non_scalar_entries):
     """suite all at seeds 0-2."""
     for seed in range(3):
         report = run_suite("all", seed)
         assert all(c.passed for c in report.checks), seed
     assert non_int_payloads == []
+    assert non_scalar_entries == []
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_command_builds_int_payloads_only(monkeypatch, capsys, non_int_payloads,
-                                                 case):
+                                                 non_scalar_entries, case):
     """Each command of the golden fixtures run through cli.main in this
     process, from the fixtures' directory: the recorded exit code and
-    stdout, with int payloads only."""
+    stdout, with int payloads only and Scalar linalg entries only."""
     code, argv = CASES[case]
     monkeypatch.chdir(DATA)
     assert cli.main(argv) == code
     assert capsys.readouterr().out == (DATA / (case + ".stdout")).read_text()
     assert non_int_payloads == []
+    assert non_scalar_entries == []

@@ -1,19 +1,27 @@
 """Stability oracles, destabilization certificates, cross-checks."""
 
+import json
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from d4vgit.equations import ContractViolation, witness_E1_not_E2, witness_E2_not_E1
-from d4vgit.gitcore import (
-    LAMBDA, MINUS_THETA, THETA, Cocharacter, PointHV, act, coordinate_weights, pair,
+from d4vgit.cli import main
+from d4vgit.equations import (
+    ContractViolation, j_pairing, on_Z, semi_invariant_minus_theta, witness_E1_not_E2,
+    witness_E2_not_E1, witness_semi_invariant,
 )
+from d4vgit.gitcore import (
+    LAMBDA, MINUS_THETA, THETA, Cocharacter, GroupElement, PointHV, act,
+    coordinate_weights, pair, point_to_json,
+)
+from d4vgit.linalg import Mat2
 from d4vgit.mckay import base_point
 from d4vgit.quiver import build_rep, form_contraction, king_stable
 from d4vgit.sampling import (
     engineered_unstable_points, rand_chart_point, rand_group_element,
-    rand_tower_group_element, rand_z_point,
+    rand_nonzero_scalar, rand_point_hv, rand_scalar, rand_tower_group_element,
+    rand_z_point,
 )
 from d4vgit.scalars import QI
 from d4vgit.stability import (
@@ -487,3 +495,168 @@ def test_verdicts_are_invariant_under_tower_translates_at_height(depth, seed, bi
     theta = semistable_theta(q).is_stable
     assert theta == king_stable(build_rep(q)) == semistable_theta(p).is_stable
     assert semistable_minus_theta(q).status == semistable_minus_theta(p).status
+
+
+# -- the infinite-stabilizer test against explicit families -----------------------
+
+
+def _fixing_family(form):
+    """A one-parameter family s -> g(s) of SL(V) fixing the form (p, q, r),
+    built explicitly: for B = 0 (form None) and the split form v1 v2 the
+    torus diag(s, 1/s), for a rank-one form the shear along its kernel, and
+    for any other nondegenerate form the Cayley transform
+    (1 + sX)(1 - sX)^-1 of X = (q/2, r; -p, -q/2), which spans so(f)."""
+    one, zero = QI.one(), QI.zero()
+    if form is None or form[0].is_zero() and form[2].is_zero():
+        return lambda s: Mat2(s, zero, zero, s.inverse())
+    p, q, r = form
+    if j_pairing(form, form).is_zero():
+        l1, l2 = (p, q / 2) if not p.is_zero() else (zero, one)
+        return lambda s: Mat2(one - s * l2 * l1, -(s * l2 * l2),
+                              s * l1 * l1, one + s * l1 * l2)
+    X = Mat2(q / 2, r, -p, -q / 2)
+    return lambda s: ((Mat2.identity() + X.scale(s))
+                      * (Mat2.identity() + X.scale(-s)).inverse())
+
+
+def _reference_infinite_stabilizer(p):
+    """Whether, at beta = 0, the _fixing_family of the first nonzero form
+    fixes the H-part of p at its first two parameter values in 2, 3, 5, 7
+    where 1 - sX is invertible, each checked by a full act."""
+    if not p.beta.is_zero():
+        return False
+    family = _fixing_family(next((b for b in p.B if any(not c.is_zero() for c in b)),
+                                 None))
+    gs = []
+    for s in (2, 3, 5, 7):
+        try:
+            gs.append(family(QI.scalar(s)))
+        except ZeroDivisionError:
+            pass
+    assert all(g.det() == QI.one() for g in gs[:2])
+    return all(act(GroupElement((QI.one(),) * 3, g), p).same_h_part(p) for g in gs[:2])
+
+
+def _hyperbolic_rotations(*values):
+    """The elements ((s + 1/s)/2, (s - 1/s)/2; (s - 1/s)/2, (s + 1/s)/2) with
+    t = 1, which fix the form v1^2 - v2^2, at the given values of s."""
+    out = []
+    for s in map(QI.scalar, values):
+        c, d = (s + s.inverse()) / 2, (s - s.inverse()) / 2
+        out.append(GroupElement((QI.one(),) * 3, Mat2(c, d, d, c)))
+    return out
+
+
+def _form(rng, shape):
+    """A nonzero form of the given shape with entries of height 3."""
+    while True:
+        if shape == "rank one":
+            l1, l2 = rand_scalar(rng), rand_scalar(rng)
+            f = (l1 * l1, l1 * l2 * 2, l2 * l2)
+        elif shape == "v1v2":
+            f = (QI.zero(), rand_nonzero_scalar(rng), QI.zero())
+        else:
+            f = (rand_scalar(rng), rand_scalar(rng), rand_scalar(rng))
+            if j_pairing(f, f).is_zero():
+                continue
+        if any(not c.is_zero() for c in f):
+            return f
+
+
+def _beta_zero_point(rng, shape, shared):
+    """beta = 0, forms c_i f for f of the given shape and c_i of height 3
+    (B1 = 0 one time in three); unless shared, one form is replaced by an
+    independent general one."""
+    f = _form(rng, shape)
+    coefficients = [rand_scalar(rng) for _ in range(3)]
+    if rng.randrange(3) == 0:
+        coefficients[0] = QI.zero()
+    B = [tuple(c * x for x in f) for c in coefficients]
+    if not shared:
+        B[rng.randrange(3)] = _form(rng, "general")
+    return PointHV.make([rand_scalar(rng) for _ in range(3)], 0, B, (1, 0))
+
+
+@pytest.mark.parametrize("depth", [0, 1])
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("shape", ["rank one", "v1v2", "general"])
+def test_infinite_stabilizer_matches_the_explicit_families(shape, shared, depth):
+    """On beta = 0 points, at base level and translated by a depth-1 tower
+    element, the one-test detector agrees with building each fixing family
+    and acting with it."""
+    rng = random.Random("%s/%s/%d" % (shape, shared, depth))
+    verdicts = []
+    for _ in range(4):
+        p = _beta_zero_point(rng, shape, shared)
+        if depth:
+            p = act(rand_tower_group_element(rng, depth), p)
+        verdicts.append(_reference_infinite_stabilizer(p))
+        assert infinite_stabilizer_detected(p) == verdicts[-1]
+    assert all(verdicts) if shared else not any(verdicts)
+
+
+@pytest.mark.parametrize("f, g", [((0, 0, 1), (0, 1, 0)), ((1, 0, 0), (0, 0, 1)),
+                                  ((1, 0, 0), (0, 1, 0))])
+def test_forms_apart_in_one_minor_have_no_infinite_stabilizer(f, g):
+    """wedge(f, g) has one nonzero minor, a different one in each case."""
+    p = PointHV.make((1, 1, 1), 0, (f, g, f), (1, 0))
+    assert not _reference_infinite_stabilizer(p)
+    assert not infinite_stabilizer_detected(p)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the flag reads only SL(V) families at beta = 0")
+@pytest.mark.parametrize("case", ["beta nonzero", "torus t3"])
+def test_infinite_stabilizers_the_flag_misses(case):
+    """Off Z, each point is fixed by a one-parameter family: at beta = 1 with
+    B = (f, 2f, 3f), f = v1^2 - v2^2, by f's hyperbolic rotations (t = 1 and
+    det g = 1 fix beta too); at a3 = 0 and B3 = 0, by the torus coordinate
+    t3 alone."""
+    if case == "beta nonzero":
+        p = PointHV.make((1, 1, 1), 1, ((1, 0, -1), (2, 0, -2), (3, 0, -3)), (1, 0))
+        family = _hyperbolic_rotations(2, 3)
+    else:
+        p = PointHV.make((1, 1, 0), 0, ((1, 0, 0), (0, 0, 1), (0, 0, 0)), (1, 0))
+        family = [GroupElement((QI.one(), QI.one(), QI.scalar(s)), Mat2.identity())
+                  for s in (2, 3)]
+    assert not on_Z(p)
+    assert all(act(h, p).same_h_part(p) for h in family)
+    assert off_z_minus_theta_flags(p)["infinite_stabilizer_detected"]
+
+
+def test_off_z_semi_invariant_flag_reads_the_factors():
+    """The flag equals "a^2 beta^2 det B or (a1 a2 a3)^2 (a1 a2 f_12^2)^5 is
+    nonzero" on random points with some of a_i, beta, f_12 and det B zero."""
+    rng = random.Random(26)
+    seen = set()
+    for _ in range(48):
+        p = rand_point_hv(rng)
+        alpha = tuple(QI.zero() if rng.randrange(4) == 0 else a for a in p.alpha)
+        B = list(p.B)
+        if rng.randrange(3) == 0:                    # f_12 = j(B1, B2) = 0
+            _, q1, r1 = B[0]
+            B[1] = (q1, r1 * 2, QI.zero())
+        if rng.randrange(3) == 0:                    # det B = 0
+            B[2] = tuple(u + v for u, v in zip(B[0], B[1]))
+        q = PointHV.make(alpha, QI.zero() if rng.randrange(3) == 0 else p.beta, B, p.x)
+        expected = (not semi_invariant_minus_theta(q).is_zero()
+                    or not witness_semi_invariant(q).is_zero())
+        assert off_z_minus_theta_flags(q)["semi_invariant_nonvanishing"] == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_a_shared_nondegenerate_form_has_an_infinite_stabilizer(tmp_path, capsys):
+    """beta = 0 and B = (f, 2f, 3f) for f = v1^2 - v2^2: the hyperbolic
+    rotations of f fix the H-part, and the minus-theta report off Z says so."""
+    f = (1, 0, -1)
+    p = PointHV.make((1, 1, 1), 0, tuple(tuple(k * c for c in f) for k in (1, 2, 3)),
+                     (1, 0))
+    assert all(act(h, p).same_h_part(p) for h in _hyperbolic_rotations(2, 3, 5))
+    path = tmp_path / "shared.json"
+    path.write_text(json.dumps(point_to_json(p)))
+    assert main(["stability", "--point", str(path), "--character", "minus-theta",
+                 "--json"]) == 3
+    flags = json.loads(capsys.readouterr().out)["off_Z_flags"]
+    assert flags["infinite_stabilizer_detected"] is True
+    assert flags["strictly_semistable_behavior"] is True
