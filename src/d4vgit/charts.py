@@ -13,15 +13,15 @@ by the free ones a_j, a_k, beta, p_j, p_k,
     4 r = omega,   r_j = -r p_j,   r_k = -r p_k,
     q_j = beta a_k p_k,   q_k = -beta a_j p_j,
 
-(dependent_coordinates, the one place these are written), and what is left
-is N = 1 + a_j p_j^2 + a_k p_k^2 = 0.  A ChartPoint is its five free
-coordinates, and computes the dependent ones once; normalize, where a point
-enters a chart, checks the moved point against the ChartPoint's own
-dependent coordinates, once.  Every invariant the charts validate is one
-zero test of an unreduced sum of products.  chart_closure_check verifies
-symbolically that the relations, written over the five free generators,
-reduce every one of the 24 residual components of the defining equations
-to a multiple of N.
+(q_coordinates and dependent_coordinates, the one place these are written),
+and what is left is N = 1 + a_j p_j^2 + a_k p_k^2 = 0, whose terms
+_chart_equation writes once.  A ChartPoint is its five free coordinates, and
+computes the dependent ones once; normalize, where a point enters a chart,
+checks the moved point against the ChartPoint's own dependent coordinates,
+once.  Every invariant the charts validate is one zero test of an unreduced
+sum of products.  chart_closure_check verifies symbolically that the
+relations, written over the five free generators, reduce every one of the
+24 residual components of the defining equations to a multiple of N.
 
 The quiver-side chart fixes E0 = (1,0), D_i = (1,0), E_i = (0,1); writing
 D_m = (ph_m, qh_m) and E_m = ah_m (-qh_m, ph_m) for the other two legs and
@@ -55,6 +55,12 @@ def _cyclic(i):
     return (i + 1) % 3, (i + 2) % 3
 
 
+def q_coordinates(alpha_j, alpha_k, beta, p_j, p_k):
+    """(q_j, q_k) = (beta a_k p_k, -beta a_j p_j), in chart or hat coordinates."""
+    return (sum_of_products(((1, beta, alpha_k, p_k),)),
+            sum_of_products(((-1, beta, alpha_j, p_j),)))
+
+
 def dependent_coordinates(alpha_j, alpha_k, beta, p_j, p_k):
     """(q_j, q_k, r, r_j, r_k) from the free chart coordinates, over any
     commutative ring with division by 4 (Scalars, or Polys for the closure
@@ -63,11 +69,15 @@ def dependent_coordinates(alpha_j, alpha_k, beta, p_j, p_k):
     the same in every chart, with (j, k) its cyclic successors.
     """
     om = sum_of_products(((1, alpha_j, alpha_k, beta, beta),), lazy=True)
-    return (sum_of_products(((1, beta, alpha_k, p_k),)),
-            sum_of_products(((-1, beta, alpha_j, p_j),)),
-            sum_of_products(((1, om),), 4),
-            sum_of_products(((-1, om, p_j),), 4),
-            sum_of_products(((-1, om, p_k),), 4))
+    return q_coordinates(alpha_j, alpha_k, beta, p_j, p_k) + (
+        sum_of_products(((1, om),), 4),
+        sum_of_products(((-1, om, p_j),), 4),
+        sum_of_products(((-1, om, p_k),), 4))
+
+
+def _chart_equation(one, alpha_j, alpha_k, p_j, p_k):
+    """The terms of N = 1 + a_j p_j^2 + a_k p_k^2 over the ring of one."""
+    return ((1, one), (1, alpha_j, p_j, p_j), (1, alpha_k, p_k, p_k))
 
 
 # the relation each entry of dependent_coordinates satisfies, in its order
@@ -107,7 +117,7 @@ class ChartPoint:
         aj, ak, pj, pk = self.alpha_j, self.alpha_k, self.p_j, self.p_k
         checks = (
             ("1 + a_j p_j^2 + a_k p_k^2 = 0",
-             vanishes(((1, QI.one()), (1, aj, pj, pj), (1, ak, pk, pk)))),
+             vanishes(_chart_equation(QI.one(), aj, ak, pj, pk))),
             ("(p_j, q_j) != 0", not (pj.is_zero() and self.q_j.is_zero())),
             ("(p_k, q_k) != 0", not (pk.is_zero() and self.q_k.is_zero())),
         )
@@ -210,18 +220,21 @@ def chart_equivalent(c1: ChartPoint, c2: ChartPoint):
 
 @dataclass(frozen=True)
 class HatChart:
-    """Normalized quiver-side chart data; validated on construction."""
+    """Normalized quiver-side chart data by its free hat coordinates;
+    validated on construction.  qh_j and qh_k are set from q_coordinates,
+    not fields."""
 
     index: int
     alpha_j: Scalar
     alpha_k: Scalar
     beta: Scalar            # bh
     p_j: Scalar
-    q_j: Scalar
     p_k: Scalar
-    q_k: Scalar
 
     def __post_init__(self):
+        q = q_coordinates(self.alpha_j, self.alpha_k, self.beta, self.p_j, self.p_k)
+        for name, value in zip(("q_j", "q_k"), q):
+            object.__setattr__(self, name, value)
         self.validate()
 
     @property
@@ -229,32 +242,18 @@ class HatChart:
         return sum_of_products(((1, self.beta, self.beta, self.alpha_j, self.alpha_k),))
 
     def validate(self):
-        aj, ak, bh = self.alpha_j, self.alpha_k, self.beta
-        pj, qj, pk, qk = self.p_j, self.q_j, self.p_k, self.q_k
-        checks = (
-            ("ah_j ph_j^2 + ah_k ph_k^2 + 1 = 0",
-             vanishes(((1, aj, pj, pj), (1, ak, pk, pk), (1, QI.one())))),
-            ("ah_j ph_j qh_j + ah_k ph_k qh_k = 0",
-             vanishes(((1, aj, pj, qj), (1, ak, pk, qk)))),
-            ("ah_j qh_j^2 + ah_k qh_k^2 + wh = 0",
-             vanishes(((1, aj, qj, qj), (1, ak, qk, qk), (1, bh, bh, aj, ak)))),
-            ("qh_j = bh ah_k ph_k", vanishes(((1, qj), (-1, bh, ak, pk)))),
-            ("qh_k = -bh ah_j ph_j", vanishes(((1, qk), (1, bh, aj, pj)))),
-        )
-        for name, ok in checks:
-            if not ok:
-                raise ChartError("hat invariant failed: %s" % name)
+        """N = ah_j ph_j^2 + ah_k ph_k^2 + 1 = 0, the one relation left: with
+        qh_j = bh ah_k ph_k and qh_k = -bh ah_j ph_j, ah_j ph_j qh_j +
+        ah_k ph_k qh_k is identically 0, and ah_j qh_j^2 + ah_k qh_k^2 + wh
+        is bh^2 ah_j ah_k N."""
+        if not vanishes(_chart_equation(QI.one(), self.alpha_j, self.alpha_k,
+                                       self.p_j, self.p_k)):
+            raise ChartError("hat invariant failed: ah_j ph_j^2 + ah_k ph_k^2 + 1 = 0")
         return True
 
 
 def to_quiver_chart(c: ChartPoint) -> HatChart:
-    return HatChart(
-        index=c.index,
-        alpha_j=c.alpha_j, alpha_k=c.alpha_k,
-        beta=c.beta / 2,
-        p_j=c.p_j, q_j=c.q_j / 2,
-        p_k=c.p_k, q_k=c.q_k / 2,
-    )
+    return HatChart(c.index, c.alpha_j, c.alpha_k, c.beta / 2, c.p_j, c.p_k)
 
 
 def from_quiver_chart(hat: HatChart) -> ChartPoint:
@@ -267,7 +266,8 @@ def normalize_rep(rep: QuiverRep, index: int):
 
     Requires the rep to be generated through index i (D_i(E0) != 0 and
     E0, E_i independent) and to satisfy the leg relations.  Returns a
-    HatChart; the transport is unique modulo the two leg scalings.
+    HatChart; the transport is unique modulo the two leg scalings.  The q
+    relations are checked here, once, where a rep enters the hat chart.
     """
     i = index - 1
     j, k = _cyclic(i)
@@ -305,13 +305,12 @@ def normalize_rep(rep: QuiverRep, index: int):
         if not (em.a == -ah * qh and em.b == ah * ph):
             raise ChartError("leg %d is not of the dual form" % (m + 1))
         hats[m] = (ah, ph, qh)
-    hat = HatChart(
-        index=index,
-        alpha_j=hats[j][0], alpha_k=hats[k][0],
-        beta=_solve_beta_hat(hats[j], hats[k]),
-        p_j=hats[j][1], q_j=hats[j][2],
-        p_k=hats[k][1], q_k=hats[k][2],
-    )
+    hat = HatChart(index, hats[j][0], hats[k][0], _solve_beta_hat(hats[j], hats[k]),
+                   hats[j][1], hats[k][1])
+    for name, want, got in (("qh_j = bh ah_k ph_k", hat.q_j, hats[j][2]),
+                            ("qh_k = -bh ah_j ph_j", hat.q_k, hats[k][2])):
+        if want != got:
+            raise ChartError("hat invariant failed: %s" % name)
     if d0[1] != hat.omega:
         raise ChartError("framing map disagrees with the collapsed relation")
     return hat
@@ -370,7 +369,7 @@ def chart_closure_check() -> ClosureReport:
     q2, q3, r1, r2, r3 = dependent_coordinates(a2, a3, b, p2, p3)
     B = ((one, zero, r1), (p2, q2, r2), (p3, q3, r3))
     e1, e2, e3 = residual_entries((one, a2, a3), b, B)
-    N = one + a2 * p2 ** 2 + a3 * p3 ** 2
+    N = sum_of_products(_chart_equation(one, a2, a3, p2, p3))
 
     components = []
     for labels, entries in ((E1_LABELS, e1), (E2_LABELS, e2), (E3_LABELS, e3)):

@@ -103,7 +103,7 @@ def quaternion_rep():
 
 @dataclass(frozen=True, eq=False)
 class FiniteSubgroup:
-    """A finite tuple of group elements closed under product and inverse.
+    """A tuple of distinct group elements closed under product and inverse.
 
     The elements need only `*` and `==`: GroupElements here, Mat2s for the
     S3 example.  Building the group proves closure from a generating set
@@ -123,9 +123,9 @@ class FiniteSubgroup:
     along those edges, with no further product; every row must hold the
     identity (every inverse is present).  The table
     queries (multiplication_table, is_abelian, element_orders,
-    order_profile, is_quaternion) read it and multiply nothing.  Indices
-    name equal elements by their first occurrence.  The group is frozen, so
-    the table cannot go stale.
+    order_profile, is_quaternion) read it and multiply nothing.  An element
+    listed twice is never reached under its second index, so the walk
+    refuses it.  The group is frozen, so the table cannot go stale.
     """
 
     elements: tuple
@@ -151,14 +151,13 @@ class FiniteSubgroup:
         one = self.index_of(self.identity)
         if one is None:
             raise AssertionError("identity missing")
-        first = [self.index_of(e) for e in elements]
         gens = []
         # reached: breadth-first order from the identity; word[j] = (i, k)
         # with elements[j] == elements[i] * elements[gens[k]]
         reached, word, edges = [one], {one: None}, {}
         n = len(elements)
         for g in list(range(0, n, 2)) + list(range(1, n, 2)):
-            if first[g] != g or g in word:
+            if g in word:
                 continue
             gens.append(g)
             for i in reached:        # grows while it is walked
@@ -171,6 +170,8 @@ class FiniteSubgroup:
                     if j not in word:
                         word[j] = (i, k)
                         reached.append(j)
+        if len(reached) != n:
+            raise AssertionError("duplicate element")
         rows = {}
         for i in reached:
             # prod[j]: the index of elements[i] * elements[j], j reached
@@ -180,16 +181,15 @@ class FiniteSubgroup:
                 prod[j] = edges[prod[parent]][k]
             if one not in prod.values():
                 raise AssertionError("inverse missing")
-            rows[i] = tuple(prod[f] for f in first)
-        return tuple(rows[f] for f in first)
+            rows[i] = tuple(prod[j] for j in range(n))
+        return tuple(rows[i] for i in range(n))
 
     def multiplication_table(self):
         """Row i, column j: the index of elements[i] * elements[j]."""
         return [list(row) for row in self._table]
 
     def element_orders(self):
-        # indices name equal elements by their first occurrence, so index
-        # equality is element equality
+        # the elements are distinct, so index equality is element equality
         table, one = self._table, self.index_of(self.identity)
         orders = []
         for i in range(len(table)):

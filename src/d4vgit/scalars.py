@@ -725,7 +725,7 @@ _TERM = re.compile(r"([+-]?)(?:([0-9]+)(?:/([0-9]+))?(\*?i)?|(i))")
 _SPLIT_DIGITS = re.compile(r"[0-9] +[0-9]")
 
 
-def parse_scalar(text: str, field: Field = QI) -> Scalar:
+def parse_scalar(text: str) -> Scalar:
     """Parse the base-level string format "a/b+c/d*i".
 
     The text is a sum of terms, each [+-]digits[/digits] optionally followed
@@ -759,7 +759,7 @@ def parse_scalar(text: str, field: Field = QI) -> Scalar:
             re_, im = re_ * d + n * den, im * d
         den *= d
         pos = m.end()
-    return field.lift(_qi(re_, im, den))
+    return _qi(re_, im, den)
 
 
 def scalar_to_json(x: Scalar):

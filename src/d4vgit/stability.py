@@ -240,15 +240,14 @@ def semistable_minus_theta(p: PointHV) -> StabilityVerdict:
 
 
 def infinite_stabilizer_detected(p: PointHV) -> bool:
-    """For beta = 0 (False otherwise): whether a positive-dimensional subgroup
-    of SL(V), with t = 1, fixes the H-part of p.  Such elements fix every a_i
-    and beta and move only the forms.  The subgroup fixing a nonzero form f
-    is the shear along its kernel when f has rank one, and its special
+    """Whether a positive-dimensional subgroup of SL(V), with t = 1, fixes
+    the H-part of p.  Such elements fix every a_i and beta, whatever beta
+    is, and move only the forms.  The subgroup fixing a nonzero form f is
+    the shear along its kernel when f has rank one, and its special
     orthogonal torus otherwise; it fixes exactly the multiples of f in
     Sym^2 V.  So the test is B = 0, or every wedge(f, B_i) zero for f the
-    first nonzero form."""
-    if not p.beta.is_zero():
-        return False
+    first nonzero form.  It is exact when every a_i is nonzero; with some
+    a_i = 0 a torus coordinate t_i alone may fix p, which it does not read."""
     form = next((b for b in p.B if any(not c.is_zero() for c in b)), None)
     return form is None or all(
         all(c.is_zero() for c in wedge(form, b)) for b in p.B)

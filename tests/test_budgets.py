@@ -74,8 +74,8 @@ def _count(calls, run):
 
 # at most this many reduced values per call: 19, 22, 94 and 44 when each
 # product chain reduced after every binary product.  to_quiver_chart halves
-# three coordinates, from_quiver_chart doubles one and builds the five
-# dependent coordinates, and the validations are zero tests.
+# beta and builds the two qh, from_quiver_chart doubles beta and builds the
+# five dependent coordinates, and the validations are zero tests.
 # semistable_theta reduced 11 when it built each contraction B_i(x, -): now
 # each is two lazy zero tests, and the witness a_i B_i(x, x) one sum (these
 # points all take the witness at i = 1).
@@ -108,6 +108,17 @@ def test_normalize_evaluates_the_chart_relations_once(monkeypatch):
         calls.clear()
         normalize(p, v.witness_index + 1)
         assert len(calls) == 1
+
+
+def test_to_quiver_chart_makes_one_zero_test(monkeypatch, reduced):
+    """A HatChart is its free coordinates and tests N alone (five zero tests
+    when it tested every hat relation), and the hat round trip still
+    reduces at most 9 values."""
+    zero_tests = _record(monkeypatch, charts, "vanishes")
+    for p, v in _stable_stream_points(3, n=3):
+        c = normalize(p, v.witness_index + 1)
+        assert _count(zero_tests, lambda: to_quiver_chart(c)) == 1
+        assert _count(reduced, lambda: from_quiver_chart(to_quiver_chart(c))) <= 9
 
 
 def _count_products(monkeypatch, cls, build):

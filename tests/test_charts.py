@@ -8,11 +8,12 @@ import pytest
 from d4vgit.charts import (
     ChartError, ChartPoint, chart_closure_check, chart_equivalent,
     dependent_coordinates, from_quiver_chart, normalize, normalize_rep,
-    to_quiver_chart,
+    q_coordinates, to_quiver_chart,
 )
-from d4vgit.gitcore import GroupElement, act
+from d4vgit.gitcore import GroupElement, PointHV, act
 from d4vgit.linalg import Mat2, Vec2
 from d4vgit.mckay import base_point
+from d4vgit.poly import Poly
 from d4vgit.quiver import Covector, build_rep
 from d4vgit.sampling import rand_chart_point, rand_nonzero_scalar, rand_z_point
 from d4vgit.scalars import QI
@@ -145,6 +146,20 @@ def test_hat_system_collapse():
         # third equation collapses to omega-hat = bh^2 a2 a3
         wh = bh * bh * a2 * a3
         assert (a2 * q2 * q2 + a3 * q3 * q3 + wh).is_zero()
+
+
+def test_hat_chart_relations_follow_from_the_q_relations_and_n():
+    """Over the free hat generators, with qh_j and qh_k from q_coordinates,
+    the two relations a HatChart does not test are identities:
+    ah_j ph_j qh_j + ah_k ph_k qh_k = 0 and
+    ah_j qh_j^2 + ah_k qh_k^2 + wh = bh^2 ah_j ah_k N."""
+    V = ("aj", "ak", "bh", "pj", "pk")
+    aj, ak, bh, pj, pk = (Poly.ring(V)[v] for v in V)
+    qj, qk = q_coordinates(aj, ak, bh, pj, pk)
+    N = Poly.constant(1, V) + aj * pj ** 2 + ak * pk ** 2
+    assert (aj * pj * qj + ak * pk * qk).is_zero()
+    assert aj * qj ** 2 + ak * qk ** 2 + bh * bh * aj * ak == bh ** 2 * aj * ak * N
+    assert not N.is_zero()
 
 
 def test_quiver_side_normalization_matches():
@@ -409,23 +424,48 @@ _ZERO_C = Covector(QI.zero(), QI.zero())
 _ZERO_V = Vec2(QI.zero(), QI.zero())
 
 
-@pytest.mark.parametrize("message, perturb", [
-    ("E0 and E_1 do not span V", lambda r: replace(r, E=_swap(r.E, 0, r.E0))),
-    (r"D_1\(E0\) = 0", lambda r: replace(r, D=_swap(r.D, 0, _ZERO_C))),
-    ("leg relation D_1 E_1 != 0", lambda r: replace(r, E=_swap(r.E, 0, r.E[0] + r.E0))),
-    ("framing relation D0 E0 != 0", lambda r: replace(r, D0=_plus(r.D0, r.D[0]))),
-    ("leg 2 vanishes", lambda r: replace(r, D=_swap(r.D, 1, _ZERO_C))),
-    ("leg 2 is not of the dual form", lambda r: replace(r, E=_swap(r.E, 1, r.E[1] + r.E0))),
-    ("central relation degenerate", lambda r: replace(r, E=(r.E[0], _ZERO_V, _ZERO_V))),
-    ("hat invariant failed: ah_j", lambda r: replace(r, E=_swap(r.E, 1, r.E[1].scale(2)))),
-    ("framing map disagrees", lambda r: replace(r, D0=_plus(r.D0, r.D0))),
+def _shift_qh(r, m):
+    """The rep of a chart-1 normal-form point, whose frame is already
+    normalized, with qh of leg m raised by 1 and E_m = ah_m (-qh_m, ph_m)
+    kept (ph_m != 0)."""
+    D, E = r.D[m], r.E[m]
+    ah = E.b / D.a
+    return replace(r, D=_swap(r.D, m, Covector(D.a, D.b + 1)),
+                   E=_swap(r.E, m, Vec2(E.a - ah, E.b)))
+
+
+# normalize_rep solves bh from qh_j unless ah_k ph_k = 0, so qh_j = bh ah_k ph_k
+# fails alone only there: the chart-1 normal form of
+# (a_j, a_k, beta, p_j, p_k) = (-1, 1, 2, 1, 0)
+_POINTS = {"generic": lambda: rand_chart_point(random.Random(2)),
+           "p_k = 0": lambda: PointHV.make((1, -1, 1), 2, ((1, 0, -1), (1, 0, 1), (0, 2, 0)),
+                                           (1, 0))}
+
+
+@pytest.mark.parametrize("point, message, perturb", [
+    ("generic", "E0 and E_1 do not span V", lambda r: replace(r, E=_swap(r.E, 0, r.E0))),
+    ("generic", r"D_1\(E0\) = 0", lambda r: replace(r, D=_swap(r.D, 0, _ZERO_C))),
+    ("generic", "leg relation D_1 E_1 != 0",
+     lambda r: replace(r, E=_swap(r.E, 0, r.E[0] + r.E0))),
+    ("generic", "framing relation D0 E0 != 0", lambda r: replace(r, D0=_plus(r.D0, r.D[0]))),
+    ("generic", "leg 2 vanishes", lambda r: replace(r, D=_swap(r.D, 1, _ZERO_C))),
+    ("generic", "leg 2 is not of the dual form",
+     lambda r: replace(r, E=_swap(r.E, 1, r.E[1] + r.E0))),
+    ("generic", "central relation degenerate",
+     lambda r: replace(r, E=(r.E[0], _ZERO_V, _ZERO_V))),
+    ("generic", "hat invariant failed: ah_j",
+     lambda r: replace(r, E=_swap(r.E, 1, r.E[1].scale(2)))),
+    ("p_k = 0", "hat invariant failed: qh_j = bh ah_k ph_k$", lambda r: _shift_qh(r, 1)),
+    ("generic", "hat invariant failed: qh_k = -bh ah_j ph_j$", lambda r: _shift_qh(r, 2)),
+    ("generic", "framing map disagrees", lambda r: replace(r, D0=_plus(r.D0, r.D0))),
 ], ids=["span", "d_i_e0", "leg_relation", "framing_relation", "leg_vanishes",
-        "dual_form", "central_degenerate", "hat_invariant", "framing_map"])
-def test_normalize_rep_refuses_each_broken_precondition(message, perturb):
+        "dual_form", "central_degenerate", "hat_invariant", "hat_q_j", "hat_q_k",
+        "framing_map"])
+def test_normalize_rep_refuses_each_broken_precondition(point, message, perturb):
     """Each ChartError of normalize_rep, _solve_beta_hat and HatChart.validate
     is reached by breaking one precondition of a stable point's rep (chart 1,
     so legs 2 and 3 are j and k), and nothing else is raised."""
-    rep = build_rep(rand_chart_point(random.Random(2)))
+    rep = build_rep(_POINTS[point]())
     assert normalize_rep(rep, 1) is not None
     with pytest.raises(ChartError, match=message):
         normalize_rep(perturb(rep), 1)

@@ -284,19 +284,17 @@ def test_singular_idempotent_is_refused_as_missing_inverse():
         FiniteSubgroup([Mat2.identity(), E], Mat2.identity())
 
 
-def test_duplicate_elements_take_first_occurrence_indices():
-    """Equal elements listed twice are named by their first index, and the
-    proof still terminates."""
+def test_duplicate_elements_are_refused():
+    """A group lists each element once: Q8 listed with -1, 1, k and -k
+    repeated (12 entries), and Q8 with only the identity repeated, are each
+    refused once the walk from the identity is done."""
     quats = [h for _, h in quaternion_rep()]
     copies = [GroupElement(h.t, h.g) for h in quats]
     # indices 3, 9, 10, 11 repeat -1, 1, k, -k
     listed = quats[:3] + copies[1:2] + quats[3:] + copies[0:1] + copies[6:]
-    group = FiniteSubgroup(listed, GroupElement.identity())
-    assert group.order() == len(listed) == 12
-    table = group.multiplication_table()
-    assert table == _brute_force_table(listed)
-    assert {entry for row in table for entry in row} == {0, 1, 2, 4, 5, 6, 7, 8}
-    assert group.order_profile() == {1: 2, 2: 2, 4: 8}
+    for elements in (listed, quats + copies[:1]):
+        with pytest.raises(AssertionError, match="duplicate element"):
+            FiniteSubgroup(elements, GroupElement.identity())
 
 
 # -- membership from the recovery certificate ----------------------------------

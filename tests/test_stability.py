@@ -520,11 +520,9 @@ def _fixing_family(form):
 
 
 def _reference_infinite_stabilizer(p):
-    """Whether, at beta = 0, the _fixing_family of the first nonzero form
-    fixes the H-part of p at its first two parameter values in 2, 3, 5, 7
-    where 1 - sX is invertible, each checked by a full act."""
-    if not p.beta.is_zero():
-        return False
+    """Whether the _fixing_family of the first nonzero form fixes the H-part
+    of p at its first two parameter values in 2, 3, 5, 7 where 1 - sX is
+    invertible, each checked by a full act."""
     family = _fixing_family(next((b for b in p.B if any(not c.is_zero() for c in b)),
                                  None))
     gs = []
@@ -581,17 +579,21 @@ def _beta_zero_point(rng, shape, shared):
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("shape", ["rank one", "v1v2", "general"])
 def test_infinite_stabilizer_matches_the_explicit_families(shape, shared, depth):
-    """On beta = 0 points, at base level and translated by a depth-1 tower
-    element, the one-test detector agrees with building each fixing family
-    and acting with it."""
+    """On beta = 0 points and the same points at beta = 2, at base level and
+    translated by a depth-1 tower element, the one-test detector agrees
+    with building each fixing family and acting with it: t = 1 and
+    det g = 1 fix beta whatever it is."""
     rng = random.Random("%s/%s/%d" % (shape, shared, depth))
     verdicts = []
     for _ in range(4):
         p = _beta_zero_point(rng, shape, shared)
+        points = (p, PointHV(p.alpha, QI.scalar(2), p.B, p.x))
         if depth:
-            p = act(rand_tower_group_element(rng, depth), p)
-        verdicts.append(_reference_infinite_stabilizer(p))
-        assert infinite_stabilizer_detected(p) == verdicts[-1]
+            h = rand_tower_group_element(rng, depth)
+            points = tuple(act(h, q) for q in points)
+        for q in points:
+            verdicts.append(_reference_infinite_stabilizer(q))
+            assert infinite_stabilizer_detected(q) == verdicts[-1]
     assert all(verdicts) if shared else not any(verdicts)
 
 
@@ -604,10 +606,12 @@ def test_forms_apart_in_one_minor_have_no_infinite_stabilizer(f, g):
     assert not infinite_stabilizer_detected(p)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the flag reads only SL(V) families at beta = 0")
-@pytest.mark.parametrize("case", ["beta nonzero", "torus t3"])
-def test_infinite_stabilizers_the_flag_misses(case):
+@pytest.mark.parametrize("case", [
+    "beta nonzero",
+    pytest.param("torus t3", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the flag reads only SL(V) families, not a torus coordinate"))])
+def test_one_parameter_families_off_z_are_flagged(case):
     """Off Z, each point is fixed by a one-parameter family: at beta = 1 with
     B = (f, 2f, 3f), f = v1^2 - v2^2, by f's hyperbolic rotations (t = 1 and
     det g = 1 fix beta too); at a3 = 0 and B3 = 0, by the torus coordinate
