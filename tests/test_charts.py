@@ -148,16 +148,28 @@ def test_hat_system_collapse():
         assert (a2 * q2 * q2 + a3 * q3 * q3 + wh).is_zero()
 
 
-def test_hat_chart_relations_follow_from_the_q_relations_and_n():
-    """Over the free hat generators, with qh_j and qh_k from q_coordinates,
-    the two relations a HatChart does not test are identities:
-    ah_j ph_j qh_j + ah_k ph_k qh_k = 0 and
-    ah_j qh_j^2 + ah_k qh_k^2 + wh = bh^2 ah_j ah_k N."""
-    V = ("aj", "ak", "bh", "pj", "pk")
-    aj, ak, bh, pj, pk = (Poly.ring(V)[v] for v in V)
-    qj, qk = q_coordinates(aj, ak, bh, pj, pk)
-    N = Poly.constant(1, V) + aj * pj ** 2 + ak * pk ** 2
+_HAT_GENS = ("aj", "ak", "bh", "pj", "pk")
+
+
+def _hat_generators():
+    """The free hat generators (ah_j, ah_k, bh, ph_j, ph_k) and (qh_j, qh_k)
+    from q_coordinates: the two hat relations a HatChart does not test
+    follow from these."""
+    aj, ak, bh, pj, pk = (Poly.ring(_HAT_GENS)[v] for v in _HAT_GENS)
+    return (aj, ak, bh, pj, pk), q_coordinates(aj, ak, bh, pj, pk)
+
+
+def test_hat_pq_relation_follows_from_the_q_relations():
+    """ah_j ph_j qh_j + ah_k ph_k qh_k = 0 is an identity."""
+    (aj, ak, _, pj, pk), (qj, qk) = _hat_generators()
     assert (aj * pj * qj + ak * pk * qk).is_zero()
+
+
+def test_hat_qq_relation_follows_from_the_q_relations_and_n():
+    """ah_j qh_j^2 + ah_k qh_k^2 + wh = bh^2 ah_j ah_k N, so it holds
+    whenever N does."""
+    (aj, ak, bh, pj, pk), (qj, qk) = _hat_generators()
+    N = Poly.constant(1, _HAT_GENS) + aj * pj ** 2 + ak * pk ** 2
     assert aj * qj ** 2 + ak * qk ** 2 + bh * bh * aj * ak == bh ** 2 * aj * ak * N
     assert not N.is_zero()
 
