@@ -296,13 +296,16 @@ def normalize_rep(rep: QuiverRep, index: int):
         em = ghat * rep.E[m]
         # E_m = ah_m * (-qh_m, ph_m)
         ph, qh = dm
+        # ah is solved from one coordinate, so only the other is tested
         if not ph.is_zero():
             ah = em.b / ph
+            dual = em.a == -ah * qh
         elif not qh.is_zero():
             ah = -em.a / qh
+            dual = em.b.is_zero()
         else:
             raise ChartError("leg %d vanishes; rep not stable" % (m + 1))
-        if not (em.a == -ah * qh and em.b == ah * ph):
+        if not dual:
             raise ChartError("leg %d is not of the dual form" % (m + 1))
         hats[m] = (ah, ph, qh)
     hat = HatChart(index, hats[j][0], hats[k][0], _solve_beta_hat(hats[j], hats[k]),
@@ -320,10 +323,12 @@ def _solve_beta_hat(leg_j, leg_k):
     """bh with (qh_j, qh_k) = bh (ah_k ph_k, -ah_j ph_j)."""
     ah_j, ph_j, qh_j = leg_j
     ah_k, ph_k, qh_k = leg_k
-    if not (ah_k * ph_k).is_zero():
-        return qh_j / (ah_k * ph_k)
-    if not (ah_j * ph_j).is_zero():
-        return -qh_k / (ah_j * ph_j)
+    ap = ah_k * ph_k
+    if not ap.is_zero():
+        return qh_j / ap
+    ap = ah_j * ph_j
+    if not ap.is_zero():
+        return -qh_k / ap
     raise ChartError("central relation degenerate: both ah ph vanish")
 
 

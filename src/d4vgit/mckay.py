@@ -12,7 +12,7 @@ constraint that fixes the signs of (alpha, beta) jointly doubles it to 16.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cache
 
 from .equations import ContractViolation, in_Zo, omega, residuals, wedge
@@ -121,7 +121,11 @@ class FiniteSubgroup:
     and 12 products for the orders 8, 16 and 6, against |G|^2).  The
     Cayley table of indices is then filled by walking each element's word
     along those edges, with no further product; every row must hold the
-    identity (every inverse is present).  The table
+    identity (every inverse is present).  An edge names its product through
+    product(i, j), the index of elements[i] * elements[j] or None when it is
+    not listed; by default it multiplies and looks the product up, and
+    stabilizer passes one that reads a single matrix entry instead (see
+    _sign_product).  The table
     queries (multiplication_table, is_abelian, element_orders,
     order_profile, is_quaternion) read it and multiply nothing.  An element
     listed twice is never reached under its second index, so the walk
@@ -130,10 +134,11 @@ class FiniteSubgroup:
 
     elements: tuple
     identity: object
+    product: InitVar = None
 
-    def __post_init__(self):
+    def __post_init__(self, product):
         object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "_table", self.verify())
+        object.__setattr__(self, "_table", self.verify(product))
 
     def order(self):
         return len(self.elements)
@@ -144,10 +149,14 @@ class FiniteSubgroup:
                 return idx
         return None
 
-    def verify(self):
+    def _multiply(self, i, j):
+        return self.index_of(self.elements[i] * self.elements[j])
+
+    def verify(self, product=None):
         """Prove that the identity, every product and every inverse are
         present; returns the products as a Cayley table of indices."""
         elements = self.elements
+        product = product or self._multiply
         one = self.index_of(self.identity)
         if one is None:
             raise AssertionError("identity missing")
@@ -163,7 +172,7 @@ class FiniteSubgroup:
             for i in reached:        # grows while it is walked
                 row = edges.setdefault(i, [])
                 for k in range(len(row), len(gens)):
-                    j = self.index_of(elements[i] * elements[gens[k]])
+                    j = product(i, gens[k])
                     if j is None:
                         raise AssertionError("not closed under product")
                     row.append(j)
@@ -282,6 +291,49 @@ _EVEN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
 _ODD_PATTERNS = ((-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1))
 
 
+def _sign_product(elements, patterns):
+    """product(i, j) for the closure proof of stabilizer's list, in which
+    elements[2k] and elements[2k + 1] are (e, g) and (e, -g) for
+    e = patterns[k].
+
+    Each listed (e, g) has the verified certificate form_matrix(g^-1) == M_e,
+    M_e = sum_j e_j P_j.  The P_j are complementary idempotents, since
+    C C^-1 = I exactly, so M_e M_e' = M_ee'.  form_matrix is
+    anti-multiplicative (which does not matter here, the M_e commute) and
+    its kernel on GL2 is {+-1}: the product g g' of the listed (e, g) and
+    (e', g') is +-g_m, g_m the GL2 part of the listed pair of the pattern
+    ee', and the torus part of the product is exactly ee'.  One nonzero
+    entry of g_m settles the sign, and that entry of g g' is one two-term
+    dot, where compose would make eight products.  An entry equal to
+    neither sign, or a pattern ee' not listed, names no element: the proof
+    then refuses the list as not closed.
+    """
+    position = {e: 2 * k for k, e in enumerate(patterns)}
+    rows = [((h.g.a, h.g.b), (h.g.c, h.g.d)) for h in elements]
+    cols = [((h.g.a, h.g.c), (h.g.b, h.g.d)) for h in elements]
+    probes = {}
+    for m in position.values():
+        # g_m is invertible, so some entry is nonzero
+        r, c = next((r, c) for r in (0, 1) for c in (0, 1)
+                    if not rows[m][r][c].is_zero())
+        probes[m] = r, c, rows[m][r][c], rows[m + 1][r][c]
+
+    def product(i, j):
+        m = position.get(tuple(x * y for x, y in
+                               zip(patterns[i // 2], patterns[j // 2])))
+        if m is None:
+            return None
+        r, c, plus, minus = probes[m]
+        entry = dot(rows[i][r], cols[j][c])
+        if entry == plus:
+            return m
+        if entry == minus:
+            return m + 1
+        return None
+
+    return product
+
+
 def stabilizer(p: PointHV, fix_beta: bool = True) -> FiniteSubgroup:
     """The stabilizer of the H-part (alpha, beta, B) of a point of the open
     locus.
@@ -301,12 +353,15 @@ def stabilizer(p: PointHV, fix_beta: bool = True) -> FiniteSubgroup:
     g and -g join together.  With fix_beta=False the constraint pinning the
     joint sign of (alpha, beta) is dropped, which admits the odd patterns as
     well and doubles the group (the double cover of (Z/2)^3 rather than of
-    (Z/2)^2).
+    (Z/2)^2).  The certificates also prove the group closed: the product of
+    (e, g) and (e', g') is (ee', +-g_m) for the listed pair of the pattern
+    ee', and one matrix entry picks the sign (_sign_product), so no element
+    is composed.
     """
     if not in_Zo(p):
         raise ContractViolation("stabilizer requires a point of the open locus")
     field = point_field(p)
-    elements = []
+    elements, admitted = [], []
     patterns = list(_EVEN_PATTERNS) + (list(_ODD_PATTERNS) if not fix_beta else [])
     P = _line_projectors(p.B)
     for pattern in patterns:
@@ -317,9 +372,11 @@ def stabilizer(p: PointHV, fix_beta: bool = True) -> FiniteSubgroup:
             continue
         g = ginv.adjugate().scale(sign)     # det(g^-1) = sign = +-1: no inverse
         t = tuple(QI.scalar(c) for c in pattern)
+        admitted.append(pattern)
         elements.append(GroupElement(t, g))
         elements.append(GroupElement(t, g.scale(-1)))
-    return FiniteSubgroup(elements, GroupElement.identity())
+    return FiniteSubgroup(elements, GroupElement.identity(),
+                          _sign_product(elements, admitted))
 
 
 # -- orbit connection ------------------------------------------------------------

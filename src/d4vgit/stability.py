@@ -21,7 +21,7 @@ from typing import Optional
 
 from .equations import (
     ContractViolation, det_b, f_pairing, on_Z, open_locus_det,
-    semi_invariant_minus_theta, wedge,
+    semi_invariant_minus_theta,
 )
 from .gitcore import (
     LAMBDA, MU, THETA, MINUS_THETA,
@@ -239,18 +239,66 @@ def semistable_minus_theta(p: PointHV) -> StabilityVerdict:
 # -- off-Z reporting -------------------------------------------------------------
 
 
+def _independent(rows):
+    """Whether the rows, equal-length lists of Scalars, are linearly
+    independent: Gaussian elimination, stopping at the first row that
+    reduces to zero."""
+    rows = [list(row) for row in rows]
+    for k, row in enumerate(rows):
+        c = next((c for c, x in enumerate(row) if not x.is_zero()), None)
+        if c is None:
+            return False
+        inv = row[c].inverse()
+        for below in rows[k + 1:]:
+            if not below[c].is_zero():
+                f = below[c] * inv
+                below[:] = [x if y.is_zero() else x - f * y
+                            for x, y in zip(below, row)]
+    return True
+
+
 def infinite_stabilizer_detected(p: PointHV) -> bool:
-    """Whether a positive-dimensional subgroup of SL(V), with t = 1, fixes
-    the H-part of p.  Such elements fix every a_i and beta, whatever beta
-    is, and move only the forms.  The subgroup fixing a nonzero form f is
-    the shear along its kernel when f has rank one, and its special
-    orthogonal torus otherwise; it fixes exactly the multiples of f in
-    Sym^2 V.  So the test is B = 0, or every wedge(f, B_i) zero for f the
-    first nonzero form.  It is exact when every a_i is nonzero; with some
-    a_i = 0 a torus coordinate t_i alone may fix p, which it does not read."""
-    form = next((b for b in p.B if any(not c.is_zero() for c in b)), None)
-    return form is None or all(
-        all(c.is_zero() for c in wedge(form, b)) for b in p.B)
+    """Whether the stabilizer of the H-part of p in G = (C*)^3 x GL2 is
+    positive-dimensional.
+
+    In characteristic 0 every algebraic group is smooth, so the stabilizer
+    has the dimension of its Lie algebra: the kernel of the infinitesimal
+    action of Lie G (tau in C^3, X in gl2; dimension 7) on the 13
+    H-coordinates.  The kernel of the action itself on H is finite,
+    {(1, +-I)}: t_i Q o g^-1 = Q for every form Q makes g = mu I with
+    t_i = mu^2, and a_i -> mu^-2 a_i then forces mu^2 = 1.  So Lie G acts
+    faithfully, and a positive-dimensional stabilizer is exactly a nonzero
+    kernel: the test is that the seven rows below are dependent.  The row of
+    (tau, X), the derivative of the action at the identity, reads
+        a_i:  (tr X - 2 tau_i) a_i
+        beta: (tau_1 + tau_2 + tau_3 - 2 tr X) beta
+        B_i:  tau_i B_i - (2p x11 + q x21, q tr X + 2p x12 + 2r x21,
+                           q x12 + 2r x22)   for B_i = (p, q, r),
+    the last from t_i B_i(g^-1 v).  It reads torus coordinates and GL(V)
+    together, so it also finds the families that mix them."""
+    return not _independent(_infinitesimal_action(p))
+
+
+def _infinitesimal_action(p: PointHV):
+    """The rows tau_1, tau_2, tau_3, x11, x22, x12, x21 of the infinitesimal
+    action of Lie G on the H-coordinates of p, in table order (see
+    infinite_stabilizer_detected)."""
+    zero = QI.zero()
+    a, beta, B = p.alpha, p.beta, p.B
+    rows = []
+    for i in range(3):                          # tau_i
+        row = [zero] * 13
+        row[i], row[3] = a[i] * -2, beta
+        row[4 + 3 * i:7 + 3 * i] = B[i]
+        rows.append(row)
+    for trace, form in (
+            (True, lambda f, q, r: (f * -2, -q, zero)),         # x11
+            (True, lambda f, q, r: (zero, -q, r * -2)),         # x22
+            (False, lambda f, q, r: (zero, f * -2, -q)),        # x12
+            (False, lambda f, q, r: (-q, r * -2, zero))):       # x21
+        rows.append((list(a) + [beta * -2] if trace else [zero] * 4)
+                    + [c for b in B for c in form(*b)])
+    return rows
 
 
 def off_z_minus_theta_flags(p: PointHV) -> dict:

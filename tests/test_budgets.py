@@ -15,9 +15,10 @@ import pytest
 from test_golden import CONNECT_TARGETS
 
 import d4vgit.charts as charts
+import d4vgit.mckay as mckay
 import d4vgit.scalars as scalars
 import d4vgit.stability as stability
-from d4vgit.charts import from_quiver_chart, normalize, to_quiver_chart
+from d4vgit.charts import from_quiver_chart, normalize, normalize_rep, to_quiver_chart
 from d4vgit.cyclic_s3 import s3_base_point, s3_stabilizer
 from d4vgit.equations import (
     j_pairing, residuals, witness_E1_not_E2, witness_E2_not_E1, witness_semi_invariant,
@@ -97,6 +98,17 @@ def test_stable_point_operations_stay_within_their_budgets(reduced, seed):
         assert all(counts[name] <= bound for name, bound in BUDGETS.items()), counts
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_normalize_rep_stays_within_its_budget(reduced, seed):
+    """normalize_rep counted on _qi at the rep of each stable point: each
+    leg tests the one coordinate its ah was not solved from, and
+    _solve_beta_hat builds ah_k ph_k once (38 with both comparisons per leg
+    and ah_k ph_k built twice)."""
+    for p, v in _stable_stream_points(seed):
+        rep = build_rep(p)
+        assert _count(reduced, lambda: normalize_rep(rep, v.witness_index + 1)) == 35
+
+
 def test_normalize_evaluates_the_chart_relations_once(monkeypatch):
     """The ChartPoint's own dependent coordinates are the ones normalize
     checks the moved point against."""
@@ -143,12 +155,16 @@ def _count_products(monkeypatch, cls, build):
 def test_stabilizer_closure_proof_takes_the_central_sign_last(monkeypatch, fix_beta,
                                                               order, products):
     """Two generators prove the quaternion group closed and three the
-    relaxed group of order 16: |G| products each (24 and 64 when the
-    central -1 was taken first)."""
+    relaxed group of order 16: |G| edges each (24 and 64 when the central
+    -1 was taken first).  Inside stabilizer each edge is one entry dot and
+    no compose (a full compose per edge before); the generic proof still
+    makes one product per edge."""
     G = stabilizer(base_point(), fix_beta)
     assert G.order() == order
+    entries = _record(monkeypatch, mckay, "dot")
     assert _count_products(monkeypatch, GroupElement,
-                           lambda: stabilizer(base_point(), fix_beta)) == products
+                           lambda: stabilizer(base_point(), fix_beta)) == 0
+    assert len(entries) == products
     assert _count_products(monkeypatch, GroupElement,
                            lambda: FiniteSubgroup(G.elements, G.identity)) == products
 
@@ -182,9 +198,11 @@ def test_connect_stays_within_its_budget(monkeypatch, target, qi, flat):
     assert (len(reduced), len(flats)) == (qi, flat)
 
 
-@pytest.mark.parametrize("fix_beta, budget", [(True, 336), (False, 730)])
+@pytest.mark.parametrize("fix_beta, budget", [(True, 240), (False, 442)])
 def test_stabilizer_stays_within_its_budget(reduced, fix_beta, budget):
-    """stabilizer(b*) counted on _qi; its identity is built, not validated."""
+    """stabilizer(b*) counted on _qi; its identity is built, not validated,
+    and each closure edge reduces one entry (336 and 730 when each edge
+    composed two elements)."""
     b = base_point()
     assert _count(reduced, lambda: stabilizer(b, fix_beta)) == budget
 
@@ -218,21 +236,23 @@ def test_an_unstable_verdict_that_moved_nothing_reverifies_without_acting(monkey
 
 
 @pytest.mark.parametrize("point, budget", [
-    (witness_E2_not_E1, 9), (witness_E1_not_E2, 9)])
-def test_infinite_stabilizer_test_is_three_wedges(reduced, point, budget):
-    """beta = 0 with a shared rank-one form, and with all forms multiples of
-    v1 v2: one wedge (three dots) per form, no family built or acted with
-    (62 and 43 with two acts per family)."""
+    (witness_E2_not_E1, 58), (witness_E1_not_E2, 52)])
+def test_infinite_stabilizer_test_is_one_elimination(reduced, point, budget):
+    """Gaussian elimination on the seven rows of the infinitesimal action,
+    stopping at the first dependent row; no family is built or acted with
+    (9 when three wedges read only the SL(V) families, 62 and 43 with two
+    acts per family)."""
     p = point()
     assert _count(reduced, lambda: infinite_stabilizer_detected(p)) == budget
 
 
 def test_off_z_flags_test_factors(reduced):
     """At witness_E1_not_E2: the a_i and beta are read, f_12 is one sum and
-    the infinite-stabilizer test nine dots; neither semi-invariant product
-    is built (59 before)."""
+    the infinite-stabilizer test its 52-value elimination; neither
+    semi-invariant product is built (59 before, 10 with the three-wedge
+    test)."""
     p = witness_E1_not_E2()
-    assert _count(reduced, lambda: off_z_minus_theta_flags(p)) == 10
+    assert _count(reduced, lambda: off_z_minus_theta_flags(p)) == 53
 
 
 def test_witness_semi_invariant_is_one_product(reduced):

@@ -221,6 +221,53 @@ def test_cayley_table_matches_brute_force(name):
     assert group.multiplication_table() == _brute_force_table(group.elements)
 
 
+def _generic_table(group):
+    """The Cayley table of the generic proof, which multiplies each edge's
+    elements and looks the product up."""
+    return FiniteSubgroup(group.elements, group.identity).multiplication_table()
+
+
+SIGN_GROUPS = {name: GROUPS[name][0] for name in GROUPS}
+SIGN_GROUPS.update(TOWER_GROUPS)
+SIGN_GROUPS.update(
+    {"depth%d_seed%d_%s" % (depth, seed, fix_beta):
+     (lambda depth=depth, seed=seed, fix_beta=fix_beta:
+      stabilizer(_tower_translate(depth, seed), fix_beta=fix_beta))
+     for depth, seed in ((1, 7), (1, 8), (2, 7)) for fix_beta in (True, False)})
+
+
+@pytest.mark.parametrize("name", sorted(SIGN_GROUPS))
+def test_sign_decided_table_matches_the_full_product(name):
+    """stabilizer names each edge's product by one entry's sign; the table
+    equals the generic proof's and that of all |G|^2 products, on every
+    fixture group and on depth-1 and depth-2 translates with both
+    fix_beta."""
+    group = SIGN_GROUPS[name]()
+    table = group.multiplication_table()
+    assert table == _generic_table(group)
+    assert table == _brute_force_table(group.elements)
+
+
+def test_sign_proof_refuses_an_entry_of_neither_sign():
+    """The pair (e, 2g), (e, -2g) breaks its certificate: some product's
+    probed entry is then neither sign of the listed one, and the proof
+    refuses the list, as the generic proof does."""
+    elements = list(stabilizer(base_point()).elements)
+    elements[2:4] = [GroupElement(h.t, h.g.scale(QI.scalar(2))) for h in elements[2:4]]
+    for product in (mckay._sign_product(elements, _EVEN_PATTERNS), None):
+        with pytest.raises(AssertionError, match="not closed under product"):
+            FiniteSubgroup(elements, GroupElement.identity(), product)
+
+
+def test_sign_proof_refuses_a_missing_pattern():
+    """Q8 without the pair of the last even pattern: a product of two listed
+    elements has a pattern that is not listed."""
+    elements = list(stabilizer(base_point()).elements)[:6]
+    with pytest.raises(AssertionError, match="not closed under product"):
+        FiniteSubgroup(elements, GroupElement.identity(),
+                       mckay._sign_product(elements, _EVEN_PATTERNS[:3]))
+
+
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_group_queries_multiply_only_to_prove_closure(name, monkeypatch):
     """Building the group proves closure with at most |G| floor(log2 |G|)
@@ -404,7 +451,7 @@ def test_candidate_with_wrong_determinant_is_never_admitted(fix_beta,
 
     monkeypatch.setattr(mckay, "_recover_from_form_action", scaled)
     monkeypatch.setattr(mckay, "FiniteSubgroup",
-                        lambda elements, identity: elements)
+                        lambda elements, identity, product: elements)
     for p in (base_point(), _tower_translate(1, 5)):
         assert stabilizer(p, fix_beta=fix_beta) == []
         assert _reference_stabilizer_elements(p, fix_beta=fix_beta) == []
@@ -579,6 +626,23 @@ def test_tower_translates_at_height_keep_the_quaternion_stabilizer(depth, bits, 
     for source, target in ((b, p), (p, b)):
         found = connect(source, target)
         assert found is not None and act(found, source).same_h_part(target)
+
+
+@given(depth=st.integers(0, 2), bits=st.integers(8, 64), seed=st.integers(0, 2 ** 32))
+@settings(max_examples=6, deadline=None)
+def test_sign_proof_matches_the_full_product_at_height(depth, bits, seed):
+    """b* moved by a depth-`depth` tower element composed with a rational
+    one of height 2^bits: the sign-decided stabilizer is quaternion of
+    order 8, relaxed of order 16 with seven elements of order 2, and each
+    table equals the generic proof's."""
+    rng = random.Random(seed)
+    h = rand_tower_group_element(rng, depth).compose(rand_group_element(rng, 2 ** bits))
+    p = act(h, base_point())
+    group, relaxed = stabilizer(p), stabilizer(p, fix_beta=False)
+    assert group.order() == 8 and group.is_quaternion()
+    assert relaxed.order() == 16 and relaxed.order_profile() == {1: 1, 2: 7, 4: 8}
+    for G in (group, relaxed):
+        assert G.multiplication_table() == _generic_table(G)
 
 
 @pytest.mark.parametrize("wrong", [None, "identity"])

@@ -2,14 +2,16 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from d4vgit import stability
 from d4vgit.cli import main
 from d4vgit.equations import (
-    ContractViolation, j_pairing, on_Z, semi_invariant_minus_theta, witness_E1_not_E2,
-    witness_E2_not_E1, witness_semi_invariant,
+    ContractViolation, j_pairing, on_Z, semi_invariant_minus_theta, wedge,
+    witness_E1_not_E2, witness_E2_not_E1, witness_semi_invariant,
 )
 from d4vgit.gitcore import (
     LAMBDA, MINUS_THETA, THETA, Cocharacter, GroupElement, PointHV, act,
@@ -606,26 +608,82 @@ def test_forms_apart_in_one_minor_have_no_infinite_stabilizer(f, g):
     assert not infinite_stabilizer_detected(p)
 
 
-@pytest.mark.parametrize("case", [
-    "beta nonzero",
-    pytest.param("torus t3", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="the flag reads only SL(V) families, not a torus coordinate"))])
+@pytest.mark.parametrize("case", ["beta nonzero", "torus t3", "torus and gl2"])
 def test_one_parameter_families_off_z_are_flagged(case):
     """Off Z, each point is fixed by a one-parameter family: at beta = 1 with
     B = (f, 2f, 3f), f = v1^2 - v2^2, by f's hyperbolic rotations (t = 1 and
     det g = 1 fix beta too); at a3 = 0 and B3 = 0, by the torus coordinate
-    t3 alone."""
+    t3 alone; at a1 = 0 and B = (v1^2, v1 v2, 2 v1 v2), by
+    ((mu^2, 1, 1), diag(mu, 1/mu)), which mixes t1 with GL(V)."""
+    one = QI.one()
     if case == "beta nonzero":
         p = PointHV.make((1, 1, 1), 1, ((1, 0, -1), (2, 0, -2), (3, 0, -3)), (1, 0))
         family = _hyperbolic_rotations(2, 3)
-    else:
+    elif case == "torus t3":
         p = PointHV.make((1, 1, 0), 0, ((1, 0, 0), (0, 0, 1), (0, 0, 0)), (1, 0))
-        family = [GroupElement((QI.one(), QI.one(), QI.scalar(s)), Mat2.identity())
+        family = [GroupElement((one, one, QI.scalar(s)), Mat2.identity())
                   for s in (2, 3)]
+    else:
+        p = PointHV.make((0, 1, 1), 0, ((1, 0, 0), (0, 1, 0), (0, 2, 0)), (1, 0))
+        family = [GroupElement((mu * mu, one, one), Mat2.diagonal(mu, mu.inverse()))
+                  for mu in (QI.scalar(2), QI.scalar(3))]
     assert not on_Z(p)
     assert all(act(h, p).same_h_part(p) for h in family)
     assert off_z_minus_theta_flags(p)["infinite_stabilizer_detected"]
+
+
+def _one_parameter_subgroups(eps):
+    """The elements at 1 + eps of the seven one-parameter subgroups t_i = s,
+    diag(s, 1), diag(1, s), and the unipotents (1 eps; 0 1), (1 0; eps 1)
+    with t = 1, in the row order of _infinitesimal_action."""
+    one, zero, s = QI.one(), QI.zero(), QI.one() + eps
+    ones = (one,) * 3
+    out = [GroupElement(tuple(s if k == i else one for k in range(3)), Mat2.identity())
+           for i in range(3)]
+    return out + [GroupElement(ones, g) for g in (
+        Mat2.diagonal(s, one), Mat2.diagonal(one, s),
+        Mat2(one, eps, zero, one), Mat2(one, zero, eps, one))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_infinitesimal_action_is_the_derivative_of_act(seed):
+    """Each row of the infinitesimal action is the derivative at the
+    identity of act along its one-parameter subgroup: the difference
+    quotient at eps = 10^-30 differs from it by O(eps) in every
+    coordinate, at random points of H x V."""
+    p = rand_point_hv(random.Random(seed))
+    eps = QI.one() / 10 ** 30
+    base = p.coords()
+    for h, row in zip(_one_parameter_subgroups(eps), stability._infinitesimal_action(p)):
+        moved = act(h, p).coords()
+        for x, y, want in zip(moved, base, row):
+            error = (x - y) / eps - want
+            assert all(abs(part) < Fraction(1, 10 ** 20) for part in error.payload)
+
+
+def _wedge_test(p):
+    """The earlier test: B = 0, or every form a multiple of the first
+    nonzero one, which finds only the SL(V) families with t = 1."""
+    form = next((b for b in p.B if any(not c.is_zero() for c in b)), None)
+    return form is None or all(
+        all(c.is_zero() for c in wedge(form, b)) for b in p.B)
+
+
+def test_the_rank_test_keeps_every_wedge_test_detection():
+    """Every point the wedge test flagged is still flagged, at the off-Z
+    witnesses, the engineered unstable points, B = 0 and random points with
+    a shared form."""
+    rng = random.Random(28)
+    points = [witness_E1_not_E2(), witness_E2_not_E1(), base_point(),
+              PointHV.make((1, 2, 3), 0, ((0, 0, 0),) * 3, (1, 0))]
+    points += [p for _, p in engineered_unstable_points(rng)]
+    points += [_beta_zero_point(rng, shape, shared) for shape in ("rank one", "v1v2",
+                                                                   "general")
+               for shared in (True, False) for _ in range(2)]
+    flagged = [_wedge_test(p) for p in points]
+    assert any(flagged) and not all(flagged)
+    for p, old in zip(points, flagged):
+        assert infinite_stabilizer_detected(p) or not old
 
 
 def test_off_z_semi_invariant_flag_reads_the_factors():

@@ -1,0 +1,98 @@
+"""Sweep the suites or the point pipeline over a range of seeds.
+
+    PYTHONPATH=src python tools/sweep.py suites --seeds 0-99
+    PYTHONPATH=src python tools/sweep.py points --seeds 0-99
+
+suites: run_suite("all", s) passes at every seed s.
+points: at each seed, eight translates of Z-points and four translates of
+engineered unstable points, all at height 2^8 and drawn from
+random.Random("point-sweep/<seed>"), go through point JSON, both oracles,
+the King check, the re-verification of every unstable verdict and the
+charts.
+
+Prints the failing seeds (or seed/point pairs), "none" when there are none,
+and exits 1 when any fail.  Both modes also run under python -O.
+"""
+
+import argparse
+import json
+import random
+import sys
+
+from d4vgit.charts import from_quiver_chart, normalize, normalize_rep, to_quiver_chart
+from d4vgit.equations import residuals
+from d4vgit.gitcore import MINUS_THETA, THETA, act, point_from_json, point_to_json
+from d4vgit.quiver import build_rep, king_stable
+from d4vgit.sampling import engineered_unstable_points, rand_group_element, rand_z_point
+from d4vgit.stability import semistable_minus_theta, semistable_theta, verify_certificate
+from d4vgit.suites import run_suite
+
+HEIGHT = 1 << 8
+
+
+def sweep_suites(seeds):
+    bad = [s for s in seeds if not run_suite("all", s).passed]
+    print("failing seeds: %s" % (bad or "none"))
+    return bad
+
+
+def holds(p, engineered):
+    """Whether the point pipeline holds at p, read back from point JSON."""
+    p = point_from_json(json.loads(json.dumps(point_to_json(p))))
+    theta, minus = semistable_theta(p), semistable_minus_theta(p)
+    if not residuals(p).is_zero() or theta.is_stable != king_stable(build_rep(p)):
+        return False
+    for v, chi in ((theta, THETA), (minus, MINUS_THETA)):
+        if not v.is_stable and not verify_certificate(p, v.certificate, chi, v.adapting):
+            return False
+    if engineered:
+        return not theta.is_stable and not minus.is_stable
+    if not minus.is_stable:
+        return False
+    if not theta.is_stable:
+        return True
+    idx = theta.witness_index + 1
+    c = normalize(p, idx)
+    return (c.validate() and from_quiver_chart(to_quiver_chart(c)) == c
+            and normalize_rep(build_rep(p), idx) == to_quiver_chart(c))
+
+
+def sweep_points(seeds):
+    bad = []
+    for seed in seeds:
+        rng = random.Random("point-sweep/%d" % seed)
+        points = [(act(rand_group_element(rng, HEIGHT), rand_z_point(rng, HEIGHT)), False)
+                  for _ in range(8)]
+        unstable = [p for _, p in engineered_unstable_points(rng) if not p.x.is_zero()]
+        points += [(act(rand_group_element(rng, HEIGHT), rng.choice(unstable)), True)
+                   for _ in range(4)]
+        for k, (p, engineered) in enumerate(points):
+            try:
+                ok = holds(p, engineered)
+            except Exception as err:
+                ok = False
+                print("seed %d point %d raised %r" % (seed, k, err))
+            if not ok:
+                bad.append("%d/%d" % (seed, k))
+    print("failing seed/point: %s" % (", ".join(bad) or "none"))
+    return bad
+
+
+def seed_range(text):
+    """An inclusive range "first-last", or one seed."""
+    first, _, last = text.partition("-")
+    return range(int(first), int(last or first) + 1)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("mode", choices=("suites", "points"))
+    parser.add_argument("--seeds", type=seed_range, default=seed_range("0-99"),
+                        help="inclusive seed range first-last (default 0-99)")
+    args = parser.parse_args(argv)
+    sweep = sweep_suites if args.mode == "suites" else sweep_points
+    return 1 if sweep(args.seeds) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
