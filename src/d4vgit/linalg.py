@@ -147,17 +147,6 @@ class Mat3:
         return dot((a, b, c), (dot((e, f), (k, -h)), dot((f, d), (g, -k)),
                                dot((d, e), (h, -g))))
 
-    def adjugate(self):
-        r = self.rows
-        cof = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                a, b = [k for k in range(3) if k != i]
-                c, d = [k for k in range(3) if k != j]
-                minor = dot((r[a][c], r[a][d]), (r[b][d], -r[b][c]))
-                cof[i][j] = minor if (i + j) % 2 == 0 else -minor
-        return Mat3([[cof[j][i] for j in range(3)] for i in range(3)])
-
     def __repr__(self):
         return "Mat3(%r)" % (self.rows,)
 

@@ -19,7 +19,7 @@ from .equations import ContractViolation, in_Zo, omega, residuals, wedge
 from .gitcore import (
     GroupElement, PointHV, act, apply_form_matrix, form_matrix, split_form,
 )
-from .linalg import Mat2, Mat3
+from .linalg import Mat2
 from .scalars import ExtensionLimitError, Field, QI, adjoin_sqrt, deepest_field, dot
 
 
@@ -232,59 +232,15 @@ def point_field(p: PointHV) -> Field:
     return deepest_field(p.coords() + (p.x.a, p.x.b))
 
 
-def _line_projectors(B):
-    """The rank-one projectors P_j = C[:, j] C^-1[j, :], for C the matrix
-    with the B-triples as columns, stored entry-wise: entry (r, c) is the
-    triple (P_0, P_1, P_2)[r, c].  det C = det B, which the open-locus
-    check of the caller has proved nonzero."""
-    C = Mat3([[B[j][i] for j in range(3)] for i in range(3)])
-    Cinv = C.adjugate() * C.det().inverse()
-    return [[tuple(C[r, j] * Cinv[j, c] for j in range(3)) for c in range(3)]
-            for r in range(3)]
-
-
-def _form_matrix_on_lines(P, pattern):
-    """The 3x3 matrix acting on coefficient triples with the B-lines as
-    eigenvectors and the given +-1 eigenvalues: sum_j e_j P_j, additions
-    only."""
-    def entry(parts):
-        a, b, c = (x if e == 1 else -x for x, e in zip(parts, pattern))
-        return a + b + c
-    return Mat3([[entry(parts) for parts in row] for row in P])
-
-
-def _recover_from_form_action(M: Mat3, field: Field):
-    """g with form_matrix(g) == M, or None.
-
-    The columns of M are the images of the basis triples, so the entries of
-    g are pinned by square roots and ratios of M-entries.
-    """
-    m = M.rows
-    # M = [[a^2, ac, c^2], [2ab, ad+bc, 2cd], [b^2, bd, d^2]] for g = (a b / c d)
-    a2, c2 = m[0][0], m[0][2]
-    b2, d2 = m[2][0], m[2][2]
-    if not a2.is_zero():
-        a = field.sqrt(a2)
-        if a is None:
-            return None
-        b = m[1][0] / (a * 2)
-        c = m[0][1] / a
-        d = (m[1][1] - b * c) / a
-    elif not b2.is_zero():
-        b = field.sqrt(b2)
-        if b is None:
-            return None
-        a = field.zero()
-        c = m[1][1] / b          # M[1][1] = ad + bc = bc when a = 0
-        if c.is_zero():
-            return None
-        d = m[1][2] / (c * 2)
-    else:
-        return None
-    g = Mat2(a, b, c, d)
-    # exact verification: column j of form_matrix(g) is the image of the
-    # j-th basis triple
-    return g if form_matrix(g) == M else None
+def _pattern_matrix(B, pattern):
+    """K_e: the identity when the three signs of e agree, else
+    J(B_j) = (q_j 2r_j / -2p_j -q_j) for the index j whose sign differs
+    from the other two (see stabilizer)."""
+    if len(set(pattern)) == 1:
+        return Mat2.identity()
+    j = next(j for j in range(3) if pattern.count(pattern[j]) == 1)
+    pj, qj, rj = B[j]
+    return Mat2(qj, rj * 2, pj * -2, -qj)
 
 
 _EVEN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
@@ -296,9 +252,9 @@ def _sign_product(elements, patterns):
     elements[2k] and elements[2k + 1] are (e, g) and (e, -g) for
     e = patterns[k].
 
-    Each listed (e, g) has the verified certificate form_matrix(g^-1) == M_e,
-    M_e = sum_j e_j P_j.  The P_j are complementary idempotents, since
-    C C^-1 = I exactly, so M_e M_e' = M_ee'.  form_matrix is
+    Each listed (e, g) has form_matrix(g^-1) == M_e, the matrix with
+    eigenvalue e_j on the line of B_j (stabilizer proves it in closed form).
+    The three B-lines span, so M_e M_e' = M_ee'.  form_matrix is
     anti-multiplicative (which does not matter here, the M_e commute) and
     its kernel on GL2 is {+-1}: the product g g' of the listed (e, g) and
     (e', g') is +-g_m, g_m the GL2 part of the listed pair of the pattern
@@ -338,38 +294,56 @@ def stabilizer(p: PointHV, fix_beta: bool = True) -> FiniteSubgroup:
     """The stabilizer of the H-part (alpha, beta, B) of a point of the open
     locus.
 
-    The three B-lines span, so the form action of any stabilizing g is
-    diagonal in the B-adapted basis with eigenvalues +-1.  For each sign
-    pattern e, exact square-root recovery proves form_matrix(g^-1) == M_e
-    and fixes g up to sign; that proof is the membership certificate.  With
-    t = e the forms come back, B'_j = e_j e_j B_j = B_j, while
-    alpha' = det(g) alpha and beta' = e1 e2 e3 det(g)^-2 beta.  Alpha and
-    beta are nonzero on the open locus, so g fixes the H-part iff
-    det(g^-1) = 1 with e even, and sends it to (-alpha, -beta, B) iff
-    det(g^-1) = -1 with e odd: both read det(g^-1) == e1 e2 e3, the
-    comparison act would make, in closed form.  (A verified recovery always
-    passes it: det(M_e) = e1 e2 e3 = det(g^-1)^3, and the eigenvalues of
-    g^-1 multiply to +-1.)  -g has the same form matrix and determinant, so
-    g and -g join together.  With fix_beta=False the constraint pinning the
-    joint sign of (alpha, beta) is dropped, which admits the odd patterns as
-    well and doubles the group (the double cover of (Z/2)^3 rather than of
-    (Z/2)^2).  The certificates also prove the group closed: the product of
-    (e, g) and (e', g') is (ee', +-g_m) for the listed pair of the pattern
-    ee', and one matrix entry picks the sign (_sign_product), so no element
-    is composed.
+    On Z the E2 entries read a_k j(B_i, B_k) = (omega/2) delta_ik, and on
+    the open locus every a_k and omega are nonzero: the B_j are pairwise
+    orthogonal for the pairing j, and each n_j = 2 j(B_j, B_j) = omega/a_j
+    is nonzero.  The three B-lines span, so the form action of a
+    stabilizing g is diagonal in the B-adapted basis with eigenvalues +-1:
+    form_matrix(g^-1) == M_e, the matrix with eigenvalue e_j on the line of
+    B_j, for a sign pattern e.  With t = e the forms come back,
+    B'_j = e_j e_j B_j = B_j, while alpha' = det(g) alpha and
+    beta' = e1 e2 e3 det(g)^-2 beta.  Alpha and beta are nonzero on the
+    open locus, so g fixes the H-part iff det(g^-1) = 1 with e even, and
+    sends it to (-alpha, -beta, B) iff det(g^-1) = -1 with e odd: both read
+    det(g^-1) == e1 e2 e3.
+
+    Each such g^-1 has a closed form.  For a form B = (p, q, r) let
+    J(B) = (q 2r / -2p -q).  Then det J(B) = 4pr - q^2 = n(B), and
+    form_matrix(J(B)) = 2 B w^T - n(B) I with w = (2r, -q, 2p), so that
+    w . Q = 2 j(Q, B); by the orthogonality, form_matrix(J(B_j)) is n_j on
+    the line of B_j and -n_j on the other two.  Let K_e be I when the three
+    signs of e agree, and J(B_j) for the index j whose sign differs from
+    the other two otherwise, and let s^2 = e1 e2 e3 det K_e.  Then
+    form_matrix(K_e/s) = form_matrix(K_e)/s^2 = M_e (e1 e2 e3 is e_j, and
+    the other two signs are -e_j) and det(K_e/s) = e1 e2 e3.  form_matrix has kernel +-1 on GL2, so +-K_e/s
+    are the only candidates, and they lie in GL2 of the point's field
+    exactly when s does: a pattern is admitted iff field.sqrt finds s, and
+    then g^-1 and -g^-1 join together, with g = e1 e2 e3 adj(g^-1) and no
+    matrix inverted.  Of the two, the one listed first has its leading
+    entry (a, or b when a = 0) equal to field.sqrt of its square.  With
+    fix_beta=False the constraint pinning the joint sign of (alpha, beta) is
+    dropped, which admits the odd patterns as well and doubles the group
+    (the double cover of (Z/2)^3 rather than of (Z/2)^2).  The closed form
+    also proves the group closed: the product of (e, g) and (e', g') is
+    (ee', +-g_m) for the listed pair of the pattern ee', and one matrix
+    entry picks the sign (_sign_product), so no element is composed.
     """
     if not in_Zo(p):
         raise ContractViolation("stabilizer requires a point of the open locus")
     field = point_field(p)
     elements, admitted = [], []
     patterns = list(_EVEN_PATTERNS) + (list(_ODD_PATTERNS) if not fix_beta else [])
-    P = _line_projectors(p.B)
     for pattern in patterns:
         # eigenvalues of the inverse-side form action; t_i = 1/c_i = c_i
         sign = pattern[0] * pattern[1] * pattern[2]
-        ginv = _recover_from_form_action(_form_matrix_on_lines(P, pattern), field)
-        if ginv is None or ginv.det() != sign:
+        K = _pattern_matrix(p.B, pattern)
+        s = field.sqrt(K.det() * sign)
+        if s is None:
             continue
+        ginv = K.scale(s.inverse())
+        lead = ginv.b if ginv.a.is_zero() else ginv.a
+        if field.sqrt(lead * lead) != lead:
+            ginv = ginv.scale(-1)
         g = ginv.adjugate().scale(sign)     # det(g^-1) = sign = +-1: no inverse
         t = tuple(QI.scalar(c) for c in pattern)
         admitted.append(pattern)

@@ -198,11 +198,13 @@ def test_connect_stays_within_its_budget(monkeypatch, target, qi, flat):
     assert (len(reduced), len(flats)) == (qi, flat)
 
 
-@pytest.mark.parametrize("fix_beta, budget", [(True, 240), (False, 442)])
+@pytest.mark.parametrize("fix_beta, budget", [(True, 94), (False, 208)])
 def test_stabilizer_stays_within_its_budget(reduced, fix_beta, budget):
     """stabilizer(b*) counted on _qi; its identity is built, not validated,
-    and each closure edge reduces one entry (336 and 730 when each edge
-    composed two elements)."""
+    each closure edge reduces one entry, and each g^-1 is K_e/s, one square
+    root from det K_e (240 and 442 when g^-1 was recovered from a form
+    matrix summed from line projectors; 336 and 730 when each edge composed
+    two elements)."""
     b = base_point()
     assert _count(reduced, lambda: stabilizer(b, fix_beta)) == budget
 

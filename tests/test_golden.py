@@ -18,8 +18,11 @@ list of lists), recorded before `_inline` was rewritten; and every unstable
 report that exits 2 (both stability characters at the {beta=0, B1=0} point
 and at a translate of the {p1=p2=p3=0} point, where both oracles move the
 point by a nontrivial adapting element), recorded before the certificate
-search became the re-verification.  Each must stay byte-identical and exit
-with its recorded code.
+search became the re-verification; and the stabilizer tables, strict and
+relaxed, of a depth-2 translate of b* and of two Z-points whose groups have
+orders 4 and 2 (8 and 4 relaxed), so that some sign patterns are refused,
+recorded before stabilizer elements took their closed form.  Each must stay
+byte-identical and exit with its recorded code.
 
 connect_transports.json holds group_to_json(connect(b*, q)) for three
 height-16 chart-point translates and for base-point translates over depth-1
@@ -33,7 +36,15 @@ equations.witness_E1_not_E2() (off Z) and beta0_B1_0_point.json the
 {beta=0, B1=0} point of sampling.engineered_unstable_points (on Z, outside
 the open locus); p_zero_translate_point.json is the {p1=p2=p3=0} point of
 engineered_unstable_points(random.Random(0)) moved by
-rand_group_element(random.Random(0)).
+rand_group_element(random.Random(0)).  translate_depth2_point.json is b*
+moved by rand_tower_group_element(random.Random(6), 2), and
+z_point_seed0_point.json and z_point_seed2_point.json are
+rand_z_point(random.Random(0)) and rand_z_point(random.Random(2)); each is
+written as json.dumps(point_to_json(p), indent=2, sort_keys=True) plus a
+newline, and its tables are recorded by
+    PYTHONPATH=src python -m d4vgit orbit --point tests/data/z_point_seed0_point.json --json
+    PYTHONPATH=src python -m d4vgit orbit --point tests/data/z_point_seed0_point.json --json --relax-beta
+and likewise for the other two points.
 """
 
 import json
@@ -62,6 +73,21 @@ CASES = {
     "orbit_translate_depth1_relaxed": (0, ["orbit", "--point",
                                            "translate_depth1_point.json",
                                            "--json", "--relax-beta"]),
+    "orbit_translate_depth2": (0, ["orbit", "--point",
+                                   "translate_depth2_point.json", "--json"]),
+    "orbit_translate_depth2_relaxed": (0, ["orbit", "--point",
+                                           "translate_depth2_point.json",
+                                           "--json", "--relax-beta"]),
+    "orbit_z_point_seed0": (0, ["orbit", "--point", "z_point_seed0_point.json",
+                                "--json"]),
+    "orbit_z_point_seed0_relaxed": (0, ["orbit", "--point",
+                                        "z_point_seed0_point.json", "--json",
+                                        "--relax-beta"]),
+    "orbit_z_point_seed2": (0, ["orbit", "--point", "z_point_seed2_point.json",
+                                "--json"]),
+    "orbit_z_point_seed2_relaxed": (0, ["orbit", "--point",
+                                        "z_point_seed2_point.json", "--json",
+                                        "--relax-beta"]),
     "examples_s3": (0, ["examples", "s3", "--json"]),
     "suite_all_seed0": (0, ["suite", "all", "--seed", "0", "--json"]),
     "suite_all_seed7": (0, ["suite", "all", "--seed", "7", "--json"]),

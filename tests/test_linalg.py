@@ -16,17 +16,6 @@ def rand_mat2(rng, invertible=False):
             return m
 
 
-def test_adjugate_identity():
-    rng = random.Random(0)
-    for _ in range(30):
-        m = Mat3([[QI.scalar(rng.randint(-3, 3)) for _ in range(3)]
-                  for _ in range(3)])
-        prod = m.adjugate() * m
-        d = m.det()
-        expected = Mat3([[d if i == j else 0 for j in range(3)] for i in range(3)])
-        assert prod == expected
-
-
 def test_mat2_inverse():
     rng = random.Random(1)
     for _ in range(30):

@@ -3,24 +3,28 @@
 import importlib.util
 import pathlib
 import random
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from d4vgit.equations import ContractViolation, det_b, in_Zo, omega, residuals
 from d4vgit.cyclic_s3 import s3_base_point, s3_stabilizer
 from d4vgit import gitcore, mckay
-from d4vgit.gitcore import GroupElement, PointHV, act, group_to_json, split_form
-from d4vgit.linalg import Mat2
+from d4vgit.gitcore import (
+    GroupElement, PointHV, act, form_matrix, group_to_json, pairing_terms, split_form,
+)
+from d4vgit.linalg import Mat2, Mat3
+from d4vgit.poly import Poly
 from d4vgit.mckay import (
     _EVEN_PATTERNS, _ODD_PATTERNS, DegeneratePointError, FiniteSubgroup,
-    _form_matrix_on_lines, _line_projectors, base_point, canonicalize, connect,
-    point_field, quaternion_rep, stabilizer,
+    _pattern_matrix, base_point, canonicalize, connect, point_field,
+    quaternion_rep, stabilizer,
 )
 from d4vgit.sampling import (
     rand_chart_point, rand_group_element, rand_tower_group_element, rand_z_point,
 )
-from d4vgit.scalars import QI, ExtensionLimitError, adjoin_sqrt
+from d4vgit.scalars import QI, ExtensionLimitError, adjoin_sqrt, sum_of_products
 
 
 class TestBasePoint:
@@ -344,14 +348,84 @@ def test_duplicate_elements_are_refused():
             FiniteSubgroup(elements, GroupElement.identity())
 
 
-# -- membership from the recovery certificate ----------------------------------
+# -- membership: the closed form against projectors and recovery ---------------
 
 
-def _reference_stabilizer_elements(p, fix_beta=True):
-    """The per-candidate loop that decided membership before the recovery
-    certificate did: each recovered candidate, and its negative, is moved by
-    act and compared with the point (or, relaxed, with the point with
-    (alpha, beta) negated).  Returns the admitted elements in order."""
+def _adjugate3(m):
+    """The adjugate of a Mat3, from its nine 2x2 minors."""
+    r = m.rows
+    cof = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            a, b = [k for k in range(3) if k != i]
+            c, d = [k for k in range(3) if k != j]
+            minor = r[a][c] * r[b][d] - r[a][d] * r[b][c]
+            cof[i][j] = minor if (i + j) % 2 == 0 else -minor
+    return Mat3([[cof[j][i] for j in range(3)] for i in range(3)])
+
+
+def test_reference_adjugate_identity():
+    rng = random.Random(0)
+    for _ in range(30):
+        m = Mat3([[QI.scalar(rng.randint(-3, 3)) for _ in range(3)]
+                  for _ in range(3)])
+        prod = _adjugate3(m) * m
+        d = m.det()
+        expected = Mat3([[d if i == j else 0 for j in range(3)] for i in range(3)])
+        assert prod == expected
+
+
+def _line_projectors(B):
+    """The rank-one projectors P_j = C[:, j] C^-1[j, :], for C the matrix
+    with the B-triples as columns, stored entry-wise: entry (r, c) is the
+    triple (P_0, P_1, P_2)[r, c]."""
+    C = Mat3([[B[j][i] for j in range(3)] for i in range(3)])
+    Cinv = _adjugate3(C) * C.det().inverse()
+    return [[tuple(C[r, j] * Cinv[j, c] for j in range(3)) for c in range(3)]
+            for r in range(3)]
+
+
+def _form_matrix_on_lines(P, pattern):
+    """M_e = sum_j e_j P_j: the B-lines are its eigenvectors, with the
+    eigenvalues e_j."""
+    return Mat3([[sum(x if e == 1 else -x for x, e in zip(parts, pattern))
+                  for parts in row] for row in P])
+
+
+def _recover_from_form_action(M, field):
+    """g with form_matrix(g) == M, or None: the entries of g are pinned by
+    square roots and ratios of M-entries, then checked exactly."""
+    m = M.rows
+    # M = [[a^2, ac, c^2], [2ab, ad+bc, 2cd], [b^2, bd, d^2]] for g = (a b / c d)
+    if not m[0][0].is_zero():
+        a = field.sqrt(m[0][0])
+        if a is None:
+            return None
+        b = m[1][0] / (a * 2)
+        c = m[0][1] / a
+        d = (m[1][1] - b * c) / a
+    elif not m[2][0].is_zero():
+        b = field.sqrt(m[2][0])
+        if b is None:
+            return None
+        a = field.zero()
+        c = m[1][1] / b
+        if c.is_zero():
+            return None
+        d = m[1][2] / (c * 2)
+    else:
+        return None
+    g = Mat2(a, b, c, d)
+    return g if form_matrix(g) == M else None
+
+
+def _reference_stabilizer_elements(p, fix_beta=True, twist=None):
+    """The stabilizer's elements built with no closed form: M_e is summed
+    from the line projectors of C^-1, g^-1 is recovered from it by square
+    roots (twist(g^-1) instead, when a twist is given), and each candidate,
+    and its negative, is moved by act and compared with the point (or,
+    relaxed, with the point with (alpha, beta) negated).  Returns the
+    admitted elements in order."""
     if not in_Zo(p):
         raise ContractViolation("stabilizer requires a point of the open locus")
     field = point_field(p)
@@ -362,10 +436,11 @@ def _reference_stabilizer_elements(p, fix_beta=True):
     minus_one = QI.scalar(-1)
     for pattern in patterns:
         # eigenvalues of the inverse-side form action; t_i = 1/c_i = c_i
-        ginv = mckay._recover_from_form_action(
-            _form_matrix_on_lines(P, pattern), field)
+        ginv = _recover_from_form_action(_form_matrix_on_lines(P, pattern), field)
         if ginv is None:
             continue
+        if twist is not None:
+            ginv = twist(ginv)
         g = ginv.inverse()
         t = tuple(QI.scalar(c) for c in pattern)
         # the sign -1 candidate inverts -ginv, which is -g
@@ -376,6 +451,27 @@ def _reference_stabilizer_elements(p, fix_beta=True):
                                         and moved.same_h_part(flipped)):
                 elements.append(h)
     return elements
+
+
+def test_form_matrix_of_j_is_a_rank_one_update():
+    """For B = (p, q, r) and J(B) = (q 2r / -2p -q): det J(B) = n(B) =
+    2 j(B, B), and form_matrix(J(B)) = 2 B w^T - n(B) I with
+    w = (2r, -q, 2p), so that w . Q = 2 j(Q, B).  J(B_j) is the K_e of
+    every pattern whose j-th sign differs from the other two."""
+    p, q, r = (Poly.ring("pqr")[v] for v in "pqr")
+    B = (p, q, r)
+    n = sum_of_products(pairing_terms(B, B))
+    w = (r * 2, -q, p * 2)
+    for pattern in ((-1, 1, 1), (1, -1, 1), (1, 1, -1),
+                    (1, -1, -1), (-1, 1, -1), (-1, -1, 1)):
+        K = _pattern_matrix((B, B, B), pattern)
+        assert (K.a, K.b, K.c, K.d) == (q, r * 2, p * -2, -q)
+        assert K.det() == n
+        M = form_matrix(K)
+        for i in range(3):
+            for k in range(3):
+                want = B[i] * w[k] * 2 - (n if i == k else 0)
+                assert M[i, k] == want
 
 
 STABILIZER_POINTS = {
@@ -439,22 +535,16 @@ def test_stabilizer_makes_no_group_action(fix_beta, monkeypatch):
 
 
 @pytest.mark.parametrize("fix_beta", [True, False])
-def test_candidate_with_wrong_determinant_is_never_admitted(fix_beta,
-                                                            monkeypatch):
-    """i g^-1 has determinant -det(g^-1), never e1 e2 e3: no candidate is
-    admitted, as act, which sends each B_j to -B_j, agrees."""
-    real = mckay._recover_from_form_action
-
-    def scaled(M, field):
-        ginv = real(M, field)
-        return None if ginv is None else ginv.scale(QI.i())
-
-    monkeypatch.setattr(mckay, "_recover_from_form_action", scaled)
-    monkeypatch.setattr(mckay, "FiniteSubgroup",
-                        lambda elements, identity, product: elements)
+def test_candidate_with_wrong_determinant_is_never_admitted(fix_beta):
+    """Every listed element has det(g^-1) = e1 e2 e3.  i g^-1 has
+    determinant -det(g^-1), never e1 e2 e3: act, which sends each B_j to
+    -B_j, admits no such candidate."""
     for p in (base_point(), _tower_translate(1, 5)):
-        assert stabilizer(p, fix_beta=fix_beta) == []
-        assert _reference_stabilizer_elements(p, fix_beta=fix_beta) == []
+        for h in stabilizer(p, fix_beta=fix_beta).elements:
+            assert h.g.inverse().det() == h.t[0] * h.t[1] * h.t[2]
+        twisted = _reference_stabilizer_elements(
+            p, fix_beta=fix_beta, twist=lambda ginv: ginv.scale(QI.i()))
+        assert twisted == []
 
 
 def test_compose_and_inverse_build_without_make(monkeypatch):
@@ -609,23 +699,43 @@ def test_connect_proves_with_one_act(monkeypatch):
     assert act(h, b).same_h_part(q)
 
 
+def _height_translate(depth, bits, seed):
+    """b* moved by a depth-`depth` tower element composed with a rational
+    one of height 2^bits, both drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    h = rand_tower_group_element(rng, depth).compose(rand_group_element(rng, 2 ** bits))
+    return act(h, base_point())
+
+
 @given(depth=st.integers(0, 2), bits=st.integers(1, 64), seed=st.integers(0, 2 ** 32))
+@example(depth=1, bits=256, seed=1)
+@example(depth=1, bits=256, seed=2)
 @settings(max_examples=8, deadline=None)
 def test_tower_translates_at_height_keep_the_quaternion_stabilizer(depth, bits, seed):
     """b* moved by a depth-`depth` tower element composed with a rational
     one of height 2^bits: the stabilizer is quaternion of order 8, the
     relaxed one has order 16, and connect reaches the translate from b* and
     back."""
-    rng = random.Random(seed)
-    h = rand_tower_group_element(rng, depth).compose(rand_group_element(rng, 2 ** bits))
     b = base_point()
-    p = act(h, b)
+    p = _height_translate(depth, bits, seed)
     group = stabilizer(p)
     assert group.order() == 8 and group.is_quaternion()
     assert stabilizer(p, fix_beta=False).order() == 16
     for source, target in ((b, p), (p, b)):
         found = connect(source, target)
         assert found is not None and act(found, source).same_h_part(target)
+
+
+def test_stabilizer_pair_at_height_2_256_stays_fast():
+    """The strict and relaxed stabilizers of a depth-1 translate at height
+    2^256, the residuals included, in well under the bound (about 0.7 s
+    on a 2-core x86-64 host, 1.2-1.4 s when g^-1 was recovered from a form
+    matrix)."""
+    p = _height_translate(1, 256, 1)
+    start = time.perf_counter()
+    orders = stabilizer(p).order(), stabilizer(p, fix_beta=False).order()
+    assert time.perf_counter() - start < 5
+    assert orders == (8, 16)
 
 
 @given(depth=st.integers(0, 2), bits=st.integers(8, 64), seed=st.integers(0, 2 ** 32))
@@ -635,9 +745,7 @@ def test_sign_proof_matches_the_full_product_at_height(depth, bits, seed):
     one of height 2^bits: the sign-decided stabilizer is quaternion of
     order 8, relaxed of order 16 with seven elements of order 2, and each
     table equals the generic proof's."""
-    rng = random.Random(seed)
-    h = rand_tower_group_element(rng, depth).compose(rand_group_element(rng, 2 ** bits))
-    p = act(h, base_point())
+    p = _height_translate(depth, bits, seed)
     group, relaxed = stabilizer(p), stabilizer(p, fix_beta=False)
     assert group.order() == 8 and group.is_quaternion()
     assert relaxed.order() == 16 and relaxed.order_profile() == {1: 1, 2: 7, 4: 8}
