@@ -476,7 +476,8 @@ def s3_stabilizer(p: S3Point) -> FiniteSubgroup:
     if roots is None:
         raise DegenerateS3Point("inner product degenerate")
     field, T = roots
-    split = s3_act(T.inverse(), p)
+    T_inv = T.inverse()
+    split = s3_act(T_inv, p)
     # shape: rows proportional to (0,0,*) and (*,0,0)
     if not (split.BU[0][0].is_zero() and split.BU[1][2].is_zero()):
         raise DegenerateS3Point("point is not in the split normal form orbit")
@@ -504,7 +505,7 @@ def s3_stabilizer(p: S3Point) -> FiniteSubgroup:
             candidates.append(Mat2(w.field.zero(), w, w.inverse(), w.field.zero()))
     elements = []
     for cand in candidates:
-        g = T * cand * T.inverse()
+        g = T * cand * T_inv
         moved = s3_act(g, p)
         if moved.BU == p.BU and moved.bC == p.bC:
             elements.append(g)

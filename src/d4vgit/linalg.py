@@ -84,6 +84,9 @@ class Mat2:
     def scale(self, c):
         return Mat2(self.a * c, self.b * c, self.c * c, self.d * c)
 
+    def __neg__(self):
+        return Mat2(-self.a, -self.b, -self.c, -self.d)
+
     def det(self):
         return dot((self.a, self.b), (self.d, -self.c))
 

@@ -20,7 +20,10 @@ from .gitcore import (
     GroupElement, PointHV, act, apply_form_matrix, form_matrix, split_form,
 )
 from .linalg import Mat2
-from .scalars import ExtensionLimitError, Field, QI, adjoin_sqrt, deepest_field, dot
+from .scalars import (
+    ExtensionLimitError, Field, QI, adjoin_sqrt, deepest_field, dot, is_principal_root,
+    sum_of_products,
+)
 
 
 class DegeneratePointError(ContractViolation):
@@ -320,7 +323,9 @@ def stabilizer(p: PointHV, fix_beta: bool = True) -> FiniteSubgroup:
     exactly when s does: a pattern is admitted iff field.sqrt finds s, and
     then g^-1 and -g^-1 join together, with g = e1 e2 e3 adj(g^-1) and no
     matrix inverted.  Of the two, the one listed first has its leading
-    entry (a, or b when a = 0) equal to field.sqrt of its square.  With
+    entry (a, or b when a = 0) equal to field.sqrt of its square; that is
+    read off the entry's numerators (scalars.is_principal_root), with no
+    second square root.  With
     fix_beta=False the constraint pinning the joint sign of (alpha, beta) is
     dropped, which admits the odd patterns as well and doubles the group
     (the double cover of (Z/2)^3 rather than of (Z/2)^2).  The closed form
@@ -341,14 +346,14 @@ def stabilizer(p: PointHV, fix_beta: bool = True) -> FiniteSubgroup:
         if s is None:
             continue
         ginv = K.scale(s.inverse())
-        lead = ginv.b if ginv.a.is_zero() else ginv.a
-        if field.sqrt(lead * lead) != lead:
-            ginv = ginv.scale(-1)
-        g = ginv.adjugate().scale(sign)     # det(g^-1) = sign = +-1: no inverse
+        if not is_principal_root(ginv.b if ginv.a.is_zero() else ginv.a):
+            ginv = -ginv
+        g = ginv.adjugate()                 # det(g^-1) = sign = +-1: no inverse
+        g = g if sign == 1 else -g
         t = tuple(QI.scalar(c) for c in pattern)
         admitted.append(pattern)
         elements.append(GroupElement(t, g))
-        elements.append(GroupElement(t, g.scale(-1)))
+        elements.append(GroupElement(t, -g))
     return FiniteSubgroup(elements, GroupElement.identity(),
                           _sign_product(elements, admitted))
 
@@ -356,10 +361,12 @@ def stabilizer(p: PointHV, fix_beta: bool = True) -> FiniteSubgroup:
 # -- orbit connection ------------------------------------------------------------
 
 
-def canonicalize(p: PointHV) -> GroupElement:
-    """The transport of the H-part of a point of the open locus to the base
-    point, read off the forms over at most three square-root extensions
-    (splitting the first form, balancing the second, and sigma).
+def _transport_parts(p: PointHV, field: Field):
+    """(g^-1, sigma, sigma^2, (1/t_1, 1/t_2, 1/t_3)) for the transport
+    (sigma^2 t, sigma g) of the H-part of a point of the open locus to the
+    base point, read off the forms over at most three square-root
+    extensions of field (splitting the first form, balancing the second,
+    and sigma).
 
     With g the GL2 part of the transport, the forms move by the form matrix
     M of g^-1.  T splits the first form into a multiple of v1 v2, which
@@ -368,13 +375,15 @@ def canonicalize(p: PointHV) -> GroupElement:
     base form.  Once B = B*, omega = a1 a2 a3 beta^2 = 8, and omega has
     weight det(g)^-1 and no torus weight, so the scalar element
     (sigma^2, sigma) with sigma^2 = omega(p) det(g^-1) / 8 finishes the
-    transport.  The transport is not verified here: connect checks the
-    element it builds from two of them with one act.
+    transport.  Nothing at the level of u or above is inverted when u is
+    adjoined: 1/u = u (r2/p2) inverts p2 one level below, sigma^2 lies in
+    the field sigma is adjoined to, and 1/t_i is the read-off coefficient
+    times the inverse of the base form's rational one.
     """
     if not in_Zo(p):
         raise ContractViolation("canonicalize requires a point of the open locus")
     target = base_point()
-    split = split_form(p.B[0], point_field(p))
+    split = split_form(p.B[0], field)
     if split is None:
         raise DegeneratePointError("first form is degenerate")
     field, T = split
@@ -384,34 +393,55 @@ def canonicalize(p: PointHV) -> GroupElement:
     if p2.is_zero() or r2.is_zero():
         raise DegeneratePointError("second form degenerate after splitting")
     field, u = adjoin_sqrt(field, p2 / r2)
-    ginv = T * Mat2.diagonal(u.inverse(), field.one())
+    ginv = T * Mat2.diagonal(u * (r2 / p2), field.one())
     # the last square root before the form work, so that a tower at the
     # depth cap gives up at once
-    field, sigma = adjoin_sqrt(field, omega(p) * ginv.det() / 8)
+    sigma2 = omega(p) * ginv.det() / 8
+    field, sigma = adjoin_sqrt(field, sigma2)
     M = form_matrix(ginv)
-    t = []
+    tinv = []
     for b, bstar in zip(p.B, target.B):
         # the first nonzero coefficient of the base form fixes the scale
         k = next(k for k, c in enumerate(bstar) if not c.is_zero())
-        t.append(bstar[k] / dot(M.rows[k], b))
-    sigma2 = sigma ** 2
-    return GroupElement(tuple(sigma2 * ti for ti in t),
+        tinv.append(sum_of_products(tuple((1, m, c) for m, c in zip(M.rows[k], b)),
+                                    scale=bstar[k].inverse()))
+    return ginv, sigma, sigma2, tinv
+
+
+def canonicalize(p: PointHV) -> GroupElement:
+    """The transport (sigma^2 t, sigma g) of the H-part of a point of the
+    open locus to the base point, every entry in the field of sigma, built
+    from _transport_parts over the point's own field.  It is not verified
+    here: connect checks the element it builds with one act.
+    """
+    ginv, sigma, sigma2, tinv = _transport_parts(p, point_field(p))
+    field = sigma.field
+    return GroupElement(tuple(field.lift(sigma2 * x.inverse()) for x in tinv),
                         ginv.inverse().scale(sigma))
 
 
 def connect(p: PointHV, q: PointHV):
     """A group element carrying the H-part of p exactly to the H-part of q.
 
-    Composes the transports of both points to the base point and proves the
-    result with one act.  Reports None only when a square-root extension
-    would exceed the tower depth cap, never as a claim of non-existence.
+    h = T_q^-1 T_p for the transports T of both points to the base point
+    (see _transport_parts), proved with one act.  q's transport starts
+    from the deeper of T_p's field and q's, so both live in one tower.
+    T_q^-1 = (t_q^-1 / sigma_q^2, g_q^-1 / sigma_q) is read off q's parts
+    with sigma_q^2 the one Scalar inverted: h = (t_q^-1 T_p.t / sigma_q^2,
+    (g_q^-1 T_p.g) sigma_q / sigma_q^2), every entry in the field of
+    sigma_q.  Reports None only when a square-root extension would exceed
+    the tower depth cap, never as a claim of non-existence.
     """
     try:
         tp = canonicalize(p)
-        tq = canonicalize(q)
+        ginv, sigma, sigma2, tinv = _transport_parts(
+            q, deepest_field(tp.t + q.coords() + (q.x.a, q.x.b)))
     except ExtensionLimitError:
         return None
-    h = tq.inverse().compose(tp)
+    field, w = sigma.field, sigma2.inverse()
+    h = GroupElement(
+        tuple(field.lift(sum_of_products(((1, x, y, w),))) for x, y in zip(tinv, tp.t)),
+        (ginv * tp.g).scale(sigma * w))
     if not act(h, p).same_h_part(q):
         raise AssertionError("connect verification failed")
     return h

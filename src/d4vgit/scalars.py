@@ -175,6 +175,33 @@ class Field:
         return None
 
 
+def is_principal_root(y):
+    """Whether y is the square root of y*y that Field.sqrt returns, in any
+    field holding y: exactly when the first nonzero int of y's numerator
+    tuple is positive (True for y = 0).
+
+    At Q(i), _sqrt_qi returns the root with positive real part, or positive
+    imaginary part when the real part is 0, and the tuple is (re, im) over
+    den > 0.  At level k write y = u0 + v0 s, so y*y = a + b s with
+    a = u0^2 + d v0^2 and b = 2 u0 v0.  If v0 = 0, sqrt takes base.sqrt(a)
+    = base.sqrt(u0^2).  If u0 = 0, a = d v0^2 is not a square below (d is
+    not one), so sqrt returns base.sqrt(v0^2) s.  Otherwise the norm
+    descent finds u^2 in {u0^2, d v0^2}; only u0^2 is a square below, so
+    u = base.sqrt(u0^2) = +-u0 and v = b/(2u) = +-v0 with the same sign.
+    So the root is y exactly when base.sqrt(u0^2) == u0, or
+    base.sqrt(v0^2) == v0 when u0 = 0.  The tuple holds u0's numerators
+    first and then v0's over positive factors (den, and m > 0 in s' = m s),
+    so by induction its first nonzero int carries the sign.  A lift pads
+    the tuple with zeros, which leaves the first nonzero int alone.
+    """
+    for t in _num(y)[0]:
+        if t > 0:
+            return True
+        if t < 0:
+            return False
+    return True
+
+
 def _sqrt_qi(x):
     re, im, den = x._x, x._y, x._den
     if im == 0:

@@ -186,10 +186,12 @@ def test_pairing_and_discriminant_reduce_once(reduced):
 
 
 @pytest.mark.parametrize("target, qi, flat", [
-    ("chart_16_seed0", 122, 184), ("tower_depth1_seed5", 135, 150)])
+    ("chart_16_seed0", 114, 132), ("tower_depth1_seed5", 127, 122)])
 def test_connect_stays_within_its_budget(monkeypatch, target, qi, flat):
     """connect(b*, q) counted on _qi and _flat, the residuals of both points
-    already kept: each discriminant split_form takes is one sum."""
+    already kept: each discriminant split_form takes is one sum, and
+    T_q^-1 is read off q's transport parts with sigma_q^2 the one inverse
+    (122/184 and 135/150 when connect inverted the whole transport of q)."""
     b, q = base_point(), CONNECT_TARGETS[target]()
     residuals(q)
     reduced = _record(monkeypatch, scalars, "_qi")
@@ -198,15 +200,75 @@ def test_connect_stays_within_its_budget(monkeypatch, target, qi, flat):
     assert (len(reduced), len(flats)) == (qi, flat)
 
 
-@pytest.mark.parametrize("fix_beta, budget", [(True, 94), (False, 208)])
+@pytest.mark.parametrize("target", ["chart_16_seed0", "chart_16_seed1", "chart_16_seed2"])
+def test_connect_inverts_sigma_squared_alone_at_the_top(monkeypatch, target):
+    """connect(b*, q) into a height-16 chart translate, whose transport
+    adjoins three square roots, the last sigma_q with sigma_q^2 the d of
+    the top level.  Outside the proving act, the one Scalar it inverts at
+    the level of sigma_q^2 or above is sigma_q^2: 1/u is u r2/p2 one level
+    below, and 1/t_i the read-off coefficient over a rational one.  (Before,
+    u, the three read-off coefficients and det g^-1 were inverted there, and
+    then T_q's three torus entries and its det at the top.)"""
+    b, q = base_point(), CONNECT_TARGETS[target]()
+    inverted = []
+    real_inverse, real_act = scalars.Scalar.inverse, mckay.act
+
+    def recording(x):
+        inverted.append(x)
+        return real_inverse(x)
+
+    def unrecorded_act(h, p):
+        monkeypatch.setattr(scalars.Scalar, "inverse", real_inverse)
+        return real_act(h, p)
+
+    monkeypatch.setattr(scalars.Scalar, "inverse", recording)
+    monkeypatch.setattr(mckay, "act", unrecorded_act)
+    top = connect(b, q).g.a.field
+    assert top.depth == 3
+    sigma2 = scalars.lower(top.d)
+    assert [x for x in map(scalars.lower, inverted)
+            if x.field.depth >= sigma2.field.depth] == [sigma2]
+
+
+@pytest.mark.parametrize("fix_beta, budget", [(True, 54), (False, 120)])
 def test_stabilizer_stays_within_its_budget(reduced, fix_beta, budget):
     """stabilizer(b*) counted on _qi; its identity is built, not validated,
-    each closure edge reduces one entry, and each g^-1 is K_e/s, one square
-    root from det K_e (240 and 442 when g^-1 was recovered from a form
-    matrix summed from line projectors; 336 and 730 when each edge composed
-    two elements)."""
+    each closure edge reduces one entry, each g^-1 is K_e/s, one square
+    root from det K_e, its listed sign is read off the numerators, and
+    -g^-1, -g and the odd patterns' g are negations, not scalings (94 and
+    208 with a square root for the sign and a gcd per negated entry; 240
+    and 442 when g^-1 was recovered from a form matrix summed from line
+    projectors; 336 and 730 when each edge composed two elements)."""
     b = base_point()
     assert _count(reduced, lambda: stabilizer(b, fix_beta)) == budget
+
+
+@pytest.mark.parametrize("fix_beta", [True, False])
+def test_stabilizer_takes_one_square_root_per_pattern(monkeypatch, fix_beta):
+    """One outermost Field.sqrt per sign pattern, admitted or not, at b*
+    (every pattern admitted) and at rand_z_point(random.Random(2)) (orders
+    2 and 4: most refused); the listing rule takes none (one more per
+    admitted pattern when it compared with field.sqrt of lead^2)."""
+    points = [base_point(), rand_z_point(random.Random(2))]
+    orders = [stabilizer(p, fix_beta).order() for p in points]   # residuals kept
+    assert orders == ([8, 2] if fix_beta else [16, 4])
+    calls, nesting = [], [0]
+    real = scalars.Field.sqrt
+
+    def outermost(field, x):
+        if not nesting[0]:
+            calls.append(x)
+        nesting[0] += 1
+        try:
+            return real(field, x)
+        finally:
+            nesting[0] -= 1
+
+    monkeypatch.setattr(scalars.Field, "sqrt", outermost)
+    for p in points:
+        calls.clear()
+        stabilizer(p, fix_beta)
+        assert len(calls) == (4 if fix_beta else 8)
 
 
 def _moved_nothing():

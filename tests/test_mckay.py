@@ -672,6 +672,27 @@ def test_connect_matches_four_act_reference(family):
                     == group_to_json(_reference_connect(source, target)))
 
 
+def test_connect_between_z_points_builds_both_transports_in_one_tower():
+    """Thirty rand_z_point pairs from random.Random(3).  q's transport
+    starts from the field of p's, so the two never sit in towers with
+    different square roots: pairs 1, 4, 6, 7, 8, 11, 14 and 26 raised
+    FieldError ("scalars live in incompatible towers") when q's transport
+    started from q's own field.  Those now reach the depth cap and report
+    None; every other pair is proved by act and equals the four-act
+    reference."""
+    rng = random.Random(3)
+    capped = []
+    for k in range(30):
+        p, q = rand_z_point(rng), rand_z_point(rng)
+        h = connect(p, q)
+        if h is None:
+            capped.append(k)
+            continue
+        assert act(h, p).same_h_part(q)
+        assert group_to_json(h) == group_to_json(_reference_connect(p, q))
+    assert capped == [1, 4, 6, 7, 8, 11, 14, 26]
+
+
 def test_connect_proves_with_one_act(monkeypatch):
     """canonicalize makes no act, compose or validating make; connect's one
     act is its final check."""
@@ -728,9 +749,9 @@ def test_tower_translates_at_height_keep_the_quaternion_stabilizer(depth, bits, 
 
 def test_stabilizer_pair_at_height_2_256_stays_fast():
     """The strict and relaxed stabilizers of a depth-1 translate at height
-    2^256, the residuals included, in well under the bound (about 0.7 s
-    on a 2-core x86-64 host, 1.2-1.4 s when g^-1 was recovered from a form
-    matrix)."""
+    2^256, the residuals included, in well under the bound (about 0.45 s
+    on a 2-core x86-64 host; 0.7 s when the listing rule took a second
+    square root, 1.2-1.4 s when g^-1 was recovered from a form matrix)."""
     p = _height_translate(1, 256, 1)
     start = time.perf_counter()
     orders = stabilizer(p).order(), stabilizer(p, fix_beta=False).order()

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from d4vgit.poly import Poly
 from d4vgit.scalars import (
     QI, DegenerateExtensionError, ExtensionLimitError, adjoin_sqrt,
-    as_scalar, dot, format_scalar, lower, parse_scalar, scalar_from_json,
-    scalar_to_json, sum_of_products,
+    as_scalar, dot, format_scalar, is_principal_root, lower, parse_scalar,
+    scalar_from_json, scalar_to_json, sum_of_products,
 )
 
 
@@ -127,6 +127,63 @@ class TestAdjoinSqrt:
         root = QI.sqrt(QI.scalar(0, 2))
         assert root is not None and root * root == QI.scalar(0, 2)
         assert QI.sqrt(QI.scalar(3)) is None
+
+
+def _leaf(rng, bits):
+    """A Gaussian rational of height up to 2^bits whose real or imaginary
+    part is zero a third of the time each, so that leading zeros occur."""
+    h = 1 << bits
+    re, im = (0 if rng.randrange(3) == 0 else rng.randint(-h, h) for _ in range(2))
+    return QI.scalar(Fraction(re, rng.randint(1, h)), Fraction(im, rng.randint(1, h)))
+
+
+def _element(rng, field, bits):
+    """u + v s over field, each half zero a quarter of the time."""
+    if field.is_base:
+        return _leaf(rng, bits)
+    base = field.base
+    u, v = (base.zero() if rng.randrange(4) == 0 else _element(rng, base, bits)
+            for _ in range(2))
+    return field.lift(u) + field.generator() * field.lift(v)
+
+
+def _tower(rng, depth):
+    """A depth-`depth` tower; above level 1 each d has a tower part half the
+    time (a small element of the level below with a nonzero upper half)."""
+    field = QI
+    while field.depth < depth:
+        d = QI.scalar(rng.randint(2, 40), rng.randint(-3, 3))
+        if field.depth and rng.randrange(2):
+            d = field.lift(d) + field.generator() * rng.randint(1, 5)
+        ext, _ = adjoin_sqrt(field, d)
+        if ext is not field:
+            field = ext
+    return field
+
+
+@given(depth=st.integers(0, 3), bits=st.integers(1, 256), seed=st.integers(0, 2 ** 32),
+       shape=st.sampled_from(("full", "lifted", "pure")))
+@settings(max_examples=60, deadline=None)
+def test_principal_root_is_the_root_sqrt_returns(depth, bits, seed, shape):
+    """is_principal_root(x) == (field.sqrt(x*x) == x) at depths 0-3 and
+    heights up to 2^256, for x and -x, in x's own field and in the top of
+    the tower: full elements, values lifted from a lower level, and pure
+    multiples v s of a level's generator."""
+    rng = random.Random(seed)
+    top = _tower(rng, depth)
+    field = top
+    if shape == "lifted" and depth:
+        for _ in range(rng.randint(1, depth)):
+            field = field.base
+    x = _element(rng, field, bits)
+    if shape == "pure" and depth:
+        x = top.generator() * top.lift(_element(rng, top.base, bits))
+    for y in (x, -x):
+        want = field.sqrt(y * y) == y
+        assert is_principal_root(y) == want
+        lifted = top.lift(y)
+        assert is_principal_root(lifted) == want == (top.sqrt(lifted * lifted) == lifted)
+    assert is_principal_root(x) != is_principal_root(-x) or x.is_zero()
 
 
 class TestSerialization:
