@@ -15,13 +15,12 @@ by the free ones a_j, a_k, beta, p_j, p_k,
 
 (q_coordinates and dependent_coordinates, the one place these are written),
 and what is left is N = 1 + a_j p_j^2 + a_k p_k^2 = 0, whose terms
-_chart_equation writes once.  A ChartPoint is its five free coordinates, and
-computes the dependent ones once; normalize, where a point enters a chart,
-checks the moved point against the ChartPoint's own dependent coordinates,
-once.  Every invariant the charts validate is one zero test of an unreduced
-sum of products.  chart_closure_check verifies symbolically that the
-relations, written over the five free generators, reduce every one of the
-24 residual components of the defining equations to a multiple of N.
+_chart_equation writes once.  A ChartPoint, like a HatChart, is its five
+free coordinates.  The relations are checked where data enters a chart,
+once: a point in normalize, a representation in normalize_rep.  Every
+invariant the charts validate is one zero test of an unreduced sum of
+products.  chart_closure_check proves the relations imply the defining
+equations.
 
 The quiver-side chart fixes E0 = (1,0), D_i = (1,0), E_i = (0,1); writing
 D_m = (ph_m, qh_m) and E_m = ah_m (-qh_m, ph_m) for the other two legs and
@@ -142,10 +141,12 @@ def normalize(p: PointHV, index: int) -> ChartPoint:
     extension is ever needed here.  A nonzero witness forces x != 0 and
     B_i(x, -) != 0; stability then asks only that B_j(x, -) and B_k(x, -)
     be nonzero, which ChartPoint.validate checks as (p, q) != 0.  The whole
-    normalizer is built from leg i alone, then the point moves once.  This is
-    where a point enters a chart, so the five chart relations are checked
-    here, once: the moved point's B-entries against the ChartPoint's own
-    dependent coordinates.
+    normalizer is built from leg i alone, reading g0^-1 off x
+    (stability.adapting_matrix), invertible by construction and not
+    re-checked; then the point moves with one act.  This is where a point
+    enters a chart, so the five chart relations are checked here, once: the
+    moved point's B-entries against the ChartPoint's own dependent
+    coordinates.
     """
     if not on_Z(p):
         raise ContractViolation("normalize called off Z")
@@ -253,10 +254,12 @@ class HatChart:
 
 
 def to_quiver_chart(c: ChartPoint) -> HatChart:
+    """The hat coordinates of a chart point: bh = beta/2, the others equal."""
     return HatChart(c.index, c.alpha_j, c.alpha_k, c.beta / 2, c.p_j, c.p_k)
 
 
 def from_quiver_chart(hat: HatChart) -> ChartPoint:
+    """Inverse of to_quiver_chart: beta = 2 bh."""
     return ChartPoint(hat.index, hat.alpha_j, hat.alpha_k, hat.beta * 2,
                       hat.p_j, hat.p_k)
 

@@ -15,10 +15,8 @@ the characters) is
     x = e_1,  y = e_{n-1}.
 
 Both presentations have N = k + 2 coordinates, so every quotient is a
-surface and its fan, like each semistability verdict, is read off the two
-Gale-dual rays of the weights.  One unimodular diagonalization of the
-weights gives both the rays and an exact lift of the character; then one
-2x2 solve per pair of rays decides each pair.
+surface, and each fan and each semistability verdict is read off one pass
+over the Gale-dual rays of the weights, cyclic_s3._gale_pairs.
 
 The S3 part stores a map B: Sym^2 U -> U + C in basis coordinates on
 (u1^2, u1u2, u2^2) and verifies the isometry relation
@@ -133,7 +131,10 @@ def diagonalize(A):
 
 
 def _cross(u, v):
-    """The 2x2 determinant u x v."""
+    """The 2x2 determinant u x v, the only one this module writes: the
+    pair test and both Cramer numerators of _gale_pairs, the fan's interior
+    rays and multiplicities and the (i, 1) normal form of its rays all
+    read it."""
     return u[0] * v[1] - u[1] * v[0]
 
 
@@ -461,9 +462,9 @@ def s3_stabilizer(p: S3Point) -> FiniteSubgroup:
 
     Splits the inner product into its two isotropic directions (one square
     root), conjugates the torus/reflection candidates back, and keeps the
-    elements that fix the point exactly.  At the base point the result has
-    order 6 with the S3 profile: two elements of order 3 and three of
-    order 2.
+    elements that fix the point exactly.  The cube roots are exact in Q(i)
+    (_rational_cbrt).  At the base point the result has order 6 with the S3
+    profile: two elements of order 3 and three of order 2.
     """
     if not s3_on_z(p):
         raise DegenerateS3Point("point does not satisfy the defining relation")
@@ -500,7 +501,7 @@ def s3_stabilizer(p: S3Point) -> FiniteSubgroup:
     if w0 is not None:
         ws = [w0]
         if root3 is not None:
-            ws += [field2.lift(w0) * zeta, field2.lift(w0) * zeta * zeta]
+            ws += [w0 * zeta, w0 * zeta * zeta]
         for w in ws:
             candidates.append(Mat2(w.field.zero(), w, w.inverse(), w.field.zero()))
     elements = []

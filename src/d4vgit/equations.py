@@ -156,7 +156,8 @@ def residuals(p: PointHV) -> EquationResidual:
 
     They are computed once per point and kept on it, so every later
     precondition check on p (on_Z, in_Zo, the oracles, normalize) reads the
-    kept value.
+    kept value; PointHV.with_x hands them to the new point, since the
+    equations do not involve x.
     """
     res = p._residuals
     if res is None:
@@ -187,6 +188,7 @@ def open_locus_det(p: PointHV) -> Optional[Scalar]:
 
     On Z the condition a1 a2 a3 beta != 0 is equivalent to det B != 0, and
     2 det B = beta^3 a1 a2 a3 holds exactly; both are re-checked here, the
+    four factors tested for zero one by one, with no product, and the
     identity as one zero test of the unreduced difference.
     """
     a1, a2, a3 = p.alpha
@@ -203,8 +205,8 @@ def open_locus_det(p: PointHV) -> Optional[Scalar]:
 
 def semi_invariant_minus_theta(p: PointHV, det: Optional[Scalar] = None) -> Scalar:
     """a1^2 a2^2 a3^2 beta^2 det B: semi-invariant of weight -theta,
-    nonvanishing exactly on the open locus (within Z).  Pass det = det B
-    when it is already known."""
+    nonvanishing exactly on the open locus (within Z), as one product
+    term.  Pass det = det B when it is already known."""
     a1, a2, a3 = p.alpha
     beta = p.beta
     if det is None:

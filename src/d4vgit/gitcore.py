@@ -134,7 +134,9 @@ def apply_form_matrix(M: Mat3, triple):
 def pairing_terms(u, v):
     """The sum_of_products terms of 2 j(u, v) = 2 p_u r_v + 2 r_u p_v - q_u q_v,
     twice the invariant pairing of two form triples (the polarized
-    discriminant: -2 j(f, f) is the discriminant q^2 - 4 p r of f)."""
+    discriminant: -2 j(f, f) is the discriminant q^2 - 4 p r of f).  The
+    one place the pairing is written: equations.j_pairing, the E2 entries of
+    equations.residual_entries and split_form's discriminant sum it."""
     pu, qu, ru = u
     pv, qv, rv = v
     return ((2, pu, rv), (2, ru, pv), (-1, qu, qv))

@@ -1,5 +1,7 @@
 """Tiny exact linear algebra: 2-vectors, 2x2 and 3x3 matrices of Scalars, stored
-as given; outside data is converted where it enters (PointHV.make, JSON)."""
+as given; outside data is converted where it enters (PointHV.make,
+GroupElement.make, S3Point.make, the JSON readers).  Each entry of a product
+and each determinant is one scalars.dot, so it is reduced once."""
 
 from __future__ import annotations
 

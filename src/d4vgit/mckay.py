@@ -120,19 +120,20 @@ class FiniteSubgroup:
     generator, at most |G| floor(log2 |G|).  The candidates are tried at
     even positions first: stabilizer lists each element g just before -g,
     so the even positions hold one of each pair, and the central -1 at
-    position 1, the square of every element of order 4, comes last (16, 48
-    and 12 products for the orders 8, 16 and 6, against |G|^2).  The
-    Cayley table of indices is then filled by walking each element's word
-    along those edges, with no further product; every row must hold the
-    identity (every inverse is present).  An edge names its product through
-    product(i, j), the index of elements[i] * elements[j] or None when it is
-    not listed; by default it multiplies and looks the product up, and
-    stabilizer passes one that reads a single matrix entry instead (see
-    _sign_product).  The table
-    queries (multiplication_table, is_abelian, element_orders,
-    order_profile, is_quaternion) read it and multiply nothing.  An element
-    listed twice is never reached under its second index, so the walk
-    refuses it.  The group is frozen, so the table cannot go stale.
+    position 1, the square of every element of order 4, comes last and is
+    not taken as a generator.
+
+    The Cayley table of indices is then filled by walking each element's
+    word along those edges, with no further product; every row must hold
+    the identity (every inverse is present).  An edge names its product
+    through product(i, j), the index of elements[i] * elements[j] or None
+    when it is not listed; by default it multiplies and looks the product
+    up, and stabilizer passes _sign_product, which reads a single matrix
+    entry instead.  The table queries (multiplication_table, is_abelian,
+    element_orders, order_profile, is_quaternion) read it and multiply
+    nothing.  An element listed twice is never reached under its second
+    index, so the walk refuses it.  The group is frozen, so the table
+    cannot go stale.
     """
 
     elements: tuple
@@ -318,20 +319,19 @@ def stabilizer(p: PointHV, fix_beta: bool = True) -> FiniteSubgroup:
     signs of e agree, and J(B_j) for the index j whose sign differs from
     the other two otherwise, and let s^2 = e1 e2 e3 det K_e.  Then
     form_matrix(K_e/s) = form_matrix(K_e)/s^2 = M_e (e1 e2 e3 is e_j, and
-    the other two signs are -e_j) and det(K_e/s) = e1 e2 e3.  form_matrix has kernel +-1 on GL2, so +-K_e/s
-    are the only candidates, and they lie in GL2 of the point's field
-    exactly when s does: a pattern is admitted iff field.sqrt finds s, and
-    then g^-1 and -g^-1 join together, with g = e1 e2 e3 adj(g^-1) and no
-    matrix inverted.  Of the two, the one listed first has its leading
-    entry (a, or b when a = 0) equal to field.sqrt of its square; that is
-    read off the entry's numerators (scalars.is_principal_root), with no
-    second square root.  With
-    fix_beta=False the constraint pinning the joint sign of (alpha, beta) is
-    dropped, which admits the odd patterns as well and doubles the group
-    (the double cover of (Z/2)^3 rather than of (Z/2)^2).  The closed form
-    also proves the group closed: the product of (e, g) and (e', g') is
-    (ee', +-g_m) for the listed pair of the pattern ee', and one matrix
-    entry picks the sign (_sign_product), so no element is composed.
+    the other two signs are -e_j) and det(K_e/s) = e1 e2 e3.  form_matrix
+    has kernel +-1 on GL2, so +-K_e/s are the only candidates, and they lie
+    in GL2 of the point's field exactly when s does: a pattern is admitted
+    iff Field.sqrt finds s, and then g^-1 and -g^-1 join together, with
+    g = e1 e2 e3 adj(g^-1) and no matrix inverted.
+
+    Of the two, the one listed first has its leading entry (a, or b when
+    a = 0) equal to Field.sqrt of its square; that is read off the entry's
+    numerators (scalars.is_principal_root), with no second square root.
+    With fix_beta=False the constraint pinning the joint sign of
+    (alpha, beta) is dropped, which admits the odd patterns as well and
+    doubles the group (the double cover of (Z/2)^3 rather than of
+    (Z/2)^2).  The list is proved closed by _sign_product.
     """
     if not in_Zo(p):
         raise ContractViolation("stabilizer requires a point of the open locus")
@@ -430,7 +430,9 @@ def connect(p: PointHV, q: PointHV):
     with sigma_q^2 the one Scalar inverted: h = (t_q^-1 T_p.t / sigma_q^2,
     (g_q^-1 T_p.g) sigma_q / sigma_q^2), every entry in the field of
     sigma_q.  Reports None only when a square-root extension would exceed
-    the tower depth cap, never as a claim of non-existence.
+    the tower depth cap, never as a claim of non-existence.  Points whose
+    scalars lie in two towers neither of which contains the other raise
+    FieldError.
     """
     try:
         tp = canonicalize(p)

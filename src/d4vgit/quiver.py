@@ -60,7 +60,8 @@ def form_contraction(triple, x: Vec2) -> Covector:
 
 
 def build_rep(p: PointHV) -> QuiverRep:
-    """The representation attached to a point of H x V (defined everywhere)."""
+    """The representation attached to a point of H x V (defined everywhere):
+    the maps of the module docstring, with D0 two sums over a lazy omega."""
     x = p.x
     om = omega_of(p.alpha, p.beta, lazy=True)       # D0 = (omega/4)(x, -)
     D0 = Covector(sum_of_products(((-1, om, x.b),), 4),

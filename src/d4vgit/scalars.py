@@ -12,13 +12,8 @@ shallowest level, so s'^2 = m D is integral.  Products take
     (x + y s')(u + v s') = (x u + m D y v) + (x v + y u) s'
 on the integer tuples level by level and reduce once (only _join and payload
 convert s to s'); a lower-level factor multiplies each block, with no lift.
-A sum of products of any arity is reduced once: sum_of_products multiplies
-each term's raw numerators, skips zero terms, sums over the lcm of the term
-denominators and takes one gcd, where x*y*z + u*v reduces every product and
-sum (Knuth, TAOCP 2, 4.5.1).  gitcore.act and equations.residual_entries
-make each output one sum_of_products; dot(xs, ys), its two-factor case
-(two base-level terms unrolled), carries the other layers' sums of products
-(matrix products, determinants, the quiver maps).
+Sums of products are reduced once per computed value: sum_of_products is
+the one kernel, dot its two-factor case and vanishes its zero test.
 Towers are interned: adjoin_sqrt gives the same Field object for the same
 (base, d) while that Field is in use, so fields compare by identity.  All
 operations are exact and zero-testing is decidable at every level.
@@ -126,7 +121,7 @@ class Field:
         if x._field is self:
             return x
         if not x._field.ancestor_of(self):
-            raise FieldError("cannot lift %r into %r" % (x, self))
+            raise FieldError("cannot lift %.60r into %.60r" % (x, self))
         v, den = _num(x)
         return Scalar(self, v + (0,) * (self._size - len(v)), den, None)
 
@@ -557,8 +552,10 @@ def sum_of_products(terms, den=1, scale=None, lazy=False):
     multiplied blockwise across levels) are multiplied, terms with a zero
     factor are skipped, and the sum is taken over the lcm of the term
     denominators, multiplied by scale once and reduced once, in the deepest
-    field of all the factors, zero ones included.  Other factors (ints,
-    Polys) are multiplied and summed term by term.
+    field of all the factors, zero ones included: one gcd per sum, where
+    x*y*z + u*v with the operators reduces every product and every sum
+    (Knuth, TAOCP 2, 4.5.1).  Other factors (ints, Polys) are multiplied
+    and summed term by term (_sum_any).
 
     lazy=True marks a value used only as a factor of later sums: the base
     level skips its gcd (the later sum reduces), so it must never be
@@ -619,9 +616,12 @@ def vanishes(terms):
 
 def dot(xs, ys):
     """The exact sum of x_k * y_k over two equal-length sequences: the
-    two-factor sum_of_products.  Two terms of base-level Scalars, most calls
-    (2x2 matrices, vectors), take its base-level loop unrolled: both Gaussian
-    products inline, summed over the lcm of their denominators, one _qi."""
+    two-factor sum_of_products, which carries the matrix products,
+    determinants and quiver maps of the other layers.  Two terms of
+    base-level Scalars, most calls (2x2 matrices, vectors), take its
+    base-level loop unrolled: both Gaussian products inline, summed over the
+    lcm of their denominators, one _qi.  Everything else (towers, Polys,
+    ints, more terms) goes to sum_of_products."""
     if len(xs) == 2:
         (x, u), (y, v) = xs, ys
         # the class first: dot also carries Polys

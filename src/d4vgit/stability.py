@@ -7,10 +7,9 @@ condition (every B_i(x, -) nonzero and some a_i B_i(x, x) nonzero).  The
 1-PS machinery cross-checks the verdicts: an unstable certificate is a
 cocharacter, expressed in a basis adapted to x, such that every coordinate
 carrying positive weight vanishes at the point and which pairs positively
-with the character.  Each unstable branch moves the point to its adapted
-basis at most once and reads its coordinates once; the verdict is the first
-candidate certificate that passes the check `verify_certificate` makes, so
-the search is the re-verification.
+with the character.  Every unstable verdict comes from one certificate
+search, _unstable, whose test is the re-verification verify_certificate
+makes.
 """
 
 from __future__ import annotations
@@ -95,7 +94,13 @@ def _unstable(q: PointHV, chi: Character, candidates,
     """The unstable verdict for the first (description, cocharacter) of
     `candidates` that re-verifies at q, the point already moved by
     `adapting` (None: not moved), whose coordinates are read once.  None
-    re-verifying raises explicitly, so the check also runs under python -O."""
+    re-verifying raises explicitly, so the check also runs under python -O.
+
+    Each unstable branch moves its point to the adapted basis at most once
+    and passes all its candidates here: one certificate, or every
+    destabilized subset on the +theta side.  A branch that moves nothing
+    (+theta at x = 0, -theta with some a_i = 0 or with B = 0) passes
+    adapting None, so re-verifying its verdict makes no act."""
     values = q.coords() + (q.x.a, q.x.b)
     for subset, cert in candidates:
         if _certifies(values, cert, chi):
@@ -166,7 +171,9 @@ def semistable_theta(p: PointHV) -> StabilityVerdict:
     """Stability for the character (1,1,1,1) on Z x V.
 
     Stable iff every B_i(x,-) is nonzero and V is spanned by x and the image
-    of some a_i (B_i^x)^dual; no strictly semistable points exist.
+    of some a_i (B_i^x)^dual; no strictly semistable points exist.  Each
+    B_i(x, -) is tested by _contraction_vanishes, and the witness
+    a_i B_i(x, x), the spanning determinant, is one sum.
     """
     if not on_Z(p):
         raise ContractViolation("semistable_theta called off Z")

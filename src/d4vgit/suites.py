@@ -2,15 +2,11 @@
 
 Every suite draws all randomness from a single seed, sorts its checks by
 id, and reports machine-readable pass/fail entries, so identical seeds
-produce byte-identical reports.  Every check runs behind one guard: a
-ContractViolation or an AssertionError (a failed re-verification) raised by
-a check, by work it shares or by the sample stream that feeds it, fails
-that check instead of the run.  A fixed check (`Report.add`) is a
-zero-argument predicate, and one that raises has the error's message as its
-details.  A sampled check (`Report.add_sampled`) is a named predicate over a
-stream of samples: it fails at its first failing sample and names it (index
-and point JSON).  Each suite seeds its own stream from its name and the
-seed, so no two suites draw the same samples.
+produce byte-identical reports.  A check is fixed (Report.add) or sampled
+over a stream (Report.add_sampled), each suite drawing from its own stream
+(_stream).  Every check runs behind one guard, _guarded: a
+ContractViolation or an AssertionError (a failed re-verification) fails
+that check instead of the run.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from d4vgit.charts import (
     ChartError, ChartPoint, chart_closure_check, chart_equivalent,
@@ -14,8 +15,11 @@ from d4vgit.gitcore import GroupElement, PointHV, act
 from d4vgit.linalg import Mat2, Vec2
 from d4vgit.mckay import base_point
 from d4vgit.poly import Poly
-from d4vgit.quiver import Covector, build_rep
-from d4vgit.sampling import rand_chart_point, rand_nonzero_scalar, rand_z_point
+from d4vgit.quiver import Covector, build_rep, preprojective_holds
+from d4vgit.sampling import (
+    rand_chart_point, rand_group_element, rand_nonzero_scalar, rand_tower_group_element,
+    rand_z_point,
+)
 from d4vgit.scalars import QI
 from d4vgit.stability import semistable_theta
 
@@ -509,3 +513,29 @@ def test_suite_charts_fails_the_sample_whose_theta_verdict_raises(monkeypatch, c
         "  [FAIL] %s - %s" % (check_id, details) for check_id in (
             "ch.hat_roundtrip", "ch.normalize_invariants", "ch.quiver_side_composition")]
     assert err == ""
+
+
+@given(depth=st.integers(0, 2), seed=st.integers(0, 2 ** 32), bits=st.just(64))
+@example(depth=0, seed=0, bits=256)
+@example(depth=1, seed=0, bits=256)
+@example(depth=2, seed=0, bits=256)
+@settings(max_examples=8, deadline=None)
+def test_quiver_chart_agrees_with_the_chart_on_tower_translates_at_height(depth, seed,
+                                                                          bits):
+    """A Z point of height 2^16 moved by a depth-`depth` tower element
+    composed with a rational one of height 2^bits: its representation
+    satisfies the preprojective relations and, for the witness index i,
+    normalizing the representation gives the quiver chart of the
+    normalized point, whose round trip gives the chart point back."""
+    rng = random.Random(seed)
+    p = rand_z_point(rng, 2 ** 16)
+    h = rand_tower_group_element(rng, depth).compose(rand_group_element(rng, 2 ** bits))
+    q = act(h, p)
+    rep = build_rep(q)
+    assert preprojective_holds(rep)
+    v = semistable_theta(q)
+    assume(v.is_stable)
+    i = v.witness_index + 1
+    c = normalize(q, i)
+    assert normalize_rep(rep, i) == to_quiver_chart(c)
+    assert from_quiver_chart(to_quiver_chart(c)) == c

@@ -24,7 +24,9 @@ from d4vgit.mckay import (
 from d4vgit.sampling import (
     rand_chart_point, rand_group_element, rand_tower_group_element, rand_z_point,
 )
-from d4vgit.scalars import QI, ExtensionLimitError, adjoin_sqrt, sum_of_products
+from d4vgit.scalars import (
+    QI, ExtensionLimitError, FieldError, adjoin_sqrt, sum_of_products,
+)
 
 
 class TestBasePoint:
@@ -691,6 +693,20 @@ def test_connect_between_z_points_builds_both_transports_in_one_tower():
         assert act(h, p).same_h_part(q)
         assert group_to_json(h) == group_to_json(_reference_connect(p, q))
     assert capped == [1, 4, 6, 7, 8, 11, 14, 26]
+
+
+def test_connect_across_incompatible_towers_raises_a_short_field_error():
+    """A height-16 chart translate and b* moved over a depth-1 tower hold
+    scalars of two towers neither of which contains the other: connect
+    raises FieldError, and its message cuts both the value and the tower
+    (1,193-1,793 characters when it printed them whole)."""
+    q = act(rand_tower_group_element(random.Random(5), 1), base_point())
+    for seed in range(12):
+        p = act(rand_group_element(random.Random(seed), 16),
+                rand_chart_point(random.Random(seed), 16))
+        with pytest.raises(FieldError, match="^cannot lift ") as err:
+            connect(p, q)
+        assert len(str(err.value)) <= 140
 
 
 def test_connect_proves_with_one_act(monkeypatch):

@@ -59,3 +59,14 @@ def test_a_failing_or_raising_point_fails_the_sweep(monkeypatch, capsys):
 def test_seed_ranges_are_inclusive():
     assert list(sweep.seed_range("0-99")) == list(range(100))
     assert list(sweep.seed_range("7")) == [7]
+
+
+def test_a_reversed_seed_range_is_a_usage_error(capsys):
+    """A reversed range sweeps nothing, so it would pass having checked
+    nothing: it exits 2 with one line on stderr and runs no seed."""
+    with pytest.raises(SystemExit) as stop:
+        sweep.main(["suites", "--seeds", "5-3"])
+    captured = capsys.readouterr()
+    assert stop.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "sweep: error: argument --seeds: empty seed range '5-3'"]

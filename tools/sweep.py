@@ -11,7 +11,9 @@ the King check, the re-verification of every unstable verdict and the
 charts.
 
 Prints the failing seeds (or seed/point pairs), "none" when there are none,
-and exits 1 when any fail.  Both modes also run under python -O.
+and exits 1 when any fail.  A usage error, an empty or reversed --seeds
+range included, exits 2 with one line on stderr.  Both modes also run
+under python -O.
 """
 
 import argparse
@@ -79,13 +81,19 @@ def sweep_points(seeds):
 
 
 def seed_range(text):
-    """An inclusive range "first-last", or one seed."""
+    """An inclusive range "first-last", or one seed; an empty (reversed)
+    range is a usage error, so a sweep never passes having run nothing."""
     first, _, last = text.partition("-")
-    return range(int(first), int(last or first) + 1)
+    seeds = range(int(first), int(last or first) + 1)
+    if not seeds:
+        raise argparse.ArgumentTypeError("empty seed range %r" % text)
+    return seeds
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    # a usage error is one line on stderr, exit 2
+    parser.error = lambda message: parser.exit(2, "sweep: error: %s\n" % message)
     parser.add_argument("mode", choices=("suites", "points"))
     parser.add_argument("--seeds", type=seed_range, default=seed_range("0-99"),
                         help="inclusive seed range first-last (default 0-99)")
