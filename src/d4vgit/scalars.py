@@ -293,7 +293,13 @@ def _join(field, a, b):
 
 
 def _mul(f, X, Y):
-    """The numerator tuple X Y (a list) for numerator tuples X, Y of level f."""
+    """The numerator tuple X Y (a list) for numerator tuples X, Y of level f.
+
+    Above depth 1, of the four half products x u, y v, x v, y u of
+    X = x + y s' and Y = u + v s', only those with both halves nonzero are
+    formed: a lifted factor costs two products one level down, two pure
+    multiples of s' one, and a zero factor none.
+    """
     if f.is_base:
         (x0, x1), (y0, y1) = X, Y
         return [x0 * y0 - x1 * y1, x0 * y1 + x1 * y0]
@@ -307,12 +313,14 @@ def _mul(f, X, Y):
     g = f.base
     n = len(X) >> 1
     x, y, u, v = X[:n], X[n:], Y[:n], Y[n:]
-    if any(y) and any(v):
-        dyv = _blocks(f._d._field, f._dv, _mul(g, y, v))
-        return ([a + b for a, b in zip(_mul(g, x, u), dyv)]
-                + [a + b for a, b in zip(_mul(g, x, v), _mul(g, y, u))])
-    # a lifted factor: two products below, or one
-    return _mul(g, x, u) + (_mul(g, x, v) if any(v) else _mul(g, y, u) if any(y) else [0] * n)
+    ax, ay, au, av = any(x), any(y), any(u), any(v)
+    low = _mul(g, x, u) if ax and au else [0] * n
+    if ay and av:
+        low = [a + b for a, b in zip(low, _blocks(f._d._field, f._dv, _mul(g, y, v)))]
+    high = _mul(g, x, v) if ax and av else [0] * n
+    if ay and au:
+        high = [a + b for a, b in zip(high, _mul(g, y, u))]
+    return low + high
 
 
 def _blocks(f, A, Y):
@@ -477,12 +485,18 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self):
+        """1/x in x's field, computed at the level of lower(x): a value whose
+        upper halves are zero is inverted there and lifted back.  Otherwise
+        1/(a + b s) = (a - b s) / (a^2 - d b^2), d not a square below, with
+        the norm a^2 - d b^2 inverted one level down by the same rule."""
         if self.is_zero():
             raise ZeroDivisionError("scalar division by zero")
         x, y = self._x, self._y
         if self._den is None:
-            # 1/(a + b s) = (a - b s) / (a^2 - d b^2); d is not a square below
             f = self._field
+            low = lower(self)
+            if low is not self:
+                return f.lift(low.inverse())
             n = f._size >> 1
             conj = x[:n] + tuple([-t for t in x[n:]])
             nv, nd = _num(_flat(f.base, _mul(f, x, conj)[:n], y * y).inverse())
@@ -490,22 +504,25 @@ class Scalar:
         return _qi(x * self._den, -y * self._den, x * x + y * y)
 
     def __truediv__(self, other):
+        """self / other; a tower operand makes it self * other.inverse(),
+        the inverse taken at other's own level and multiplied blockwise
+        into the deeper of the two fields, as __mul__ does."""
         if other.__class__ is int:
             if not other:
                 raise ZeroDivisionError("scalar division by zero")
             return self._scale(1, other) if other > 0 else self._scale(-1, -other)
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        if a._den is None:
-            return a * b.inverse()
+        if other.__class__ is not Scalar:
+            a, b = self._pair(other)
+            return NotImplemented if a is None else a / b
+        ad, bd = self._den, other._den
+        if ad is None or bd is None:
+            return self * other.inverse()
         # (x + y i)/ad / ((u + v i)/bd) = (x + y i)(u - v i) bd / (ad (u^2 + v^2))
-        x, y, u, v = a._x, a._y, b._x, b._y
+        x, y, u, v = self._x, self._y, other._x, other._y
         n = u * u + v * v
         if not n:
             raise ZeroDivisionError("scalar division by zero")
-        bd = b._den
-        return _qi((x * u + y * v) * bd, (y * u - x * v) * bd, a._den * n)
+        return _qi((x * u + y * v) * bd, (y * u - x * v) * bd, ad * n)
 
     def __rtruediv__(self, other):
         a, b = self._pair(other)

@@ -173,30 +173,30 @@ def suite_equations(seed: int) -> Report:
         PointHV(bstar().alpha, -bstar().beta, bstar().B, bstar().x), 3))
 
     def orbit_samples():
-        # (q = h.p, p, h); the checks add det B at q and whether q is in the
-        # open locus
+        # (q = h.p, p, h); the checks add det B at q, whether q is in the
+        # open locus, and det g
         for k in range(60):
             h = sampling.rand_group_element(rng)
             p = sampling.rand_z_point(rng)
             yield k, (act(h, p), p, h)
 
-    def semi_invariant_weight(q, p, h, d, is_open):
-        chi = (h.t[0] * h.t[1] * h.t[2] * h.g.det()).inverse()
+    def semi_invariant_weight(q, p, h, d, is_open, det_g):
+        chi = (h.t[0] * h.t[1] * h.t[2] * det_g).inverse()
         return (equations.semi_invariant_minus_theta(q, d)
                 == chi * equations.semi_invariant_minus_theta(p))
 
     rep.add_sampled(orbit_samples(), {
         "eq.G_invariance_of_Z": lambda q, *_: equations.on_Z(q),
-        "eq.open_locus_G_invariant": lambda q, p, h, d, is_open: is_open,
-        "eq.det_identity_on_orbit": lambda q, p, h, d, is_open: (
+        "eq.open_locus_G_invariant": lambda q, p, h, d, is_open, *_: is_open,
+        "eq.det_identity_on_orbit": lambda q, p, h, d, *_: (
             d + d == q.beta ** 3 * q.alpha[0] * q.alpha[1] * q.alpha[2]),
-        "eq.omega_weight": lambda q, p, h, *_: (
-            equations.omega(q) == h.g.det().inverse() * equations.omega(p)),
+        "eq.omega_weight": lambda q, p, h, d, is_open, det_g: (
+            equations.omega(q) == det_g.inverse() * equations.omega(p)),
         "eq.semi_invariant_weight": semi_invariant_weight,
     }, passed_details={
         "eq.omega_weight": "omega scales by det(g)^-1",
         "eq.semi_invariant_weight": "a^2 b^2 det B transforms by the inverse character",
-    }, derive=lambda q, p, h: _det_b_and_open_locus(q))
+    }, derive=lambda q, p, h: (*_det_b_and_open_locus(q), h.g.det()))
 
     w1 = equations.witness_E1_not_E2()
     rep.add("eq.witness_E1_not_E2", lambda: _breaks_only(w1, 2))

@@ -178,20 +178,25 @@ def test_s3_closure_proof_uses_two_generators(monkeypatch):
 def test_pairing_and_discriminant_reduce_once(reduced):
     """j_pairing is one sum over the denominator 2 (2 with -q_v/2 reduced
     first), and split_form's discriminant one sum (4 as q*q - p*r*4): 10 ->
-    7 for a rational form with a non-square discriminant."""
+    7 for a rational form with a non-square discriminant, and 5 since each
+    quotient by the rational p*2 inverts it in Q(i), not lifted to the
+    level of the square root."""
     u = (QI.scalar(3, 1) / 5, QI.scalar(-7) / 2, QI.scalar(2, -3) / 11)
     v = (QI.scalar(1, 4) / 3, QI.scalar(5, 2) / 7, QI.scalar(-1) / 4)
     assert _count(reduced, lambda: j_pairing(u, v)) == 1
-    assert _count(reduced, lambda: split_form(u, QI)) == 7
+    assert _count(reduced, lambda: split_form(u, QI)) == 5
 
 
 @pytest.mark.parametrize("target, qi, flat", [
-    ("chart_16_seed0", 114, 132), ("tower_depth1_seed5", 127, 122)])
+    ("chart_16_seed0", 109, 110), ("tower_depth1_seed5", 127, 122)])
 def test_connect_stays_within_its_budget(monkeypatch, target, qi, flat):
     """connect(b*, q) counted on _qi and _flat, the residuals of both points
     already kept: each discriminant split_form takes is one sum, and
     T_q^-1 is read off q's transport parts with sigma_q^2 the one inverse
-    (122/184 and 135/150 when connect inverted the whole transport of q)."""
+    (122/184 and 135/150 when connect inverted the whole transport of q).
+    Each value is inverted at its own level (114/132 into the chart point
+    when split_form inverted p*2 at depth 1 and the proving act inverted
+    h's lifted torus entries at every level above their own)."""
     b, q = base_point(), CONNECT_TARGETS[target]()
     residuals(q)
     reduced = _record(monkeypatch, scalars, "_qi")
@@ -228,6 +233,47 @@ def test_connect_inverts_sigma_squared_alone_at_the_top(monkeypatch, target):
     sigma2 = scalars.lower(top.d)
     assert [x for x in map(scalars.lower, inverted)
             if x.field.depth >= sigma2.field.depth] == [sigma2]
+
+
+@pytest.mark.parametrize("target", ["chart_16_seed0", "chart_16_seed1", "chart_16_seed2"])
+def test_connect_inverts_each_value_at_its_own_level(monkeypatch, target):
+    """Every Scalar.inverse during connect(b*, q), the proving act included,
+    multiplies at the level of lower(x) or below: a lifted value is
+    inverted at its own level and lifted back.  split_form's quotients
+    (-q +- root) / (p * 2) invert the rational p*2 in Q(i) alone.  (Before,
+    the act inverted h's torus entries, lifted to depth 3, at depths 3, 2
+    and 1, and split_form lifted p*2 and inverted it at depth 1.)"""
+    b, q = base_point(), CONNECT_TARGETS[target]()
+    real_inverse, real_mul, real_split = scalars.Scalar.inverse, scalars._mul, mckay.split_form
+    own, above, split_inverted, splitting = [], [], [], [False]
+
+    def inverse(x):
+        if splitting[0]:
+            split_inverted.append(x)
+        own.append(scalars.lower(x).field.depth)
+        try:
+            return real_inverse(x)
+        finally:
+            own.pop()
+
+    def mul(f, X, Y):
+        if own and f.depth > own[-1]:
+            above.append((f.depth, own[-1]))
+        return real_mul(f, X, Y)
+
+    def split_form(triple, field):
+        splitting[0] = True
+        try:
+            return real_split(triple, field)
+        finally:
+            splitting[0] = False
+
+    monkeypatch.setattr(scalars.Scalar, "inverse", inverse)
+    monkeypatch.setattr(scalars, "_mul", mul)
+    monkeypatch.setattr(mckay, "split_form", split_form)
+    assert connect(b, q) is not None
+    assert above == []
+    assert [x.field for x in split_inverted] == [QI, QI]
 
 
 @pytest.mark.parametrize("fix_beta, budget", [(True, 54), (False, 120)])

@@ -765,9 +765,10 @@ def test_tower_translates_at_height_keep_the_quaternion_stabilizer(depth, bits, 
 
 def test_stabilizer_pair_at_height_2_256_stays_fast():
     """The strict and relaxed stabilizers of a depth-1 translate at height
-    2^256, the residuals included, in well under the bound (about 0.45 s
-    on a 2-core x86-64 host; 0.7 s when the listing rule took a second
-    square root, 1.2-1.4 s when g^-1 was recovered from a form matrix)."""
+    2^256, the residuals included, in well under the bound (0.55-0.8 s on
+    a noisy 2-core x86-64 host, the same gcds and big-int products whether
+    or not _mul spares half products, since this pair works at depth 1;
+    1.2-1.4 s when g^-1 was recovered from a form matrix)."""
     p = _height_translate(1, 256, 1)
     start = time.perf_counter()
     orders = stabilizer(p).order(), stabilizer(p, fix_beta=False).order()

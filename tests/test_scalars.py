@@ -13,6 +13,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import d4vgit.scalars as kernel
 from d4vgit.poly import Poly
 from d4vgit.scalars import (
     QI, DegenerateExtensionError, ExtensionLimitError, adjoin_sqrt,
@@ -184,6 +185,73 @@ def test_principal_root_is_the_root_sqrt_returns(depth, bits, seed, shape):
         lifted = top.lift(y)
         assert is_principal_root(lifted) == want == (top.sqrt(lifted * lifted) == lifted)
     assert is_principal_root(x) != is_principal_root(-x) or x.is_zero()
+
+
+def _own(rng, field):
+    """A nonzero element of field that lies in no level below it."""
+    while True:
+        x = _element(rng, field, 64)
+        if not x.is_zero() and lower(x).field is field:
+            return x
+
+
+def _levels(top):
+    """The levels of top's tower, Q(i) first."""
+    return _levels(top.base) + [top] if top.base else [top]
+
+
+def test_half_products_are_formed_only_where_both_halves_are_nonzero(monkeypatch):
+    """Above depth 1, _mul forms a half product only where both halves are
+    nonzero: two pure multiples of the generator at depth 3 make one _mul
+    at depth 2 (four while only a lifted factor was spared), and a product
+    with a zero factor makes no _mul below its own."""
+    rng = random.Random(5)
+    top = _tower(rng, 3)
+    s = top.generator()
+    x, y = (s * top.lift(_own(rng, top.base)) for _ in range(2))
+    depths = []
+    real = kernel._mul
+    monkeypatch.setattr(kernel, "_mul", lambda f, X, Y: depths.append(f.depth) or real(f, X, Y))
+    product = x * y
+    assert depths.count(2) == 1 and product.field is top
+    depths.clear()
+    assert (x * top.zero()).is_zero() and (top.zero() * y).is_zero()
+    assert depths == [3, 3]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_division_and_inverse_work_at_each_operands_own_level(seed):
+    """x / y and y / x for values of every pair of levels of a depth-3
+    tower, Q(i) included, lie in the deeper of the two fields and equal the
+    quotient of the lifted values; the inverse of every value lifted to
+    every level above its own is the lifted inverse, in the lifted field."""
+    rng = random.Random(seed)
+    levels = _levels(_tower(rng, 3))
+    top = levels[-1]
+    values = [_own(rng, f) for f in levels]
+    for j, x in enumerate(values):
+        for k, y in enumerate(values):
+            q = x / y
+            assert q.field is levels[max(j, k)] and q * y == x
+            lifted = top.lift(x) / top.lift(y)
+            assert lifted.field is top and lifted == q
+        for f in levels[j:]:
+            inv = f.lift(x).inverse()
+            assert inv.field is f and inv == f.lift(x.inverse()) and (inv * x).field is f
+            assert inv * x == 1
+
+
+def test_division_by_a_zero_scalar_of_any_level_raises():
+    """A zero divisor raises ZeroDivisionError at every level, lifted or
+    not, whatever the level of the dividend."""
+    levels = _levels(_tower(random.Random(1), 3))
+    for f in levels:
+        for zero in [f.lift(g.zero()) for g in levels if g.ancestor_of(f)]:
+            with pytest.raises(ZeroDivisionError):
+                zero.inverse()
+            for g in levels:
+                with pytest.raises(ZeroDivisionError):
+                    g.one() / zero
 
 
 class TestSerialization:

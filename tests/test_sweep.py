@@ -1,5 +1,6 @@
-"""tools/sweep.py: the seed sweeps of the suites and of the point pipeline
-that CI runs at seeds 0-99, here on two seeds."""
+"""tools/sweep.py: the seed sweeps of the suites, of the point pipeline and
+of the orbit layer over towers that CI runs at seeds 0-99, here on two
+seeds."""
 
 import importlib.util
 import os
@@ -16,10 +17,11 @@ _spec = importlib.util.spec_from_file_location("sweep", SCRIPT)
 sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(sweep)
 
-NONE_LINES = {"suites": "failing seeds: none", "points": "failing seed/point: none"}
+NONE_LINES = {"suites": "failing seeds: none", "points": "failing seed/point: none",
+              "towers": "failing seed/point: none"}
 
 
-@pytest.mark.parametrize("mode", ["suites", "points"])
+@pytest.mark.parametrize("mode", ["suites", "points", "towers"])
 def test_each_mode_passes_on_two_seeds(mode, capsys):
     assert sweep.main([mode, "--seeds", "0-1"]) == 0
     assert capsys.readouterr().out.splitlines() == [NONE_LINES[mode]]

@@ -1,7 +1,9 @@
-"""Sweep the suites or the point pipeline over a range of seeds.
+"""Sweep the suites, the point pipeline or the orbit layer over a range of
+seeds.
 
     PYTHONPATH=src python tools/sweep.py suites --seeds 0-99
     PYTHONPATH=src python tools/sweep.py points --seeds 0-99
+    PYTHONPATH=src python tools/sweep.py towers --seeds 0-99
 
 suites: run_suite("all", s) passes at every seed s.
 points: at each seed, eight translates of Z-points and four translates of
@@ -9,10 +11,15 @@ engineered unstable points, all at height 2^8 and drawn from
 random.Random("point-sweep/<seed>"), go through point JSON, both oracles,
 the King check, the re-verification of every unstable verdict and the
 charts.
+towers: at each seed, b* moved by rand_tower_group_element at depths 1 and
+2 and a height-16 chart point moved by a rational element, drawn from
+random.Random("tower-sweep/<seed>"), survive a point-JSON round trip; both
+translates of b* have the quaternion stabilizer of order 8 and a relaxed
+one of order 16; and connect carries b* to each of the three and back.
 
 Prints the failing seeds (or seed/point pairs), "none" when there are none,
 and exits 1 when any fail.  A usage error, an empty or reversed --seeds
-range included, exits 2 with one line on stderr.  Both modes also run
+range included, exits 2 with one line on stderr.  Every mode also runs
 under python -O.
 """
 
@@ -24,8 +31,12 @@ import sys
 from d4vgit.charts import from_quiver_chart, normalize, normalize_rep, to_quiver_chart
 from d4vgit.equations import residuals
 from d4vgit.gitcore import MINUS_THETA, THETA, act, point_from_json, point_to_json
+from d4vgit.mckay import base_point, connect, stabilizer
 from d4vgit.quiver import build_rep, king_stable
-from d4vgit.sampling import engineered_unstable_points, rand_group_element, rand_z_point
+from d4vgit.sampling import (
+    engineered_unstable_points, rand_chart_point, rand_group_element, rand_tower_group_element,
+    rand_z_point,
+)
 from d4vgit.stability import semistable_minus_theta, semistable_theta, verify_certificate
 from d4vgit.suites import run_suite
 
@@ -59,18 +70,46 @@ def holds(p, engineered):
             and normalize_rep(build_rep(p), idx) == to_quiver_chart(c))
 
 
-def sweep_points(seeds):
+def orbit_holds(p, moved_base_point):
+    """Whether the orbit layer holds at p, read back from point JSON."""
+    back = point_from_json(json.loads(json.dumps(point_to_json(p))))
+    if back != p:
+        return False
+    if moved_base_point:
+        group, relaxed = stabilizer(p), stabilizer(p, fix_beta=False)
+        if not (group.order() == 8 and group.is_quaternion() and relaxed.order() == 16):
+            return False
+    b = base_point()
+    for source, target in ((b, p), (p, b)):
+        h = connect(source, target)
+        if h is None or not act(h, source).same_h_part(target):
+            return False
+    return True
+
+
+def point_sample(rng):
+    """(point, engineered) for the points mode."""
+    points = [(act(rand_group_element(rng, HEIGHT), rand_z_point(rng, HEIGHT)), False)
+              for _ in range(8)]
+    unstable = [p for _, p in engineered_unstable_points(rng) if not p.x.is_zero()]
+    return points + [(act(rand_group_element(rng, HEIGHT), rng.choice(unstable)), True)
+                     for _ in range(4)]
+
+
+def tower_sample(rng):
+    """(point, moved_base_point) for the towers mode."""
+    b = base_point()
+    points = [(act(rand_tower_group_element(rng, depth), b), True) for depth in (1, 2)]
+    return points + [(act(rand_group_element(rng), rand_chart_point(rng, 16)), False)]
+
+
+def sweep_each_point(seeds, name, sample, check):
+    """check(p, flag) over sample(random.Random("<name>/<seed>")) at each seed."""
     bad = []
     for seed in seeds:
-        rng = random.Random("point-sweep/%d" % seed)
-        points = [(act(rand_group_element(rng, HEIGHT), rand_z_point(rng, HEIGHT)), False)
-                  for _ in range(8)]
-        unstable = [p for _, p in engineered_unstable_points(rng) if not p.x.is_zero()]
-        points += [(act(rand_group_element(rng, HEIGHT), rng.choice(unstable)), True)
-                   for _ in range(4)]
-        for k, (p, engineered) in enumerate(points):
+        for k, (p, flag) in enumerate(sample(random.Random("%s/%d" % (name, seed)))):
             try:
-                ok = holds(p, engineered)
+                ok = check(p, flag)
             except Exception as err:
                 ok = False
                 print("seed %d point %d raised %r" % (seed, k, err))
@@ -78,6 +117,14 @@ def sweep_points(seeds):
                 bad.append("%d/%d" % (seed, k))
     print("failing seed/point: %s" % (", ".join(bad) or "none"))
     return bad
+
+
+def sweep_points(seeds):
+    return sweep_each_point(seeds, "point-sweep", point_sample, holds)
+
+
+def sweep_towers(seeds):
+    return sweep_each_point(seeds, "tower-sweep", tower_sample, orbit_holds)
 
 
 def seed_range(text):
@@ -90,16 +137,18 @@ def seed_range(text):
     return seeds
 
 
+SWEEPS = {"suites": sweep_suites, "points": sweep_points, "towers": sweep_towers}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     # a usage error is one line on stderr, exit 2
     parser.error = lambda message: parser.exit(2, "sweep: error: %s\n" % message)
-    parser.add_argument("mode", choices=("suites", "points"))
+    parser.add_argument("mode", choices=tuple(SWEEPS))
     parser.add_argument("--seeds", type=seed_range, default=seed_range("0-99"),
                         help="inclusive seed range first-last (default 0-99)")
     args = parser.parse_args(argv)
-    sweep = sweep_suites if args.mode == "suites" else sweep_points
-    return 1 if sweep(args.seeds) else 0
+    return 1 if SWEEPS[args.mode](args.seeds) else 0
 
 
 if __name__ == "__main__":
