@@ -154,10 +154,11 @@ class EquationResidual:
 def residuals(p: PointHV) -> EquationResidual:
     """Exact residuals of the three equations at p; all zero iff p in Z x V.
 
-    They are computed once per point and kept on it, so every later
-    precondition check on p (on_Z, in_Zo, the oracles, normalize) reads the
-    kept value; PointHV.with_x hands them to the new point, since the
-    equations do not involve x.
+    A point keeps two values: these residuals and open_locus_det's.  Each is
+    computed once per point and kept on it, so every later precondition
+    check on p (on_Z, in_Zo, the oracles, normalize) reads the kept value;
+    PointHV.with_x hands both to the new point, since the equations do not
+    involve x.
     """
     res = p._residuals
     if res is None:
@@ -189,17 +190,23 @@ def open_locus_det(p: PointHV) -> Optional[Scalar]:
     On Z the condition a1 a2 a3 beta != 0 is equivalent to det B != 0, and
     2 det B = beta^3 a1 a2 a3 holds exactly; both are re-checked here, the
     four factors tested for zero one by one, with no product, and the
-    identity as one zero test of the unreduced difference.
+    identity as one zero test of the unreduced difference.  The result is
+    the second value a point keeps (see residuals), as the 1-tuple
+    p._open_locus; a raise keeps nothing, so every later call raises again.
     """
+    kept = p._open_locus
+    if kept is not None:
+        return kept[0]
     a1, a2, a3 = p.alpha
     beta = p.beta
-    if a1.is_zero() or a2.is_zero() or a3.is_zero() or beta.is_zero():
-        return None
-    d = det_b(p)
-    if d.is_zero():
-        raise AssertionError("det B vanished on the open locus")
-    if not vanishes(((2, d), (-1, beta, beta, beta, a1, a2, a3))):
-        raise AssertionError("determinant identity 2 det B = beta^3 a1 a2 a3 failed")
+    d = None
+    if not (a1.is_zero() or a2.is_zero() or a3.is_zero() or beta.is_zero()):
+        d = det_b(p)
+        if d.is_zero():
+            raise AssertionError("det B vanished on the open locus")
+        if not vanishes(((2, d), (-1, beta, beta, beta, a1, a2, a3))):
+            raise AssertionError("determinant identity 2 det B = beta^3 a1 a2 a3 failed")
+    object.__setattr__(p, "_open_locus", (d,))
     return d
 
 

@@ -41,8 +41,11 @@ def _vector(x):
 class PointHV:
     """A point (a1, a2, a3, beta, B, x) of H x V.
 
-    _residuals is not a field: equations.residuals fills it on first use,
-    so it takes no part in ==, hash, repr or point_to_json.
+    It keeps two values, neither of them a field: _residuals, filled by
+    equations.residuals on first use, and _open_locus, filled by
+    equations.open_locus_det.  So they take no part in ==, hash, repr or
+    point_to_json, and a point built afresh from equal coordinates starts
+    without them.
     """
 
     alpha: tuple          # (a1, a2, a3)
@@ -50,6 +53,7 @@ class PointHV:
     B: tuple              # (B1, B2, B3), each a (p, q, r) triple
     x: Vec2
     _residuals = None
+    _open_locus = None
 
     @staticmethod
     def make(alpha, beta, B, x=(0, 0)):
@@ -60,8 +64,9 @@ class PointHV:
 
     def with_x(self, x):
         q = PointHV(self.alpha, self.beta, self.B, _vector(x))
-        # the equations do not involve x, so the residuals carry over
+        # the equations and det B do not involve x, so both kept values carry over
         object.__setattr__(q, "_residuals", self._residuals)
+        object.__setattr__(q, "_open_locus", self._open_locus)
         return q
 
     def coords(self):

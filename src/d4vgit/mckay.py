@@ -248,7 +248,6 @@ def _pattern_matrix(B, pattern):
 
 
 _EVEN_PATTERNS = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-_ODD_PATTERNS = ((-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1))
 
 
 def _sign_product(elements, patterns):
@@ -267,6 +266,12 @@ def _sign_product(elements, patterns):
     dot, where compose would make eight products.  An entry equal to
     neither sign, or a pattern ee' not listed, names no element: the proof
     then refuses the list as not closed.
+
+    The +- pair: as the list holds each pattern at its position, it holds
+    elements[i ^ 1] = (e, -g) beside elements[i] = (e, g).  So
+    elements[i ^ 1] elements[j] = -(elements[i] elements[j]), the listed
+    partner of that product, whose index differs in the low bit alone: one
+    probe, for i with its low bit cleared, serves both rows and is kept.
     """
     position = {e: 2 * k for k, e in enumerate(patterns)}
     rows = [((h.g.a, h.g.b), (h.g.c, h.g.d)) for h in elements]
@@ -278,7 +283,7 @@ def _sign_product(elements, patterns):
                     if not rows[m][r][c].is_zero())
         probes[m] = r, c, rows[m][r][c], rows[m + 1][r][c]
 
-    def product(i, j):
+    def probe(i, j):
         m = position.get(tuple(x * y for x, y in
                                zip(patterns[i // 2], patterns[j // 2])))
         if m is None:
@@ -290,6 +295,15 @@ def _sign_product(elements, patterns):
         if entry == minus:
             return m + 1
         return None
+
+    kept = {}
+
+    def product(i, j):
+        key = i & ~1, j
+        if key not in kept:
+            kept[key] = probe(*key)
+        k = kept[key]
+        return None if k is None else k ^ (i & 1)
 
     return product
 
@@ -321,37 +335,47 @@ def stabilizer(p: PointHV, fix_beta: bool = True) -> FiniteSubgroup:
     form_matrix(K_e/s) = form_matrix(K_e)/s^2 = M_e (e1 e2 e3 is e_j, and
     the other two signs are -e_j) and det(K_e/s) = e1 e2 e3.  form_matrix
     has kernel +-1 on GL2, so +-K_e/s are the only candidates, and they lie
-    in GL2 of the point's field exactly when s does: a pattern is admitted
-    iff Field.sqrt finds s, and then g^-1 and -g^-1 join together, with
-    g = e1 e2 e3 adj(g^-1) and no matrix inverted.
+    in GL2 of the point's field exactly when s does: an even pattern is
+    admitted iff Field.sqrt finds s, and then g^-1 and -g^-1 join together,
+    with g = e1 e2 e3 adj(g^-1) and no matrix inverted.
 
     Of the two, the one listed first has its leading entry (a, or b when
     a = 0) equal to Field.sqrt of its square; that is read off the entry's
     numerators (scalars.is_principal_root), with no second square root.
+
     With fix_beta=False the constraint pinning the joint sign of
     (alpha, beta) is dropped, which admits the odd patterns as well and
     doubles the group (the double cover of (Z/2)^3 rather than of
-    (Z/2)^2).  The list is proved closed by _sign_product.
+    (Z/2)^2).  They follow from the even ones through the central element
+    z = ((-1, -1, -1), i I): det(i I) = -1 and B o Sym^2(i I)^-1 = -B, so z
+    sends (alpha, beta, B) to (-alpha, -beta, B).  So the odd pattern -e is
+    admitted exactly when e is (i lies in every field), K_{-e} = K_e, and
+    its g^-1 is +-i g_e^-1: no second square root, inverse or scaling by
+    1/s.  The even patterns are listed first, then the odd ones in the
+    same order.  The list is proved closed by _sign_product.
     """
     if not in_Zo(p):
         raise ContractViolation("stabilizer requires a point of the open locus")
     field = point_field(p)
-    elements, admitted = [], []
-    patterns = list(_EVEN_PATTERNS) + (list(_ODD_PATTERNS) if not fix_beta else [])
-    for pattern in patterns:
-        # eigenvalues of the inverse-side form action; t_i = 1/c_i = c_i
-        sign = pattern[0] * pattern[1] * pattern[2]
+    admitted, inverses = [], []
+    for pattern in _EVEN_PATTERNS:
         K = _pattern_matrix(p.B, pattern)
-        s = field.sqrt(K.det() * sign)
-        if s is None:
-            continue
-        ginv = K.scale(s.inverse())
+        s = field.sqrt(K.det())
+        if s is not None:
+            admitted.append(pattern)
+            inverses.append(K.scale(s.inverse()))
+    if not fix_beta:
+        i = QI.i()
+        admitted += [tuple(-c for c in e) for e in admitted]
+        inverses += [ginv.scale(i) for ginv in inverses]
+    elements = []
+    for pattern, ginv in zip(admitted, inverses):
         if not is_principal_root(ginv.b if ginv.a.is_zero() else ginv.a):
             ginv = -ginv
-        g = ginv.adjugate()                 # det(g^-1) = sign = +-1: no inverse
-        g = g if sign == 1 else -g
+        # det(g^-1) = e1 e2 e3 = +-1: g is the signed adjugate, no inverse
+        g = ginv.adjugate() if pattern in _EVEN_PATTERNS else -ginv.adjugate()
+        # eigenvalues of the inverse-side form action; t_i = 1/c_i = c_i
         t = tuple(QI.scalar(c) for c in pattern)
-        admitted.append(pattern)
         elements.append(GroupElement(t, g))
         elements.append(GroupElement(t, -g))
     return FiniteSubgroup(elements, GroupElement.identity(),

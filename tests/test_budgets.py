@@ -151,20 +151,22 @@ def _count_products(monkeypatch, cls, build):
     return len(calls)
 
 
-@pytest.mark.parametrize("fix_beta, order, products", [(True, 8, 16), (False, 16, 48)])
+@pytest.mark.parametrize("fix_beta, order, dots, products",
+                         [(True, 8, 8, 16), (False, 16, 24, 48)], ids=["strict", "relaxed"])
 def test_stabilizer_closure_proof_takes_the_central_sign_last(monkeypatch, fix_beta,
-                                                              order, products):
+                                                              order, dots, products):
     """Two generators prove the quaternion group closed and three the
     relaxed group of order 16: |G| edges each (24 and 64 when the central
-    -1 was taken first).  Inside stabilizer each edge is one entry dot and
-    no compose (a full compose per edge before); the generic proof still
-    makes one product per edge."""
+    -1 was taken first).  The generic proof makes one product per edge.
+    Inside stabilizer no edge composes (a full compose per edge before),
+    and each +- pair of edges is one entry dot, the partner's index read
+    off with its low bit flipped (16 and 48 dots, one per edge, before)."""
     G = stabilizer(base_point(), fix_beta)
     assert G.order() == order
     entries = _record(monkeypatch, mckay, "dot")
     assert _count_products(monkeypatch, GroupElement,
                            lambda: stabilizer(base_point(), fix_beta)) == 0
-    assert len(entries) == products
+    assert len(entries) == dots
     assert _count_products(monkeypatch, GroupElement,
                            lambda: FiniteSubgroup(G.elements, G.identity)) == products
 
@@ -188,7 +190,8 @@ def test_pairing_and_discriminant_reduce_once(reduced):
 
 
 @pytest.mark.parametrize("target, qi, flat", [
-    ("chart_16_seed0", 109, 110), ("tower_depth1_seed5", 127, 122)])
+    ("chart_16_seed0", 109, 110), ("tower_depth1_seed5", 127, 122)],
+    ids=["chart_16_seed0", "tower_depth1_seed5"])
 def test_connect_stays_within_its_budget(monkeypatch, target, qi, flat):
     """connect(b*, q) counted on _qi and _flat, the residuals of both points
     already kept: each discriminant split_form takes is one sum, and
@@ -276,25 +279,33 @@ def test_connect_inverts_each_value_at_its_own_level(monkeypatch, target):
     assert [x.field for x in split_inverted] == [QI, QI]
 
 
-@pytest.mark.parametrize("fix_beta, budget", [(True, 54), (False, 120)])
+@pytest.mark.parametrize("fix_beta, budget", [(True, 42), (False, 74)],
+                         ids=["strict", "relaxed"])
 def test_stabilizer_stays_within_its_budget(reduced, fix_beta, budget):
-    """stabilizer(b*) counted on _qi; its identity is built, not validated,
-    each closure edge reduces one entry, each g^-1 is K_e/s, one square
-    root from det K_e, its listed sign is read off the numerators, and
-    -g^-1, -g and the odd patterns' g are negations, not scalings (94 and
-    208 with a square root for the sign and a gcd per negated entry; 240
-    and 442 when g^-1 was recovered from a form matrix summed from line
-    projectors; 336 and 730 when each edge composed two elements)."""
+    """stabilizer(b*) counted on _qi, the open-locus check included (4 of
+    them, kept on the point for the next call); its identity is built, not
+    validated, each +- pair of closure edges reduces one entry, each even
+    g^-1 is K_e/s, one square root from det K_e, each odd g^-1 is i times
+    an even one, its listed sign is read off the numerators, and -g^-1,
+    -g and the odd patterns' g are negations, not scalings (54 and 120
+    with one reduced entry per edge, det K_e times the sign reduced, and a
+    square root and 1/s per odd pattern; 94 and 208 with a square root for
+    the sign and a gcd per negated entry; 240 and 442 when g^-1 was
+    recovered from a form matrix summed from line projectors; 336 and 730
+    when each edge composed two elements)."""
     b = base_point()
     assert _count(reduced, lambda: stabilizer(b, fix_beta)) == budget
 
 
 @pytest.mark.parametrize("fix_beta", [True, False])
 def test_stabilizer_takes_one_square_root_per_pattern(monkeypatch, fix_beta):
-    """One outermost Field.sqrt per sign pattern, admitted or not, at b*
-    (every pattern admitted) and at rand_z_point(random.Random(2)) (orders
-    2 and 4: most refused); the listing rule takes none (one more per
-    admitted pattern when it compared with field.sqrt of lead^2)."""
+    """One outermost Field.sqrt per even sign pattern, admitted or not, for
+    either fix_beta, at b* (every pattern admitted) and at
+    rand_z_point(random.Random(2)) (orders 2 and 4: most refused).  An odd
+    pattern takes none, its g^-1 being i times its even one's (8 relaxed
+    when each odd pattern took its own), and the listing rule takes none
+    (one more per admitted pattern when it compared with field.sqrt of
+    lead^2)."""
     points = [base_point(), rand_z_point(random.Random(2))]
     orders = [stabilizer(p, fix_beta).order() for p in points]   # residuals kept
     assert orders == ([8, 2] if fix_beta else [16, 4])
@@ -314,7 +325,7 @@ def test_stabilizer_takes_one_square_root_per_pattern(monkeypatch, fix_beta):
     for p in points:
         calls.clear()
         stabilizer(p, fix_beta)
-        assert len(calls) == (4 if fix_beta else 8)
+        assert len(calls) == 4
 
 
 def _moved_nothing():
@@ -346,7 +357,8 @@ def test_an_unstable_verdict_that_moved_nothing_reverifies_without_acting(monkey
 
 
 @pytest.mark.parametrize("point, budget", [
-    (witness_E2_not_E1, 58), (witness_E1_not_E2, 52)])
+    (witness_E2_not_E1, 58), (witness_E1_not_E2, 52)],
+    ids=["witness_E2_not_E1", "witness_E1_not_E2"])
 def test_infinite_stabilizer_test_is_one_elimination(reduced, point, budget):
     """Gaussian elimination on the seven rows of the infinitesimal action,
     stopping at the first dependent row; no family is built or acted with

@@ -455,18 +455,89 @@ def test_beta_flipped_base_point_gets_its_own_residuals():
 
 
 def test_kept_residuals_are_invisible():
+    """Neither kept value (the residuals, det B) takes part in ==, hash,
+    repr or point JSON."""
     rng = random.Random(12)
     for _ in range(4):
         p = rand_z_point(rng)
         checked = point_from_json(point_to_json(p))
         unchecked = PointHV(checked.alpha, checked.beta, checked.B, checked.x)
-        assert residuals(checked).is_zero()
+        assert residuals(checked).is_zero() and in_Zo(checked)
+        assert checked._open_locus is not None and unchecked._open_locus is None
         for q in (unchecked, checked.with_x(checked.x)):
             assert q == checked and hash(q) == hash(checked)
             assert repr(q) == repr(checked)
             assert point_to_json(q) == point_to_json(checked)
         assert "residual" not in repr(checked)
         assert "residual" not in json.dumps(point_to_json(checked))
+
+
+def test_open_locus_det_is_kept_and_handed_on_by_with_x():
+    """open_locus_det keeps its result on the point, det B or None off the
+    open locus; with_x hands it on, since det B does not involve x, and a
+    point built afresh from equal coordinates starts without it."""
+    import d4vgit.equations as equations
+    zero = PointHV.make((0, 0, 0), 0, ((0, 0, 0),) * 3, (1, 0))
+    moved = act(rand_group_element(random.Random(3)), base_point())
+    for p, d in ((moved, det_b(moved)), (zero, None)):
+        assert p._open_locus is None
+        assert equations.open_locus_det(p) == d
+        assert p._open_locus == (d,)
+        kept = p._open_locus
+        assert p.with_x((1, 2))._open_locus is kept
+        fresh = PointHV(p.alpha, p.beta, p.B, p.x)
+        assert fresh == p and fresh._open_locus is None
+
+
+def test_a_failing_identity_raises_on_every_call_and_keeps_nothing(monkeypatch):
+    """2 det B = beta^3 a1 a2 a3 failing raises at each call, and nothing is
+    kept, so a later call checks again."""
+    import d4vgit.equations as equations
+    p = act(rand_group_element(random.Random(5)), base_point())
+    with monkeypatch.context() as m:
+        m.setattr(equations, "vanishes", lambda terms: False)
+        for _ in range(3):
+            with pytest.raises(AssertionError, match="determinant identity"):
+                in_Zo(p)
+            assert p._open_locus is None
+            assert p.with_x((1, 1))._open_locus is None
+    assert in_Zo(p) and p._open_locus == (det_b(p),)
+
+
+def test_a_failing_identity_raises_under_optimize():
+    """The identity is re-checked by raise, not assert: under python -O the
+    failing identity still raises at every call and keeps nothing."""
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    import d4vgit
+    code = textwrap.dedent("""
+        import random
+
+        from d4vgit import equations
+        from d4vgit.gitcore import act
+        from d4vgit.mckay import base_point
+        from d4vgit.sampling import rand_group_element
+
+        assert False, "asserts run"   # skipped under -O
+        p = act(rand_group_element(random.Random(5)), base_point())
+        equations.vanishes = lambda terms: False
+        for _ in range(2):
+            try:
+                equations.in_Zo(p)
+            except AssertionError as err:
+                if "determinant identity" not in str(err) or p._open_locus is not None:
+                    raise SystemExit("wrong refusal: %s" % err)
+                continue
+            raise SystemExit("a failing identity was accepted")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(d4vgit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _tower_translate(depth, height, seed):

@@ -17,7 +17,7 @@ from d4vgit.gitcore import (
 from d4vgit.linalg import Mat2, Mat3
 from d4vgit.poly import Poly
 from d4vgit.mckay import (
-    _EVEN_PATTERNS, _ODD_PATTERNS, DegeneratePointError, FiniteSubgroup,
+    _EVEN_PATTERNS, DegeneratePointError, FiniteSubgroup,
     _pattern_matrix, base_point, canonicalize, connect, point_field,
     quaternion_rep, stabilizer,
 )
@@ -25,7 +25,7 @@ from d4vgit.sampling import (
     rand_chart_point, rand_group_element, rand_tower_group_element, rand_z_point,
 )
 from d4vgit.scalars import (
-    QI, ExtensionLimitError, FieldError, adjoin_sqrt, sum_of_products,
+    QI, ExtensionLimitError, FieldError, adjoin_sqrt, is_principal_root, sum_of_products,
 )
 
 
@@ -421,6 +421,9 @@ def _recover_from_form_action(M, field):
     return g if form_matrix(g) == M else None
 
 
+_ODD_PATTERNS = ((-1, -1, -1), (-1, 1, 1), (1, -1, 1), (1, 1, -1))
+
+
 def _reference_stabilizer_elements(p, fix_beta=True, twist=None):
     """The stabilizer's elements built with no closed form: M_e is summed
     from the line projectors of C^-1, g^-1 is recovered from it by square
@@ -512,6 +515,72 @@ def test_stabilizer_matches_per_candidate_reference(name, fix_beta):
     want = _reference_stabilizer_elements(p, fix_beta=fix_beta)
     assert list(got) == want
     assert [group_to_json(h) for h in got] == [group_to_json(h) for h in want]
+
+
+def _per_pattern_stabilizer(p, fix_beta=True):
+    """The stabilizer built pattern by pattern, with no use of the central
+    z: every pattern, odd ones included, takes its own K_e, one Field.sqrt
+    of e1 e2 e3 det K_e and g^-1 = +-K_e/s, listed by the same sign rule;
+    the Cayley table comes from the generic closure proof."""
+    if not in_Zo(p):
+        raise ContractViolation("stabilizer requires a point of the open locus")
+    field = point_field(p)
+    elements = []
+    patterns = list(_EVEN_PATTERNS) + (list(_ODD_PATTERNS) if not fix_beta else [])
+    for pattern in patterns:
+        sign = pattern[0] * pattern[1] * pattern[2]
+        K = _pattern_matrix(p.B, pattern)
+        s = field.sqrt(K.det() * sign)
+        if s is None:
+            continue
+        ginv = K.scale(s.inverse())
+        if not is_principal_root(ginv.b if ginv.a.is_zero() else ginv.a):
+            ginv = -ginv
+        g = ginv.adjugate() if sign == 1 else -ginv.adjugate()
+        t = tuple(QI.scalar(c) for c in pattern)
+        elements += [GroupElement(t, g), GroupElement(t, -g)]
+    return FiniteSubgroup(elements, GroupElement.identity())
+
+
+@pytest.mark.parametrize("fix_beta", [True, False])
+@pytest.mark.parametrize("name", sorted(STABILIZER_POINTS))
+def test_stabilizer_matches_the_per_pattern_construction(name, fix_beta):
+    """The odd patterns read off the even ones through z give the elements,
+    listing order, coordinates and Cayley table of the construction that
+    takes one square root per pattern, at b*, at Z-points whose
+    stabilizers have orders 2, 4 and 8, and at depth-1 and depth-2
+    translates."""
+    p = STABILIZER_POINTS[name]()
+    got, want = stabilizer(p, fix_beta=fix_beta), _per_pattern_stabilizer(p, fix_beta)
+    assert got.elements == want.elements
+    assert [group_to_json(h) for h in got.elements] == [group_to_json(h) for h in want.elements]
+    assert got.multiplication_table() == want.multiplication_table()
+
+
+def _central_z():
+    """z = ((-1, -1, -1), i I)."""
+    i, zero = QI.i(), QI.zero()
+    return GroupElement((QI.scalar(-1),) * 3, Mat2(i, zero, zero, i))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_central_z_negates_alpha_and_beta(seed):
+    """act(z, p) = (-alpha, -beta, B) at Z-points, at a rational translate
+    of b* and at depth-1 and depth-2 tower translates: det(i I) = -1 and
+    B o Sym^2(i I)^-1 = -B, which the torus sign undoes.  So the odd half
+    of the relaxed stabilizer is z times the strict one."""
+    rng = random.Random(seed)
+    z = _central_z()
+    points = [rand_z_point(rng), rand_z_point(rng, 2 ** 64),
+              act(rand_group_element(rng), base_point()),
+              _tower_translate(1, seed), _tower_translate(2, seed)]
+    for p in points:
+        q = act(z, p)
+        assert q.alpha == tuple(-a for a in p.alpha)
+        assert q.beta == -p.beta and q.B == p.B
+        strict = stabilizer(p).elements
+        odd = stabilizer(p, fix_beta=False).elements[len(strict):]
+        assert set(odd) == {z * h for h in strict}
 
 
 def test_reference_points_reach_stabilizer_orders_two_four_and_eight():
@@ -736,6 +805,26 @@ def test_connect_proves_with_one_act(monkeypatch):
     assert act(h, b).same_h_part(q)
 
 
+def test_orbit_operations_check_the_open_locus_once_per_point(monkeypatch):
+    """The strict and relaxed stabilizers, connect(b*, p) and the -theta
+    oracle at one depth-2 translate p take det B and its identity once for
+    p, and once for b* in canonicalize: each later in_Zo reads the value
+    open_locus_det kept on the point."""
+    import d4vgit.equations as equations
+    from d4vgit.stability import semistable_minus_theta
+    p, b = _tower_translate(2, 6), base_point()
+    dets, identities = [], []
+    real_det, real_vanishes = equations.det_b, equations.vanishes
+    monkeypatch.setattr(equations, "det_b", lambda q: dets.append(q) or real_det(q))
+    monkeypatch.setattr(equations, "vanishes",
+                        lambda terms: identities.append(terms) or real_vanishes(terms))
+    assert stabilizer(p).order() == 8
+    assert stabilizer(p, fix_beta=False).order() == 16
+    assert connect(b, p) is not None
+    assert semistable_minus_theta(p).is_stable
+    assert dets == [p, b] and len(identities) == 2
+
+
 def _height_translate(depth, bits, seed):
     """b* moved by a depth-`depth` tower element composed with a rational
     one of height 2^bits, both drawn from random.Random(seed)."""
@@ -765,10 +854,10 @@ def test_tower_translates_at_height_keep_the_quaternion_stabilizer(depth, bits, 
 
 def test_stabilizer_pair_at_height_2_256_stays_fast():
     """The strict and relaxed stabilizers of a depth-1 translate at height
-    2^256, the residuals included, in well under the bound (0.55-0.8 s on
-    a noisy 2-core x86-64 host, the same gcds and big-int products whether
-    or not _mul spares half products, since this pair works at depth 1;
-    1.2-1.4 s when g^-1 was recovered from a form matrix)."""
+    2^256, the residuals included, in well under the bound (0.34-0.43 s on
+    a noisy 2-core x86-64 host with the odd patterns read off the even ones
+    and det B kept for the second call, 0.46-0.70 s with a square root per
+    pattern; 1.2-1.4 s when g^-1 was recovered from a form matrix)."""
     p = _height_translate(1, 256, 1)
     start = time.perf_counter()
     orders = stabilizer(p).order(), stabilizer(p, fix_beta=False).order()
@@ -789,6 +878,23 @@ def test_sign_proof_matches_the_full_product_at_height(depth, bits, seed):
     assert relaxed.order() == 16 and relaxed.order_profile() == {1: 1, 2: 7, 4: 8}
     for G in (group, relaxed):
         assert G.multiplication_table() == _generic_table(G)
+
+
+@given(bits=st.integers(1, 64), seed=st.integers(0, 2 ** 32), fix_beta=st.booleans())
+@example(bits=8, seed=2, fix_beta=False)
+@settings(max_examples=10, deadline=None)
+def test_sign_proof_matches_the_full_product_at_z_points(bits, seed, fix_beta):
+    """At a rand_z_point of height 2^bits, whose stabilizer has order 2, 4
+    or 8 (4, 8 or 16 relaxed), the group, its sign-decided table with one
+    probe per +- pair, and its listing equal the generic proof's table and
+    the per-pattern construction's, for either fix_beta."""
+    p = rand_z_point(random.Random(seed), 2 ** bits)
+    group = stabilizer(p, fix_beta=fix_beta)
+    assert group.order() in ((2, 4, 8) if fix_beta else (4, 8, 16))
+    table = group.multiplication_table()
+    assert table == _generic_table(group)
+    want = _per_pattern_stabilizer(p, fix_beta)
+    assert group.elements == want.elements and table == want.multiplication_table()
 
 
 @pytest.mark.parametrize("wrong", [None, "identity"])

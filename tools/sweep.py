@@ -14,8 +14,10 @@ charts.
 towers: at each seed, b* moved by rand_tower_group_element at depths 1 and
 2 and a height-16 chart point moved by a rational element, drawn from
 random.Random("tower-sweep/<seed>"), survive a point-JSON round trip; both
-translates of b* have the quaternion stabilizer of order 8 and a relaxed
-one of order 16; and connect carries b* to each of the three and back.
+translates of b* have the quaternion stabilizer of order 8, listed first in
+a relaxed one of order 16, and one act per listed element proves that the
+eight fix the H-part and the other eight send it to (-alpha, -beta, B); and
+connect carries b* to each of the three and back.
 
 Prints the failing seeds (or seed/point pairs), "none" when there are none,
 and exits 1 when any fail.  A usage error, an empty or reversed --seeds
@@ -30,7 +32,7 @@ import sys
 
 from d4vgit.charts import from_quiver_chart, normalize, normalize_rep, to_quiver_chart
 from d4vgit.equations import residuals
-from d4vgit.gitcore import MINUS_THETA, THETA, act, point_from_json, point_to_json
+from d4vgit.gitcore import MINUS_THETA, THETA, PointHV, act, point_from_json, point_to_json
 from d4vgit.mckay import base_point, connect, stabilizer
 from d4vgit.quiver import build_rep, king_stable
 from d4vgit.sampling import (
@@ -77,8 +79,15 @@ def orbit_holds(p, moved_base_point):
         return False
     if moved_base_point:
         group, relaxed = stabilizer(p), stabilizer(p, fix_beta=False)
-        if not (group.order() == 8 and group.is_quaternion() and relaxed.order() == 16):
+        if not (group.order() == 8 and group.is_quaternion() and relaxed.order() == 16
+                and relaxed.elements[:8] == group.elements):
             return False
+        # one act per listed element: the even half fixes the H-part, the
+        # odd half sends it to (-alpha, -beta, B)
+        flipped = PointHV(tuple(-a for a in p.alpha), -p.beta, p.B, p.x)
+        for k, h in enumerate(relaxed.elements):
+            if not act(h, p).same_h_part(p if k < 8 else flipped):
+                return False
     b = base_point()
     for source, target in ((b, p), (p, b)):
         h = connect(source, target)
