@@ -38,7 +38,7 @@ from .equations import (
     E1_LABELS, E2_LABELS, E3_LABELS, ContractViolation, on_Z, residual_entries,
 )
 from .gitcore import GroupElement, PointHV, act
-from .linalg import Mat2
+from .linalg import Mat2, Vec2
 from .poly import Poly
 from .quiver import QuiverRep
 from .scalars import QI, Scalar, sum_of_products, vanishes
@@ -269,22 +269,23 @@ def normalize_rep(rep: QuiverRep, index: int):
 
     Requires the rep to be generated through index i (D_i(E0) != 0 and
     E0, E_i independent) and to satisfy the leg relations.  Returns a
-    HatChart; the transport is unique modulo the two leg scalings.  The q
-    relations are checked here, once, where a rep enters the hat chart.
+    HatChart; the transport is unique modulo the two leg scalings.  Each D
+    is read on the new basis (E0, D_i(E0) E_i), and each E_m written in it
+    by Cramer's rule over det(E0, E_i), which the span check computes: no
+    matrix is inverted.  The q relations are checked here, once, where a
+    rep enters the hat chart.
     """
     i = index - 1
     j, k = _cyclic(i)
     u, w = rep.E0, rep.E[i]
-    M = Mat2(u.a, w.a, u.b, w.b)
-    if M.det().is_zero():
+    det = u.wedge(w)
+    if det.is_zero():
         raise ChartError("E0 and E_%d do not span V" % index)
     du = rep.D[i](u)
     if du.is_zero():
         raise ChartError("D_%d(E0) = 0; rep not in chart %d" % (index, index))
     if not rep.D[i](w).is_zero():
         raise ChartError("leg relation D_%d E_%d != 0" % (index, index))
-    ghat = Mat2.diagonal(QI.one(), du.inverse()) * M.inverse()
-    # ghat^-1 = M diag(1, D_i(E0)) has the columns E0 and D_i(E0) E_i
     wd = w.scale(du)
 
     def move_cov(cov):
@@ -293,10 +294,16 @@ def normalize_rep(rep: QuiverRep, index: int):
     d0 = move_cov(rep.D0)
     if not d0[0].is_zero():
         raise ChartError("framing relation D0 E0 != 0")
+    # E_m = c1 E0 + c2 D_i(E0) E_i: c1 = det(E_m, E_i) / det, and
+    # c2 = det(E0, E_m) / (D_i(E0) det)
+    dinv = det.inverse()
+    dudinv = dinv / du
     hats = {}
     for m in (j, k):
         dm = move_cov(rep.D[m])
-        em = ghat * rep.E[m]
+        e = rep.E[m]
+        em = Vec2(sum_of_products(((1, e.a, w.b), (-1, e.b, w.a)), scale=dinv),
+                  sum_of_products(((1, u.a, e.b), (-1, u.b, e.a)), scale=dudinv))
         # E_m = ah_m * (-qh_m, ph_m)
         ph, qh = dm
         # ah is solved from one coordinate, so only the other is tested

@@ -173,8 +173,10 @@ def on_Z(p: PointHV) -> bool:
 
 
 def det_b(p: PointHV) -> Scalar:
-    """Determinant of the 3x3 matrix of stored B-coefficient rows."""
-    return Mat3(p.B).det()
+    """det B: the value open_locus_det kept on p when it kept one, else the
+    determinant of the 3x3 matrix of stored B-coefficient rows."""
+    kept = p._open_locus
+    return kept[0] if kept and kept[0] is not None else Mat3(p.B).det()
 
 
 def in_Zo(p: PointHV) -> bool:
@@ -192,7 +194,8 @@ def open_locus_det(p: PointHV) -> Optional[Scalar]:
     four factors tested for zero one by one, with no product, and the
     identity as one zero test of the unreduced difference.  The result is
     the second value a point keeps (see residuals), as the 1-tuple
-    p._open_locus; a raise keeps nothing, so every later call raises again.
+    p._open_locus, and det_b reads the det B kept there; a raise keeps
+    nothing, so every later call raises again.
     """
     kept = p._open_locus
     if kept is not None:
@@ -210,15 +213,14 @@ def open_locus_det(p: PointHV) -> Optional[Scalar]:
     return d
 
 
-def semi_invariant_minus_theta(p: PointHV, det: Optional[Scalar] = None) -> Scalar:
+def semi_invariant_minus_theta(p: PointHV) -> Scalar:
     """a1^2 a2^2 a3^2 beta^2 det B: semi-invariant of weight -theta,
     nonvanishing exactly on the open locus (within Z), as one product
-    term.  Pass det = det B when it is already known."""
+    term.  det B is det_b's, so a point whose open locus was decided
+    brings its own."""
     a1, a2, a3 = p.alpha
     beta = p.beta
-    if det is None:
-        det = det_b(p)
-    return sum_of_products(((1, a1, a1, a2, a2, a3, a3, beta, beta, det),))
+    return sum_of_products(((1, a1, a1, a2, a2, a3, a3, beta, beta, det_b(p)),))
 
 
 def f_pairing(p: PointHV, i: int, j: int) -> Scalar:

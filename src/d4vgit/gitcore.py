@@ -117,10 +117,6 @@ class GroupElement:
     def inverse(self) -> "GroupElement":
         return GroupElement(tuple(s.inverse() for s in self.t), self.g.inverse())
 
-    def is_identity(self):
-        return (all(s == QI.one() for s in self.t)
-                and self.g == Mat2.identity())
-
 
 def form_matrix(g: Mat2) -> Mat3:
     """The 3x3 matrix of Q -> Q o g on coefficient triples (p, q, r).

@@ -122,11 +122,6 @@ class Mat3:
         if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
             raise ValueError("Mat3 needs 3x3 entries")
 
-    @staticmethod
-    def identity():
-        one, zero = QI.one(), QI.zero()
-        return Mat3([[one, zero, zero], [zero, one, zero], [zero, zero, one]])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import InitVar, dataclass
 from functools import cache
 
-from .equations import ContractViolation, in_Zo, omega, residuals, wedge
+from .equations import ContractViolation, in_Zo, omega, open_locus_det, residuals, wedge
 from .gitcore import (
     GroupElement, PointHV, act, apply_form_matrix, form_matrix, split_form,
 )
@@ -42,8 +42,9 @@ def base_point(x=(0, 0)) -> PointHV:
     The forms are fixed as the three character projections of Sym^2 V for
     the quaternion 2-dimensional irrep; (a1, a2, a3) are then solved exactly
     and linearly from the third equation at beta = 1, and the full residual
-    evaluation re-checks the solution.  The equations do not involve x, so
-    the H-part is solved and checked once per process.
+    evaluation re-checks the solution.  Neither the equations nor det B
+    involve x, so the H-part is solved, checked and placed in the open
+    locus once per process, and each copy with_x makes keeps both values.
     """
     return _base_h_part().with_x(x)
 
@@ -72,6 +73,8 @@ def _base_h_part() -> PointHV:
     p = PointHV.make(alpha, beta, B)
     if not residuals(p).is_zero():
         raise AssertionError("base point failed residual check")
+    if open_locus_det(p) is None:
+        raise AssertionError("base point outside the open locus")
     return p
 
 

@@ -146,7 +146,8 @@ def _rank_one_forms(ell, m):
 
 def engineered_unstable_points(rng: random.Random):
     """One Z-point inside each destabilized subset family of the plus-theta
-    analysis (in the adapted coordinates, with x = (1, 0) unless noted)."""
+    analysis (in the adapted coordinates, with x = (1, 0) unless noted).
+    They are fixed: nothing is drawn from rng, so one call serves many."""
     one = QI.one()
     zero = QI.zero()
     i = QI.i()

@@ -405,8 +405,6 @@ class Scalar:
     def __eq__(self, other):
         if other.__class__ is Scalar and other._field is self._field:
             a, b = self, other
-        elif other.__class__ is int and self._den is not None:
-            return self._den == 1 and self._y == 0 and self._x == other
         else:
             try:
                 a, b = self._pair(other)

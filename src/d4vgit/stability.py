@@ -55,7 +55,8 @@ class StabilityVerdict:
 def adapting_matrix(x: Vec2) -> Mat2:
     """K with K (1, 0) == x and det K = x1, or -x2 when x1 = 0: the inverse
     of the GL2 part of adapting_element(x), read off x; invertible iff x is
-    nonzero."""
+    nonzero.  Its transpose, whose first row is x, is the GL2 part of
+    _isotropic_adapting for the line x."""
     if not x.a.is_zero():
         return Mat2(x.a, QI.zero(), x.b, QI.one())
     return Mat2(QI.zero(), QI.one(), x.b, QI.zero())
@@ -198,28 +199,25 @@ def semistable_theta(p: PointHV) -> StabilityVerdict:
 # -- minus-theta oracle --------------------------------------------------------
 
 
-def _rank_one_line(form):
-    """(l1, l2) with the rank-one form (p, q, r) a multiple of
-    (l1 v1 + l2 v2)^2 = (l1^2, 2 l1 l2, l2^2); p = 0 forces q = 0."""
-    pm, qm, _ = form
-    return (pm, qm / 2) if not pm.is_zero() else (QI.zero(), QI.one())
-
-
 def _isotropic_adapting(p: PointHV) -> Optional[GroupElement]:
     """For a Z-point with beta = 0 and all a_i nonzero: the nonzero forms B_i
     are multiples of a single rank-one form l^2; returns h such that every
-    B-triple of act(h, p) has the shape (*, 0, 0), or None when B = 0."""
+    B-triple of act(h, p) has the shape (*, 0, 0), or None when B = 0.
+
+    The first nonzero form (p, q, r) is a multiple of (l1 v1 + l2 v2)^2 =
+    (l1^2, 2 l1 l2, l2^2), so l = (p, q/2) = l1 (l1, l2) spans the line,
+    or l = (0, 1) when p = 0 (which forces q = 0).  The GL2 part g of h is
+    the transpose of adapting_matrix(l), invertible with first row l: a
+    form Q moves to Q o g^-1, and l o g^-1 = (1, 0), the first row of
+    g g^-1, so l^2 becomes v1^2, with nothing inverted.
+    """
     form = next((b for b in p.B if any(not c.is_zero() for c in b)), None)
     if form is None:
         return None
-    l1, l2 = _rank_one_line(form)
-    # K has columns u, w with l(u) = 1, l(w) = 0; then act with g = K^-1
-    # turns the form l^2 into a multiple of v1^2.
-    if not l1.is_zero():
-        K = Mat2(l1.inverse(), -l2 / l1, QI.zero(), QI.one())
-    else:
-        K = Mat2(QI.zero(), QI.one(), l2.inverse(), QI.zero())
-    return GroupElement((QI.one(),) * 3, K.inverse())
+    pm, qm, _ = form
+    K = adapting_matrix(Vec2(pm, qm / 2) if not pm.is_zero()
+                        else Vec2(QI.zero(), QI.one()))
+    return GroupElement((QI.one(),) * 3, Mat2(K.a, K.c, K.b, K.d))
 
 
 def semistable_minus_theta(p: PointHV) -> StabilityVerdict:
@@ -228,10 +226,9 @@ def semistable_minus_theta(p: PointHV) -> StabilityVerdict:
     semi-invariant a^2 beta^2 det B; no strictly semistable points."""
     if not on_Z(p):
         raise ContractViolation("semistable_minus_theta called off Z")
-    det = open_locus_det(p)
-    if det is not None:
+    if open_locus_det(p) is not None:
         return StabilityVerdict(STABLE, MINUS_THETA,
-                                witness_value=semi_invariant_minus_theta(p, det))
+                                witness_value=semi_invariant_minus_theta(p))
     for i, a in enumerate(p.alpha):
         if a.is_zero():
             cert = Cocharacter(tuple(-1 if m == i else 0 for m in range(3)),

@@ -145,11 +145,11 @@ def _sample_details(k: int, x) -> str:
 
 
 def _det_b_and_open_locus(p: PointHV):
-    """(det B, whether p is in the open locus), with det B computed once; a
-    point off Z is not in it.  In the open locus the identity
-    2 det B = beta^3 a1 a2 a3 is checked on the way."""
-    d = equations.open_locus_det(p) if equations.on_Z(p) else None
-    return (d, True) if d is not None else (equations.det_b(p), False)
+    """(det B, whether p is in the open locus); a point off Z is not in it.
+    In the open locus the identity 2 det B = beta^3 a1 a2 a3 is checked on
+    the way, and det_b reads the det B that check kept."""
+    is_open = equations.on_Z(p) and equations.open_locus_det(p) is not None
+    return equations.det_b(p), is_open
 
 
 def suite_equations(seed: int) -> Report:
@@ -182,7 +182,7 @@ def suite_equations(seed: int) -> Report:
 
     def semi_invariant_weight(q, p, h, d, is_open, det_g):
         chi = (h.t[0] * h.t[1] * h.t[2] * det_g).inverse()
-        return (equations.semi_invariant_minus_theta(q, d)
+        return (equations.semi_invariant_minus_theta(q)
                 == chi * equations.semi_invariant_minus_theta(p))
 
     rep.add_sampled(orbit_samples(), {
@@ -243,7 +243,6 @@ def suite_stability(seed: int) -> Report:
             stability.semistable_theta(p).is_stable
             or quiver.king_stable(quiver.build_rep(p))),
     })
-    engineered = sampling.engineered_unstable_points(rng)
     rep.add_sampled(((k, (p,)) for k, (_, p) in enumerate(engineered)
                      if not p.x.is_zero()),
                     {"st.minus_theta_unstable_certified": minus_theta_certified})

@@ -101,12 +101,15 @@ def test_stable_point_operations_stay_within_their_budgets(reduced, seed):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_normalize_rep_stays_within_its_budget(reduced, seed):
     """normalize_rep counted on _qi at the rep of each stable point: each
-    leg tests the one coordinate its ah was not solved from, and
-    _solve_beta_hat builds ah_k ph_k once (38 with both comparisons per leg
-    and ah_k ph_k built twice)."""
+    leg tests the one coordinate its ah was not solved from,
+    _solve_beta_hat builds ah_k ph_k once, and each E_m is read in the new
+    basis by Cramer's rule, one sum per coordinate over det(E0, E_i) (35
+    with that determinant taken twice, the frame inverted as a matrix and
+    applied as a product; 38 with both comparisons per leg and ah_k ph_k
+    built twice)."""
     for p, v in _stable_stream_points(seed):
         rep = build_rep(p)
-        assert _count(reduced, lambda: normalize_rep(rep, v.witness_index + 1)) == 35
+        assert _count(reduced, lambda: normalize_rep(rep, v.witness_index + 1)) == 26
 
 
 def test_normalize_evaluates_the_chart_relations_once(monkeypatch):
@@ -190,7 +193,7 @@ def test_pairing_and_discriminant_reduce_once(reduced):
 
 
 @pytest.mark.parametrize("target, qi, flat", [
-    ("chart_16_seed0", 109, 110), ("tower_depth1_seed5", 127, 122)],
+    ("chart_16_seed0", 105, 110), ("tower_depth1_seed5", 123, 122)],
     ids=["chart_16_seed0", "tower_depth1_seed5"])
 def test_connect_stays_within_its_budget(monkeypatch, target, qi, flat):
     """connect(b*, q) counted on _qi and _flat, the residuals of both points
@@ -199,7 +202,8 @@ def test_connect_stays_within_its_budget(monkeypatch, target, qi, flat):
     (122/184 and 135/150 when connect inverted the whole transport of q).
     Each value is inverted at its own level (114/132 into the chart point
     when split_form inverted p*2 at depth 1 and the proving act inverted
-    h's lifted torus entries at every level above their own)."""
+    h's lifted torus entries at every level above their own), and b* comes
+    with its det B (4 more _qi for its open-locus check before)."""
     b, q = base_point(), CONNECT_TARGETS[target]()
     residuals(q)
     reduced = _record(monkeypatch, scalars, "_qi")
@@ -279,15 +283,16 @@ def test_connect_inverts_each_value_at_its_own_level(monkeypatch, target):
     assert [x.field for x in split_inverted] == [QI, QI]
 
 
-@pytest.mark.parametrize("fix_beta, budget", [(True, 42), (False, 74)],
+@pytest.mark.parametrize("fix_beta, budget", [(True, 38), (False, 70)],
                          ids=["strict", "relaxed"])
 def test_stabilizer_stays_within_its_budget(reduced, fix_beta, budget):
-    """stabilizer(b*) counted on _qi, the open-locus check included (4 of
-    them, kept on the point for the next call); its identity is built, not
-    validated, each +- pair of closure edges reduces one entry, each even
-    g^-1 is K_e/s, one square root from det K_e, each odd g^-1 is i times
-    an even one, its listed sign is read off the numerators, and -g^-1,
-    -g and the odd patterns' g are negations, not scalings (54 and 120
+    """stabilizer(b*) counted on _qi, the open-locus check reducing nothing
+    (b* comes with its det B; 42 and 74 when each fresh b* took 4 for it);
+    its identity is built, not validated, each +- pair of closure edges
+    reduces one entry, each even g^-1 is K_e/s, one square root from
+    det K_e, each odd g^-1 is i times an even one, its listed sign is read
+    off the numerators, and -g^-1, -g and the odd patterns' g are
+    negations, not scalings (54 and 120
     with one reduced entry per edge, det K_e times the sign reduced, and a
     square root and 1/s per odd pattern; 94 and 208 with a square root for
     the sign and a gcd per negated entry; 240 and 442 when g^-1 was
@@ -326,6 +331,25 @@ def test_stabilizer_takes_one_square_root_per_pattern(monkeypatch, fix_beta):
         calls.clear()
         stabilizer(p, fix_beta)
         assert len(calls) == 4
+
+
+@pytest.mark.parametrize("translated, budget", [(False, 20), (True, 21)],
+                         ids=["engineered", "translated"])
+def test_minus_theta_unstable_verdict_stays_within_its_budget(reduced, translated,
+                                                              budget):
+    """semistable_minus_theta counted on _qi at the engineered {p1=p2=p3=0}
+    point (beta = 0, every a_i nonzero, a form with p = 0) and at its
+    translate by rand_group_element(random.Random(0)) (p != 0), after a
+    first verdict has kept the residuals and cached the certificate's
+    weights: the adapting GL2 part is the transpose of adapting_matrix(l),
+    with nothing inverted (27 and 29 when K was built from 1/l2, or 1/l1
+    and l2/l1, and then inverted as a matrix)."""
+    p = dict(engineered_unstable_points(random.Random(0)))["{p1=p2=p3=0}"]
+    if translated:
+        p = act(rand_group_element(random.Random(0)), p)
+    v = semistable_minus_theta(p)
+    assert (v.status, v.subset) == ("unstable", "{beta=0}") and v.adapting is not None
+    assert _count(reduced, lambda: semistable_minus_theta(p)) == budget
 
 
 def _moved_nothing():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from d4vgit.charts import (
-    ChartError, ChartPoint, chart_closure_check, chart_equivalent,
+    ChartError, ChartPoint, HatChart, chart_closure_check, chart_equivalent,
     dependent_coordinates, from_quiver_chart, normalize, normalize_rep,
     q_coordinates, to_quiver_chart,
 )
@@ -27,7 +27,7 @@ from d4vgit.stability import semistable_theta
 def test_already_normalized_gives_identity():
     p = rand_chart_point(random.Random(0))
     c = normalize(p, 1)
-    assert c.normalizer.is_identity()
+    assert c.normalizer == GroupElement.identity()
     assert c.validate()
 
 
@@ -321,6 +321,44 @@ def test_normalize_equals_the_two_step_form():
         q, h, free = _two_step_normalize(p, index)
         assert (c.alpha_j, c.alpha_k, c.beta, c.p_j, c.p_k) == free
         assert c.normalizer == h and act(c.normalizer, p) == q
+
+
+def _inverted_frame_hat(rep, index):
+    """The hat chart by the frame normalize_rep built before, kept as an
+    oracle: ghat = diag(1, 1/D_i(E0)) M^-1 for M with the columns E0 and
+    E_i, applied to each E_m; ah from the coordinate normalize_rep solves
+    it from, and bh as _solve_beta_hat reads it."""
+    i = index - 1
+    u, w = rep.E0, rep.E[i]
+    du = rep.D[i](u)
+    ghat = Mat2.diagonal(QI.one(), du.inverse()) * Mat2(u.a, w.a, u.b, w.b).inverse()
+    legs = []
+    for m in ((i + 1) % 3, (i + 2) % 3):
+        ph, qh = rep.D[m](u), rep.D[m](w.scale(du))
+        em = ghat * rep.E[m]
+        legs.append((em.b / ph if not ph.is_zero() else -em.a / qh, ph, qh))
+    (ah_j, ph_j, qh_j), (ah_k, ph_k, qh_k) = legs
+    bh = (qh_j / (ah_k * ph_k) if not (ah_k * ph_k).is_zero()
+          else -qh_k / (ah_j * ph_j))
+    return HatChart(index, ah_j, ah_k, bh, ph_j, ph_k)
+
+
+def test_normalize_rep_matches_the_inverted_frame():
+    """normalize_rep, reading each E_m in the basis (E0, D_i(E0) E_i) by
+    Cramer's rule, gives the hat chart of the inverted frame at stable
+    height-2^8 translates of Z-points and at depth-1 and depth-2 tower
+    translates of b* and of Z-points."""
+    from d4vgit.sampling import rand_tower_group_element
+    rng = random.Random(21)
+    points = [act(rand_group_element(rng, 1 << 8), rand_z_point(rng, 1 << 8))
+              for _ in range(12)]
+    points += [act(rand_tower_group_element(rng, depth), p)
+               for depth in (1, 2) for p in (base_point(x=(1, 2)), rand_z_point(rng))]
+    for p in points:
+        v = semistable_theta(p)
+        assert v.is_stable
+        rep, index = build_rep(p), v.witness_index + 1
+        assert normalize_rep(rep, index) == _inverted_frame_hat(rep, index)
 
 
 def test_normalize_checks_the_chart_relations(monkeypatch):

@@ -304,20 +304,20 @@ def test_suite_equations_evaluates_residuals_once_per_point(count_residual_entri
 def test_suite_equations_computes_det_b_once_per_point(monkeypatch):
     """suite_equations takes det B of each point in the open locus from the
     open-locus check (which also checks 2 det B = beta^3 a1 a2 a3) and
-    reuses it for the identity and the semi-invariant."""
-    import d4vgit.equations as equations
+    reuses it for the identity and the semi-invariant: the determinant of
+    each point's B is computed once."""
+    from d4vgit.linalg import Mat3
     from d4vgit.suites import suite_equations
     calls = []
-    real = equations.det_b
+    real = Mat3.det
 
-    def counting(p):
-        calls.append(p)              # keeps every point alive, so ids stay unique
-        return real(p)
+    def counting(m):
+        calls.append(m.rows)
+        return real(m)
 
-    monkeypatch.setattr(equations, "det_b", counting)
+    monkeypatch.setattr(Mat3, "det", counting)
     assert suite_equations(3).passed
-    ids = [id(p) for p in calls]
-    assert len(calls) >= 61 and len(ids) == len(set(ids))
+    assert len(calls) >= 61 and len(calls) == len(set(calls))
 
 
 def test_suite_equations_reports_an_off_z_sample_as_a_failed_check(monkeypatch):

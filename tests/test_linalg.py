@@ -24,7 +24,8 @@ def test_mat2_inverse():
 
 
 def test_sym_square_identity():
-    assert sym_square(Mat2.identity()) == Mat3.identity()
+    assert sym_square(Mat2.identity()) == Mat3(
+        [[QI.scalar(int(m == n)) for n in range(3)] for m in range(3)])
 
 
 def test_sym_square_diagonal():

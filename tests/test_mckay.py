@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from d4vgit.equations import ContractViolation, det_b, in_Zo, omega, residuals
 from d4vgit.cyclic_s3 import s3_base_point, s3_stabilizer
-from d4vgit import gitcore, mckay
+from d4vgit import gitcore, mckay, scalars
 from d4vgit.gitcore import (
     GroupElement, PointHV, act, form_matrix, group_to_json, pairing_terms, split_form,
 )
@@ -807,22 +807,35 @@ def test_connect_proves_with_one_act(monkeypatch):
 
 def test_orbit_operations_check_the_open_locus_once_per_point(monkeypatch):
     """The strict and relaxed stabilizers, connect(b*, p) and the -theta
-    oracle at one depth-2 translate p take det B and its identity once for
-    p, and once for b* in canonicalize: each later in_Zo reads the value
-    open_locus_det kept on the point."""
+    oracle at one depth-2 translate p compute det B and check its identity
+    once, for p: each later in_Zo reads the value open_locus_det kept on the
+    point, and b* came with its det B from base_point."""
     import d4vgit.equations as equations
     from d4vgit.stability import semistable_minus_theta
     p, b = _tower_translate(2, 6), base_point()
     dets, identities = [], []
-    real_det, real_vanishes = equations.det_b, equations.vanishes
-    monkeypatch.setattr(equations, "det_b", lambda q: dets.append(q) or real_det(q))
+    real_det, real_vanishes = Mat3.det, equations.vanishes
+    monkeypatch.setattr(Mat3, "det", lambda m: dets.append(m.rows) or real_det(m))
     monkeypatch.setattr(equations, "vanishes",
                         lambda terms: identities.append(terms) or real_vanishes(terms))
     assert stabilizer(p).order() == 8
     assert stabilizer(p, fix_beta=False).order() == 16
     assert connect(b, p) is not None
     assert semistable_minus_theta(p).is_stable
-    assert dets == [p, b] and len(identities) == 2
+    assert dets == [p.B] and len(identities) == 1
+
+
+def test_base_point_copies_carry_the_kept_det_b(monkeypatch):
+    """base_point decides the open locus of its H-part beside the residuals,
+    once per process, so every copy carries det B: in_Zo on a copy reduces
+    nothing, and the kept value is the determinant of B."""
+    b = base_point(x=(1, 2))
+    assert b._open_locus == (Mat3(b.B).det(),) and b._open_locus is base_point()._open_locus
+    reduced = []
+    real = scalars._qi
+    monkeypatch.setattr(scalars, "_qi", lambda *args: reduced.append(args) or real(*args))
+    assert in_Zo(b) and in_Zo(base_point(x=(3, 4)))
+    assert reduced == []
 
 
 def _height_translate(depth, bits, seed):

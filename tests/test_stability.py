@@ -94,6 +94,47 @@ class TestMinusTheta:
             semistable_minus_theta(p)
 
 
+def _inverted_isotropic_adapting(p):
+    """The -theta frame as _isotropic_adapting built it before, kept as an
+    oracle: K with columns u, w, l(u) = 1 and l(w) = 0, built from 1/l1 and
+    l2/l1 (or 1/l2 when l1 = 0), then h = (1, K^-1)."""
+    form = next((b for b in p.B if any(not c.is_zero() for c in b)), None)
+    if form is None:
+        return None
+    pm, qm, _ = form
+    l1, l2 = (pm, qm / 2) if not pm.is_zero() else (QI.zero(), QI.one())
+    if not l1.is_zero():
+        K = Mat2(l1.inverse(), -l2 / l1, QI.zero(), QI.one())
+    else:
+        K = Mat2(QI.zero(), QI.one(), l2.inverse(), QI.zero())
+    return GroupElement((QI.one(),) * 3, K.inverse())
+
+
+def test_isotropic_adapting_matches_the_inverted_frame():
+    """At the engineered {p1=p2=p3=0} point, its depth-1 and depth-2 tower
+    translates, and points whose forms are multiples of one rank-one form
+    l^2 with p = 0 and with p != 0: _isotropic_adapting equals the oracle,
+    the first row of its GL2 part is l = (p, q/2) (or (0, 1) when p = 0)
+    for the first nonzero form, and it moves every form to (*, 0, 0)."""
+    rng = random.Random(8)
+    p = dict(engineered_unstable_points(rng))["{p1=p2=p3=0}"]
+    points = [p] + [act(rand_tower_group_element(rng, depth), p) for depth in (1, 1, 2, 2)]
+    for l1, l2 in ((0, 1), (0, 3), (1, 2), (2, -1), (1, 0)):
+        l1, l2 = QI.scalar(l1), rand_nonzero_scalar(rng) * l2
+        square = (l1 * l1, l1 * l2 * 2, l2 * l2)
+        points.append(PointHV((QI.one(),) * 3, QI.zero(),
+                              tuple(tuple(c * k for c in square) for k in (1, 0, 3)),
+                              p.x))
+    assert {q.B[0][0].is_zero() for q in points} == {True, False}
+    for q in points:
+        h = stability._isotropic_adapting(q)
+        assert h == _inverted_isotropic_adapting(q)
+        pm, qm, _ = q.B[0]
+        assert (h.g.a, h.g.b) == ((pm, qm / 2) if not pm.is_zero()
+                                  else (QI.zero(), QI.one()))
+        assert all(b[1].is_zero() and b[2].is_zero() for b in act(h, q).B)
+
+
 class TestVerifyCertificate:
     """verify_certificate rejects each way a certificate can be wrong."""
 
@@ -253,22 +294,24 @@ class TestCheckOnce:
 
     def test_minus_theta_computes_det_b_once(self, monkeypatch):
         """The stable branch reuses the det B that the open-locus check
-        computed for the semi-invariant witness."""
-        import d4vgit.equations as equations
+        computed for the semi-invariant witness: one determinant of B at a
+        translate, and none at a base_point() copy, which came with it."""
+        from d4vgit.linalg import Mat3
         calls = []
-        real = equations.det_b
+        real = Mat3.det
 
-        def counting(p):
-            calls.append(p)
-            return real(p)
+        def counting(m):
+            calls.append(m.rows)
+            return real(m)
 
-        monkeypatch.setattr(equations, "det_b", counting)
         rng = random.Random(4)
-        for p in (base_point(x=(1, 2)), act(rand_group_element(rng), base_point())):
+        points = (base_point(x=(1, 2)), act(rand_group_element(rng), base_point()))
+        monkeypatch.setattr(Mat3, "det", counting)
+        for p, dets in zip(points, ([], [points[1].B])):
             calls.clear()
             v = semistable_minus_theta(p)
             assert v.is_stable and not v.witness_value.is_zero()
-            assert len(calls) == 1
+            assert calls == dets
 
     def test_unstable_verdicts_act_at_most_once(self, monkeypatch):
         """Each unstable verdict moves the point to its adapted basis at most
@@ -458,7 +501,7 @@ def test_suite_stability_names_the_first_uncertified_engineered_point(monkeypatc
     def flipped(p):
         v = real_oracle(p)
         # engineered points bad and bad + 2 of the certified pass come out stable
-        if len(lists) == 2 and any(p is lists[1][m][1] for m in (bad, bad + 2)):
+        if lists and any(p is lists[0][m][1] for m in (bad, bad + 2)):
             return dataclasses.replace(v, status="stable")
         return v
 
@@ -469,7 +512,8 @@ def test_suite_stability_names_the_first_uncertified_engineered_point(monkeypatc
     assert not check.passed
     index, text = check.details.split(": ", 1)
     assert index == "sample %d" % bad
-    assert text == json.dumps(point_to_json(lists[1][bad][1]), sort_keys=True)
+    assert text == json.dumps(point_to_json(lists[0][bad][1]), sort_keys=True)
+    assert len(lists) == 1           # built once, shared by both engineered passes
     assert all(c.passed and c.details == "" for c in checks.values())
     monkeypatch.undo()
     passing = {c.check_id: c for c in run_suite("stability", 7).checks}

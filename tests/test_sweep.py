@@ -55,7 +55,7 @@ def test_a_failing_or_raising_point_fails_the_sweep(monkeypatch, capsys):
     assert sweep.main(["points", "--seeds", "7"]) == 1
     assert capsys.readouterr().out.splitlines() == [
         "seed 7 point 1 raised ValueError('broken')",
-        "failing seed/point: 7/1, 7/8, 7/9, 7/10, 7/11"]
+        "failing seed/point: 7/1, 7/8, 7/9, 7/10, 7/11, 7/12, 7/13"]
 
 
 def test_seed_ranges_are_inclusive():

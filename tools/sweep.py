@@ -7,7 +7,9 @@ seeds.
 
 suites: run_suite("all", s) passes at every seed s.
 points: at each seed, eight translates of Z-points and four translates of
-engineered unstable points, all at height 2^8 and drawn from
+engineered unstable points, all at height 2^8, then the engineered
+{p1=p2=p3=0} point (the one whose verdicts move it under both characters)
+moved by rand_tower_group_element at depths 1 and 2, all drawn from
 random.Random("point-sweep/<seed>"), go through point JSON, both oracles,
 the King check, the re-verification of every unstable verdict and the
 charts.
@@ -100,9 +102,13 @@ def point_sample(rng):
     """(point, engineered) for the points mode."""
     points = [(act(rand_group_element(rng, HEIGHT), rand_z_point(rng, HEIGHT)), False)
               for _ in range(8)]
-    unstable = [p for _, p in engineered_unstable_points(rng) if not p.x.is_zero()]
-    return points + [(act(rand_group_element(rng, HEIGHT), rng.choice(unstable)), True)
-                     for _ in range(4)]
+    engineered = engineered_unstable_points(rng)
+    unstable = [p for _, p in engineered if not p.x.is_zero()]
+    points += [(act(rand_group_element(rng, HEIGHT), rng.choice(unstable)), True)
+               for _ in range(4)]
+    both_moved = dict(engineered)["{p1=p2=p3=0}"]
+    return points + [(act(rand_tower_group_element(rng, depth), both_moved), True)
+                     for depth in (1, 2)]
 
 
 def tower_sample(rng):
