@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .equations import (
-    E1_LABELS, E2_LABELS, E3_LABELS, ContractViolation, on_Z, residual_entries,
+    E1_LABELS, E2_LABELS, E3_LABELS, ContractViolation, omega_of, on_Z, residual_entries,
 )
-from .gitcore import GroupElement, PointHV, act
+from .gitcore import GroupElement, PointHV, act, contraction_terms
 from .linalg import Mat2, Vec2
 from .poly import Poly
 from .quiver import QuiverRep
@@ -64,10 +64,11 @@ def dependent_coordinates(alpha_j, alpha_k, beta, p_j, p_k):
     """(q_j, q_k, r, r_j, r_k) from the free chart coordinates, over any
     commutative ring with division by 4 (Scalars, or Polys for the closure
     check): the five chart relations, one sum_of_products per output, with
-    omega shared lazily.  The chart index i is implicit: the formulas are
-    the same in every chart, with (j, k) its cyclic successors.
+    omega = equations.omega_of((a_j, a_k), beta) shared lazily.  The chart
+    index i is implicit: the formulas are the same in every chart, with
+    (j, k) its cyclic successors.
     """
-    om = sum_of_products(((1, alpha_j, alpha_k, beta, beta),), lazy=True)
+    om = omega_of((alpha_j, alpha_k), beta, lazy=True)
     return q_coordinates(alpha_j, alpha_k, beta, p_j, p_k) + (
         sum_of_products(((1, om),), 4),
         sum_of_products(((-1, om, p_j),), 4),
@@ -110,7 +111,7 @@ class ChartPoint:
 
     @property
     def omega(self):
-        return sum_of_products(((1, self.alpha_j, self.alpha_k, self.beta, self.beta),))
+        return omega_of((self.alpha_j, self.alpha_k), self.beta)
 
     def validate(self):
         aj, ak, pj, pk = self.alpha_j, self.alpha_k, self.p_j, self.p_k
@@ -152,17 +153,17 @@ def normalize(p: PointHV, index: int) -> ChartPoint:
         raise ContractViolation("normalize called off Z")
     i = index - 1
     # step 1: h0 = (1, g0) moves x to e1, and g0^-1 = K has first column x;
-    # leg i of act(h0, p) is B_i o K, so p_i = B_i(x, x), q_i = 2 B_i(x, K e2)
+    # leg i of act(h0, p) is B_i o K, so p_i = B_i(x, x) and q_i =
+    # 2 B_i(x, K e2), the double contraction 2 B_i(x, -) paired with K e2
     x1, x2 = p.x
     K = adapting_matrix(p.x)
     pB, qB, rB = p.B[i]
-    w1, w2 = K.b, K.d
     pi = sum_of_products(((1, pB, x1, x1), (1, qB, x1, x2), (1, rB, x2, x2)))
     if p.alpha[i].is_zero() or pi.is_zero():       # the witness a_i B_i(x, x)
         raise ChartError("index %d is not a witnessing index for this point"
                          % index)
-    qi = sum_of_products(((2, pB, x1, w1), (1, qB, x1, w2), (1, qB, x2, w1),
-                          (2, rB, x2, w2)))
+    first, second = contraction_terms(p.B[i], x1, x2)
+    qi = sum_of_products([t + (K.b,) for t in first] + [t + (K.d,) for t in second])
     # step 2: g1 = (1 b; 0 d) shears and scales, fixing e1, with
     # a_i = det(g0) alpha_i = alpha_i / det K; then one move by
     # h = (t, g1 g0), g1 g0 = g1 adj(K) / det K.  d and p_i are nonzero, so
@@ -240,7 +241,7 @@ class HatChart:
 
     @property
     def omega(self):
-        return sum_of_products(((1, self.beta, self.beta, self.alpha_j, self.alpha_k),))
+        return omega_of((self.alpha_j, self.alpha_k), self.beta)
 
     def validate(self):
         """N = ah_j ph_j^2 + ah_k ph_k^2 + 1 = 0, the one relation left: with

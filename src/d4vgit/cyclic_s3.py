@@ -3,16 +3,16 @@ the S3 presentation.
 
 For the cyclic group of order n the minimal data is one map of torus weight
 -n together with the two coordinates of weights (1, n-1); the redundant
-presentation uses all nontrivial characters U_1 ... U_{n-1} with the maps
+presentation (an_redundant_problem) uses all nontrivial characters
+U_1 ... U_{n-1} with the maps
 
-    B_i : U_1 (x) U_i -> U_{i+1}  (i < n-1),      B_{n-1} : U_1 (x) U_{n-1} -> C
+    B_i : U_i (x) U_i -> U_{i-1} (x) U_{i+1}     (U_0 = U_n = C)
 
 plus the two singularity coordinates x in U_1 and y in U_{n-1}.  The
 resulting torus weight matrix (one column per coordinate, rows indexed by
-the characters) is
+the characters, e_0 = e_n = 0) is the Cartan pattern
 
-    B_1 = -2 e_1 + e_2,  B_i = -e_1 - e_i + e_{i+1},  B_{n-1} = -e_1 - e_{n-1},
-    x = e_1,  y = e_{n-1}.
+    B_i = e_{i-1} - 2 e_i + e_{i+1},   x = e_1,   y = e_{n-1}.
 
 Both presentations have N = k + 2 coordinates, so every quotient is a
 surface, and each fan and each semistability verdict is read off one pass
@@ -20,8 +20,9 @@ over the Gale-dual rays of the weights, cyclic_s3._gale_pairs.
 
 The S3 part stores a map B: Sym^2 U -> U + C in basis coordinates on
 (u1^2, u1u2, u2^2) and verifies the isometry relation
-B^dual o (b, 1) o B = (det B) J against the same pairing normalization used
-by the main construction.
+B^dual o (b, 1) o B = (det B) J, where J (J_GRAM) is the Gram matrix of the
+main construction's pairing, equations.j_pairing, on the three basis
+monomials.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
-from .equations import ContractViolation
+from .equations import ContractViolation, j_pairing
 from .gitcore import split_form
 from .linalg import Mat2, Mat3, sym_square
 from .mckay import FiniteSubgroup
@@ -347,8 +348,10 @@ def _normalize_rays(rays, cones):
 # -- the S3 example --------------------------------------------------------------
 
 
-J_GRAM = Mat3([[QI.scalar(c) for c in row]
-               for row in ((0, 0, 1), (0, Fraction(-1, 2), 0), (1, 0, 0))])
+_MONOMIALS = tuple(tuple(QI.scalar(int(m == n)) for n in range(3)) for m in range(3))
+# J, the Gram matrix of j_pairing on the monomials (u1^2, u1u2, u2^2):
+# ((0, 0, 1), (0, -1/2, 0), (1, 0, 0))
+J_GRAM = Mat3([[j_pairing(u, v) for v in _MONOMIALS] for u in _MONOMIALS])
 
 
 def _plus_one(m: Mat2) -> Mat3:

@@ -40,10 +40,12 @@ def omega(p: PointHV) -> Scalar:
 
 
 def omega_of(alpha, beta, lazy=False):
-    """a1 a2 a3 beta^2 over any commutative ring: one product term, lazy as
-    in sum_of_products."""
-    a1, a2, a3 = alpha
-    return sum_of_products(((1, a1, a2, a3, beta, beta),), lazy=lazy)
+    """The product of the alphas times beta^2 over any commutative ring, as
+    the one product term (1, *alpha, beta, beta), lazy as in
+    sum_of_products: omega for (a1, a2, a3), and the chart omega
+    a_j a_k beta^2 for the pair (a_j, a_k) of a chart's free coordinates
+    (its a_i is 1)."""
+    return sum_of_products(((1, *alpha, beta, beta),), lazy=lazy)
 
 
 def j_pairing(u, v):
@@ -186,13 +188,21 @@ def in_Zo(p: PointHV) -> bool:
     return open_locus_det(p) is not None
 
 
+def det_identity_terms(p: PointHV, d):
+    """The sum_of_products terms of 2 d - beta^3 a1 a2 a3, for d = det B of
+    p: they vanish exactly when the determinant identity holds.  The one
+    place the identity is written: open_locus_det and the equations suite
+    test it with vanishes."""
+    return ((2, d), (-1, p.beta, p.beta, p.beta, *p.alpha))
+
+
 def open_locus_det(p: PointHV) -> Optional[Scalar]:
     """det B at a point already known to lie on Z, or None off the open locus.
 
     On Z the condition a1 a2 a3 beta != 0 is equivalent to det B != 0, and
     2 det B = beta^3 a1 a2 a3 holds exactly; both are re-checked here, the
     four factors tested for zero one by one, with no product, and the
-    identity as one zero test of the unreduced difference.  The result is
+    identity as one zero test of det_identity_terms.  The result is
     the second value a point keeps (see residuals), as the 1-tuple
     p._open_locus, and det_b reads the det B kept there; a raise keeps
     nothing, so every later call raises again.
@@ -201,13 +211,12 @@ def open_locus_det(p: PointHV) -> Optional[Scalar]:
     if kept is not None:
         return kept[0]
     a1, a2, a3 = p.alpha
-    beta = p.beta
     d = None
-    if not (a1.is_zero() or a2.is_zero() or a3.is_zero() or beta.is_zero()):
+    if not (a1.is_zero() or a2.is_zero() or a3.is_zero() or p.beta.is_zero()):
         d = det_b(p)
         if d.is_zero():
             raise AssertionError("det B vanished on the open locus")
-        if not vanishes(((2, d), (-1, beta, beta, beta, a1, a2, a3))):
+        if not vanishes(det_identity_terms(p, d)):
             raise AssertionError("determinant identity 2 det B = beta^3 a1 a2 a3 failed")
     object.__setattr__(p, "_open_locus", (d,))
     return d

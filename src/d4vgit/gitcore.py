@@ -143,6 +143,17 @@ def pairing_terms(u, v):
     return ((2, pu, rv), (2, ru, pv), (-1, qu, qv))
 
 
+def contraction_terms(triple, x1, x2):
+    """The sum_of_products terms of 2 B(x, -) = (2 p x1 + q x2, q x1 + 2 r x2),
+    twice the contraction of the form triple (p, q, r) at x = (x1, x2): the
+    pair of term lists of its two coefficients.  The one place the
+    contraction is written: quiver.form_contraction sums each over 2,
+    stability._contraction_vanishes tests each for zero, and
+    charts.normalize pairs them with a second vector."""
+    p, q, r = triple
+    return ((2, p, x1), (1, q, x2)), ((1, q, x1), (2, r, x2))
+
+
 def split_form(triple, field):
     """(field', T) with the columns of T the two root directions of the
     binary form Q with the given triple, so that Q o T is a multiple of v1 v2.

@@ -4,9 +4,10 @@ enumeration, and orbit connection.
 The base point b* is built from the 2-dimensional irreducible representation
 of the quaternion group: the three forms are the character projections of
 Sym^2 V (lines spanned by e1 e2, e1^2 + e2^2, e1^2 - e2^2) and the scalars
-are solved exactly from the defining equations.  Its stabilizer inside the
-full group has order exactly 8 with quaternion signature; relaxing the
-constraint that fixes the signs of (alpha, beta) jointly doubles it to 16.
+are the constants the third equation forces, checked against all three.
+Its stabilizer inside the full group has order exactly 8 with quaternion
+signature; relaxing the constraint that fixes the signs of (alpha, beta)
+jointly doubles it to 16.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import Counter
 from dataclasses import InitVar, dataclass
 from functools import cache
 
-from .equations import ContractViolation, in_Zo, omega, open_locus_det, residuals, wedge
+from .equations import ContractViolation, in_Zo, omega, open_locus_det, residuals
 from .gitcore import (
     GroupElement, PointHV, act, apply_form_matrix, form_matrix, split_form,
 )
@@ -34,43 +35,29 @@ class DegeneratePointError(ContractViolation):
 
 
 _CHARACTER_FORMS = ((0, 2, 0), (1, 0, 1), (1, 0, -1))
+# the a_i the third equation forces at beta = 1 (see base_point)
+_CHARACTER_ALPHA = (-2, 2, -2)
 
 
 def base_point(x=(0, 0)) -> PointHV:
     """The rational base point of the open locus.
 
     The forms are fixed as the three character projections of Sym^2 V for
-    the quaternion 2-dimensional irrep; (a1, a2, a3) are then solved exactly
-    and linearly from the third equation at beta = 1, and the full residual
-    evaluation re-checks the solution.  Neither the equations nor det B
-    involve x, so the H-part is solved, checked and placed in the open
-    locus once per process, and each copy with_x makes keeps both values.
+    the quaternion 2-dimensional irrep.  At beta = 1 the third equation
+    reads wedge(B_j, B_k) = a_i (r_i, -q_i/2, p_i), and for these forms its
+    three lines are (0, 2, 0) = a1 (0, -1, 0), (2, 0, 2) = a2 (1, 0, 1) and
+    (2, 0, -2) = a3 (-1, 0, 1), so alpha = (-2, 2, -2).  The full residual
+    evaluation is the proof that these constants solve all three equations,
+    and open_locus_det that B is invertible.  Neither the equations nor
+    det B involve x, so the H-part is checked and placed in the open locus
+    once per process, and each copy with_x makes keeps both values.
     """
     return _base_h_part().with_x(x)
 
 
 @cache
 def _base_h_part() -> PointHV:
-    one = QI.one()
-    B = tuple(tuple(QI.scalar(c) for c in b) for b in _CHARACTER_FORMS)
-    beta = one
-    # E3 component i reads  wedge(B_j, B_k) = beta a_i (r_i, -q_i/2, p_i);
-    # each line determines a_i by one division.
-    alpha = []
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        w = wedge(B[j], B[k])
-        pi, qi, ri = B[i]
-        target = (ri, -qi / 2, pi)
-        ai = None
-        for wc, tc in zip(w, target):
-            if not tc.is_zero():
-                ai = wc / (beta * tc)
-                break
-        if ai is None:
-            raise AssertionError("degenerate character form")
-        alpha.append(ai)
-    p = PointHV.make(alpha, beta, B)
+    p = PointHV.make(_CHARACTER_ALPHA, 1, _CHARACTER_FORMS)
     if not residuals(p).is_zero():
         raise AssertionError("base point failed residual check")
     if open_locus_det(p) is None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .equations import omega_of
-from .gitcore import PointHV
+from .gitcore import PointHV, contraction_terms
 from .linalg import Mat2, Vec2
 from .scalars import Scalar, dot, sum_of_products
 
@@ -52,11 +52,11 @@ class QuiverRep:
 
 
 def form_contraction(triple, x: Vec2) -> Covector:
-    """B(x, -) for the quadratic form triple (p, q, r)."""
-    p, q, r = triple
-    h = q / 2
-    v = (x.a, x.b)
-    return Covector(dot((p, h), v), dot((h, r), v))
+    """B(x, -) = (p x1 + q x2 / 2, q x1 / 2 + r x2) for the quadratic form
+    triple (p, q, r): each coefficient one sum of gitcore.contraction_terms
+    over 2, so one reduction each."""
+    first, second = contraction_terms(triple, x.a, x.b)
+    return Covector(sum_of_products(first, 2), sum_of_products(second, 2))
 
 
 def build_rep(p: PointHV) -> QuiverRep:

@@ -25,7 +25,7 @@ from .equations import (
 from .gitcore import (
     LAMBDA, MU, THETA, MINUS_THETA,
     Character, Cocharacter, GroupElement, PointHV,
-    act, coordinate_weights, pair,
+    act, contraction_terms, coordinate_weights, pair,
 )
 from .linalg import Mat2, Vec2
 from .scalars import QI, Scalar, sum_of_products, vanishes
@@ -162,10 +162,11 @@ def unstable_subset_certificates():
 
 
 def _contraction_vanishes(form, x1, x2) -> bool:
-    """Whether B(x, -) = (p x1 + q x2 / 2, q x1 / 2 + r x2) is zero for the
-    form (p, q, r): two zero tests of its double, no reduction."""
-    pm, qm, rm = form
-    return vanishes(((2, pm, x1), (1, qm, x2))) and vanishes(((1, qm, x1), (2, rm, x2)))
+    """Whether B(x, -) is zero for the form (p, q, r): one zero test of
+    each coefficient of its double, gitcore.contraction_terms, with no
+    reduction."""
+    first, second = contraction_terms(form, x1, x2)
+    return vanishes(first) and vanishes(second)
 
 
 def semistable_theta(p: PointHV) -> StabilityVerdict:

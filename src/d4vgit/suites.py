@@ -20,7 +20,7 @@ from . import charts, cyclic_s3, equations, gitcore, mckay, quiver, sampling, st
 from .equations import ContractViolation
 from .gitcore import GroupElement, PointHV, act, pair, weight_table
 from .linalg import Mat2, Vec2
-from .scalars import QI, dot
+from .scalars import QI, dot, vanishes
 
 
 @dataclass
@@ -162,11 +162,8 @@ def suite_equations(seed: int) -> Report:
     rep.add("eq.base_point_on_Z", lambda: equations.residuals(bstar()).is_zero())
     rep.add("eq.base_point_open_locus", lambda: base_det()[1])
 
-    def det_identity():
-        a1, a2, a3 = bstar().alpha
-        return base_det()[0] + base_det()[0] == bstar().beta ** 3 * a1 * a2 * a3
-
-    rep.add("eq.det_identity", det_identity, "2 det B = beta^3 a1 a2 a3")
+    rep.add("eq.det_identity", lambda: vanishes(
+        equations.det_identity_terms(bstar(), base_det()[0])), "2 det B = beta^3 a1 a2 a3")
     rep.add("eq.zero_point_on_Z", lambda: equations.residuals(
         PointHV.make((0, 0, 0), 0, ((0, 0, 0),) * 3, (0, 0))).is_zero())
     rep.add("eq.beta_flip_breaks_only_E3", lambda: _breaks_only(
@@ -188,8 +185,8 @@ def suite_equations(seed: int) -> Report:
     rep.add_sampled(orbit_samples(), {
         "eq.G_invariance_of_Z": lambda q, *_: equations.on_Z(q),
         "eq.open_locus_G_invariant": lambda q, p, h, d, is_open, *_: is_open,
-        "eq.det_identity_on_orbit": lambda q, p, h, d, *_: (
-            d + d == q.beta ** 3 * q.alpha[0] * q.alpha[1] * q.alpha[2]),
+        "eq.det_identity_on_orbit": lambda q, p, h, d, *_: vanishes(
+            equations.det_identity_terms(q, d)),
         "eq.omega_weight": lambda q, p, h, d, is_open, det_g: (
             equations.omega(q) == det_g.inverse() * equations.omega(p)),
         "eq.semi_invariant_weight": semi_invariant_weight,

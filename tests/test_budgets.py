@@ -29,7 +29,7 @@ from d4vgit.gitcore import (
 )
 from d4vgit.linalg import Mat2
 from d4vgit.mckay import FiniteSubgroup, base_point, connect, stabilizer
-from d4vgit.quiver import build_rep
+from d4vgit.quiver import build_rep, form_contraction
 from d4vgit.sampling import engineered_unstable_points, rand_group_element, rand_z_point
 from d4vgit.scalars import QI
 from d4vgit.stability import (
@@ -79,8 +79,10 @@ def _count(calls, run):
 # five dependent coordinates, and the validations are zero tests.
 # semistable_theta reduced 11 when it built each contraction B_i(x, -): now
 # each is two lazy zero tests, and the witness a_i B_i(x, x) one sum (these
-# points all take the witness at i = 1).
-BUDGETS = {"semistable_minus_theta": 5, "build_rep": 17, "normalize": 37,
+# points all take the witness at i = 1).  build_rep reduced 17 when each
+# D_i halved q_i on its own before its two dots: each coefficient of D_i is
+# now one sum of gitcore.contraction_terms over 2, 2 per leg, not 3.
+BUDGETS = {"semistable_minus_theta": 5, "build_rep": 14, "normalize": 37,
            "hat round trip": 9, "semistable_theta": 1}
 
 
@@ -96,6 +98,15 @@ def test_stable_point_operations_stay_within_their_budgets(reduced, seed):
             ("normalize", lambda: normalize(p, index)),
             ("hat round trip", lambda: from_quiver_chart(to_quiver_chart(c))))}
         assert all(counts[name] <= bound for name, bound in BUDGETS.items()), counts
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_form_contraction_reduces_each_coefficient_once(reduced, seed):
+    """form_contraction takes 2 _qi per base-level form, one per coefficient
+    (3 when q / 2 was reduced on its own before two dots)."""
+    for p, _ in _stable_stream_points(seed):
+        for form in p.B:
+            assert _count(reduced, lambda: form_contraction(form, p.x)) == 2
 
 
 @pytest.mark.parametrize("seed", [0, 1])

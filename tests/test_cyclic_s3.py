@@ -8,11 +8,11 @@ from itertools import combinations, product
 import pytest
 
 from d4vgit.cyclic_s3 import (
-    DegenerateS3Point, S3Point, ToricGITProblem, WallError, _primitive,
+    J_GRAM, DegenerateS3Point, S3Point, ToricGITProblem, WallError, _primitive,
     an_minimal_problem, an_quotient_fan, an_redundant_problem, an_semistable,
     diagonalize, s3_act, s3_base_point, s3_on_z, s3_stabilizer,
 )
-from d4vgit.linalg import Mat2
+from d4vgit.linalg import Mat2, Mat3
 from d4vgit.scalars import QI
 
 
@@ -330,6 +330,11 @@ def _rank_and_det(rows):
 
 
 class TestS3:
+    def test_j_gram_is_the_pairing_on_the_basis_monomials(self):
+        """J_GRAM, built from equations.j_pairing, is the literal Gram."""
+        literal = ((0, 0, 1), (0, Fraction(-1, 2), 0), (1, 0, 0))
+        assert J_GRAM == Mat3([[QI.scalar(c) for c in row] for row in literal])
+
     def test_base_point_residual_zero(self):
         assert s3_on_z(s3_base_point())
 

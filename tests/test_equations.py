@@ -13,14 +13,17 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from d4vgit.equations import (
-    ContractViolation, det_b, f_pairing, in_Zo, j_pairing, omega, residuals,
-    semi_invariant_minus_theta, wedge, witness_E1_not_E2, witness_E2_not_E1,
-    witness_semi_invariant,
+    ContractViolation, det_b, det_identity_terms, f_pairing, in_Zo, j_pairing, omega,
+    omega_of, residuals, semi_invariant_minus_theta, wedge, witness_E1_not_E2,
+    witness_E2_not_E1, witness_semi_invariant,
 )
 from d4vgit.gitcore import PointHV, act, point_from_json, point_to_json
 from d4vgit.mckay import base_point
-from d4vgit.sampling import rand_group_element, rand_scalar, rand_z_point
-from d4vgit.scalars import QI, adjoin_sqrt
+from d4vgit.sampling import (
+    rand_chart_point, rand_group_element, rand_scalar, rand_tower_group_element,
+    rand_z_point,
+)
+from d4vgit.scalars import QI, adjoin_sqrt, sum_of_products, vanishes
 
 
 class TestJPairing:
@@ -164,6 +167,23 @@ class TestOpenLocus:
         a1, a2, a3 = b.alpha
         assert det_b(b) * 2 == b.beta ** 3 * a1 * a2 * a3
 
+    @pytest.mark.parametrize("depth", [None, 0, 1, 2])
+    def test_det_identity_terms_vanish_on_the_open_locus(self, depth):
+        """At b* (depth None) and at its translates by a rational element of
+        height 2^64 and by depth-1 and depth-2 tower elements, 2 det B -
+        beta^3 a1 a2 a3 vanishes; with d = beta^3 a1 a2 a3, the identity
+        without its factor 2, it does not."""
+        rng = random.Random(depth)
+        q = base_point()
+        if depth == 0:
+            q = act(rand_group_element(rng, 2 ** 64), q)
+        elif depth:
+            q = act(rand_tower_group_element(rng, depth), q)
+        a1, a2, a3 = q.alpha
+        assert vanishes(det_identity_terms(q, det_b(q)))
+        factor_free = sum_of_products(((1, q.beta, q.beta, q.beta, a1, a2, a3),))
+        assert not vanishes(det_identity_terms(q, factor_free))
+
     def test_zero_point_not_in_Zo(self):
         p = PointHV.make((0, 0, 0), 0, ((0, 0, 0),) * 3, (0, 0))
         assert not in_Zo(p)
@@ -222,6 +242,15 @@ class TestWitnesses:
 
 
 class TestDerivedQuantities:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_omega_of_a_chart_pair_is_omega_with_a_i_one(self, seed):
+        """omega_of((a_j, a_k), beta) at a chart point, whose a_1 is 1, is
+        omega_of((1, a_j, a_k), beta) and the point's omega."""
+        p = rand_chart_point(random.Random(seed), 2 ** 64)
+        one, a_j, a_k = p.alpha
+        assert one == QI.one()
+        assert omega_of((a_j, a_k), p.beta) == omega_of((1, a_j, a_k), p.beta) == omega(p)
+
     def test_omega_weight(self):
         rng = random.Random(6)
         for _ in range(30):

@@ -8,7 +8,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from d4vgit.equations import ContractViolation, det_b, in_Zo, omega, residuals
+from d4vgit.equations import ContractViolation, det_b, in_Zo, omega, residuals, wedge
 from d4vgit.cyclic_s3 import s3_base_point, s3_stabilizer
 from d4vgit import gitcore, mckay, scalars
 from d4vgit.gitcore import (
@@ -29,6 +29,22 @@ from d4vgit.scalars import (
 )
 
 
+def _solved_base_alpha():
+    """(a1, a2, a3) solved from the third equation at beta = 1: line i,
+    wedge(B_j, B_k) = beta a_i (r_i, -q_i/2, p_i), gives a_i by one division
+    at its first nonzero target coordinate, and the other two coordinates
+    must agree."""
+    B = [tuple(map(QI.scalar, b)) for b in mckay._CHARACTER_FORMS]
+    alpha = []
+    for i in range(3):
+        pi, qi, ri = B[i]
+        w, target = wedge(B[(i + 1) % 3], B[(i + 2) % 3]), (ri, -qi / 2, pi)
+        m = next(m for m in range(3) if not target[m].is_zero())
+        alpha.append(w[m] / target[m])
+        assert all(wc == alpha[-1] * tc for wc, tc in zip(w, target))
+    return tuple(alpha)
+
+
 class TestBasePoint:
     def test_residuals_zero(self):
         assert residuals(base_point()).is_zero()
@@ -46,6 +62,11 @@ class TestBasePoint:
         assert b.B == ((QI.zero(), QI.scalar(2), QI.zero()),
                        (QI.one(), QI.zero(), QI.one()),
                        (QI.one(), QI.zero(), QI.scalar(-1)))
+
+    def test_scalars_are_the_ones_the_third_equation_forces(self):
+        """b*'s alpha constants are the E3 solve, re-derived here."""
+        assert _solved_base_alpha() == tuple(map(QI.scalar, mckay._CHARACTER_ALPHA))
+        assert base_point().alpha == _solved_base_alpha()
 
     def test_h_part_is_solved_once(self):
         """base_point(x) reuses one solved and checked H-part for every x."""

@@ -4,18 +4,21 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from d4vgit.equations import residuals, witness_E2_not_E1
 from d4vgit.gitcore import PointHV, act
 from d4vgit.linalg import Mat2, Vec2
 from d4vgit.mckay import base_point
 from d4vgit.quiver import (
-    build_rep, central_quadratic, king_stable, preprojective_holds,
+    build_rep, central_quadratic, form_contraction, king_stable, preprojective_holds,
     preprojective_residual,
 )
 from d4vgit.sampling import (
-    rand_chart_point, rand_group_element, rand_point_hv, rand_z_point,
+    engineered_unstable_points, rand_chart_point, rand_group_element, rand_point_hv,
+    rand_tower_group_element, rand_z_point,
 )
+from d4vgit.stability import _contraction_vanishes
 from d4vgit.scalars import QI
 
 
@@ -140,6 +143,42 @@ def test_equivariance_of_build_rep():
         moved0 = (r_p.D0(Vec2(ginv.a, ginv.c)), r_p.D0(Vec2(ginv.b, ginv.d)))
         assert (r_q.D0.a, r_q.D0.b) == moved0
         del det_inv
+
+
+def _halved_contraction(triple, x):
+    """B(x, -) = (p x1 + h x2, h x1 + r x2) with h = q / 2 reduced on its
+    own: the oracle for form_contraction and _contraction_vanishes, which
+    read it off the terms of its double, gitcore.contraction_terms."""
+    p, q, r = triple
+    h = q / 2
+    return p * x.a + h * x.b, h * x.a + r * x.b
+
+
+@given(depth=st.integers(0, 2), seed=st.integers(0, 2 ** 32), bits=st.just(64),
+       engineered=st.booleans())
+@example(depth=0, seed=0, bits=8, engineered=False)
+@example(depth=0, seed=0, bits=256, engineered=False)
+@example(depth=1, seed=0, bits=256, engineered=True)
+@example(depth=2, seed=0, bits=256, engineered=False)
+@settings(max_examples=8, deadline=None)
+def test_contraction_matches_the_halved_oracle(depth, seed, bits, engineered):
+    """At a Z-point of height 2^bits, or an engineered unstable point, whose
+    every B_i(x, -) vanishes, moved by a depth-`depth` tower element
+    composed with a rational one of height 2^bits: form_contraction equals
+    the oracle, and _contraction_vanishes says whether the oracle is zero."""
+    rng = random.Random(seed)
+    if engineered:
+        p = rng.choice([q for _, q in engineered_unstable_points(rng) if not q.x.is_zero()])
+    else:
+        p = rand_z_point(rng, 2 ** bits)
+    h = rand_tower_group_element(rng, depth).compose(rand_group_element(rng, 2 ** bits))
+    q = act(h, p)
+    x = q.x
+    for form in q.B:
+        want = _halved_contraction(form, x)
+        c = form_contraction(form, x)
+        assert (c.a, c.b) == want
+        assert _contraction_vanishes(form, x.a, x.b) == all(w.is_zero() for w in want)
 
 
 def _flip_legs(result):

@@ -9,10 +9,10 @@ suites: run_suite("all", s) passes at every seed s.
 points: at each seed, eight translates of Z-points and four translates of
 engineered unstable points, all at height 2^8, then the engineered
 {p1=p2=p3=0} point (the one whose verdicts move it under both characters)
-moved by rand_tower_group_element at depths 1 and 2, all drawn from
-random.Random("point-sweep/<seed>"), go through point JSON, both oracles,
-the King check, the re-verification of every unstable verdict and the
-charts.
+and a Z-point, each moved by rand_tower_group_element at depths 1 and 2,
+all drawn from random.Random("point-sweep/<seed>"), go through point JSON,
+both oracles, the King check, the re-verification of every unstable
+verdict and the charts.
 towers: at each seed, b* moved by rand_tower_group_element at depths 1 and
 2 and a height-16 chart point moved by a rational element, drawn from
 random.Random("tower-sweep/<seed>"), survive a point-JSON round trip; both
@@ -107,8 +107,10 @@ def point_sample(rng):
     points += [(act(rand_group_element(rng, HEIGHT), rng.choice(unstable)), True)
                for _ in range(4)]
     both_moved = dict(engineered)["{p1=p2=p3=0}"]
-    return points + [(act(rand_tower_group_element(rng, depth), both_moved), True)
-                     for depth in (1, 2)]
+    points += [(act(rand_tower_group_element(rng, depth), both_moved), True)
+               for depth in (1, 2)]
+    return points + [(act(rand_tower_group_element(rng, depth), rand_z_point(rng, HEIGHT)),
+                      False) for depth in (1, 2)]
 
 
 def tower_sample(rng):
