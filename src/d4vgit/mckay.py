@@ -65,32 +65,6 @@ def _base_h_part() -> PointHV:
     return p
 
 
-def quaternion_rep():
-    """The eight group elements realizing the quaternion group inside the
-    stabilizer of the base point: pairs (name, GroupElement)."""
-    i = QI.i()
-    one = QI.one()
-    zero = QI.zero()
-    rho = {
-        "1": Mat2.identity(),
-        "i": Mat2(i, zero, zero, -i),
-        "j": Mat2(zero, one, -one, zero),
-        "k": Mat2(zero, i, i, zero),
-    }
-    torus = {
-        "1": (one, one, one),
-        "i": (one, -one, -one),
-        "j": (-one, one, -one),
-        "k": (-one, -one, one),
-    }
-    out = []
-    for name in ("1", "i", "j", "k"):
-        for sign, prefix in ((one, ""), (-one, "-")):
-            out.append((prefix + name,
-                        GroupElement.make(torus[name], rho[name].scale(sign))))
-    return out
-
-
 # -- finite subgroups ----------------------------------------------------------
 
 

@@ -4,9 +4,9 @@ Every suite draws all randomness from a single seed, sorts its checks by
 id, and reports machine-readable pass/fail entries, so identical seeds
 produce byte-identical reports.  A check is fixed (Report.add) or sampled
 over a stream (Report.add_sampled), each suite drawing from its own stream
-(_stream).  Every check runs behind one guard, _guarded: a
-ContractViolation or an AssertionError (a failed re-verification) fails
-that check instead of the run.
+(_stream; suite_towers from the two it names).  Every check runs behind
+one guard, _guarded: a ContractViolation or an AssertionError (a failed
+re-verification) fails that check instead of the run.
 """
 
 from __future__ import annotations
@@ -362,12 +362,8 @@ def suite_orbit(seed: int) -> Report:
     rep.add("orb.conjugate_stabilizer",
             lambda: mckay.stabilizer(act(h, bstar())).is_quaternion())
 
-    def connects(q):
-        found = mckay.connect(bstar(), q)
-        return found is not None and act(found, bstar()).same_h_part(q)
-
-    rep.add_sampled(((k, (act(sampling.rand_group_element(rng), bstar()),))
-                     for k in range(4)), {"orb.connect_roundtrip": connects})
+    rep.add_sampled(((k, (act(sampling.rand_group_element(rng), bstar()),)) for k in range(4)),
+                    {"orb.connect_roundtrip": lambda q: _connects(bstar(), q)})
 
     def connects_to_itself():
         self_h = mckay.connect(bstar(), bstar())
@@ -375,6 +371,13 @@ def suite_orbit(seed: int) -> Report:
 
     rep.add("orb.connect_self_in_stabilizer", connects_to_itself)
     return rep.finish()
+
+
+def _connects(source: PointHV, target: PointHV) -> bool:
+    """Whether connect finds an element that carries source's H-part to
+    target's, proved by one act."""
+    h = mckay.connect(source, target)
+    return h is not None and act(h, source).same_h_part(target)
 
 
 def suite_examples(seed: int) -> Report:
@@ -417,6 +420,100 @@ def suite_examples(seed: int) -> Report:
     return rep.finish()
 
 
+def _read_back(p: PointHV) -> PointHV:
+    """p written as point JSON text and read back."""
+    return gitcore.point_from_json(json.loads(json.dumps(gitcore.point_to_json(p))))
+
+
+def suite_towers(seed: int) -> Report:
+    """The pipeline and the orbit layer on points over Q(i) and over the
+    towers connect and the stabilizer adjoin, each read back from point
+    JSON.  Its two streams are random.Random("point-sweep/<seed>") and
+    random.Random("tower-sweep/<seed>")."""
+    rep = Report("towers", seed)
+    height = 1 << 8
+    bstar = cache(mckay.base_point)
+
+    def pipeline_samples(rng):
+        # (point, engineered): translates of eight Z-points and four
+        # engineered unstable points at height 2^8, then of the {p1=p2=p3=0}
+        # point (unstable under both characters) and a Z-point at tower
+        # depths 1 and 2; each translate draws its element first
+        for _ in range(8):
+            yield (act(sampling.rand_group_element(rng, height),
+                       sampling.rand_z_point(rng, height)), False)
+        engineered = sampling.engineered_unstable_points(rng)
+        unstable = [p for _, p in engineered if not p.x.is_zero()]
+        for _ in range(4):
+            yield act(sampling.rand_group_element(rng, height), rng.choice(unstable)), True
+        for depth in (1, 2):
+            yield (act(sampling.rand_tower_group_element(rng, depth),
+                       dict(engineered)["{p1=p2=p3=0}"]), True)
+        for depth in (1, 2):
+            yield (act(sampling.rand_tower_group_element(rng, depth),
+                       sampling.rand_z_point(rng, height)), False)
+
+    def verdicts(p, engineered):
+        back = _read_back(p)
+        return back, stability.semistable_theta(back), stability.semistable_minus_theta(back)
+
+    def reverified(p, engineered, back, *verdicts):
+        return all(v.is_stable or stability.verify_certificate(back, v.certificate, chi, v.adapting)
+                   for v, chi in zip(verdicts, (gitcore.THETA, gitcore.MINUS_THETA)))
+
+    def charts_agree(p, engineered, back, theta, minus):
+        # the witness chart, its hat round trip and its quiver-side form
+        if engineered or not theta.is_stable:
+            return True
+        idx = theta.witness_index + 1
+        c = charts.normalize(back, idx)
+        return (c.validate() and charts.from_quiver_chart(charts.to_quiver_chart(c)) == c
+                and charts.normalize_rep(quiver.build_rep(back), idx)
+                == charts.to_quiver_chart(c))
+
+    rep.add_sampled(enumerate(pipeline_samples(random.Random("point-sweep/%d" % seed))), {
+        "tw.point_json_roundtrip": lambda p, engineered, back, *_: back == p,
+        "tw.on_Z": lambda p, engineered, back, *_: equations.residuals(back).is_zero(),
+        "tw.theta_matches_king": lambda p, engineered, back, theta, minus: (
+            theta.is_stable == quiver.king_stable(quiver.build_rep(back))),
+        "tw.unstable_reverified": reverified,
+        "tw.engineered_unstable": lambda p, engineered, back, theta, minus: (
+            not engineered or not (theta.is_stable or minus.is_stable)),
+        "tw.minus_theta_stable": lambda p, engineered, back, theta, minus: (
+            engineered or minus.is_stable),
+        "tw.charts": charts_agree,
+    }, derive=verdicts)
+
+    def orbit_samples(rng):
+        # (point, moved b*): b* at tower depths 1 and 2, then a height-16
+        # chart point moved by a rational element
+        for depth in (1, 2):
+            yield act(sampling.rand_tower_group_element(rng, depth), bstar()), True
+        yield act(sampling.rand_group_element(rng), sampling.rand_chart_point(rng, 16)), False
+
+    def stabilizers(p, moved):
+        if not moved:
+            return _read_back(p), None, None
+        return _read_back(p), mckay.stabilizer(p), mckay.stabilizer(p, fix_beta=False)
+
+    def stabilizer_acts(p, moved, back, group, relaxed):
+        # one act per listed element: the even half fixes the H-part, the
+        # odd half sends it to (-alpha, -beta, B)
+        flipped = PointHV(tuple(-a for a in p.alpha), -p.beta, p.B, p.x)
+        return not moved or all(act(h, p).same_h_part(p if k < 8 else flipped)
+                                for k, h in enumerate(relaxed.elements))
+
+    rep.add_sampled(enumerate(orbit_samples(random.Random("tower-sweep/%d" % seed))), {
+        "tw.orbit_json_roundtrip": lambda p, moved, back, *_: back == p,
+        "tw.stabilizer_orders": lambda p, moved, back, group, relaxed: not moved or (
+            group.order() == 8 and group.is_quaternion() and relaxed.order() == 16
+            and relaxed.elements[:8] == group.elements),
+        "tw.stabilizer_acts": stabilizer_acts,
+        "tw.connect_roundtrip": lambda p, *_: _connects(bstar(), p) and _connects(p, bstar()),
+    }, derive=stabilizers)
+    return rep.finish()
+
+
 SUITES = {
     "equations": suite_equations,
     "stability": suite_stability,
@@ -424,6 +521,7 @@ SUITES = {
     "charts": suite_charts,
     "orbit": suite_orbit,
     "examples": suite_examples,
+    "towers": suite_towers,
 }
 
 
@@ -431,7 +529,10 @@ def run_suite(name: str, seed: int = 0) -> Report:
     """Run a named suite (or 'all'); deterministic for a fixed seed."""
     if name == "all":
         rep = Report("all", seed)
-        for sub in sorted(SUITES):
+        # towers is not one of all's members: its tower arithmetic would
+        # slow the headline run, and its checks would change every recorded
+        # report of all (the golden fixtures and the benchmark's check ids)
+        for sub in sorted(SUITES.keys() - {"towers"}):
             rep.checks.extend(SUITES[sub](seed).checks)
         return rep.finish()
     if name not in SUITES:

@@ -370,4 +370,4 @@ def test_every_readme_command_line_exits_0(tmp_path, monkeypatch, capsys):
         if target:
             pathlib.Path(target).write_text(out)
         ran += 1
-    assert ran == 13
+    assert ran == 14

@@ -19,7 +19,7 @@ from d4vgit.poly import Poly
 from d4vgit.mckay import (
     _EVEN_PATTERNS, DegeneratePointError, FiniteSubgroup,
     _pattern_matrix, base_point, canonicalize, connect, point_field,
-    quaternion_rep, stabilizer,
+    stabilizer,
 )
 from d4vgit.sampling import (
     rand_chart_point, rand_group_element, rand_tower_group_element, rand_z_point,
@@ -27,6 +27,32 @@ from d4vgit.sampling import (
 from d4vgit.scalars import (
     QI, ExtensionLimitError, FieldError, adjoin_sqrt, is_principal_root, sum_of_products,
 )
+
+
+def quaternion_rep():
+    """The eight group elements realizing the quaternion group inside the
+    stabilizer of the base point: pairs (name, GroupElement)."""
+    i = QI.i()
+    one = QI.one()
+    zero = QI.zero()
+    rho = {
+        "1": Mat2.identity(),
+        "i": Mat2(i, zero, zero, -i),
+        "j": Mat2(zero, one, -one, zero),
+        "k": Mat2(zero, i, i, zero),
+    }
+    torus = {
+        "1": (one, one, one),
+        "i": (one, -one, -one),
+        "j": (-one, one, -one),
+        "k": (-one, -one, one),
+    }
+    out = []
+    for name in ("1", "i", "j", "k"):
+        for sign, prefix in ((one, ""), (-one, "-")):
+            out.append((prefix + name,
+                        GroupElement.make(torus[name], rho[name].scale(sign))))
+    return out
 
 
 def _solved_base_alpha():
